@@ -32,6 +32,7 @@ from .core import (
     DegenerateChannelError,
     RngStream,
     ScenarioConfig,
+    _finite,
     generate_channels,
     scenario_preset,
 )
@@ -49,7 +50,8 @@ from .radar import (
     range_profile,
     synthesize_tx,
     two_stage_capture,
-    _crb_from_power,
+    _delay_crb,
+    _k2_sum,
 )
 from .region import (
     SweepSpec,
@@ -78,9 +80,9 @@ _NUMERIC_ERRORS = (
     ReproduceMismatchError,
 )
 
-_SCENARIO_FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
-_SWEEP_FIELDS = {"grid_step", "families", "metric", "include_cases", "monte_carlo_trials"}
-_POINT_FIELDS = ("t_comms", "t_p", "alpha_c", "alpha_p")
+_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
+# point-eval's --set keys; its family comes from --family.
+_KNOBS = tuple(f.name for f in dataclasses.fields(ParameterPoint) if f.name != "family")
 
 
 def _fail(code: int, exc: BaseException) -> int:
@@ -96,36 +98,32 @@ def _parse_value(raw: str):
         return raw
 
 
-def _split_overrides(pairs: list[str]) -> dict:
-    out = {}
-    for pair in pairs:
+def _settings(args, own=()) -> tuple[ScenarioConfig, dict]:
+    """The scenario a command runs on, and the --set values of its ``own`` fields.
+
+    --set accepts the scenario fields plus the command's own fields; any
+    other key is an error rather than silently ignored.
+    """
+    overrides = {}
+    for pair in args.set or []:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
-        out[key.strip()] = _parse_value(raw.strip())
-    return out
-
-
-def _resolve_scenario(args, overrides: dict) -> ScenarioConfig:
-    if getattr(args, "scenario", None):
+        overrides[key.strip()] = _parse_value(raw.strip())
+    unknown = set(overrides) - _SCENARIO_FIELDS - set(own)
+    if unknown:
+        raise ConfigError(f"unknown override keys for {args.command}: {sorted(unknown)}")
+    if args.scenario:
         with open(args.scenario, encoding="utf-8") as fh:
             cfg = ScenarioConfig.from_json(fh.read())
     else:
-        cfg = scenario_preset(getattr(args, "preset", None) or "S1")
+        cfg = scenario_preset(args.preset or "S1")
     updates = {k: v for k, v in overrides.items() if k in _SCENARIO_FIELDS}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = args.seed
     if updates:
-        merged = cfg.to_json_dict()
-        for key, value in updates.items():
-            if isinstance(value, list):
-                value = tuple(value)
-            merged[key] = value
-        cfg = ScenarioConfig.from_json_dict(merged)
-    unknown = set(overrides) - set(_SCENARIO_FIELDS) - _SWEEP_FIELDS - set(_POINT_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown override keys: {sorted(unknown)}")
-    return cfg
+        cfg = ScenarioConfig.from_json_dict({**cfg.to_json_dict(), **updates})
+    return cfg, {k: v for k, v in overrides.items() if k in own}
 
 
 def _family_tuple(arg: str) -> tuple[str, ...]:
@@ -135,21 +133,10 @@ def _family_tuple(arg: str) -> tuple[str, ...]:
     return table[arg.lower()]
 
 
-def _resolve_sweep_spec(args, overrides: dict) -> SweepSpec:
-    fields = {
-        "grid_step": args.step,
-        "families": _family_tuple(args.family),
-        "metric": {"g0": "G0", "snr": "SNR_RAD"}[args.metric],
-        "monte_carlo_trials": args.trials,
-    }
-    for key in _SWEEP_FIELDS & set(overrides):
-        value = overrides[key]
-        if key == "families":
-            value = tuple(value) if isinstance(value, list) else _family_tuple(str(value))
-        if key == "include_cases" and isinstance(value, list):
-            value = frozenset(value)
-        fields[key] = value
-    return SweepSpec(**fields)
+def _single_family(args) -> str:
+    if args.family == "both":
+        raise ConfigError(f"{args.command} needs a single family, not 'both'")
+    return _family_tuple(args.family)[0]
 
 
 def _digest(path: str) -> str:
@@ -159,25 +146,22 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: str, command: str, cfg: ScenarioConfig,
-                    extra: dict, filenames: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "scenario": cfg.to_json_dict(),
-        "outputs": {name: _digest(os.path.join(out_dir, name)) for name in filenames},
-    }
-    manifest.update(extra)
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _write_json(path: str, payload: dict) -> str:
+    """Write strict JSON (no NaN or Infinity literals); return the text."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return text
 
 
-def _ensure_out(args) -> str:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    return out
+# Each run function takes the scenario, the command's run.json section and
+# the output directory, writes the command's files, and returns the text
+# a fresh run prints (or None). ``reproduce`` calls the same function with
+# the section read back from the manifest.
 
 
-def _run_sweep_resolved(cfg: ScenarioConfig, spec: SweepSpec, out_dir: str) -> None:
+def _run_sweep(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
+    spec = SweepSpec(**section)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     result = sweep(spec, channels, cfg, geom=_GEOM)
     if not result.points:
@@ -190,67 +174,13 @@ def _run_sweep_resolved(cfg: ScenarioConfig, spec: SweepSpec, out_dir: str) -> N
     write_boundary_params_csv(rows, os.path.join(out_dir, "boundary_params.csv"))
 
 
-def cmd_sweep(args) -> int:
-    overrides = _split_overrides(args.set or [])
-    cfg = _resolve_scenario(args, overrides)
-    spec = _resolve_sweep_spec(args, overrides)
-    out_dir = _ensure_out(args)
-    _run_sweep_resolved(cfg, spec, out_dir)
-    _write_manifest(
-        out_dir,
-        "sweep",
-        cfg,
-        {"sweep": {
-            "grid_step": spec.grid_step,
-            "families": list(spec.families),
-            "metric": spec.metric,
-            "include_cases": sorted(spec.include_cases) if spec.include_cases else None,
-            "monte_carlo_trials": spec.monte_carlo_trials,
-        }},
-        ["points.csv", "boundary.csv", "boundary_params.csv"],
-    )
-    return 0
-
-
-def _parse_params_csv(path: str, family: str) -> list[tuple[int, ParameterPoint]]:
-    """Read boundary_params.csv rows back into ParameterPoints.
-
-    Dashed entries are the pinned values the sweep collapsed away:
-    no communications power pins everything downstream, t_p = 1 pins
-    alpha_c, t_p = 0 pins alpha_p.
-    """
-    rows: list[tuple[int, ParameterPoint]] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            cells = line.strip().split(",")
-            if len(cells) < 5:
-                continue
-
-            def cell(name: str, pinned: float) -> float:
-                raw = cells[idx[name]]
-                return pinned if raw == "-" else float(raw)
-
-            t = float(cells[idx["t_comms"]])
-            tp = cell("t_p", 1.0)
-            ac = cell("alpha_c", 1.0)
-            ap = cell("alpha_p", 1.0)
-            rows.append(
-                (int(cells[idx["index"]]), ParameterPoint(t, tp, ac, ap, family))
-            )
-    return rows
-
-
-def _run_heatmap_resolved(
-    cfg: ScenarioConfig,
-    rows: list[tuple[int, ParameterPoint]],
-    n0_values: list[int],
-    trials: int,
-    beta0: float,
-    beta_decay: float,
-    out_dir: str,
-) -> None:
+def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
+    n0_values, trials = section["n0_values"], section["trials"]
+    beta0, beta_decay = section["beta0"], section["beta_decay"]
+    for n0 in n0_values:
+        if not 0 <= n0 < cfg.n_subcarriers:
+            raise ConfigError(f"n0 value {n0} outside [0, {cfg.n_subcarriers})")
+    rows = [(i, ParameterPoint(*key)) for i, key in section["params_rows"]]
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     path = os.path.join(out_dir, "heatmap.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -283,58 +213,26 @@ def _run_heatmap_resolved(
                 fh.write(f"{row_index},{n0},{modal},{snr_db:.6f},{correct:.6f}\n")
 
 
-def cmd_radar_heatmap(args) -> int:
-    overrides = _split_overrides(args.set or [])
-    cfg = _resolve_scenario(args, overrides)
-    if not os.path.exists(args.params):
-        raise ConfigError(f"params file not found: {args.params}")
-    family = args.family
-    if family == "both":
-        raise ConfigError("radar-heatmap needs a single family, not 'both'")
-    rows = _parse_params_csv(args.params, _family_tuple(family)[0])
-    n0_values = [int(v) for v in args.n0.split(",") if v.strip() != ""]
-    for n0 in n0_values:
-        if not 0 <= n0 < cfg.n_subcarriers:
-            raise ConfigError(f"n0 value {n0} outside [0, {cfg.n_subcarriers})")
-    beta0 = args.beta if args.beta is not None else cfg.target_attenuation
-    out_dir = _ensure_out(args)
-    _run_heatmap_resolved(
-        cfg, rows, n0_values, args.trials, beta0, args.beta_decay, out_dir
-    )
-    _write_manifest(
-        out_dir,
-        "radar-heatmap",
-        cfg,
-        {"heatmap": {
-            "params_rows": [[i, list(pp.key())] for i, pp in rows],
-            "n0_values": n0_values,
-            "trials": args.trials,
-            "beta0": beta0,
-            "beta_decay": args.beta_decay,
-            "family": family,
-        }},
-        ["heatmap.csv"],
-    )
-    return 0
-
-
-def _point_eval_payload(cfg: ScenarioConfig, pp: ParameterPoint) -> dict:
+def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
+    pp = ParameterPoint(*section)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     pset = build_precoders(pp, channels, cfg)
     report = throughput(channels, pset, cfg)
     power = expected_steered_power(pset, _GEOM, cfg.target_angle_deg)
     g0 = round_sig(float(np.sum(power)))
     try:
-        bound = _crb_from_power(power, cfg.target_attenuation, cfg.noise_power_radar)
+        bound = _delay_crb(
+            _k2_sum(power), power.shape[0], cfg.target_attenuation, cfg.noise_power_radar
+        )
     except ZeroInformationError:
         bound = math.inf
 
-    def mean_db(values: np.ndarray) -> float:
+    def mean_db(values: np.ndarray) -> float | str:
         mean = float(np.mean(values))
-        return 10.0 * math.log10(mean) if mean > 0 else -math.inf
+        return 10.0 * math.log10(mean) if mean > 0 else "-inf"
 
     sigma2 = cfg.noise_power_comms
-    return {
+    payload = {
         "params": {
             "t_comms": pp.t_comms, "t_p": pp.t_p,
             "alpha_c": pp.alpha_c, "alpha_p": pp.alpha_p, "family": pp.family,
@@ -362,38 +260,10 @@ def _point_eval_payload(cfg: ScenarioConfig, pp: ParameterPoint) -> dict:
         "g0": g0,
         "crb_bins2": bound if math.isfinite(bound) else "inf",
     }
+    return _write_json(os.path.join(out_dir, "point.json"), payload)
 
 
-def cmd_point_eval(args) -> int:
-    overrides = _split_overrides(args.set or [])
-    cfg = _resolve_scenario(args, overrides)
-    missing = [k for k in _POINT_FIELDS if k not in overrides]
-    if missing:
-        raise ConfigError(f"point-eval needs --set for: {missing}")
-    if args.family == "both":
-        raise ConfigError("point-eval needs a single family, not 'both'")
-    pp = ParameterPoint(
-        float(overrides["t_comms"]),
-        float(overrides["t_p"]),
-        float(overrides["alpha_c"]),
-        float(overrides["alpha_p"]),
-        _family_tuple(args.family)[0],
-    )
-    payload = _point_eval_payload(cfg, pp)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out_dir = _ensure_out(args)
-    with open(os.path.join(out_dir, "point.json"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(text, end="")
-    _write_manifest(
-        out_dir, "point-eval", cfg,
-        {"point": list(pp.key())},
-        ["point.json"],
-    )
-    return 0
-
-
-def _run_calibrate_resolved(cfg: ScenarioConfig, out_dir: str) -> dict:
+def _run_calibrate(cfg: ScenarioConfig, section: None, out_dir: str) -> str:
     gen = RngStream(cfg.seed, 7).generator()
     # One constant phase per chain (what the pairwise correction can fix)
     # plus a little per-subcarrier ripple (what it cannot).
@@ -414,19 +284,110 @@ def _run_calibrate_resolved(cfg: ScenarioConfig, out_dir: str) -> dict:
         "misalignment_before_rad": misalignment(anchor),
         "misalignment_after_rad": misalignment(aligned),
     }
-    with open(os.path.join(out_dir, "calibration.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
+    return _write_json(os.path.join(out_dir, "calibration.json"), payload)
+
+
+# command -> (run.json section key, run function, output files)
+_COMMANDS = {
+    "sweep": ("sweep", _run_sweep, ("points.csv", "boundary.csv", "boundary_params.csv")),
+    "radar-heatmap": ("heatmap", _run_heatmap, ("heatmap.csv",)),
+    "point-eval": ("point", _run_point, ("point.json",)),
+    "calibrate-demo": (None, _run_calibrate, ("calibration.json",)),
+}
+
+
+def _record(args, cfg: ScenarioConfig, section) -> int:
+    """Run ``args.command`` from its section, echo its report, write run.json."""
+    key, run, outputs = _COMMANDS[args.command]
+    os.makedirs(args.out, exist_ok=True)
+    report = run(cfg, section, args.out)
+    if report is not None:
+        print(report, end="")
+    manifest = {
+        "command": args.command,
+        "scenario": cfg.to_json_dict(),
+        "outputs": {name: _digest(os.path.join(args.out, name)) for name in outputs},
+    }
+    if key is not None:
+        manifest[key] = section
+    _write_json(os.path.join(args.out, "run.json"), manifest)
+    return 0
+
+
+def cmd_sweep(args) -> int:
+    section = {
+        "grid_step": args.step,
+        "families": list(_family_tuple(args.family)),
+        "metric": {"g0": "G0", "snr": "SNR_RAD"}[args.metric],
+        "include_cases": None,
+        "monte_carlo_trials": args.trials,
+    }
+    cfg, own = _settings(args, section)
+    section.update(own)
+    # The manifest records the spec in canonical form: upper-case families,
+    # sorted case tags.
+    spec = SweepSpec(**section)
+    section["families"] = list(spec.families)
+    if spec.include_cases is not None:
+        section["include_cases"] = sorted(spec.include_cases)
+    return _record(args, cfg, section)
+
+
+def _parse_params_csv(path: str, family: str) -> list:
+    """Read boundary_params.csv rows back as ``[index, ParameterPoint key]``.
+
+    Dashed entries are the pinned values the sweep collapsed away:
+    no communications power pins everything downstream, t_p = 1 pins
+    alpha_c, t_p = 0 pins alpha_p.
+    """
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        idx = {name: i for i, name in enumerate(header)}
+        for line in fh:
+            cells = line.strip().split(",")
+            if len(cells) < 5:
+                continue
+
+            def cell(name: str, pinned: float) -> float:
+                raw = cells[idx[name]]
+                return pinned if raw == "-" else float(raw)
+
+            key = [float(cells[idx["t_comms"]]), cell("t_p", 1.0),
+                   cell("alpha_c", 1.0), cell("alpha_p", 1.0), family]
+            rows.append([int(cells[idx["index"]]), key])
+    return rows
+
+
+def cmd_radar_heatmap(args) -> int:
+    cfg, _ = _settings(args)
+    if not os.path.exists(args.params):
+        raise ConfigError(f"params file not found: {args.params}")
+    section = {
+        "params_rows": _parse_params_csv(args.params, _single_family(args)),
+        "n0_values": [int(v) for v in args.n0.split(",") if v.strip() != ""],
+        "trials": args.trials,
+        "beta0": args.beta if args.beta is not None else cfg.target_attenuation,
+        "beta_decay": args.beta_decay,
+        "family": args.family,
+    }
+    return _record(args, cfg, section)
+
+
+def cmd_point_eval(args) -> int:
+    cfg, knobs = _settings(args, _KNOBS)
+    missing = [k for k in _KNOBS if k not in knobs]
+    if missing:
+        raise ConfigError(f"point-eval needs --set for: {missing}")
+    for name, value in knobs.items():
+        if not _finite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return _record(args, cfg, [float(knobs[k]) for k in _KNOBS] + [_single_family(args)])
 
 
 def cmd_calibrate_demo(args) -> int:
-    overrides = _split_overrides(args.set or [])
-    cfg = _resolve_scenario(args, overrides)
-    out_dir = _ensure_out(args)
-    payload = _run_calibrate_resolved(cfg, out_dir)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    _write_manifest(out_dir, "calibrate-demo", cfg, {}, ["calibration.json"])
-    return 0
+    cfg, _ = _settings(args)
+    return _record(args, cfg, None)
 
 
 def cmd_reproduce(args) -> int:
@@ -436,38 +397,10 @@ def cmd_reproduce(args) -> int:
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     command = manifest["command"]
-    if command == "sweep":
-        s = manifest["sweep"]
-        spec = SweepSpec(
-            grid_step=s["grid_step"],
-            families=tuple(s["families"]),
-            metric=s["metric"],
-            include_cases=(
-                frozenset(s["include_cases"]) if s.get("include_cases") else None
-            ),
-            monte_carlo_trials=s["monte_carlo_trials"],
-        )
-        _run_sweep_resolved(cfg, spec, out_dir)
-    elif command == "radar-heatmap":
-        h = manifest["heatmap"]
-        rows = [
-            (int(i), ParameterPoint(k[0], k[1], k[2], k[3], k[4]))
-            for i, k in h["params_rows"]
-        ]
-        _run_heatmap_resolved(
-            cfg, rows, [int(v) for v in h["n0_values"]],
-            int(h["trials"]), float(h["beta0"]), float(h["beta_decay"]), out_dir,
-        )
-    elif command == "point-eval":
-        k = manifest["point"]
-        pp = ParameterPoint(k[0], k[1], k[2], k[3], k[4])
-        payload = _point_eval_payload(cfg, pp)
-        with open(os.path.join(out_dir, "point.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif command == "calibrate-demo":
-        _run_calibrate_resolved(cfg, out_dir)
-    else:
+    if command not in _COMMANDS:
         raise ConfigError(f"manifest has unknown command {command!r}")
+    key, run, _ = _COMMANDS[command]
+    run(cfg, manifest[key] if key is not None else None, out_dir)
 
     expected = manifest["outputs"]
     actual = {

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -78,6 +80,11 @@ _SCENARIO_DOC = {
 }
 
 
+def _finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulated deployment: powers, noise, geometry targets, seed."""
@@ -96,6 +103,21 @@ class ScenarioConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        # NaN fails every range comparison below and a bool passes as 0 or
+        # 1, so types and finiteness are checked first.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in (int, "int"):
+                need = "an integer"
+                ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            elif str(f.type).startswith("tuple"):
+                need = "a list of finite numbers"
+                ok = isinstance(value, (tuple, list)) and all(map(_finite, value))
+            else:
+                need = "a finite number"
+                ok = _finite(value)
+            if not ok:
+                raise ConfigError(f"{f.name} must be {need}, got {value!r}")
         object.__setattr__(self, "ue_angles_deg", tuple(float(a) for a in self.ue_angles_deg))
         object.__setattr__(self, "ue_gains", tuple(float(g) for g in self.ue_gains))
         if self.n_subcarriers < 2:

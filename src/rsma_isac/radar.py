@@ -258,32 +258,7 @@ def two_stage_capture(
     return background_subtract(with_t, without)
 
 
-def _delay_weighted_power(power_per_k: np.ndarray) -> float:
-    k = np.arange(power_per_k.shape[0])
-    return float(np.sum(k**2 * power_per_k))
-
-
-def _crb_from_power(power_per_k: np.ndarray, beta: float, sigma_r2: float) -> float:
-    info = _fisher_from_power(power_per_k, beta, sigma_r2)
-    if info == 0.0:
-        return math.inf
-    if math.isinf(info):
-        return 0.0
-    return 1.0 / info
-
-
-def _crb_from_weighted(weighted: float, nc: int, beta: float, sigma_r2: float) -> float:
-    info = _fisher_from_weighted(weighted, nc, beta, sigma_r2)
-    if info == 0.0:
-        return math.inf
-    if math.isinf(info):
-        return 0.0
-    return 1.0 / info
-
-
-def _fisher_from_weighted(
-    weighted: float, nc: int, beta: float, sigma_r2: float
-) -> float:
+def _delay_fisher(weighted: float, nc: int, beta: float, sigma_r2: float) -> float:
     """Fisher information for the delay in bins, from sum_k k^2 |c_k|^2.
 
     Per-subcarrier noise variance is sigma_r2/N_c, so the information is
@@ -300,10 +275,19 @@ def _fisher_from_weighted(
     return 8.0 * math.pi**2 * beta**2 * weighted / (sigma_r2 * nc)
 
 
-def _fisher_from_power(power_per_k: np.ndarray, beta: float, sigma_r2: float) -> float:
-    return _fisher_from_weighted(
-        _delay_weighted_power(power_per_k), power_per_k.shape[0], beta, sigma_r2
-    )
+def _delay_crb(weighted: float, nc: int, beta: float, sigma_r2: float) -> float:
+    """The inverse of :func:`_delay_fisher`: no information gives inf, infinite gives 0."""
+    info = _delay_fisher(weighted, nc, beta, sigma_r2)
+    if info == 0.0:
+        return math.inf
+    if math.isinf(info):
+        return 0.0
+    return 1.0 / info
+
+
+def _k2_sum(power_per_k: np.ndarray) -> float:
+    """The delay-weighted energy sum_k k^2 |c_k|^2 of a per-subcarrier power."""
+    return float(np.sum(np.arange(power_per_k.shape[0]) ** 2 * power_per_k))
 
 
 def fisher_information(
@@ -312,7 +296,7 @@ def fisher_information(
 ) -> float:
     g = geom if geom is not None else ArrayGeometry(n_tx=x.n_tx)
     power = np.abs(steered_projection(x, g, angle_deg)) ** 2
-    return _fisher_from_power(power, beta, sigma_r2)
+    return _delay_fisher(_k2_sum(power), power.shape[0], beta, sigma_r2)
 
 
 def crb(
@@ -322,7 +306,7 @@ def crb(
     """Lower bound on the variance of any unbiased delay estimate, bins²."""
     g = geom if geom is not None else ArrayGeometry(n_tx=x.n_tx)
     power = np.abs(steered_projection(x, g, angle_deg)) ** 2
-    return _crb_from_power(power, beta, sigma_r2)
+    return _delay_crb(_k2_sum(power), power.shape[0], beta, sigma_r2)
 
 
 def snr_rad_closed_form(
@@ -367,7 +351,7 @@ def range_profile(
     if obs.beta == 0.0:
         bound = math.inf
     else:
-        bound = _crb_from_power(np.abs(c) ** 2, obs.beta, obs.sigma_r2)
+        bound = _delay_crb(_k2_sum(np.abs(c) ** 2), c.shape[0], obs.beta, obs.sigma_r2)
     return RangeProfile(
         magnitudes=mags, peak_bin=peak, snr_rad_db=snr_db, crb_bins2=bound
     )

@@ -35,7 +35,7 @@ from .precoders import (
 )
 from .radar import (
     ZeroInformationError,
-    _crb_from_weighted,
+    _delay_crb,
     radar_return,
     range_profile,
     synthesize_tx,
@@ -360,7 +360,7 @@ def sweep(
                 weighted += p_sense * k2_r
             g0 = round_sig(raw)
             try:
-                bound = _crb_from_weighted(
+                bound = _delay_crb(
                     weighted, nc, cfg.target_attenuation, cfg.noise_power_radar
                 )
             except ZeroInformationError:

@@ -85,6 +85,10 @@ def test_reproduce_missing_manifest(tmp_path):
     assert rc == 2
 
 
+_POINT_SETS = ["--set", "t_comms=1", "--set", "t_p=0.5", "--set", "alpha_c=0.5",
+               "--set", "alpha_p=0.5"]
+
+
 def _point_eval(out_dir, params, extra=()):
     sets = [f"--set={k}={v}" for k, v in params.items()]
     return main(
@@ -93,11 +97,18 @@ def _point_eval(out_dir, params, extra=()):
     )
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_point_eval_sensing_only(tmp_path, capsys):
     out = tmp_path / "pt"
     rc = _point_eval(out, dict(t_comms=0, t_p=1, alpha_c=1, alpha_p=1))
     assert rc == 0
-    payload = json.loads((out / "point.json").read_text())
+    payload = _strict_json((out / "point.json").read_text())
     assert payload == json.loads(capsys.readouterr().out)
     assert payload["g0"] == 2.0
     assert payload["t_sum_bps"] == 0.0
@@ -107,6 +118,8 @@ def test_point_eval_sensing_only(tmp_path, capsys):
     assert not payload["collapsed"]
     assert payload["mcs_indices"] == [None, None, None]
     assert isinstance(payload["crb_bins2"], float)
+    assert payload["sinr_common_mean_db"] == ["-inf", "-inf"]
+    assert payload["sinr_private_mean_db"] == ["-inf", "-inf"]
 
     redo = tmp_path / "redo"
     rc = main(["reproduce", "--run", str(out / "run.json"), "--out", str(redo)])
@@ -118,8 +131,9 @@ def test_point_eval_hard_split(tmp_path):
     out = tmp_path / "pt"
     rc = _point_eval(out, dict(t_comms=0.6, t_p=1, alpha_c=1, alpha_p=1))
     assert rc == 0
-    payload = json.loads((out / "point.json").read_text())
+    payload = _strict_json((out / "point.json").read_text())
     assert payload["case"] == "SDMA_Sense_Hard"
+    assert payload["sinr_common_mean_db"] == ["-inf", "-inf"]
     assert payload["stream_powers"]["sensing"] == pytest.approx(0.4, rel=1e-9)
     assert payload["stream_powers"]["common"] == 0.0
     assert payload["t_common_bps"] == 0.0
@@ -205,6 +219,14 @@ def test_missing_scenario_file(tmp_path):
         ["sweep", "--set", "nodelimiter"],
         ["sweep", "--step", "0.3"],
         ["sweep", "--family", "qr"],
+        # keys another command owns are rejected, not silently ignored
+        ["sweep", "--set", "t_comms=0.5"],
+        ["calibrate-demo", "--set", "grid_step=0.25"],
+        ["radar-heatmap", "--params", os.devnull, "--set", 'metric="SNR_RAD"'],
+        # non-finite and non-numeric values stop at the boundary
+        ["point-eval", "--set", "total_power=NaN", *_POINT_SETS],
+        ["point-eval", "--set", "seed=true", *_POINT_SETS],
+        ["point-eval", *_POINT_SETS, "--set", "t_comms=true"],
     ],
 )
 def test_bad_configuration_exits_2(tmp_path, argv):
@@ -312,6 +334,28 @@ def test_heatmap_bad_inputs(heatmap_flow, tmp_path):
     assert main(base + ["--family", "both"]) == 2
 
 
+# sha256 of run.json for one small run of each command. Drift in the
+# manifest format would stop existing manifests from reproducing, so a
+# change here has to be deliberate.
+_RUN_JSON_SHA256 = {
+    "sweep": "0ee4d7b104156a1bf4cde94f5cca18618a88784b8e1edbc162e18d787d0b0236",
+    "radar-heatmap": "68527fd2221f2a582855f80cf04be3ac47115696dd9905ad557477d6b43fdd12",
+    "point-eval": "0ab9e9e2f28c4ebed7365b222d1d5262ecfef9f96198e03e7bbbc50c35070647",
+    "calibrate-demo": "3ab390882321f4938bc05c0c8c4a6c05292ceaeb49799231fe871c1948aeb139",
+}
+
+
+def test_run_json_bytes_pinned(heatmap_flow, tmp_path):
+    sw, hm = heatmap_flow
+    pt, cal = tmp_path / "pt", tmp_path / "cal"
+    assert _point_eval(pt, dict(t_comms=0.7, t_p=0.5, alpha_c=0.5, alpha_p=0.5)) == 0
+    assert main(["calibrate-demo", "--preset", "S2", "--set", "n_subcarriers=64",
+                 "--out", str(cal)]) == 0
+    dirs = {"sweep": sw, "radar-heatmap": hm, "point-eval": pt, "calibrate-demo": cal}
+    actual = {command: _digest(d / "run.json") for command, d in dirs.items()}
+    assert actual == _RUN_JSON_SHA256
+
+
 def test_calibrate_demo(tmp_path, capsys):
     out = tmp_path / "cal"
     rc = main(["calibrate-demo", "--preset", "S2",
@@ -335,32 +379,36 @@ _TARGET = "rsma_isac.cli:main"
 _PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
-def test_console_script_installed(tmp_path):
-    """The script pyproject.toml declares starts the CLI, installed or not.
+@pytest.mark.parametrize("launcher", ["console-script", "python-m"])
+def test_console_script_installed(tmp_path, launcher):
+    """The script pyproject.toml declares starts the CLI, installed or not,
+    and so does ``python -m rsma_isac``.
 
-    The subprocess runs what a console-script wrapper runs for the declared
-    target, against the same rsma_isac package this test session imported.
+    For the script, the subprocess runs what a console-script wrapper runs
+    for the declared target. Both run against the same rsma_isac package
+    this test session imported.
     """
-    tomllib = pytest.importorskip("tomllib")
-    with _PYPROJECT.open("rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
-    assert scripts.get(_SCRIPT) == _TARGET
-    module, func = scripts[_SCRIPT].split(":")
-    wrapper = (
-        "import sys\n"
-        f"from {module} import {func}\n"
-        f"sys.argv = [{_SCRIPT!r}, '--help']\n"
-        f"sys.exit({func}())\n"
-    )
+    if launcher == "python-m":
+        argv = [sys.executable, "-m", "rsma_isac", "--help"]
+    else:
+        tomllib = pytest.importorskip("tomllib")
+        with _PYPROJECT.open("rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts.get(_SCRIPT) == _TARGET
+        module, func = scripts[_SCRIPT].split(":")
+        wrapper = (
+            "import sys\n"
+            f"from {module} import {func}\n"
+            f"sys.argv = [{_SCRIPT!r}, '--help']\n"
+            f"sys.exit({func}())\n"
+        )
+        argv = [sys.executable, "-c", wrapper]
     pkg_root = str(Path(rsma_isac.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", wrapper],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"usage: {_SCRIPT}")
     assert "sweep" in proc.stdout

@@ -1,6 +1,8 @@
 """Array geometry, steering vectors, scenario config, channel generation."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -116,6 +118,29 @@ def test_small_csit_error_gives_small_relative_error(geom, make_cfg):
 def test_scenario_validation_errors(make_cfg, overrides):
     with pytest.raises(ConfigError):
         make_cfg(**overrides)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_FLOAT_FIELDS = ("total_power", "noise_power_comms", "noise_power_radar",
+                 "target_angle_deg", "target_attenuation", "csit_error_var",
+                 "shannon_gap_db")
+_BAD_VALUES = st.one_of(
+    st.tuples(st.sampled_from(_FLOAT_FIELDS), _NON_FINITE),
+    st.tuples(st.sampled_from(["ue_angles_deg", "ue_gains"]), st.integers(0, 1),
+              _NON_FINITE).map(
+        lambda t: (t[0], tuple(t[2] if i == t[1] else 1.0 for i in range(2)))
+    ),
+    # int fields take ints only: no bools, no floats (integral or not)
+    st.tuples(st.sampled_from(["n_subcarriers", "target_delay_bins", "seed"]),
+              st.one_of(st.booleans(), st.floats())),
+)
+
+
+@given(bad=_BAD_VALUES)
+def test_scenario_rejects_non_finite_and_non_integer_values(bad):
+    name, value = bad
+    with pytest.raises(ConfigError, match=name):
+        dataclasses.replace(scenario_preset("S1"), **{name: value})
 
 
 def test_dissimilar_gains_warn(make_cfg, recwarn):

@@ -30,7 +30,7 @@ from rsma_isac import (
 )
 from rsma_isac.core import ConfigError
 from rsma_isac.precoders import CASE_TAGS
-from rsma_isac.radar import _crb_from_power, expected_broadside_gain, expected_steered_power
+from rsma_isac.radar import _delay_crb, _k2_sum, expected_broadside_gain, expected_steered_power
 from rsma_isac.region import frontier_points, grid_axis, round_sig
 
 _GEOM = ArrayGeometry(2, 0.5)
@@ -218,8 +218,10 @@ def test_sweep_sensing_numbers_cross_check(smoke_sweep):
         pset = build_precoders(p.params, channels, cfg)
         g0_direct = expected_broadside_gain(pset, _GEOM, cfg.target_angle_deg)
         assert math.isclose(p.g0, g0_direct, rel_tol=1e-9)
-        crb_direct = _crb_from_power(
-            expected_steered_power(pset, _GEOM, cfg.target_angle_deg),
+        power = expected_steered_power(pset, _GEOM, cfg.target_angle_deg)
+        crb_direct = _delay_crb(
+            _k2_sum(power),
+            power.shape[0],
             cfg.target_attenuation,
             cfg.noise_power_radar,
         )
