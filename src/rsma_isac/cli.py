@@ -177,6 +177,12 @@ def _run_sweep(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
 def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
     n0_values, trials = section["n0_values"], section["trials"]
     beta0, beta_decay = section["beta0"], section["beta_decay"]
+    if not (_finite(beta0) and _finite(beta_decay)):
+        raise ConfigError(
+            f"beta and beta_decay must be finite numbers, got {beta0!r} and {beta_decay!r}"
+        )
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
+        raise ConfigError(f"trials must be a nonnegative integer, got {trials!r}")
     for n0 in n0_values:
         if not 0 <= n0 < cfg.n_subcarriers:
             raise ConfigError(f"n0 value {n0} outside [0, {cfg.n_subcarriers})")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .precoders import (
     CASE_TAGS,
     FAMILIES,
     ParameterPoint,
+    PrecoderSet,
     RankDeficientChannelError,
     build_precoders,
     classify_special_case,
@@ -153,26 +155,30 @@ def grid_axis(grid_step: float) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(0.0, 1.0, n + 1))
 
 
-def enumerate_grid(grid_step: float, family: str) -> list[ParameterPoint]:
-    """All distinct operating points of one family on the grid.
+def _grid_blocks(grid_step: float):
+    """The grid as (t_comms, t_p, alpha_c axis, alpha_p axis) blocks, in order.
 
     Parameters that cannot matter are pinned instead of swept: with no
     communications power everything but t_comms is fixed; with t_p = 1 the
     common mix alpha_c is fixed; with t_p = 0 the private mix alpha_p is.
     """
     axis = grid_axis(grid_step)
-    out: list[ParameterPoint] = []
     for t in axis:
         if t == 0.0:
-            out.append(ParameterPoint(0.0, 1.0, 1.0, 1.0, family))
+            yield 0.0, 1.0, (1.0,), (1.0,)
             continue
         for tp in axis:
-            ac_axis = (1.0,) if tp == 1.0 else axis
-            ap_axis = (1.0,) if tp == 0.0 else axis
-            for ac in ac_axis:
-                for ap in ap_axis:
-                    out.append(ParameterPoint(t, tp, ac, ap, family))
-    return out
+            yield t, tp, (1.0,) if tp == 1.0 else axis, (1.0,) if tp == 0.0 else axis
+
+
+def enumerate_grid(grid_step: float, family: str) -> list[ParameterPoint]:
+    """All distinct operating points of one family on the grid."""
+    return [
+        ParameterPoint(t, tp, ac, ap, family)
+        for t, tp, ac_axis, ap_axis in _grid_blocks(grid_step)
+        for ac in ac_axis
+        for ap in ap_axis
+    ]
 
 
 def pareto_indices(
@@ -260,6 +266,46 @@ def _blend_profile(
     return gain, k2_gain
 
 
+def _block_precoders(
+    t_comms: float,
+    t_p: float,
+    ac_axis: tuple[float, ...],
+    ap_axis: tuple[float, ...],
+    family: str,
+    channels: ChannelSet,
+    cfg: ScenarioConfig,
+    private_dirs: np.ndarray | None,
+    common_dir: np.ndarray,
+) -> PrecoderSet:
+    """Precoders of a whole (t_comms, t_p) block as one batch.
+
+    With the power split fixed, the common precoder depends only on
+    alpha_c and the private ones only on alpha_p, so one build per axis
+    value gives them all: p_c comes back with batch shape (n_ac, 1) and
+    p_1, p_2 with (1, n_ap), which broadcast to the block's (alpha_c,
+    alpha_p) plane. A pinned axis is (1.0,), the value its shorter list is
+    padded with, and each entry is exactly what ``build_precoders`` gives
+    for the single point.
+    """
+    psets = [
+        build_precoders(
+            ParameterPoint(t_comms, t_p, ac, ap, family),
+            channels,
+            cfg,
+            private_dirs=private_dirs,
+            common_dir=common_dir,
+        )
+        for ac, ap in zip_longest(ac_axis, ap_axis, fillvalue=1.0)
+    ]
+    privates = psets[: len(ap_axis)]
+    return PrecoderSet(
+        p_c=np.stack([ps.p_c for ps in psets[: len(ac_axis)]])[:, None],
+        p_1=np.stack([ps.p_1 for ps in privates])[None],
+        p_2=np.stack([ps.p_2 for ps in privates])[None],
+        p_r=psets[0].p_r,
+    )
+
+
 def _measured_snr_db(
     pset,
     cfg: ScenarioConfig,
@@ -294,12 +340,16 @@ def sweep(
 ) -> RegionResult:
     """Evaluate every grid point and extract the Pareto boundaries.
 
+    The grid is evaluated one (t_comms, t_p) block at a time. The block's
+    precoders form one batch over its (alpha_c, alpha_p) plane
+    (``_block_precoders``), and one ``throughput`` call scores all of it.
     The sensing axis is the symbol-averaged broadside energy: each stream
     contributes its allocated power times a per-watt gain that depends only
     on its blend parameter, so the gains are tabulated once per family and
-    the per-point value is a three-term dot product. The same tables carry
-    the k^2-weighted energies the delay CRB needs. Values are rounded to 12
-    significant digits so points that are equal on paper tie exactly.
+    a block's values are a three-term sum broadcast over its plane. The
+    same tables carry the k^2-weighted energies the delay CRB needs. Values
+    are rounded to 12 significant digits so points that are equal on paper
+    tie exactly.
     SNR_RAD mode additionally simulates the full radar chain per point with
     deterministic per-point random streams. ZF rank failures mark the
     affected points as skipped instead of aborting the sweep (points that
@@ -331,66 +381,79 @@ def sweep(
         if dirs is not None:
             gain_1, k2_1 = _blend_profile(dirs[0], u0, a0, axis)
             gain_2, k2_2 = _blend_profile(dirs[1], u0, a0, axis)
-        for pp in enumerate_grid(spec.grid_step, family):
-            case = classify_special_case(pp)
-            if spec.include_cases is not None and case not in spec.include_cases:
+            gain_p, k2_p = gain_1 + gain_2, k2_1 + k2_2
+        for t, tp, ac_axis, ap_axis in _grid_blocks(spec.grid_step):
+            block = []
+            for i, ac in enumerate(ac_axis):
+                for j, ap in enumerate(ap_axis):
+                    pp = ParameterPoint(t, tp, ac, ap, family)
+                    case = classify_special_case(pp)
+                    if spec.include_cases is None or case in spec.include_cases:
+                        block.append((i, j, pp, case))
+            if not block:
                 continue
-            needs_private = pp.t_comms > 0.0 and pp.t_p > 0.0
-            if needs_private and dirs_error is not None:
-                skipped.append(SkippedPoint(pp, dirs_error))
+            if t > 0.0 and tp > 0.0 and dirs_error is not None:
+                skipped.extend(SkippedPoint(pp, dirs_error) for _, _, pp, _ in block)
                 continue
-            pset = build_precoders(
-                pp, channels, cfg, private_dirs=dirs, common_dir=uc
+            pset = _block_precoders(
+                t, tp, ac_axis, ap_axis, family, channels, cfg, dirs, uc
             )
             report = throughput(channels, pset, cfg, bandwidth_hz)
-            ic, ip = alpha_index[pp.alpha_c], alpha_index[pp.alpha_p]
-            p_common = pt * pp.t_comms * (1.0 - pp.t_p)
-            p_private = pt * pp.t_comms * pp.t_p / 2.0
-            p_sense = pt * (1.0 - pp.t_comms)
-            raw = 0.0
-            weighted = 0.0
+            t_sum = report.t_sum.tolist()
+            collapsed = report.collapsed.tolist()
+            mcs = [levels.tolist() for levels in report.mcs_chosen]
+            # Each powered stream adds power times its per-watt numbers over
+            # the whole plane, in the order common, private, sensing: that
+            # order fixes the rounding of g0 and of the CRB.
+            p_common = pt * t * (1.0 - tp)
+            p_private = pt * t * tp / 2.0
+            p_sense = pt * (1.0 - t)
+            ic = [alpha_index[a] for a in ac_axis]
+            ip = [alpha_index[a] for a in ap_axis]
+            raw = np.zeros((len(ic), len(ip)))
+            weighted = np.zeros_like(raw)
             if p_common > 0.0:
-                raw += p_common * gain_c[ic]
-                weighted += p_common * k2_c[ic]
+                raw += p_common * gain_c[ic, None]
+                weighted += p_common * k2_c[ic, None]
             if p_private > 0.0:
-                raw += p_private * (gain_1[ip] + gain_2[ip])
-                weighted += p_private * (k2_1[ip] + k2_2[ip])
+                raw += p_private * gain_p[ip]
+                weighted += p_private * k2_p[ip]
             if p_sense > 0.0:
                 raw += p_sense * gain_r
                 weighted += p_sense * k2_r
-            g0 = round_sig(raw)
-            try:
-                bound = _delay_crb(
-                    weighted, nc, cfg.target_attenuation, cfg.noise_power_radar
+            raw, weighted = raw.tolist(), weighted.tolist()
+            for i, j, pp, case in block:
+                try:
+                    bound = _delay_crb(
+                        weighted[i][j], nc, cfg.target_attenuation, cfg.noise_power_radar
+                    )
+                except ZeroInformationError:
+                    bound = math.inf
+                snr_db = None
+                if spec.metric == "SNR_RAD":
+                    snr_db = _measured_snr_db(
+                        PrecoderSet(pset.p_c[i, 0], pset.p_1[0, j], pset.p_2[0, j], pset.p_r),
+                        cfg,
+                        g,
+                        spec.monte_carlo_trials,
+                        _SNR_STREAM_BASE + 2 * spec.monte_carlo_trials * counter,
+                    )
+                points.append(
+                    IsacPoint(
+                        params=pp,
+                        t_sum_bps=t_sum[i][j],
+                        g0=round_sig(raw[i][j]),
+                        snr_rad_db=snr_db,
+                        crb_bins2=bound,
+                        case=case,
+                        collapsed=collapsed[i][j],
+                        mcs_indices=tuple(
+                            None if levels[i][j] is None else levels[i][j].index
+                            for levels in mcs
+                        ),
+                    )
                 )
-            except ZeroInformationError:
-                bound = math.inf
-            snr_db = None
-            if spec.metric == "SNR_RAD":
-                snr_db = _measured_snr_db(
-                    pset,
-                    cfg,
-                    g,
-                    spec.monte_carlo_trials,
-                    _SNR_STREAM_BASE + 2 * spec.monte_carlo_trials * counter,
-                )
-            mcs = tuple(
-                level.index if level is not None else None
-                for level in report.mcs_chosen
-            )
-            points.append(
-                IsacPoint(
-                    params=pp,
-                    t_sum_bps=report.t_sum,
-                    g0=g0,
-                    snr_rad_db=snr_db,
-                    crb_bins2=bound,
-                    case=case,
-                    collapsed=report.collapsed,
-                    mcs_indices=mcs,
-                )
-            )
-            counter += 1
+                counter += 1
 
     boundary = tuple(frontier_points(points, spec.metric))
     per_case: dict[str, tuple[IsacPoint, ...]] = {}

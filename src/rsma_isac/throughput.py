@@ -9,6 +9,7 @@ channels; estimates only ever enter precoder construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,35 +87,52 @@ _MCS_ROWS = (
 MCS_TABLE: tuple[McsLevel, ...] = tuple(McsLevel(*row) for row in _MCS_ROWS)
 
 
-def max_mcs(avg_spectral_efficiency: float) -> McsLevel | None:
+def _float_above(x: Fraction) -> float:
+    """The smallest float strictly greater than the exact rational ``x``."""
+    f = float(x)
+    return f if Fraction(f) > x else math.nextafter(f, math.inf)
+
+
+# An efficiency e can carry a level exactly when e > m·r, that is when e is
+# at least the level's threshold; the thresholds rise with the index.
+_MCS_THRESHOLDS = np.array([_float_above(level.bit_density) for level in MCS_TABLE])
+# Indexed by MCS index, so index -1 (no level fits) picks the trailing entry.
+_MCS_CHOICES = np.array(MCS_TABLE + (None,), dtype=object)
+_BIT_DENSITIES = tuple(float(level.bit_density) for level in MCS_TABLE)
+_bits_per_use = np.frompyfunc(
+    lambda level: 0.0 if level is None else _BIT_DENSITIES[level.index], 1, 1
+)
+
+
+def max_mcs(avg_spectral_efficiency) -> McsLevel | None | np.ndarray:
     """Highest MCS whose bit density is strictly below the efficiency.
 
     Strictly: a stream whose averaged spectral efficiency exactly equals
     m·r cannot carry that level, and an efficiency below 0.5 bits/s/Hz
-    cannot carry anything.
+    cannot carry anything. A scalar gives its McsLevel, or None; an array
+    gives an object array of the same shape holding one of those per
+    element. NaN and negative efficiencies raise ValueError.
     """
-    if avg_spectral_efficiency < 0:
-        raise ValueError("spectral efficiency cannot be negative")
-    eff = Fraction(avg_spectral_efficiency)
-    for level in reversed(MCS_TABLE):
-        if level.bit_density < eff:
-            return level
-    return None
+    eff = np.asarray(avg_spectral_efficiency, dtype=float)
+    if not np.all(eff >= 0.0):
+        raise ValueError("spectral efficiency must be a nonnegative number")
+    return _MCS_CHOICES[np.searchsorted(_MCS_THRESHOLDS, eff, side="right") - 1]
 
 
-def spectral_efficiency(sinr: np.ndarray, gap_db: float = 0.0) -> float:
+def spectral_efficiency(sinr: np.ndarray, gap_db: float = 0.0) -> float | np.ndarray:
     """Subcarrier-averaged log2(1 + SINR/gap) with the gap given in dB.
 
     The gap models the shortfall of practical coding from capacity; it
-    scales every SINR down before averaging.
+    scales every SINR down before averaging. Subcarriers are the last
+    axis; any leading axes are a batch and come back as an array.
     """
     gap = 10.0 ** (gap_db / 10.0)
-    return float(np.mean(np.log2(1.0 + np.asarray(sinr) / gap)))
+    return np.mean(np.log2(1.0 + np.asarray(sinr) / gap), axis=-1)
 
 
 def _project(h: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """|h^H p|² per subcarrier for (N_c, N_T) grids."""
-    return np.abs(np.einsum("kt,kt->k", np.conj(h), p)) ** 2
+    """|h^H p|² per subcarrier: h is (N_c, N_T), p is (..., N_c, N_T)."""
+    return np.abs(np.einsum("kt,...kt->...k", np.conj(h), p)) ** 2
 
 
 def _check_ue(ue: int) -> int:
@@ -130,7 +148,8 @@ def sinr_common(
 
     Both private streams interfere (SIC has not run yet); the sensing
     stream does not, because its symbols are known at the users and
-    subtracted before decoding.
+    subtracted before decoding. Leading batch axes of the precoders
+    broadcast against each other.
     """
     i = _check_ue(ue)
     h = channels.true_channels[i]
@@ -152,9 +171,25 @@ def sinr_private(
     return num / den
 
 
+class CollapseMask(np.ndarray):
+    """Per-point collapse flags of a batch report.
+
+    ``int()`` counts the collapsed points, as ``int()`` of a single
+    point's flag (0 or 1) does, so a tally of collapses over reports
+    needs no case for batches.
+    """
+
+    def __int__(self) -> int:
+        return int(np.count_nonzero(self))
+
+
 @dataclass(frozen=True)
 class ThroughputReport:
-    """Stream and sum throughputs with the MCS levels that produced them."""
+    """Stream and sum throughputs with the MCS levels that produced them.
+
+    A report on a batch of precoder sets holds arrays of the batch shape:
+    float rates, object arrays of levels, and a CollapseMask.
+    """
 
     t_common: float
     t_private: tuple[float, float]
@@ -169,56 +204,58 @@ def throughput(
     cfg: ScenarioConfig,
     bandwidth_hz: float = DEFAULT_BANDWIDTH.value_hz,
 ) -> ThroughputReport:
-    """MCS-limited sum throughput of one precoder set on one channel draw.
+    """MCS-limited sum throughput of precoder sets on one channel draw.
 
     The common stream is decodable only if both users support at least
     MCS 0 for it; otherwise the whole report collapses to zero. Points
     with no common-stream power at all (pure SDMA, or sensing only) skip
     the collapse rule and simply add the surviving private streams.
+
+    The precoder arrays may carry leading batch axes that broadcast
+    against each other; every report field then has the broadcast batch
+    shape. A plain PrecoderSet is a batch of shape () and gets Python
+    scalars.
     """
     sigma2 = cfg.noise_power_comms
     gap = cfg.shannon_gap_db
-    common_power = float(np.sum(np.abs(pset.p_c) ** 2))
+    has_common = np.any(pset.p_c, axis=(-2, -1))
 
-    def private_rates() -> tuple[tuple[float, float], list[McsLevel | None]]:
-        rates = []
-        levels: list[McsLevel | None] = []
-        for ue in (1, 2):
-            eff = spectral_efficiency(sinr_private(channels, pset, ue, sigma2), gap)
-            level = max_mcs(eff)
-            levels.append(level)
-            rates.append(level.data_rate_bps(bandwidth_hz) if level else 0.0)
-        return (rates[0], rates[1]), levels
+    def stream(eff):
+        level = max_mcs(eff)
+        rate = bandwidth_hz * np.asarray(_bits_per_use(level), dtype=float)
+        return level, rate
 
-    if common_power == 0.0:
-        (t1, t2), levels = private_rates()
-        return ThroughputReport(
-            t_common=0.0,
-            t_private=(t1, t2),
-            t_sum=t1 + t2,
-            mcs_chosen=(None, levels[0], levels[1]),
-            collapsed=False,
+    mcs_c, t_c = stream(
+        np.minimum(
+            spectral_efficiency(sinr_common(channels, pset, 1, sigma2), gap),
+            spectral_efficiency(sinr_common(channels, pset, 2, sigma2), gap),
         )
-
-    eff_c = min(
-        spectral_efficiency(sinr_common(channels, pset, ue, sigma2), gap)
-        for ue in (1, 2)
     )
-    mcs_c = max_mcs(eff_c)
-    if mcs_c is None:
-        return ThroughputReport(
-            t_common=0.0,
-            t_private=(0.0, 0.0),
-            t_sum=0.0,
-            mcs_chosen=(None, None, None),
-            collapsed=True,
+    collapsed = has_common & (t_c == 0.0)
+    levels = [mcs_c]
+    rates = []
+    for ue in (1, 2):
+        level, rate = stream(
+            spectral_efficiency(sinr_private(channels, pset, ue, sigma2), gap)
         )
-    t_c = mcs_c.data_rate_bps(bandwidth_hz)
-    (t1, t2), levels = private_rates()
+        levels.append(np.where(collapsed, None, level))
+        rates.append(np.where(collapsed, 0.0, rate))
+    t_sum = t_c + rates[0] + rates[1]
+    if np.ndim(collapsed) == 0:
+        def item(x):
+            return np.asarray(x).tolist()
+
+        return ThroughputReport(
+            t_common=item(t_c),
+            t_private=(item(rates[0]), item(rates[1])),
+            t_sum=item(t_sum),
+            mcs_chosen=tuple(map(item, levels)),
+            collapsed=bool(collapsed),
+        )
     return ThroughputReport(
         t_common=t_c,
-        t_private=(t1, t2),
-        t_sum=t_c + t1 + t2,
-        mcs_chosen=(mcs_c, levels[0], levels[1]),
-        collapsed=False,
+        t_private=(rates[0], rates[1]),
+        t_sum=t_sum,
+        mcs_chosen=tuple(levels),
+        collapsed=collapsed.view(CollapseMask),
     )

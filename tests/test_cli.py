@@ -87,6 +87,8 @@ def test_reproduce_missing_manifest(tmp_path):
 
 _POINT_SETS = ["--set", "t_comms=1", "--set", "t_p=0.5", "--set", "alpha_c=0.5",
                "--set", "alpha_p=0.5"]
+# "{params}" stands for a one-row boundary_params.csv the test writes.
+_HEATMAP_ON_PARAMS = ["radar-heatmap", "--params", "{params}", "--set", "n_subcarriers=16"]
 
 
 def _point_eval(out_dir, params, extra=()):
@@ -227,10 +229,22 @@ def test_missing_scenario_file(tmp_path):
         ["point-eval", "--set", "total_power=NaN", *_POINT_SETS],
         ["point-eval", "--set", "seed=true", *_POINT_SETS],
         ["point-eval", *_POINT_SETS, "--set", "t_comms=true"],
+        # radar-heatmap checks its own knobs before it writes anything
+        [*_HEATMAP_ON_PARAMS, "--beta", "nan"],
+        [*_HEATMAP_ON_PARAMS, "--beta", "inf"],
+        [*_HEATMAP_ON_PARAMS, "--beta-decay", "nan"],
+        [*_HEATMAP_ON_PARAMS, "--beta-decay=-inf"],
+        [*_HEATMAP_ON_PARAMS, "--trials", "-3"],
     ],
 )
 def test_bad_configuration_exits_2(tmp_path, argv):
+    params = tmp_path / "boundary_params.csv"
+    params.write_text(
+        "index,t_comms,t_p,alpha_c,alpha_p,mcs_c,mcs_1,mcs_2\n0,1,1,-,0.5,-,9,9\n"
+    )
+    argv = [str(params) if arg == "{params}" else arg for arg in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o" / "heatmap.csv").exists()
 
 
 def test_bad_preset_is_usage_error(tmp_path):
@@ -314,6 +328,17 @@ def test_heatmap_zero_trials(heatmap_flow, tmp_path):
     )
     assert rc == 0
     assert (out / "heatmap.csv").read_text() == "index,n0,bin,snr_db,peak_correct\n"
+
+
+def test_reproduce_rejects_negative_heatmap_trials(heatmap_flow, tmp_path):
+    _, hm = heatmap_flow
+    manifest = json.loads((hm / "run.json").read_text())
+    manifest["heatmap"]["trials"] = -3
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(manifest))
+    out = tmp_path / "redo"
+    assert main(["reproduce", "--run", str(run), "--out", str(out)]) == 2
+    assert not (out / "heatmap.csv").exists()
 
 
 def test_heatmap_missing_params_file(tmp_path):

@@ -31,7 +31,15 @@ from rsma_isac import (
 from rsma_isac.core import ConfigError
 from rsma_isac.precoders import CASE_TAGS
 from rsma_isac.radar import _delay_crb, _k2_sum, expected_broadside_gain, expected_steered_power
-from rsma_isac.region import frontier_points, grid_axis, round_sig
+from rsma_isac.precoders import common_direction, private_directions
+from rsma_isac.region import (
+    _block_precoders,
+    _grid_blocks,
+    frontier_points,
+    grid_axis,
+    round_sig,
+)
+from rsma_isac.throughput import sinr_common, sinr_private, spectral_efficiency
 
 _GEOM = ArrayGeometry(2, 0.5)
 
@@ -195,15 +203,61 @@ def test_sweep_deterministic(smoke_sweep):
     assert again == result
 
 
-def test_sweep_matches_standalone_throughput(smoke_sweep):
-    cfg, channels, spec, result = smoke_sweep
-    target = ParameterPoint(1.0, 1.0, 1.0, 1.0, "MRT").key()
-    match = [p for p in result.points if p.params.key() == target]
-    assert len(match) == 1
-    pset = build_precoders(match[0].params, channels, cfg)
-    rep = throughput(channels, pset, cfg)
-    assert match[0].t_sum_bps == rep.t_sum
-    assert match[0].collapsed == rep.collapsed
+def _grid_scenarios():
+    """S2 (tight users, so some points collapse) with perfect and noisy CSIT."""
+    for csit_error_var in (0.0, 1e-3):
+        cfg = dataclasses.replace(
+            scenario_preset("S2"), n_subcarriers=32, csit_error_var=csit_error_var
+        )
+        yield cfg, generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
+
+
+def test_sweep_matches_standalone_throughput():
+    # Every point of a step-0.25 grid, both families: the block-batched
+    # sweep must give exactly what a per-point throughput() call gives.
+    spec = SweepSpec(grid_step=0.25, families=("MRT", "ZF"))
+    for cfg, channels in _grid_scenarios():
+        result = sweep(spec, channels, cfg, _GEOM)
+        assert not result.skipped
+        assert len(result.points) == 2 * len(enumerate_grid(0.25, "MRT"))
+        for p in result.points:
+            rep = throughput(channels, build_precoders(p.params, channels, cfg), cfg)
+            assert p.t_sum_bps == rep.t_sum
+            assert p.collapsed == rep.collapsed
+            assert p.mcs_indices == tuple(
+                None if level is None else level.index for level in rep.mcs_chosen
+            )
+        assert any(p.collapsed for p in result.points)
+        assert not all(p.collapsed for p in result.points)
+
+
+def test_block_sinr_is_bit_identical_to_per_point():
+    # The batched SINRs and efficiencies of a (t_comms, t_p) block equal
+    # the per-point values bit for bit, which keeps the CSVs byte-identical.
+    for cfg, channels in _grid_scenarios():
+        noise, gap = cfg.noise_power_comms, cfg.shannon_gap_db
+        for family in ("MRT", "ZF"):
+            dirs = private_directions(channels, family)
+            uc = common_direction(channels)
+            for t, tp, ac_axis, ap_axis in _grid_blocks(0.25):
+                block = _block_precoders(
+                    t, tp, ac_axis, ap_axis, family, channels, cfg, dirs, uc
+                )
+                batched = {}
+                for fn in (sinr_common, sinr_private):
+                    for ue in (1, 2):
+                        values = fn(channels, block, ue, noise)
+                        batched[fn, ue] = values, spectral_efficiency(values, gap)
+                for i, ac in enumerate(ac_axis):
+                    for j, ap in enumerate(ap_axis):
+                        pp = ParameterPoint(t, tp, ac, ap, family)
+                        pset = build_precoders(pp, channels, cfg)
+                        for (fn, ue), (values, eff) in batched.items():
+                            single = fn(channels, pset, ue, noise)
+                            # p_c batches over rows, p_1 and p_2 over columns
+                            row = min(i, values.shape[0] - 1)
+                            assert np.array_equal(values[row, j], single), (pp, ue)
+                            assert eff[row, j] == spectral_efficiency(single, gap)
 
 
 def test_sweep_sensing_numbers_cross_check(smoke_sweep):

@@ -11,6 +11,7 @@ from rsma_isac import (
     DEFAULT_BANDWIDTH,
     MCS_TABLE,
     ParameterPoint,
+    PrecoderSet,
     build_precoders,
     effective_bandwidth,
     max_mcs,
@@ -110,6 +111,64 @@ def test_max_mcs_selection(eff, index):
 def test_max_mcs_negative_raises():
     with pytest.raises(ValueError):
         max_mcs(-0.1)
+
+
+def _oracle_mcs(eff: float):
+    """The exact rule, level by level in rational arithmetic."""
+    if eff < 0:
+        raise ValueError("spectral efficiency cannot be negative")
+    exact = Fraction(eff)
+    for level in reversed(MCS_TABLE):
+        if level.bit_density < exact:
+            return level
+    return None
+
+
+# Every m·r as the nearest float, with the floats on either side of it.
+_DENSITY_EDGES = sorted(
+    {
+        float(x)
+        for level in MCS_TABLE
+        for d in (float(level.bit_density),)
+        for x in (np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf))
+    }
+)
+_EFFICIENCIES = st.one_of(
+    st.sampled_from(_DENSITY_EDGES),
+    st.floats(0.0, 12.0, allow_nan=False),
+    st.just(0.0),
+)
+
+
+def test_max_mcs_matches_oracle_at_every_density_edge():
+    for eff in _DENSITY_EDGES:
+        assert max_mcs(eff) is _oracle_mcs(eff)
+    batched = max_mcs(np.array(_DENSITY_EDGES))
+    assert batched.shape == (len(_DENSITY_EDGES),)
+    assert [lvl for lvl in batched] == [_oracle_mcs(e) for e in _DENSITY_EDGES]
+
+
+@given(_EFFICIENCIES)
+def test_max_mcs_scalar_matches_oracle(eff):
+    assert max_mcs(eff) is _oracle_mcs(eff)
+
+
+@given(st.lists(_EFFICIENCIES, min_size=1, max_size=24), st.booleans())
+def test_max_mcs_array_matches_oracle(effs, as_matrix):
+    arr = np.array(effs)
+    if as_matrix and len(effs) % 2 == 0:
+        arr = arr.reshape(2, -1)
+    got = max_mcs(arr)
+    assert got.shape == arr.shape
+    assert list(got.ravel()) == [_oracle_mcs(e) for e in arr.ravel()]
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, -1e-300, np.array([1.0, math.nan]), np.array([[2.0], [-0.5]])]
+)
+def test_max_mcs_rejects_nan_and_negative(bad):
+    with pytest.raises(ValueError):
+        max_mcs(bad)
 
 
 @given(st.floats(0.0, 10.0, allow_nan=False), st.floats(0.0, 10.0, allow_nan=False))
@@ -259,3 +318,29 @@ def test_throughput_gap_monotone(make_channels):
             assert rep.t_sum <= prev_sum
             assert all(r <= p for r, p in zip(rank, prev_rank))
         prev_sum, prev_rank = rep.t_sum, rank
+
+
+def test_throughput_batch_matches_points(make_channels):
+    # Precoders stacked on a leading axis give, per batch entry, exactly
+    # the single-point report: sum rate, stream rates, levels, collapse.
+    cfg, channels = make_channels(noise_power_comms=0.01)
+    points = [
+        ParameterPoint(1.0, 0.5, 0.5, 0.5),  # common stream fails: collapse
+        ParameterPoint(1.0, 1.0, 1.0, 0.5),  # SDMA, no common stream
+        ParameterPoint(0.6, 0.2, 0.9, 0.3),  # common stream carried
+        ParameterPoint(0.0, 1.0, 1.0, 1.0),  # sensing only
+    ]
+    psets = [build_precoders(pp, channels, cfg) for pp in points]
+    batch = PrecoderSet(
+        *(np.stack([getattr(ps, name) for ps in psets]) for name in ("p_c", "p_1", "p_2", "p_r"))
+    )
+    rep = throughput(channels, batch, cfg, _BW)
+    singles = [throughput(channels, ps, cfg, _BW) for ps in psets]
+    assert rep.t_sum.shape == rep.collapsed.shape == (len(points),)
+    for k, one in enumerate(singles):
+        assert rep.t_sum[k] == one.t_sum
+        assert rep.t_common[k] == one.t_common
+        assert (rep.t_private[0][k], rep.t_private[1][k]) == one.t_private
+        assert tuple(levels[k] for levels in rep.mcs_chosen) == one.mcs_chosen
+        assert bool(rep.collapsed[k]) is one.collapsed
+    assert int(rep.collapsed) == sum(one.collapsed for one in singles) == 1
