@@ -47,7 +47,6 @@ from .radar import (
     bins_to_meters,
     broadside_gain,
     crb,
-    expected_broadside_gain,
     expected_steered_power,
     fisher_information,
     radar_return,

@@ -344,16 +344,22 @@ def _parse_params_csv(path: str, family: str) -> list:
 
     Dashed entries are the pinned values the sweep collapsed away:
     no communications power pins everything downstream, t_p = 1 pins
-    alpha_c, t_p = 0 pins alpha_p.
+    alpha_c, t_p = 0 pins alpha_p. Blank lines are skipped; a row with
+    fewer cells than the header is a ``ConfigError`` naming its line.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         idx = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            cells = line.strip().split(",")
-            if len(cells) < 5:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
                 continue
+            cells = line.strip().split(",")
+            if len(cells) < len(header):
+                raise ConfigError(
+                    f"{path}, line {lineno}: {len(cells)} cells where the header "
+                    f"has {len(header)}"
+                )
 
             def cell(name: str, pinned: float) -> float:
                 raw = cells[idx[name]]

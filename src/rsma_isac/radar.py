@@ -137,19 +137,20 @@ def expected_steered_power(
     Streams carry independent zero-mean unit-energy symbols, so the
     expectation is the sum of the per-stream projected powers; no symbol
     draw is needed. Sweeps use this instead of :func:`broadside_gain` to
-    keep the sensing axis noise-free.
+    keep the sensing axis noise-free. Precoders may carry leading batch
+    axes, which broadcast; the result keeps them, with subcarriers last.
+    The streams add in the order common, 1, 2, sensing, so every entry of
+    a batch equals what its own point gives, bit for bit.
     """
-    a = steering_vector(geom, angle_deg)
-    out = np.zeros(pset.p_c.shape[0])
-    for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r):
-        out += np.abs(np.einsum("t,kt->k", np.conj(a), p)) ** 2
+    a = np.conj(steering_vector(geom, angle_deg))
+    c, p1, p2, r = (
+        np.abs(np.einsum("t,...kt->...k", a, p)) ** 2
+        for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r)
+    )
+    out = c + p1
+    out += p2
+    out += r
     return out
-
-
-def expected_broadside_gain(
-    pset: PrecoderSet, geom: ArrayGeometry, angle_deg: float = 0.0
-) -> float:
-    return float(np.sum(expected_steered_power(pset, geom, angle_deg)))
 
 
 def radar_return(
@@ -285,9 +286,12 @@ def _delay_crb(weighted: float, nc: int, beta: float, sigma_r2: float) -> float:
     return 1.0 / info
 
 
-def _k2_sum(power_per_k: np.ndarray) -> float:
-    """The delay-weighted energy sum_k k^2 |c_k|^2 of a per-subcarrier power."""
-    return float(np.sum(np.arange(power_per_k.shape[0]) ** 2 * power_per_k))
+def _k2_sum(power_per_k: np.ndarray) -> np.ndarray:
+    """The delay-weighted energy sum_k k^2 |c_k|^2 of a per-subcarrier power.
+
+    Subcarriers are the last axis; leading batch axes are kept.
+    """
+    return np.sum(np.arange(power_per_k.shape[-1]) ** 2 * power_per_k, axis=-1)
 
 
 def fisher_information(

@@ -11,7 +11,7 @@ twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
@@ -22,7 +22,6 @@ from .core import (
     ConfigError,
     RngStream,
     ScenarioConfig,
-    steering_vector,
 )
 from .precoders import (
     CASE_TAGS,
@@ -38,6 +37,8 @@ from .precoders import (
 from .radar import (
     ZeroInformationError,
     _delay_crb,
+    _k2_sum,
+    expected_steered_power,
     radar_return,
     range_profile,
     synthesize_tx,
@@ -140,11 +141,10 @@ class SkippedPoint:
 
 @dataclass(frozen=True)
 class RegionResult:
-    """Everything a sweep produced: raw points, frontier, per-case frontiers."""
+    """Everything a sweep produced: raw points, their frontier, skipped points."""
 
     points: tuple[IsacPoint, ...]
     boundary: tuple[IsacPoint, ...]
-    per_case_boundaries: dict[str, tuple[IsacPoint, ...]]
     skipped: tuple[SkippedPoint, ...] = ()
     metric: str = "G0"
 
@@ -240,32 +240,6 @@ def scheme_frontier(
     return frontier_points(scheme_points(points, scheme), metric)
 
 
-def _blend_profile(
-    base: np.ndarray, u0: np.ndarray, a0: np.ndarray, alphas
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-watt sensing numbers for the blends sqrt(a)*base + sqrt(1-a)*u0.
-
-    For each alpha the stream direction is the (unnormalized) blend d_k;
-    after the global power normalization a stream carrying power P radiates
-    P * gain toward the sensed direction and contributes P * k2_gain to the
-    k^2-weighted energy the delay Fisher information is built from. Pure
-    endpoints reproduce base and u0 bit for bit (sqrt(0) scaling leaves the
-    other term untouched), so streams that degenerate to the same physical
-    beam get identical numbers.
-    """
-    nc = base.shape[0]
-    k2 = np.arange(nc, dtype=float) ** 2
-    gain = np.empty(len(alphas))
-    k2_gain = np.empty(len(alphas))
-    for i, alpha in enumerate(alphas):
-        d = math.sqrt(alpha) * base + math.sqrt(1.0 - alpha) * u0[None, :]
-        proj = np.abs(d @ np.conj(a0)) ** 2
-        energy = float(np.sum(np.abs(d) ** 2))
-        gain[i] = float(np.sum(proj)) / energy
-        k2_gain[i] = float(np.sum(k2 * proj)) / energy
-    return gain, k2_gain
-
-
 def _block_precoders(
     t_comms: float,
     t_p: float,
@@ -338,18 +312,17 @@ def sweep(
     geom: ArrayGeometry | None = None,
     bandwidth_hz: float = DEFAULT_BANDWIDTH.value_hz,
 ) -> RegionResult:
-    """Evaluate every grid point and extract the Pareto boundaries.
+    """Evaluate every grid point and extract the Pareto boundary.
 
     The grid is evaluated one (t_comms, t_p) block at a time. The block's
     precoders form one batch over its (alpha_c, alpha_p) plane
     (``_block_precoders``), and one ``throughput`` call scores all of it.
-    The sensing axis is the symbol-averaged broadside energy: each stream
-    contributes its allocated power times a per-watt gain that depends only
-    on its blend parameter, so the gains are tabulated once per family and
-    a block's values are a three-term sum broadcast over its plane. The
-    same tables carry the k^2-weighted energies the delay CRB needs. Values
-    are rounded to 12 significant digits so points that are equal on paper
-    tie exactly.
+    The sensing axis is the symbol-averaged energy toward the target: one
+    ``expected_steered_power`` call on the same batch gives every point's
+    per-subcarrier power, g0 is its sum and the delay CRB comes from its
+    k^2-weighted sum, so each point gets exactly what point-eval computes
+    for it. g0 is rounded to 12 significant digits so points that are
+    equal on paper tie exactly.
     SNR_RAD mode additionally simulates the full radar chain per point with
     deterministic per-point random streams. ZF rank failures mark the
     affected points as skipped instead of aborting the sweep (points that
@@ -358,16 +331,7 @@ def sweep(
     """
     g = geom if geom is not None else ArrayGeometry(n_tx=channels.n_tx)
     uc = common_direction(channels)
-    u0 = channels.broadside_unit
-    a0 = steering_vector(g, cfg.target_angle_deg)
     nc = channels.n_subcarriers
-    pt = cfg.total_power
-    axis = grid_axis(spec.grid_step)
-    alpha_index = {alpha: i for i, alpha in enumerate(axis)}
-    gain_c, k2_c = _blend_profile(uc, u0, a0, axis)
-    (gain_r,), (k2_r,) = _blend_profile(
-        np.broadcast_to(u0, uc.shape), u0, a0, (1.0,)
-    )
     points: list[IsacPoint] = []
     skipped: list[SkippedPoint] = []
     counter = 0
@@ -378,10 +342,6 @@ def sweep(
             dirs = private_directions(channels, family)
         except RankDeficientChannelError as exc:
             dirs_error = str(exc)
-        if dirs is not None:
-            gain_1, k2_1 = _blend_profile(dirs[0], u0, a0, axis)
-            gain_2, k2_2 = _blend_profile(dirs[1], u0, a0, axis)
-            gain_p, k2_p = gain_1 + gain_2, k2_1 + k2_2
         for t, tp, ac_axis, ap_axis in _grid_blocks(spec.grid_step):
             block = []
             for i, ac in enumerate(ac_axis):
@@ -402,26 +362,9 @@ def sweep(
             t_sum = report.t_sum.tolist()
             collapsed = report.collapsed.tolist()
             mcs = [levels.tolist() for levels in report.mcs_chosen]
-            # Each powered stream adds power times its per-watt numbers over
-            # the whole plane, in the order common, private, sensing: that
-            # order fixes the rounding of g0 and of the CRB.
-            p_common = pt * t * (1.0 - tp)
-            p_private = pt * t * tp / 2.0
-            p_sense = pt * (1.0 - t)
-            ic = [alpha_index[a] for a in ac_axis]
-            ip = [alpha_index[a] for a in ap_axis]
-            raw = np.zeros((len(ic), len(ip)))
-            weighted = np.zeros_like(raw)
-            if p_common > 0.0:
-                raw += p_common * gain_c[ic, None]
-                weighted += p_common * k2_c[ic, None]
-            if p_private > 0.0:
-                raw += p_private * gain_p[ip]
-                weighted += p_private * k2_p[ip]
-            if p_sense > 0.0:
-                raw += p_sense * gain_r
-                weighted += p_sense * k2_r
-            raw, weighted = raw.tolist(), weighted.tolist()
+            power = expected_steered_power(pset, g, cfg.target_angle_deg)
+            g0 = np.sum(power, axis=-1).tolist()
+            weighted = _k2_sum(power).tolist()
             for i, j, pp, case in block:
                 try:
                     bound = _delay_crb(
@@ -442,7 +385,7 @@ def sweep(
                     IsacPoint(
                         params=pp,
                         t_sum_bps=t_sum[i][j],
-                        g0=round_sig(raw[i][j]),
+                        g0=round_sig(g0[i][j]),
                         snr_rad_db=snr_db,
                         crb_bins2=bound,
                         case=case,
@@ -455,16 +398,9 @@ def sweep(
                 )
                 counter += 1
 
-    boundary = tuple(frontier_points(points, spec.metric))
-    per_case: dict[str, tuple[IsacPoint, ...]] = {}
-    for tag in CASE_TAGS:
-        subset = [p for p in points if p.case == tag]
-        if subset:
-            per_case[tag] = tuple(frontier_points(subset, spec.metric))
     return RegionResult(
         points=tuple(points),
-        boundary=boundary,
-        per_case_boundaries=per_case,
+        boundary=tuple(frontier_points(points, spec.metric)),
         skipped=tuple(skipped),
         metric=spec.metric,
     )

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import rsma_isac
-from rsma_isac import ScenarioConfig, scenario_preset
-from rsma_isac.cli import main
+from rsma_isac import ConfigError, ScenarioConfig, scenario_preset
+from rsma_isac.cli import _parse_params_csv, main
 
 _S2_SMALL = ["--preset", "S2", "--set", "n_subcarriers=32"]
 
@@ -87,6 +87,7 @@ def test_reproduce_missing_manifest(tmp_path):
 
 _POINT_SETS = ["--set", "t_comms=1", "--set", "t_p=0.5", "--set", "alpha_c=0.5",
                "--set", "alpha_p=0.5"]
+_PARAMS_HEADER = "index,t_comms,t_p,alpha_c,alpha_p,mcs_c,mcs_1,mcs_2\n"
 # "{params}" stands for a one-row boundary_params.csv the test writes.
 _HEATMAP_ON_PARAMS = ["radar-heatmap", "--params", "{params}", "--set", "n_subcarriers=16"]
 
@@ -235,16 +236,31 @@ def test_missing_scenario_file(tmp_path):
         [*_HEATMAP_ON_PARAMS, "--beta-decay", "nan"],
         [*_HEATMAP_ON_PARAMS, "--beta-decay=-inf"],
         [*_HEATMAP_ON_PARAMS, "--trials", "-3"],
+        # a truncated row of the params file is an error, not a skipped row
+        ["radar-heatmap", "--params", "{truncated}", "--set", "n_subcarriers=16"],
     ],
 )
 def test_bad_configuration_exits_2(tmp_path, argv):
     params = tmp_path / "boundary_params.csv"
-    params.write_text(
-        "index,t_comms,t_p,alpha_c,alpha_p,mcs_c,mcs_1,mcs_2\n0,1,1,-,0.5,-,9,9\n"
-    )
-    argv = [str(params) if arg == "{params}" else arg for arg in argv]
+    params.write_text(_PARAMS_HEADER + "0,1,1,-,0.5,-,9,9\n")
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_text(_PARAMS_HEADER + "0,1,1,-,0.5,-,9,9\n1,0.5\n2,1,1,-,0.5,-,9,9\n")
+    files = {"{params}": str(params), "{truncated}": str(truncated)}
+    argv = [files.get(arg, arg) for arg in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o" / "heatmap.csv").exists()
+
+
+def test_params_csv_skips_blank_lines_only(tmp_path):
+    path = tmp_path / "boundary_params.csv"
+    path.write_text(_PARAMS_HEADER + "0,0,-,-,-,-,-,-\n\n1,1,1,-,0.5,-,9,9\n")
+    assert _parse_params_csv(str(path), "ZF") == [
+        [0, [0.0, 1.0, 1.0, 1.0, "ZF"]],
+        [1, [1.0, 1.0, 1.0, 0.5, "ZF"]],
+    ]
+    path.write_text(_PARAMS_HEADER + "0,0,-,-,-,-,-,-\n1,1,1,-,0.5\n")
+    with pytest.raises(ConfigError, match="line 3"):
+        _parse_params_csv(str(path), "ZF")
 
 
 def test_bad_preset_is_usage_error(tmp_path):

@@ -24,10 +24,10 @@ from rsma_isac.radar import (
     TxGrid,
     UndefinedProfileError,
     ZeroInformationError,
+    _k2_sum,
     background_subtract,
     bins_to_meters,
     broadside_gain,
-    expected_broadside_gain,
     expected_steered_power,
     radar_return,
     range_profile,
@@ -107,7 +107,30 @@ def test_expected_steered_power_sums_streams(make_channels):
         manual += np.array([abs(np.vdot(a, p[k])) ** 2 for k in range(8)])
     got = expected_steered_power(pset, _GEOM)
     assert np.allclose(got, manual, rtol=1e-12)
-    assert expected_broadside_gain(pset, _GEOM) == pytest.approx(manual.sum())
+    assert np.sum(got) == pytest.approx(manual.sum())
+
+
+def test_sensing_helpers_on_a_stacked_batch_equal_per_point(make_channels):
+    # Leading batch axes change nothing: each entry of a stacked batch is
+    # bit for bit what its own point gives, zero streams included.
+    cfg, channels = make_channels(n_subcarriers=16, csit_error_var=1e-3)
+    points = [
+        ParameterPoint(0.7, 0.5, 0.4, 0.6),
+        ParameterPoint(0.0, 1.0, 1.0, 1.0),
+        ParameterPoint(1.0, 0.0, 0.3, 1.0),
+        ParameterPoint(0.5, 1.0, 1.0, 0.2, "ZF"),
+    ]
+    psets = [build_precoders(pp, channels, cfg) for pp in points]
+    batch = PrecoderSet(
+        *(np.stack([getattr(ps, name) for ps in psets]) for name in ("p_c", "p_1", "p_2", "p_r"))
+    )
+    power = expected_steered_power(batch, _GEOM, 10.0)
+    weighted = _k2_sum(power)
+    assert power.shape == (4, 16) and weighted.shape == (4,)
+    for n, pset in enumerate(psets):
+        single = expected_steered_power(pset, _GEOM, 10.0)
+        assert np.array_equal(power[n], single)
+        assert weighted[n] == _k2_sum(single)
 
 
 def test_expected_equals_realized_for_sensing_only(make_channels):
@@ -116,7 +139,7 @@ def test_expected_equals_realized_for_sensing_only(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=16)
     x = synthesize_tx(pset, RngStream(2, 2))
     assert broadside_gain(x, _GEOM) == pytest.approx(
-        expected_broadside_gain(pset, _GEOM), rel=1e-12
+        np.sum(expected_steered_power(pset, _GEOM)), rel=1e-12
     )
 
 

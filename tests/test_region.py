@@ -30,7 +30,7 @@ from rsma_isac import (
 )
 from rsma_isac.core import ConfigError
 from rsma_isac.precoders import CASE_TAGS
-from rsma_isac.radar import _delay_crb, _k2_sum, expected_broadside_gain, expected_steered_power
+from rsma_isac.radar import ZeroInformationError, _delay_crb, _k2_sum, expected_steered_power
 from rsma_isac.precoders import common_direction, private_directions
 from rsma_isac.region import (
     _block_precoders,
@@ -174,7 +174,6 @@ def test_sweep_smoke_structure(smoke_sweep):
     assert len(result.points) == 31
     assert not result.skipped
     assert result.metric == "G0"
-    assert set(result.per_case_boundaries) <= set(CASE_TAGS)
     for p in result.points:
         if p.collapsed:
             assert p.t_sum_bps == 0.0
@@ -260,26 +259,50 @@ def test_block_sinr_is_bit_identical_to_per_point():
                             assert eff[row, j] == spectral_efficiency(single, gap)
 
 
-def test_sweep_sensing_numbers_cross_check(smoke_sweep):
-    cfg, channels, spec, result = smoke_sweep
-    picks = [
-        ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT").key(),
-        ParameterPoint(0.5, 0.5, 0.5, 0.5, "MRT").key(),
-        ParameterPoint(1.0, 1.0, 1.0, 0.5, "MRT").key(),
-    ]
-    for key in picks:
-        p = next(q for q in result.points if q.params.key() == key)
-        pset = build_precoders(p.params, channels, cfg)
-        g0_direct = expected_broadside_gain(pset, _GEOM, cfg.target_angle_deg)
-        assert math.isclose(p.g0, g0_direct, rel_tol=1e-9)
-        power = expected_steered_power(pset, _GEOM, cfg.target_angle_deg)
-        crb_direct = _delay_crb(
-            _k2_sum(power),
-            power.shape[0],
-            cfg.target_attenuation,
-            cfg.noise_power_radar,
+def _point_eval_sensing(pp, channels, cfg):
+    """g0 and CRB of one operating point, computed the way point-eval does."""
+    power = expected_steered_power(
+        build_precoders(pp, channels, cfg), _GEOM, cfg.target_angle_deg
+    )
+    try:
+        bound = _delay_crb(
+            _k2_sum(power), power.shape[0], cfg.target_attenuation, cfg.noise_power_radar
         )
-        assert math.isclose(p.crb_bins2, crb_direct, rel_tol=1e-9)
+    except ZeroInformationError:
+        bound = math.inf
+    return round_sig(float(np.sum(power))), bound
+
+
+def test_sweep_sensing_numbers_cross_check():
+    # Every point's g0 and CRB come from the same batched arithmetic as a
+    # single point's, so they are equal, not merely close.
+    spec = SweepSpec(grid_step=0.25, families=("MRT", "ZF"))
+    for preset in ("S1", "S2"):
+        for csit_error_var in (0.0, 1e-3):
+            cfg = dataclasses.replace(
+                scenario_preset(preset), n_subcarriers=32, csit_error_var=csit_error_var
+            )
+            channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
+            result = sweep(spec, channels, cfg, _GEOM)
+            assert not result.skipped
+            for p in result.points:
+                g0, bound = _point_eval_sensing(p.params, channels, cfg)
+                assert p.g0 == g0, p.params
+                assert p.crb_bins2 == bound, p.params
+
+
+def test_rank_deficient_zf_sweep_scores_common_only_blocks(make_channels):
+    # Users at the same angle make every subcarrier's channel matrix rank 1,
+    # so ZF has no private directions; the blocks without private power are
+    # still scored, and their sensing numbers equal point-eval's.
+    cfg, channels = make_channels(n_subcarriers=16, ue_angles_deg=(30.0, 30.0))
+    result = sweep(SweepSpec(grid_step=0.5, families=("ZF",)), channels, cfg, _GEOM)
+    assert len(result.skipped) == 24
+    assert all("rank" in s.reason for s in result.skipped)
+    assert len(result.points) == 7
+    assert {p.params.t_p for p in result.points if p.params.t_comms > 0.0} == {0.0}
+    for p in result.points:
+        assert (p.g0, p.crb_bins2) == _point_eval_sensing(p.params, channels, cfg)
 
 
 def test_frontier_idempotent(smoke_sweep):
