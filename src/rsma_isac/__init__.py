@@ -7,6 +7,8 @@ against sensing energy; sweeping them produces performance regions and
 Pareto boundaries.
 """
 
+import types
+
 from .calibration import (
     RfImpairment,
     anchor_channels,
@@ -60,16 +62,13 @@ from .radar import (
 )
 from .region import (
     SCHEMES,
-    BoundaryRow,
     IsacPoint,
     RegionResult,
     SkippedPoint,
     SweepSpec,
-    boundary_params,
     enumerate_grid,
     frontier_points,
     grid_axis,
-    pareto_frontier,
     pareto_indices,
     round_sig,
     scheme_frontier,
@@ -94,4 +93,8 @@ from .throughput import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing the submodules binds their names here too; they are not exports.
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], types.ModuleType)
+]

@@ -55,7 +55,6 @@ from .radar import (
 )
 from .region import (
     SweepSpec,
-    boundary_params,
     round_sig,
     sweep,
     write_boundary_params_csv,
@@ -170,8 +169,7 @@ def _run_sweep(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
         )
     write_points_csv(result.points, os.path.join(out_dir, "points.csv"))
     write_points_csv(result.boundary, os.path.join(out_dir, "boundary.csv"))
-    rows = boundary_params(result)
-    write_boundary_params_csv(rows, os.path.join(out_dir, "boundary_params.csv"))
+    write_boundary_params_csv(result.boundary, os.path.join(out_dir, "boundary_params.csv"))
 
 
 def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
@@ -183,6 +181,9 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
         )
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
         raise ConfigError(f"trials must be a nonnegative integer, got {trials!r}")
+    # A repeated n0 would write rows told apart only by a beta the CSV omits.
+    if not n0_values or len(set(n0_values)) != len(n0_values):
+        raise ConfigError(f"n0 values must be nonempty and distinct, got {n0_values!r}")
     for n0 in n0_values:
         if not 0 <= n0 < cfg.n_subcarriers:
             raise ConfigError(f"n0 value {n0} outside [0, {cfg.n_subcarriers})")
@@ -238,6 +239,7 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
         return 10.0 * math.log10(mean) if mean > 0 else "-inf"
 
     sigma2 = cfg.noise_power_comms
+    common = [sinr_common(channels, pset, ue, sigma2) for ue in (1, 2)]
     payload = {
         "params": {
             "t_comms": pp.t_comms, "t_p": pp.t_p,
@@ -253,15 +255,12 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
             level.index if level is not None else None
             for level in report.mcs_chosen
         ],
-        "sinr_common_mean_db": [
-            mean_db(sinr_common(channels, pset, ue, sigma2)) for ue in (1, 2)
-        ],
+        "sinr_common_mean_db": [mean_db(sinr) for sinr in common],
         "sinr_private_mean_db": [
             mean_db(sinr_private(channels, pset, ue, sigma2)) for ue in (1, 2)
         ],
         "spectral_efficiency_common": [
-            spectral_efficiency(sinr_common(channels, pset, ue, sigma2), cfg.shannon_gap_db)
-            for ue in (1, 2)
+            spectral_efficiency(sinr, cfg.shannon_gap_db) for sinr in common
         ],
         "g0": g0,
         "crb_bins2": bound if math.isfinite(bound) else "inf",

@@ -84,33 +84,21 @@ def sensing_symbols(n_subcarriers: int) -> np.ndarray:
     return 2.0 * gen.integers(0, 2, size=n_subcarriers).astype(float) - 1.0
 
 
-def synthesize_tx(
-    pset: PrecoderSet, rng: RngStream, symbol_style: str = "qpsk"
-) -> TxGrid:
+def synthesize_tx(pset: PrecoderSet, rng: RngStream) -> TxGrid:
     """Draw one OFDM symbol's worth of data and superpose the four streams.
 
-    Data streams carry random QPSK symbols (exactly unit energy), or
-    zero-mean unit-variance complex Gaussians with ``symbol_style=
-    "gaussian"`` for sensitivity checks. The sensing stream always carries
-    the fixed BPSK pattern from :func:`sensing_symbols`. Streams whose
-    precoders are zero contribute nothing, symbols included.
+    Data streams carry random QPSK symbols (exactly unit energy). The
+    sensing stream always carries the fixed BPSK pattern from
+    :func:`sensing_symbols`. Streams whose precoders are zero contribute
+    nothing, symbols included.
     """
-    if symbol_style not in ("qpsk", "gaussian"):
-        raise ValueError(f"unknown symbol_style {symbol_style!r}")
     nc = pset.p_c.shape[0]
     gen = rng.generator()
-
-    def draw() -> np.ndarray:
-        if symbol_style == "qpsk":
-            quadrant = gen.integers(0, 4, size=nc)
-            return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrant))
-        z = gen.normal(scale=math.sqrt(0.5), size=(nc, 2))
-        return z[:, 0] + 1j * z[:, 1]
-
     x = np.zeros_like(pset.p_c)
     for p in (pset.p_c, pset.p_1, pset.p_2):
         if np.any(p):
-            x = x + p * draw()[:, None]
+            quadrant = gen.integers(0, 4, size=nc)
+            x = x + p * np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrant))[:, None]
     if np.any(pset.p_r):
         x = x + pset.p_r * sensing_symbols(nc)[:, None]
     return TxGrid(x)
@@ -159,27 +147,23 @@ def radar_return(
     beta: float,
     sigma_r2: float,
     rng: RngStream,
-    with_clutter: bool = False,
-    clutter_energy: float | None = None,
-    geom: ArrayGeometry | None = None,
+    geom: ArrayGeometry,
     angle_deg: float = 0.0,
+    clutter_energy: float | None = None,
 ) -> RadarObservation:
     """Simulate one receive capture of the waveform echoed at delay n0.
 
     The echo is beta times the steered waveform with a per-subcarrier phase
     ramp. Noise is white with total energy ``sigma_r2`` spread across the
-    grid. When ``with_clutter`` is set, a static clutter grid is added and
-    also reported separately; the grid depends only on ``rng.seed`` (not
-    the stream id), so captures that share a root seed can subtract each
-    other's clutter exactly. ``clutter_energy`` defaults to 10x the echo
-    energy; pass the same explicit value to both captures of a two-stage
-    measurement, since the target-free capture has no echo to scale by.
+    grid. A ``clutter_energy`` (None means no clutter) adds a static
+    clutter grid of that total energy, also reported separately; the grid
+    depends only on ``rng.seed`` (not the stream id), so captures that
+    share a root seed and energy can subtract each other's clutter exactly.
     """
     nc = x.n_subcarriers
     if not 0 <= n0 < nc:
         raise ValueError(f"n0 must lie in [0, {nc}), got {n0}")
-    g = geom if geom is not None else ArrayGeometry(n_tx=x.n_tx)
-    c = steered_projection(x, g, angle_deg)
+    c = steered_projection(x, geom, angle_deg)
     k = np.arange(nc)
     echo = beta * c * np.exp(2j * np.pi * n0 * k / nc)
 
@@ -189,13 +173,10 @@ def radar_return(
     y = echo + noise[:, 0] + 1j * noise[:, 1]
 
     clutter_grid = None
-    if with_clutter:
-        energy = clutter_energy
-        if energy is None:
-            energy = 10.0 * float(beta**2) * float(np.sum(np.abs(c) ** 2))
+    if clutter_energy is not None:
         cgen = np.random.default_rng((rng.seed, _CLUTTER_STREAM_ID))
         z = cgen.normal(scale=math.sqrt(0.5), size=(nc, 2))
-        clutter_grid = math.sqrt(energy / nc) * (z[:, 0] + 1j * z[:, 1])
+        clutter_grid = math.sqrt(clutter_energy / nc) * (z[:, 0] + 1j * z[:, 1])
         y = y + clutter_grid
 
     return RadarObservation(
@@ -230,32 +211,24 @@ def two_stage_capture(
     sigma_r2: float,
     rng_with: RngStream,
     rng_without: RngStream,
-    clutter_energy: float | None = None,
-    geom: ArrayGeometry | None = None,
+    geom: ArrayGeometry,
     angle_deg: float = 0.0,
 ) -> RadarObservation:
     """Transmit the same waveform with and without the target, subtract.
 
     The two captures must share a root seed (same clutter) but use distinct
-    stream ids (independent noise).
+    stream ids (independent noise). Both see clutter of 10x the echo
+    energy; the target-free capture has no echo to scale by, so the energy
+    is fixed here.
     """
     if rng_with.seed != rng_without.seed:
         raise ValueError("captures need the same root seed to share clutter")
     if rng_with.stream_id == rng_without.stream_id:
         raise ValueError("captures need distinct stream ids for independent noise")
-    g = geom if geom is not None else ArrayGeometry(n_tx=x.n_tx)
-    energy = clutter_energy
-    if energy is None:
-        c = steered_projection(x, g, angle_deg)
-        energy = 10.0 * float(beta**2) * float(np.sum(np.abs(c) ** 2))
-    with_t = radar_return(
-        x, n0, beta, sigma_r2, rng_with,
-        with_clutter=True, clutter_energy=energy, geom=g, angle_deg=angle_deg,
-    )
-    without = radar_return(
-        x, n0, 0.0, sigma_r2, rng_without,
-        with_clutter=True, clutter_energy=energy, geom=g, angle_deg=angle_deg,
-    )
+    c = steered_projection(x, geom, angle_deg)
+    energy = 10.0 * float(beta**2) * float(np.sum(np.abs(c) ** 2))
+    with_t = radar_return(x, n0, beta, sigma_r2, rng_with, geom, angle_deg, energy)
+    without = radar_return(x, n0, 0.0, sigma_r2, rng_without, geom, angle_deg, energy)
     return background_subtract(with_t, without)
 
 
@@ -295,31 +268,25 @@ def _k2_sum(power_per_k: np.ndarray) -> np.ndarray:
 
 
 def fisher_information(
-    x: TxGrid, beta: float, sigma_r2: float,
-    geom: ArrayGeometry | None = None, angle_deg: float = 0.0,
+    x: TxGrid, beta: float, sigma_r2: float, geom: ArrayGeometry, angle_deg: float = 0.0
 ) -> float:
-    g = geom if geom is not None else ArrayGeometry(n_tx=x.n_tx)
-    power = np.abs(steered_projection(x, g, angle_deg)) ** 2
+    power = np.abs(steered_projection(x, geom, angle_deg)) ** 2
     return _delay_fisher(_k2_sum(power), power.shape[0], beta, sigma_r2)
 
 
 def crb(
-    x: TxGrid, beta: float, sigma_r2: float,
-    geom: ArrayGeometry | None = None, angle_deg: float = 0.0,
+    x: TxGrid, beta: float, sigma_r2: float, geom: ArrayGeometry, angle_deg: float = 0.0
 ) -> float:
     """Lower bound on the variance of any unbiased delay estimate, bins²."""
-    g = geom if geom is not None else ArrayGeometry(n_tx=x.n_tx)
-    power = np.abs(steered_projection(x, g, angle_deg)) ** 2
+    power = np.abs(steered_projection(x, geom, angle_deg)) ** 2
     return _delay_crb(_k2_sum(power), power.shape[0], beta, sigma_r2)
 
 
 def snr_rad_closed_form(
-    x: TxGrid, beta: float, sigma_r2: float,
-    geom: ArrayGeometry | None = None, angle_deg: float = 0.0,
+    x: TxGrid, beta: float, sigma_r2: float, geom: ArrayGeometry, angle_deg: float = 0.0
 ) -> float:
     """Predicted peak-to-offpeak power ratio, linear: β²(N_c−1)·Σ|a^Hx|²/σ_r²."""
-    g = geom if geom is not None else ArrayGeometry(n_tx=x.n_tx)
-    gain = broadside_gain(x, g, angle_deg)
+    gain = broadside_gain(x, geom, angle_deg)
     if sigma_r2 == 0.0:
         return math.inf if beta != 0.0 and gain > 0.0 else 0.0
     return beta**2 * (x.n_subcarriers - 1) * gain / sigma_r2
@@ -328,7 +295,7 @@ def snr_rad_closed_form(
 def range_profile(
     obs: RadarObservation,
     x: TxGrid,
-    geom: ArrayGeometry | None = None,
+    geom: ArrayGeometry,
     angle_deg: float = 0.0,
 ) -> RangeProfile:
     """Correlate the capture with the known waveform and locate the peak.
@@ -338,8 +305,7 @@ def range_profile(
     the peak power over the average off-peak power. Ties in the peak search
     resolve to the lowest bin.
     """
-    g = geom if geom is not None else ArrayGeometry(n_tx=x.n_tx)
-    c = steered_projection(x, g, angle_deg)
+    c = steered_projection(x, geom, angle_deg)
     spectrum = np.fft.fft(obs.y_r * np.conj(c))
     mags = np.abs(spectrum)
     if not np.any(mags > 0.0):

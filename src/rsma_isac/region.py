@@ -11,6 +11,7 @@ twice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -43,7 +44,7 @@ from .radar import (
     range_profile,
     synthesize_tx,
 )
-from .throughput import DEFAULT_BANDWIDTH, throughput
+from .throughput import throughput
 
 # Stream ids below this are free for callers; sweep Monte Carlo draws live
 # above it so they can never collide with channel generation streams.
@@ -63,8 +64,8 @@ _SCHEME_PREDICATES = {
 SCHEMES = tuple(_SCHEME_PREDICATES)
 
 
-def round_sig(value: float, digits: int = 12) -> float:
-    """Round to ``digits`` significant decimal digits.
+def round_sig(value: float) -> float:
+    """Round to 12 significant decimal digits.
 
     Sweep sensing energies are sums whose addends regroup as the power
     split moves around the grid, so operating points that are equal on
@@ -75,7 +76,7 @@ def round_sig(value: float, digits: int = 12) -> float:
     """
     if not math.isfinite(value):
         return value
-    return float(f"{value:.{digits - 1}e}")
+    return float(f"{value:.11e}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,10 @@ class SweepSpec:
             if unknown:
                 raise ConfigError(f"unknown case tags: {sorted(unknown)}")
             object.__setattr__(self, "include_cases", cases)
-        if self.metric == "SNR_RAD" and self.monte_carlo_trials < 1:
+        trials = self.monte_carlo_trials
+        if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+            raise ConfigError(f"monte_carlo_trials must be an integer, got {trials!r}")
+        if self.metric == "SNR_RAD" and trials < 1:
             raise ConfigError("SNR_RAD metric needs at least one Monte Carlo trial")
 
 
@@ -206,15 +210,6 @@ def pareto_indices(
     return chosen
 
 
-def pareto_frontier(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Non-dominated subset of (x, y) pairs, sorted by x ascending."""
-    if not points:
-        raise ConfigError("pareto_frontier needs at least one point")
-    xs = np.array([p[0] for p in points], dtype=float)
-    ys = np.array([p[1] for p in points], dtype=float)
-    return [points[i] for i in pareto_indices(xs, ys)]
-
-
 def frontier_points(points: list[IsacPoint], metric: str = "G0") -> list[IsacPoint]:
     """Pareto frontier of IsacPoints on (t_sum, sensing metric)."""
     if not points:
@@ -309,14 +304,15 @@ def sweep(
     spec: SweepSpec,
     channels: ChannelSet,
     cfg: ScenarioConfig,
-    geom: ArrayGeometry | None = None,
-    bandwidth_hz: float = DEFAULT_BANDWIDTH.value_hz,
+    geom: ArrayGeometry,
 ) -> RegionResult:
     """Evaluate every grid point and extract the Pareto boundary.
 
-    The grid is evaluated one (t_comms, t_p) block at a time. The block's
-    precoders form one batch over its (alpha_c, alpha_p) plane
-    (``_block_precoders``), and one ``throughput`` call scores all of it.
+    ``geom`` is the array the channels were drawn with; the sensing axis
+    steers through it. The grid is evaluated one (t_comms, t_p) block at
+    a time. The block's precoders form one batch over its (alpha_c,
+    alpha_p) plane (``_block_precoders``), and one ``throughput`` call
+    scores all of it.
     The sensing axis is the symbol-averaged energy toward the target: one
     ``expected_steered_power`` call on the same batch gives every point's
     per-subcarrier power, g0 is its sum and the delay CRB comes from its
@@ -329,7 +325,6 @@ def sweep(
     allocate no private power survive, since they never need the failing
     directions).
     """
-    g = geom if geom is not None else ArrayGeometry(n_tx=channels.n_tx)
     uc = common_direction(channels)
     nc = channels.n_subcarriers
     points: list[IsacPoint] = []
@@ -358,11 +353,11 @@ def sweep(
             pset = _block_precoders(
                 t, tp, ac_axis, ap_axis, family, channels, cfg, dirs, uc
             )
-            report = throughput(channels, pset, cfg, bandwidth_hz)
+            report = throughput(channels, pset, cfg)
             t_sum = report.t_sum.tolist()
             collapsed = report.collapsed.tolist()
             mcs = [levels.tolist() for levels in report.mcs_chosen]
-            power = expected_steered_power(pset, g, cfg.target_angle_deg)
+            power = expected_steered_power(pset, geom, cfg.target_angle_deg)
             g0 = np.sum(power, axis=-1).tolist()
             weighted = _k2_sum(power).tolist()
             for i, j, pp, case in block:
@@ -377,7 +372,7 @@ def sweep(
                     snr_db = _measured_snr_db(
                         PrecoderSet(pset.p_c[i, 0], pset.p_1[0, j], pset.p_2[0, j], pset.p_r),
                         cfg,
-                        g,
+                        geom,
                         spec.monte_carlo_trials,
                         _SNR_STREAM_BASE + 2 * spec.monte_carlo_trials * counter,
                     )
@@ -404,57 +399,6 @@ def sweep(
         skipped=tuple(skipped),
         metric=spec.metric,
     )
-
-
-@dataclass(frozen=True)
-class BoundaryRow:
-    """One frontier point reduced to its knobs and chosen MCS levels."""
-
-    index: int
-    params: ParameterPoint
-    mcs_indices: tuple[int | None, int | None, int | None]
-    t_sum_bps: float
-    metric_value: float
-
-
-def boundary_params(
-    result: RegionResult, case_filter: str | None = None
-) -> list[BoundaryRow]:
-    """The parameter/MCS settings behind each frontier point, x ascending.
-
-    ``case_filter`` may be a scheme name ("SDMA", "RSMA_NoSense"), a case
-    tag (frontier recomputed within the matching points), or None for the
-    overall boundary. An unknown or absent tag raises, since an empty
-    frontier has no parameters to report.
-    """
-    if case_filter is None:
-        pts = list(result.boundary)
-    elif case_filter in _SCHEME_PREDICATES:
-        subset = scheme_points(list(result.points), case_filter)
-        if not subset:
-            raise ConfigError(
-                f"no points in scheme {case_filter!r}; its frontier is empty"
-            )
-        pts = frontier_points(subset, result.metric)
-    else:
-        if case_filter not in CASE_TAGS:
-            raise ConfigError(f"unknown case tag {case_filter!r}")
-        subset = [p for p in result.points if p.case == case_filter]
-        if not subset:
-            raise ConfigError(
-                f"no points with case {case_filter!r}; its frontier is empty"
-            )
-        pts = frontier_points(subset, result.metric)
-    return [
-        BoundaryRow(
-            index=i,
-            params=p.params,
-            mcs_indices=p.mcs_indices,
-            t_sum_bps=p.t_sum_bps,
-            metric_value=p.metric_value(result.metric),
-        )
-        for i, p in enumerate(pts)
-    ]
 
 
 def _fmt(value: float | None) -> str:
@@ -508,10 +452,11 @@ def _dash_params(pp: ParameterPoint) -> tuple[str, str, str, str]:
     return t, tp, ac, ap
 
 
-def write_boundary_params_csv(rows: list[BoundaryRow], path: str) -> None:
+def write_boundary_params_csv(points, path: str) -> None:
+    """The knobs and chosen MCS levels behind each frontier point, by position."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index,t_comms,t_p,alpha_c,alpha_p,mcs_c,mcs_1,mcs_2\n")
-        for row in rows:
-            t, tp, ac, ap = _dash_params(row.params)
-            mcs = ["-" if m is None else str(m) for m in row.mcs_indices]
-            fh.write(f"{row.index},{t},{tp},{ac},{ap},{mcs[0]},{mcs[1]},{mcs[2]}\n")
+        for index, p in enumerate(points):
+            t, tp, ac, ap = _dash_params(p.params)
+            mcs = ["-" if m is None else str(m) for m in p.mcs_indices]
+            fh.write(f"{index},{t},{tp},{ac},{ap},{mcs[0]},{mcs[1]},{mcs[2]}\n")

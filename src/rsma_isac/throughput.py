@@ -48,8 +48,7 @@ def effective_bandwidth(
 
 
 # 100 MHz OFDM with a 1/4 cyclic prefix and 468 of 512 subcarriers carrying
-# data: the link budget every throughput number in this package assumes
-# unless a caller passes its own bandwidth.
+# data: the link budget every throughput number in this package assumes.
 DEFAULT_BANDWIDTH = effective_bandwidth(100e6, 512, 128, 468)
 
 
@@ -199,10 +198,7 @@ class ThroughputReport:
 
 
 def throughput(
-    channels: ChannelSet,
-    pset: PrecoderSet,
-    cfg: ScenarioConfig,
-    bandwidth_hz: float = DEFAULT_BANDWIDTH.value_hz,
+    channels: ChannelSet, pset: PrecoderSet, cfg: ScenarioConfig
 ) -> ThroughputReport:
     """MCS-limited sum throughput of precoder sets on one channel draw.
 
@@ -214,7 +210,7 @@ def throughput(
     The precoder arrays may carry leading batch axes that broadcast
     against each other; every report field then has the broadcast batch
     shape. A plain PrecoderSet is a batch of shape () and gets Python
-    scalars.
+    scalars. Rates use ``DEFAULT_BANDWIDTH``.
     """
     sigma2 = cfg.noise_power_comms
     gap = cfg.shannon_gap_db
@@ -222,7 +218,7 @@ def throughput(
 
     def stream(eff):
         level = max_mcs(eff)
-        rate = bandwidth_hz * np.asarray(_bits_per_use(level), dtype=float)
+        rate = DEFAULT_BANDWIDTH.value_hz * np.asarray(_bits_per_use(level), dtype=float)
         return level, rate
 
     mcs_c, t_c = stream(

@@ -305,10 +305,8 @@ def test_criterion_6_property_suites(region_data, verdict):
     pset_r = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0), ch16, cfg16)
     x = synthesize_tx(pset_r, RngStream(cfg16.seed, 50))
     c = steered_projection(x, _GEOM)
-    with_t = radar_return(x, 3, 0.3, 0.0, RngStream(6, 1), with_clutter=True,
-                          clutter_energy=5.0, geom=_GEOM)
-    without = radar_return(x, 3, 0.0, 0.0, RngStream(6, 2), with_clutter=True,
-                           clutter_energy=5.0, geom=_GEOM)
+    with_t = radar_return(x, 3, 0.3, 0.0, RngStream(6, 1), _GEOM, clutter_energy=5.0)
+    without = radar_return(x, 3, 0.0, 0.0, RngStream(6, 2), _GEOM, clutter_energy=5.0)
     res = background_subtract(with_t, without)
     echo = 0.3 * c * np.exp(2j * np.pi * 3 * np.arange(16) / 16)
     err = float(np.sum(np.abs(res.y_r - echo) ** 2))

@@ -90,6 +90,7 @@ _POINT_SETS = ["--set", "t_comms=1", "--set", "t_p=0.5", "--set", "alpha_c=0.5",
 _PARAMS_HEADER = "index,t_comms,t_p,alpha_c,alpha_p,mcs_c,mcs_1,mcs_2\n"
 # "{params}" stands for a one-row boundary_params.csv the test writes.
 _HEATMAP_ON_PARAMS = ["radar-heatmap", "--params", "{params}", "--set", "n_subcarriers=16"]
+_SMALL_SNR_SWEEP = ["sweep", "--metric", "snr", "--step", "0.5", "--set", "n_subcarriers=16"]
 
 
 def _point_eval(out_dir, params, extra=()):
@@ -238,6 +239,15 @@ def test_missing_scenario_file(tmp_path):
         [*_HEATMAP_ON_PARAMS, "--trials", "-3"],
         # a truncated row of the params file is an error, not a skipped row
         ["radar-heatmap", "--params", "{truncated}", "--set", "n_subcarriers=16"],
+        # the Monte Carlo trial count is an integer under either metric
+        [*_SMALL_SNR_SWEEP, "--set", "monte_carlo_trials=true"],
+        [*_SMALL_SNR_SWEEP, "--set", "monte_carlo_trials=2.5"],
+        [*_SMALL_SNR_SWEEP, "--set", "monte_carlo_trials=NaN"],
+        ["sweep", "--step", "0.5", "--set", "n_subcarriers=16",
+         "--set", "monte_carlo_trials=true"],
+        # every delay is measured once
+        [*_HEATMAP_ON_PARAMS, "--n0", ""],
+        [*_HEATMAP_ON_PARAMS, "--n0", "1,1"],
     ],
 )
 def test_bad_configuration_exits_2(tmp_path, argv):
@@ -355,6 +365,18 @@ def test_reproduce_rejects_negative_heatmap_trials(heatmap_flow, tmp_path):
     out = tmp_path / "redo"
     assert main(["reproduce", "--run", str(run), "--out", str(out)]) == 2
     assert not (out / "heatmap.csv").exists()
+
+
+def test_reproduce_rejects_empty_or_repeated_heatmap_n0(heatmap_flow, tmp_path):
+    _, hm = heatmap_flow
+    manifest = json.loads((hm / "run.json").read_text())
+    for n0_values in ([], [1, 1]):
+        manifest["heatmap"]["n0_values"] = n0_values
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps(manifest))
+        out = tmp_path / f"redo{len(n0_values)}"
+        assert main(["reproduce", "--run", str(run), "--out", str(out)]) == 2
+        assert not (out / "heatmap.csv").exists()
 
 
 def test_heatmap_missing_params_file(tmp_path):

@@ -194,3 +194,13 @@ def test_preset_geometries():
 def test_preset_unknown_name():
     with pytest.raises(ConfigError, match="unknown preset"):
         scenario_preset("S9")
+
+
+def test_package_exports_are_names_not_submodules():
+    import types
+
+    import rsma_isac
+
+    assert "sweep" in rsma_isac.__all__
+    for name in rsma_isac.__all__:
+        assert not isinstance(getattr(rsma_isac, name), types.ModuleType), name

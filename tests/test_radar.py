@@ -73,20 +73,12 @@ def test_synthesize_zero_precoders_zero_signal():
     assert x.n_subcarriers == 8 and x.n_tx == 2
 
 
-def test_synthesize_unknown_style_raises(make_channels):
-    cfg, pset = _sensing_only(make_channels, nc=8)
-    with pytest.raises(ValueError, match="symbol_style"):
-        synthesize_tx(pset, RngStream(0, 0), symbol_style="psk8")
-
-
 def test_symbol_statistics():
     col = np.ones((10000, 1), dtype=complex)
     zeros = np.zeros_like(col)
     pset = PrecoderSet(col, zeros, zeros, zeros)
     qpsk = synthesize_tx(pset, RngStream(11, 0)).x[:, 0]
     assert np.max(np.abs(np.abs(qpsk) - 1.0)) < 1e-12
-    gauss = synthesize_tx(pset, RngStream(11, 0), symbol_style="gaussian").x[:, 0]
-    assert abs(float(np.mean(np.abs(gauss) ** 2)) - 1.0) < 0.02
 
 
 def test_broadside_gain_matches_loop(make_channels):
@@ -171,13 +163,10 @@ def test_radar_return_rejects_bad_delay(make_channels):
 def test_clutter_depends_only_on_root_seed(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=16)
     x = synthesize_tx(pset, RngStream(0, 0))
-    a = radar_return(x, 3, 0.1, 0.01, RngStream(9, 1), with_clutter=True,
-                     clutter_energy=2.0, geom=_GEOM)
-    b = radar_return(x, 3, 0.0, 0.01, RngStream(9, 2), with_clutter=True,
-                     clutter_energy=2.0, geom=_GEOM)
+    a = radar_return(x, 3, 0.1, 0.01, RngStream(9, 1), _GEOM, clutter_energy=2.0)
+    b = radar_return(x, 3, 0.0, 0.01, RngStream(9, 2), _GEOM, clutter_energy=2.0)
     assert np.array_equal(a.clutter_only, b.clutter_only)
-    c = radar_return(x, 3, 0.1, 0.01, RngStream(10, 1), with_clutter=True,
-                     clutter_energy=2.0, geom=_GEOM)
+    c = radar_return(x, 3, 0.1, 0.01, RngStream(10, 1), _GEOM, clutter_energy=2.0)
     assert not np.array_equal(a.clutter_only, c.clutter_only)
 
 
@@ -186,10 +175,8 @@ def test_background_subtract_noiseless_recovers_echo(make_channels):
     x = synthesize_tx(pset, RngStream(0, 0))
     c = steered_projection(x, _GEOM)
     beta = 0.3
-    with_t = radar_return(x, 4, beta, 0.0, RngStream(9, 1), with_clutter=True,
-                          clutter_energy=5.0, geom=_GEOM)
-    without = radar_return(x, 4, 0.0, 0.0, RngStream(9, 2), with_clutter=True,
-                           clutter_energy=5.0, geom=_GEOM)
+    with_t = radar_return(x, 4, beta, 0.0, RngStream(9, 1), _GEOM, clutter_energy=5.0)
+    without = radar_return(x, 4, 0.0, 0.0, RngStream(9, 2), _GEOM, clutter_energy=5.0)
     res = background_subtract(with_t, without)
     k = np.arange(16)
     echo = beta * c * np.exp(2j * np.pi * 4 * k / 16)
@@ -218,8 +205,7 @@ def test_two_stage_noise_variance_doubles():
     energies = []
     for t in range(40):
         res = two_stage_capture(
-            x, 3, 0.0, sigma, RngStream(5, 2 * t), RngStream(5, 2 * t + 1),
-            clutter_energy=1.0, geom=_G1,
+            x, 3, 0.0, sigma, RngStream(5, 2 * t), RngStream(5, 2 * t + 1), _G1
         )
         energies.append(float(np.sum(np.abs(res.y_r) ** 2)))
     ratio = float(np.mean(energies)) / (2.0 * sigma)
@@ -230,9 +216,9 @@ def test_two_stage_seed_discipline(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=8)
     x = synthesize_tx(pset, RngStream(0, 0))
     with pytest.raises(ValueError, match="root seed"):
-        two_stage_capture(x, 1, 0.1, 0.01, RngStream(1, 0), RngStream(2, 1))
+        two_stage_capture(x, 1, 0.1, 0.01, RngStream(1, 0), RngStream(2, 1), _GEOM)
     with pytest.raises(ValueError, match="stream ids"):
-        two_stage_capture(x, 1, 0.1, 0.01, RngStream(1, 3), RngStream(1, 3))
+        two_stage_capture(x, 1, 0.1, 0.01, RngStream(1, 3), RngStream(1, 3), _GEOM)
 
 
 def test_two_stage_noiseless_exact(make_channels):

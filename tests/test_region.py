@@ -14,11 +14,9 @@ from rsma_isac import (
     RegionResult,
     RngStream,
     SweepSpec,
-    boundary_params,
     build_precoders,
     enumerate_grid,
     generate_channels,
-    pareto_frontier,
     pareto_indices,
     scenario_preset,
     scheme_frontier,
@@ -82,6 +80,9 @@ def test_enumerate_grid_counts_and_pinning():
         dict(metric="BEAM"),
         dict(include_cases=frozenset({"Nope"})),
         dict(metric="SNR_RAD", monte_carlo_trials=0),
+        dict(monte_carlo_trials=True),
+        dict(monte_carlo_trials=2.5),
+        dict(monte_carlo_trials=math.nan),
     ],
 )
 def test_sweep_spec_validation(kwargs):
@@ -98,10 +99,9 @@ def test_sweep_spec_normalizes_family_case():
 
 def test_pareto_frontier_examples():
     pts = [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (1.0, 1.0)]
-    assert pareto_frontier(pts) == [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]
-    assert pareto_frontier([(5.0, 5.0)]) == [(5.0, 5.0)]
-    with pytest.raises(ConfigError):
-        pareto_frontier([])
+    xs, ys = np.array(pts).T
+    assert [pts[i] for i in pareto_indices(xs, ys)] == [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]
+    assert pareto_indices(np.array([5.0]), np.array([5.0])) == [0]
 
 
 def _oracle_frontier(xs, ys):
@@ -340,41 +340,6 @@ def test_scheme_frontier_contained_in_region(smoke_sweep):
         assert any(q.t_sum_bps >= p.t_sum_bps and q.g0 >= p.g0 for q in full)
 
 
-def test_boundary_params_plain(smoke_sweep):
-    *_, result = smoke_sweep
-    rows = boundary_params(result)
-    assert [r.index for r in rows] == list(range(len(result.boundary)))
-    for row, point in zip(rows, result.boundary):
-        assert row.params == point.params
-        assert row.t_sum_bps == point.t_sum_bps
-        assert row.metric_value == point.g0
-        assert row.mcs_indices == point.mcs_indices
-
-
-def test_boundary_params_filters(smoke_sweep):
-    *_, result = smoke_sweep
-    sdma_rows = boundary_params(result, "SDMA")
-    assert all(r.params.t_p == 1.0 for r in sdma_rows)
-    tag_rows = boundary_params(result, "General")
-    assert all(
-        p.case == "General"
-        for p in result.points
-        if any(r.params == p.params for r in tag_rows)
-    )
-    with pytest.raises(ConfigError, match="unknown case tag"):
-        boundary_params(result, "Sideways")
-
-
-def test_boundary_params_absent_tag_raises():
-    cfg = dataclasses.replace(scenario_preset("S1"), n_subcarriers=16)
-    channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
-    spec = SweepSpec(grid_step=0.5, include_cases=frozenset({"General"}))
-    result = sweep(spec, channels, cfg, _GEOM)
-    assert all(p.case == "General" for p in result.points)
-    with pytest.raises(ConfigError, match="no points"):
-        boundary_params(result, "RSMA_NoSense_Soft")
-
-
 def test_sweep_skips_zf_on_rank_deficient_channels(make_channels):
     cfg, base = make_channels(n_subcarriers=16)
     dup = ChannelSet(
@@ -406,7 +371,7 @@ def test_sensing_dominant_sdma_boundary(make_cfg):
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     result = sweep(SweepSpec(grid_step=0.1), channels, cfg, _GEOM)
 
-    rows = boundary_params(result, "SDMA")
+    rows = scheme_frontier(list(result.points), "SDMA")
     assert len(rows) == 5
     expect = [
         ((0.0, 1.0, 1.0, 1.0), 0.0, 2.0),
@@ -418,9 +383,9 @@ def test_sensing_dominant_sdma_boundary(make_cfg):
     for row, (params, t_sum, g0) in zip(rows, expect):
         assert row.params.key()[:4] == pytest.approx(params, abs=1e-12)
         assert row.t_sum_bps == t_sum
-        assert row.metric_value == pytest.approx(g0, rel=1e-9)
+        assert row.g0 == pytest.approx(g0, rel=1e-9)
 
-    rsma_rows = boundary_params(result, "RSMA_NoSense")
+    rsma_rows = scheme_frontier(list(result.points), "RSMA_NoSense")
     assert len(rsma_rows) == 9
     assert all(r.params.t_comms == 1.0 for r in rsma_rows)
 
@@ -430,7 +395,7 @@ def test_boundary_params_csv_exact(tmp_path, make_cfg):
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     result = sweep(SweepSpec(grid_step=0.1), channels, cfg, _GEOM)
     path = tmp_path / "boundary_params.csv"
-    write_boundary_params_csv(boundary_params(result, "SDMA"), str(path))
+    write_boundary_params_csv(scheme_frontier(list(result.points), "SDMA"), str(path))
     lines = path.read_text().splitlines()
     assert lines == [
         "index,t_comms,t_p,alpha_c,alpha_p,mcs_c,mcs_1,mcs_2",

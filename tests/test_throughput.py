@@ -259,7 +259,7 @@ def test_zf_private_sinr_has_no_cross_interference(make_channels):
 def test_throughput_sdma_top_mcs(make_channels):
     cfg, channels = make_channels(noise_power_comms=1e-5)
     pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 1.0), channels, cfg)
-    rep = throughput(channels, pset, cfg, _BW)
+    rep = throughput(channels, pset, cfg)
     assert _indices(rep) == (None, 9, 9)
     assert rep.t_sum == pytest.approx(2 * 487500000.0, rel=1e-12)
     assert not rep.collapsed
@@ -268,7 +268,7 @@ def test_throughput_sdma_top_mcs(make_channels):
 def test_throughput_common_collapse(make_channels):
     cfg, channels = make_channels(noise_power_comms=10.0)
     pset = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5), channels, cfg)
-    rep = throughput(channels, pset, cfg, _BW)
+    rep = throughput(channels, pset, cfg)
     assert rep.collapsed
     assert rep.t_sum == 0.0
     assert rep.t_private == (0.0, 0.0)
@@ -278,7 +278,7 @@ def test_throughput_common_collapse(make_channels):
 def test_throughput_sdma_never_collapses(make_channels):
     cfg, channels = make_channels(noise_power_comms=10.0)
     pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5), channels, cfg)
-    rep = throughput(channels, pset, cfg, _BW)
+    rep = throughput(channels, pset, cfg)
     assert not rep.collapsed
     assert rep.t_sum == 0.0
     assert _indices(rep) == (None, None, None)
@@ -287,7 +287,7 @@ def test_throughput_sdma_never_collapses(make_channels):
 def test_throughput_sensing_only(make_channels):
     cfg, channels = make_channels()
     pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0), channels, cfg)
-    rep = throughput(channels, pset, cfg, _BW)
+    rep = throughput(channels, pset, cfg)
     assert rep.t_sum == 0.0
     assert not rep.collapsed
     assert _indices(rep) == (None, None, None)
@@ -296,12 +296,12 @@ def test_throughput_sensing_only(make_channels):
 def test_throughput_sum_identity(make_channels):
     cfg, channels = make_channels()
     with_common = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5), channels, cfg)
-    rep = throughput(channels, with_common, cfg, _BW)
+    rep = throughput(channels, with_common, cfg)
     assert rep.t_sum == rep.t_common + rep.t_private[0] + rep.t_private[1]
     assert rep.t_common > 0
 
     sdma = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5), channels, cfg)
-    rep2 = throughput(channels, sdma, cfg, _BW)
+    rep2 = throughput(channels, sdma, cfg)
     assert rep2.t_common == 0.0
     assert rep2.t_sum == rep2.t_private[0] + rep2.t_private[1]
 
@@ -312,7 +312,7 @@ def test_throughput_gap_monotone(make_channels):
     for gap in (0.0, 1.0, 2.0, 4.0):
         cfg, channels = make_channels(shannon_gap_db=gap)
         pset = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5), channels, cfg)
-        rep = throughput(channels, pset, cfg, _BW)
+        rep = throughput(channels, pset, cfg)
         rank = tuple(-1 if m is None else m for m in _indices(rep))
         if prev_sum is not None:
             assert rep.t_sum <= prev_sum
@@ -334,8 +334,8 @@ def test_throughput_batch_matches_points(make_channels):
     batch = PrecoderSet(
         *(np.stack([getattr(ps, name) for ps in psets]) for name in ("p_c", "p_1", "p_2", "p_r"))
     )
-    rep = throughput(channels, batch, cfg, _BW)
-    singles = [throughput(channels, ps, cfg, _BW) for ps in psets]
+    rep = throughput(channels, batch, cfg)
+    singles = [throughput(channels, ps, cfg) for ps in psets]
     assert rep.t_sum.shape == rep.collapsed.shape == (len(points),)
     for k, one in enumerate(singles):
         assert rep.t_sum[k] == one.t_sum
