@@ -14,7 +14,6 @@ from .calibration import (
     anchor_channels,
     apply_phase_correction,
     estimate_phase_correction,
-    zero_impairment,
 )
 from .core import (
     ArrayGeometry,
@@ -40,17 +39,10 @@ from .precoders import (
     private_directions,
 )
 from .radar import (
-    RadarObservation,
     RangeProfile,
-    TxGrid,
     UndefinedProfileError,
     ZeroInformationError,
-    background_subtract,
-    bins_to_meters,
-    broadside_gain,
-    crb,
     expected_steered_power,
-    fisher_information,
     radar_return,
     range_profile,
     sensing_symbols,
@@ -58,7 +50,6 @@ from .radar import (
     steered_projection,
     synthesize_tx,
     two_stage_capture,
-    write_range_profile_csv,
 )
 from .region import (
     SCHEMES,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry, ConfigError
+from .core import ArrayGeometry, ConfigError, steering_vector
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,6 @@ class RfImpairment:
             raise ConfigError("anchor_delay_bins must lie in [0, n_subcarriers)")
 
 
-def zero_impairment(n_tx: int, n_subcarriers: int) -> RfImpairment:
-    return RfImpairment(np.zeros((n_tx, n_subcarriers)), 0, 0.0)
-
-
 def anchor_channels(
     imp: RfImpairment, geom: ArrayGeometry, beta: float
 ) -> np.ndarray:
@@ -52,13 +48,7 @@ def anchor_channels(
         raise ConfigError("impairment grid and array geometry disagree on n_tx")
     k = np.arange(nc)
     delay = np.exp(2j * np.pi * imp.anchor_delay_bins * k / nc)
-    steer = np.exp(
-        2j
-        * np.pi
-        * geom.spacing_wavelengths
-        * np.arange(n_tx)
-        * np.sin(np.deg2rad(imp.anchor_angle_deg))
-    )
+    steer = steering_vector(geom, imp.anchor_angle_deg)
     return beta * delay[None, :] * np.exp(1j * imp.phase_offsets) * steer[:, None]
 
 

@@ -48,6 +48,7 @@ from .radar import (
     ZeroInformationError,
     expected_steered_power,
     range_profile,
+    steered_projection,
     synthesize_tx,
     two_stage_capture,
     _delay_crb,
@@ -185,6 +186,8 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
     if not n0_values or len(set(n0_values)) != len(n0_values):
         raise ConfigError(f"n0 values must be nonempty and distinct, got {n0_values!r}")
     for n0 in n0_values:
+        if isinstance(n0, bool) or not isinstance(n0, int):
+            raise ConfigError(f"n0 values must be integer delay bins, got {n0!r}")
         if not 0 <= n0 < cfg.n_subcarriers:
             raise ConfigError(f"n0 value {n0} outside [0, {cfg.n_subcarriers})")
     rows = [(i, ParameterPoint(*key)) for i, key in section["params_rows"]]
@@ -200,15 +203,14 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
                 peaks = []
                 snr_sum = 0.0
                 for _ in range(trials):
-                    tx = synthesize_tx(pset, RngStream(cfg.seed, stream))
-                    obs = two_stage_capture(
-                        tx, n0, beta, cfg.noise_power_radar,
-                        RngStream(cfg.seed, stream + 1),
-                        RngStream(cfg.seed, stream + 2),
-                        geom=_GEOM, angle_deg=cfg.target_angle_deg,
+                    x = synthesize_tx(pset, RngStream(cfg.seed, stream))
+                    c = steered_projection(x, _GEOM, cfg.target_angle_deg)
+                    y = two_stage_capture(
+                        c, n0, beta, cfg.noise_power_radar,
+                        RngStream(cfg.seed, stream + 1), RngStream(cfg.seed, stream + 2),
                     )
                     stream += 3
-                    prof = range_profile(obs, tx, geom=_GEOM, angle_deg=cfg.target_angle_deg)
+                    prof = range_profile(y, c)
                     peaks.append(prof.peak_bin)
                     snr_sum += 10.0 ** (prof.snr_rad_db / 10.0)
                 if trials == 0:

@@ -2,8 +2,8 @@
 
 The transmitter reuses the downlink waveform for sensing. A point target at
 integer delay n0 multiplies the steered waveform by a phase ramp across
-subcarriers; correlating the receive grid with the known transmit grid and
-taking a DFT turns that ramp back into a peak at bin n0. Post-processing
+subcarriers; correlating the receive grid with the known steered waveform
+and taking a DFT turns that ramp back into a peak at bin n0. Post-processing
 SNR compares the peak against the off-peak average, and the delay CRB
 follows from the Gaussian likelihood of the receive grid.
 
@@ -43,39 +43,12 @@ _SENSING_SYMBOL_SEED = 0x5EED
 
 
 @dataclass(frozen=True)
-class TxGrid:
-    """Transmit signal across subcarriers, shape (n_subcarriers, n_tx)."""
-
-    x: np.ndarray
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.x.shape[1]
-
-
-@dataclass(frozen=True)
-class RadarObservation:
-    """One receive capture plus the ground truth that produced it."""
-
-    y_r: np.ndarray
-    clutter_only: np.ndarray | None
-    n0_true: int
-    beta: float
-    sigma_r2: float
-
-
-@dataclass(frozen=True)
 class RangeProfile:
     """Matched-filter magnitudes with the derived delay estimate and SNR."""
 
     magnitudes: np.ndarray
     peak_bin: int
     snr_rad_db: float
-    crb_bins2: float
 
 
 def sensing_symbols(n_subcarriers: int) -> np.ndarray:
@@ -84,13 +57,13 @@ def sensing_symbols(n_subcarriers: int) -> np.ndarray:
     return 2.0 * gen.integers(0, 2, size=n_subcarriers).astype(float) - 1.0
 
 
-def synthesize_tx(pset: PrecoderSet, rng: RngStream) -> TxGrid:
+def synthesize_tx(pset: PrecoderSet, rng: RngStream) -> np.ndarray:
     """Draw one OFDM symbol's worth of data and superpose the four streams.
 
-    Data streams carry random QPSK symbols (exactly unit energy). The
-    sensing stream always carries the fixed BPSK pattern from
-    :func:`sensing_symbols`. Streams whose precoders are zero contribute
-    nothing, symbols included.
+    Returns the transmit grid x, shape (n_subcarriers, n_tx). Data streams
+    carry random QPSK symbols (exactly unit energy). The sensing stream
+    always carries the fixed BPSK pattern from :func:`sensing_symbols`.
+    Streams whose precoders are zero contribute nothing, symbols included.
     """
     nc = pset.p_c.shape[0]
     gen = rng.generator()
@@ -101,20 +74,15 @@ def synthesize_tx(pset: PrecoderSet, rng: RngStream) -> TxGrid:
             x = x + p * np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrant))[:, None]
     if np.any(pset.p_r):
         x = x + pset.p_r * sensing_symbols(nc)[:, None]
-    return TxGrid(x)
+    return x
 
 
 def steered_projection(
-    x: TxGrid, geom: ArrayGeometry, angle_deg: float = 0.0
+    x: np.ndarray, geom: ArrayGeometry, angle_deg: float = 0.0
 ) -> np.ndarray:
-    """Per-subcarrier complex amplitude a^H x[k] toward one direction."""
+    """Per-subcarrier complex amplitude c[k] = a^H x[k]; later stages take c."""
     a = steering_vector(geom, angle_deg)
-    return np.einsum("t,kt->k", np.conj(a), x.x)
-
-
-def broadside_gain(x: TxGrid, geom: ArrayGeometry, angle_deg: float = 0.0) -> float:
-    """Energy the waveform radiates toward the sensed direction, Σ|a^Hx|²."""
-    return float(np.sum(np.abs(steered_projection(x, geom, angle_deg)) ** 2))
+    return np.einsum("t,kt->k", np.conj(a), x)
 
 
 def expected_steered_power(
@@ -124,9 +92,9 @@ def expected_steered_power(
 
     Streams carry independent zero-mean unit-energy symbols, so the
     expectation is the sum of the per-stream projected powers; no symbol
-    draw is needed. Sweeps use this instead of :func:`broadside_gain` to
-    keep the sensing axis noise-free. Precoders may carry leading batch
-    axes, which broadcast; the result keeps them, with subcarriers last.
+    draw is needed, which keeps a sweep's sensing axis noise-free.
+    Precoders may carry leading batch axes, which broadcast; the result
+    keeps them, with subcarriers last.
     The streams add in the order common, 1, 2, sensing, so every entry of
     a batch equals what its own point gives, bit for bit.
     """
@@ -142,28 +110,25 @@ def expected_steered_power(
 
 
 def radar_return(
-    x: TxGrid,
+    c: np.ndarray,
     n0: int,
     beta: float,
     sigma_r2: float,
     rng: RngStream,
-    geom: ArrayGeometry,
-    angle_deg: float = 0.0,
     clutter_energy: float | None = None,
-) -> RadarObservation:
-    """Simulate one receive capture of the waveform echoed at delay n0.
+) -> np.ndarray:
+    """Simulate one receive capture y of the steered waveform c echoed at delay n0.
 
-    The echo is beta times the steered waveform with a per-subcarrier phase
-    ramp. Noise is white with total energy ``sigma_r2`` spread across the
-    grid. A ``clutter_energy`` (None means no clutter) adds a static
-    clutter grid of that total energy, also reported separately; the grid
-    depends only on ``rng.seed`` (not the stream id), so captures that
-    share a root seed and energy can subtract each other's clutter exactly.
+    The echo is beta times c with a per-subcarrier phase ramp. Noise is
+    white with total energy ``sigma_r2`` spread across the grid. A
+    ``clutter_energy`` (None means no clutter) adds a static clutter grid
+    of that total energy; the grid depends only on ``rng.seed`` (not the
+    stream id), so captures that share a root seed and energy can subtract
+    each other's clutter exactly.
     """
-    nc = x.n_subcarriers
+    nc = c.shape[0]
     if not 0 <= n0 < nc:
         raise ValueError(f"n0 must lie in [0, {nc}), got {n0}")
-    c = steered_projection(x, geom, angle_deg)
     k = np.arange(nc)
     echo = beta * c * np.exp(2j * np.pi * n0 * k / nc)
 
@@ -172,64 +137,37 @@ def radar_return(
     noise = gen.normal(scale=scale, size=(nc, 2)) if scale else np.zeros((nc, 2))
     y = echo + noise[:, 0] + 1j * noise[:, 1]
 
-    clutter_grid = None
     if clutter_energy is not None:
         cgen = np.random.default_rng((rng.seed, _CLUTTER_STREAM_ID))
         z = cgen.normal(scale=math.sqrt(0.5), size=(nc, 2))
-        clutter_grid = math.sqrt(clutter_energy / nc) * (z[:, 0] + 1j * z[:, 1])
-        y = y + clutter_grid
-
-    return RadarObservation(
-        y_r=y, clutter_only=clutter_grid, n0_true=n0, beta=beta, sigma_r2=sigma_r2
-    )
-
-
-def background_subtract(
-    with_target: RadarObservation, without_target: RadarObservation
-) -> RadarObservation:
-    """Remove everything static by subtracting a target-free capture.
-
-    Clutter cancels exactly when both captures used the same root seed and
-    clutter energy. The noises of the two captures add, so the result's
-    ``sigma_r2`` is the sum of the inputs'.
-    """
-    if with_target.y_r.shape != without_target.y_r.shape:
-        raise ValueError("captures have different grid sizes")
-    return RadarObservation(
-        y_r=with_target.y_r - without_target.y_r,
-        clutter_only=None,
-        n0_true=with_target.n0_true,
-        beta=with_target.beta,
-        sigma_r2=with_target.sigma_r2 + without_target.sigma_r2,
-    )
+        y = y + math.sqrt(clutter_energy / nc) * (z[:, 0] + 1j * z[:, 1])
+    return y
 
 
 def two_stage_capture(
-    x: TxGrid,
+    c: np.ndarray,
     n0: int,
     beta: float,
     sigma_r2: float,
     rng_with: RngStream,
     rng_without: RngStream,
-    geom: ArrayGeometry,
-    angle_deg: float = 0.0,
-) -> RadarObservation:
-    """Transmit the same waveform with and without the target, subtract.
+) -> np.ndarray:
+    """Capture the same waveform with and without the target and subtract.
 
     The two captures must share a root seed (same clutter) but use distinct
     stream ids (independent noise). Both see clutter of 10x the echo
     energy; the target-free capture has no echo to scale by, so the energy
-    is fixed here.
+    is fixed here. Clutter cancels exactly; the two noises add, so the
+    difference carries noise of total energy 2·sigma_r2.
     """
     if rng_with.seed != rng_without.seed:
         raise ValueError("captures need the same root seed to share clutter")
     if rng_with.stream_id == rng_without.stream_id:
         raise ValueError("captures need distinct stream ids for independent noise")
-    c = steered_projection(x, geom, angle_deg)
     energy = 10.0 * float(beta**2) * float(np.sum(np.abs(c) ** 2))
-    with_t = radar_return(x, n0, beta, sigma_r2, rng_with, geom, angle_deg, energy)
-    without = radar_return(x, n0, 0.0, sigma_r2, rng_without, geom, angle_deg, energy)
-    return background_subtract(with_t, without)
+    with_t = radar_return(c, n0, beta, sigma_r2, rng_with, energy)
+    without = radar_return(c, n0, 0.0, sigma_r2, rng_without, energy)
+    return with_t - without
 
 
 def _delay_fisher(weighted: float, nc: int, beta: float, sigma_r2: float) -> float:
@@ -267,46 +205,23 @@ def _k2_sum(power_per_k: np.ndarray) -> np.ndarray:
     return np.sum(np.arange(power_per_k.shape[-1]) ** 2 * power_per_k, axis=-1)
 
 
-def fisher_information(
-    x: TxGrid, beta: float, sigma_r2: float, geom: ArrayGeometry, angle_deg: float = 0.0
-) -> float:
-    power = np.abs(steered_projection(x, geom, angle_deg)) ** 2
-    return _delay_fisher(_k2_sum(power), power.shape[0], beta, sigma_r2)
-
-
-def crb(
-    x: TxGrid, beta: float, sigma_r2: float, geom: ArrayGeometry, angle_deg: float = 0.0
-) -> float:
-    """Lower bound on the variance of any unbiased delay estimate, bins²."""
-    power = np.abs(steered_projection(x, geom, angle_deg)) ** 2
-    return _delay_crb(_k2_sum(power), power.shape[0], beta, sigma_r2)
-
-
-def snr_rad_closed_form(
-    x: TxGrid, beta: float, sigma_r2: float, geom: ArrayGeometry, angle_deg: float = 0.0
-) -> float:
-    """Predicted peak-to-offpeak power ratio, linear: β²(N_c−1)·Σ|a^Hx|²/σ_r²."""
-    gain = broadside_gain(x, geom, angle_deg)
+def snr_rad_closed_form(c: np.ndarray, beta: float, sigma_r2: float) -> float:
+    """Predicted peak-to-offpeak power ratio, linear: β²(N_c−1)·Σ|c|²/σ_r²."""
+    gain = float(np.sum(np.abs(c) ** 2))
     if sigma_r2 == 0.0:
         return math.inf if beta != 0.0 and gain > 0.0 else 0.0
-    return beta**2 * (x.n_subcarriers - 1) * gain / sigma_r2
+    return beta**2 * (c.shape[0] - 1) * gain / sigma_r2
 
 
-def range_profile(
-    obs: RadarObservation,
-    x: TxGrid,
-    geom: ArrayGeometry,
-    angle_deg: float = 0.0,
-) -> RangeProfile:
-    """Correlate the capture with the known waveform and locate the peak.
+def range_profile(y: np.ndarray, c: np.ndarray) -> RangeProfile:
+    """Correlate the capture y with the steered waveform c and locate the peak.
 
-    The matched filter multiplies y by the conjugate steered waveform and
-    DFTs across subcarriers; a target at delay n0 lands on bin n0. SNR is
-    the peak power over the average off-peak power. Ties in the peak search
-    resolve to the lowest bin.
+    The matched filter multiplies y by conj(c) and DFTs across
+    subcarriers; a target at delay n0 lands on bin n0. SNR is the peak
+    power over the average off-peak power. Ties in the peak search resolve
+    to the lowest bin.
     """
-    c = steered_projection(x, geom, angle_deg)
-    spectrum = np.fft.fft(obs.y_r * np.conj(c))
+    spectrum = np.fft.fft(y * np.conj(c))
     mags = np.abs(spectrum)
     if not np.any(mags > 0.0):
         raise UndefinedProfileError(
@@ -317,25 +232,4 @@ def range_profile(
     denom = float(np.mean(off**2))
     snr = math.inf if denom == 0.0 else float(mags[peak] ** 2) / denom
     snr_db = 10.0 * math.log10(snr) if math.isfinite(snr) else math.inf
-
-    if obs.beta == 0.0:
-        bound = math.inf
-    else:
-        bound = _delay_crb(_k2_sum(np.abs(c) ** 2), c.shape[0], obs.beta, obs.sigma_r2)
-    return RangeProfile(
-        magnitudes=mags, peak_bin=peak, snr_rad_db=snr_db, crb_bins2=bound
-    )
-
-
-def bins_to_meters(bins: float, bandwidth_hz: float = 100e6) -> float:
-    """Range-bin index to one-way distance: bin · c/(2B)."""
-    return bins * 299792458.0 / (2.0 * bandwidth_hz)
-
-
-def write_range_profile_csv(profile: RangeProfile, path: str) -> None:
-    """Dump (bin, magnitude_db) rows; zero magnitudes serialize as -inf."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("bin,magnitude_db\n")
-        for n, mag in enumerate(profile.magnitudes):
-            db = 20.0 * math.log10(mag) if mag > 0.0 else -math.inf
-            fh.write(f"{n},{db:.6f}\n")
+    return RangeProfile(magnitudes=mags, peak_bin=peak, snr_rad_db=snr_db)

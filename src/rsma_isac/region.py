@@ -42,6 +42,7 @@ from .radar import (
     expected_steered_power,
     radar_return,
     range_profile,
+    steered_projection,
     synthesize_tx,
 )
 from .throughput import throughput
@@ -110,6 +111,8 @@ class SweepSpec:
         trials = self.monte_carlo_trials
         if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
             raise ConfigError(f"monte_carlo_trials must be an integer, got {trials!r}")
+        if trials < 0:
+            raise ConfigError(f"monte_carlo_trials must be nonnegative, got {trials}")
         if self.metric == "SNR_RAD" and trials < 1:
             raise ConfigError("SNR_RAD metric needs at least one Monte Carlo trial")
 
@@ -285,18 +288,16 @@ def _measured_snr_db(
     """Mean measured matched-filter SNR over seeded end-to-end simulations."""
     total = 0.0
     for t in range(trials):
-        tx = synthesize_tx(pset, RngStream(cfg.seed, stream_base + 2 * t))
-        obs = radar_return(
-            tx,
+        x = synthesize_tx(pset, RngStream(cfg.seed, stream_base + 2 * t))
+        c = steered_projection(x, geom, cfg.target_angle_deg)
+        y = radar_return(
+            c,
             cfg.target_delay_bins,
             cfg.target_attenuation,
             cfg.noise_power_radar,
             RngStream(cfg.seed, stream_base + 2 * t + 1),
-            geom=geom,
-            angle_deg=cfg.target_angle_deg,
         )
-        prof = range_profile(obs, tx, geom=geom, angle_deg=cfg.target_angle_deg)
-        total += 10.0 ** (prof.snr_rad_db / 10.0)
+        total += 10.0 ** (range_profile(y, c).snr_rad_db / 10.0)
     return 10.0 * math.log10(total / trials)
 
 

@@ -35,10 +35,9 @@ from rsma_isac import (
 from rsma_isac.cli import main
 from rsma_isac.precoders import classify_special_case
 from rsma_isac.radar import (
-    background_subtract,
-    broadside_gain,
-    crb,
-    fisher_information,
+    _delay_crb,
+    _delay_fisher,
+    _k2_sum,
     radar_return,
     range_profile,
     snr_rad_closed_form,
@@ -169,11 +168,11 @@ def test_criterion_4_radar_chain_end_to_end(verdict):
     cfg = dataclasses.replace(scenario_preset("S1"), n_subcarriers=64)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0), channels, cfg)
-    x = synthesize_tx(pset, RngStream(cfg.seed, 50))
+    c = steered_projection(synthesize_tx(pset, RngStream(cfg.seed, 50)), _GEOM)
     beta = 0.1
     # noise sized so the closed-form SNR sits at 22 dB, inside the 20-24 dB band
     sigma = beta**2 * 63 * (cfg.total_power * 2) / 10**2.2
-    cf_db = 10 * math.log10(snr_rad_closed_form(x, beta, sigma, _GEOM))
+    cf_db = 10 * math.log10(snr_rad_closed_form(c, beta, sigma))
     if not 20.0 <= cf_db <= 24.0:
         failures.append(f"closed-form SNR {cf_db:.2f} dB outside [20, 24]")
 
@@ -182,11 +181,9 @@ def test_criterion_4_radar_chain_end_to_end(verdict):
     for n0 in (1, 2, 3):
         hits = 0
         for _ in range(100):
-            obs = radar_return(
-                x, n0, beta, sigma, RngStream(cfg.seed, 1000 + stream), geom=_GEOM
-            )
+            y = radar_return(c, n0, beta, sigma, RngStream(cfg.seed, 1000 + stream))
             stream += 1
-            prof = range_profile(obs, x, _GEOM)
+            prof = range_profile(y, c)
             hits += prof.peak_bin == n0
             measured.append(prof.snr_rad_db)
         if hits < 99:  # >= 99/100 recoveries per delay
@@ -211,13 +208,12 @@ def test_criterion_5_crb_validation(verdict):
     beta, sigma, n0, h = 0.37, 0.8, 5.0, 1e-3
     k = np.arange(64)
 
-    x_last = None
     for inst in range(3):
         pp = ParameterPoint(*prng.uniform(0.05, 0.95, 4))
         pset = build_precoders(pp, channels, cfg)
         x = synthesize_tx(pset, RngStream(cfg.seed, 200 + inst))
-        x_last = x
         c = steered_projection(x, _GEOM)
+        weighted = _k2_sum(np.abs(c) ** 2)
 
         def nll_shift(n):
             mu0 = beta * c * np.exp(2j * np.pi * n0 * k / 64)
@@ -225,15 +221,16 @@ def test_criterion_5_crb_validation(verdict):
             return (64 / sigma) * float(np.sum(np.abs(mu0 - mu) ** 2))
 
         fd = (nll_shift(n0 + h) - 2 * nll_shift(n0) + nll_shift(n0 - h)) / h**2
-        info = fisher_information(x, beta, sigma, _GEOM)
+        info = _delay_fisher(weighted, 64, beta, sigma)
         rel = abs(fd - info) / info
         if rel >= 1e-3:  # curvature vs closed form, 1e-3 relative
             failures.append(f"instance {inst}: curvature off by {rel:.2e}")
 
-    base = crb(x_last, 0.1, 0.065, _GEOM)
-    if not math.isclose(crb(x_last, 0.2, 0.065, _GEOM), base / 4.0, rel_tol=1e-12):
+    # CRB scaling, on the last instance's waveform
+    base = _delay_crb(weighted, 64, 0.1, 0.065)
+    if not math.isclose(_delay_crb(weighted, 64, 0.2, 0.065), base / 4.0, rel_tol=1e-12):
         failures.append("doubling the echo amplitude does not quarter the CRB")
-    if not math.isclose(crb(x_last, 0.1, 0.195, _GEOM), base * 3.0, rel_tol=1e-12):
+    if not math.isclose(_delay_crb(weighted, 64, 0.1, 0.195), base * 3.0, rel_tol=1e-12):
         failures.append("tripling the noise does not triple the CRB")
 
     verdict(5, "Fisher information against likelihood curvature", failures)
@@ -303,14 +300,13 @@ def test_criterion_6_property_suites(region_data, verdict):
 
     # (f) background subtraction is exact without noise
     pset_r = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0), ch16, cfg16)
-    x = synthesize_tx(pset_r, RngStream(cfg16.seed, 50))
-    c = steered_projection(x, _GEOM)
-    with_t = radar_return(x, 3, 0.3, 0.0, RngStream(6, 1), _GEOM, clutter_energy=5.0)
-    without = radar_return(x, 3, 0.0, 0.0, RngStream(6, 2), _GEOM, clutter_energy=5.0)
-    res = background_subtract(with_t, without)
+    c = steered_projection(synthesize_tx(pset_r, RngStream(cfg16.seed, 50)), _GEOM)
+    with_t = radar_return(c, 3, 0.3, 0.0, RngStream(6, 1), clutter_energy=5.0)
+    # no echo and no noise: the target-free capture is exactly the clutter
+    without = radar_return(c, 3, 0.0, 0.0, RngStream(6, 2), clutter_energy=5.0)
     echo = 0.3 * c * np.exp(2j * np.pi * 3 * np.arange(16) / 16)
-    err = float(np.sum(np.abs(res.y_r - echo) ** 2))
-    if err > 1e-12 * float(np.sum(np.abs(with_t.clutter_only) ** 2)):
+    err = float(np.sum(np.abs(with_t - without - echo) ** 2))
+    if err > 1e-12 * float(np.sum(np.abs(without) ** 2)):
         failures.append(f"background subtraction residual {err:.2e}")
 
     verdict(6, "always-on property suites", failures)

@@ -11,19 +11,10 @@ from rsma_isac import (
     anchor_channels,
     apply_phase_correction,
     estimate_phase_correction,
-    zero_impairment,
 )
 from rsma_isac.core import ConfigError
 
 _GEOM = ArrayGeometry(2, 0.5)
-
-
-def test_zero_impairment():
-    imp = zero_impairment(2, 8)
-    assert imp.phase_offsets.shape == (2, 8)
-    assert not np.any(imp.phase_offsets)
-    assert imp.anchor_delay_bins == 0
-    assert imp.anchor_angle_deg == 0.0
 
 
 def test_impairment_validation():
@@ -40,7 +31,7 @@ def test_impairment_validation():
 
 
 def test_anchor_channels_trivial_case():
-    h = anchor_channels(zero_impairment(2, 8), _GEOM, beta=0.25)
+    h = anchor_channels(RfImpairment(np.zeros((2, 8)), 0, 0.0), _GEOM, beta=0.25)
     assert np.array_equal(h, np.full((2, 8), 0.25 + 0j))
 
 
@@ -78,7 +69,7 @@ def test_anchor_channels_scalar_recompute():
 
 def test_anchor_channels_geometry_mismatch():
     with pytest.raises(ConfigError, match="n_tx"):
-        anchor_channels(zero_impairment(2, 8), ArrayGeometry(3, 0.5), 1.0)
+        anchor_channels(RfImpairment(np.zeros((2, 8)), 0, 0.0), ArrayGeometry(3, 0.5), 1.0)
 
 
 def test_estimate_constant_offset():
@@ -89,7 +80,7 @@ def test_estimate_constant_offset():
 
 
 def test_estimate_no_offset_is_exactly_zero():
-    h = anchor_channels(zero_impairment(2, 16), _GEOM, 0.8)
+    h = anchor_channels(RfImpairment(np.zeros((2, 16)), 0, 0.0), _GEOM, 0.8)
     assert estimate_phase_correction(h) == 0.0
 
 

@@ -245,6 +245,7 @@ def test_missing_scenario_file(tmp_path):
         [*_SMALL_SNR_SWEEP, "--set", "monte_carlo_trials=NaN"],
         ["sweep", "--step", "0.5", "--set", "n_subcarriers=16",
          "--set", "monte_carlo_trials=true"],
+        ["sweep", "--step", "0.5", "--set", "n_subcarriers=16", "--trials", "-3"],
         # every delay is measured once
         [*_HEATMAP_ON_PARAMS, "--n0", ""],
         [*_HEATMAP_ON_PARAMS, "--n0", "1,1"],
@@ -370,13 +371,51 @@ def test_reproduce_rejects_negative_heatmap_trials(heatmap_flow, tmp_path):
 def test_reproduce_rejects_empty_or_repeated_heatmap_n0(heatmap_flow, tmp_path):
     _, hm = heatmap_flow
     manifest = json.loads((hm / "run.json").read_text())
-    for n0_values in ([], [1, 1]):
+    # non-integer delays stop before heatmap.csv is opened, bools included
+    for i, n0_values in enumerate(([], [1, 1], [1.5, 2], [True, 2])):
         manifest["heatmap"]["n0_values"] = n0_values
         run = tmp_path / "run.json"
         run.write_text(json.dumps(manifest))
-        out = tmp_path / f"redo{len(n0_values)}"
+        out = tmp_path / f"redo{i}"
         assert main(["reproduce", "--run", str(run), "--out", str(out)]) == 2
         assert not (out / "heatmap.csv").exists()
+
+
+def test_radar_chain_projects_once_per_trial(tmp_path, monkeypatch):
+    # Every Monte Carlo trial synthesizes one waveform and steers it once;
+    # the capture and matched-filter stages take the projection as given.
+    import rsma_isac.cli as cli_mod
+    import rsma_isac.radar as radar_mod
+    import rsma_isac.region as region_mod
+
+    counts = {"synthesize_tx": 0, "steered_projection": 0}
+
+    def counting(name):
+        original = getattr(radar_mod, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        wrapper = counting(name)
+        for module in (radar_mod, region_mod, cli_mod):
+            monkeypatch.setattr(module, name, wrapper)
+
+    sw = tmp_path / "sw"
+    assert main(["sweep", "--metric", "snr", "--step", "0.5", "--family", "mrt",
+                 "--set", "n_subcarriers=16", "--trials", "3", "--out", str(sw)]) == 0
+    assert counts["synthesize_tx"] > 0
+    assert counts["steered_projection"] == counts["synthesize_tx"]
+
+    counts.update(synthesize_tx=0, steered_projection=0)
+    assert main(["radar-heatmap", "--set", "n_subcarriers=16", "--n0", "1,2",
+                 "--params", str(sw / "boundary_params.csv"), "--trials", "2",
+                 "--out", str(tmp_path / "hm")]) == 0
+    assert counts["synthesize_tx"] > 0
+    assert counts["steered_projection"] == counts["synthesize_tx"]
 
 
 def test_heatmap_missing_params_file(tmp_path):

@@ -83,6 +83,8 @@ def test_enumerate_grid_counts_and_pinning():
         dict(monte_carlo_trials=True),
         dict(monte_carlo_trials=2.5),
         dict(monte_carlo_trials=math.nan),
+        dict(monte_carlo_trials=-3),
+        dict(metric="SNR_RAD", monte_carlo_trials=-3),
     ],
 )
 def test_sweep_spec_validation(kwargs):
