@@ -53,6 +53,7 @@ from .radar import (
     two_stage_capture,
     _delay_crb,
     _k2_sum,
+    _trial_chunks,
 )
 from .region import (
     SweepSpec,
@@ -190,6 +191,19 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
             raise ConfigError(f"n0 values must be integer delay bins, got {n0!r}")
         if not 0 <= n0 < cfg.n_subcarriers:
             raise ConfigError(f"n0 value {n0} outside [0, {cfg.n_subcarriers})")
+    # Captures add clutter of energy 10·β²·Σ|c|², which must stay finite. Four
+    # unit-modulus streams share total_power, so Σ|c|² ≤ 4·n_tx·total_power.
+    gain_bound = 4.0 * _GEOM.n_tx * cfg.total_power
+    try:
+        betas = [beta0 * beta_decay**j for j in range(len(n0_values))]
+        finite = all(math.isfinite(10.0 * b**2 * gain_bound) for b in betas)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(
+            f"beta {beta0!r} decaying by {beta_decay!r} over {len(n0_values)} n0 values "
+            f"can reach a clutter energy 10*beta**2*{gain_bound:g} that is not finite"
+        )
     rows = [(i, ParameterPoint(*key)) for i, key in section["params_rows"]]
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     path = os.path.join(out_dir, "heatmap.csv")
@@ -198,21 +212,9 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
         stream = 1
         for row_index, pp in rows:
             pset = build_precoders(pp, channels, cfg)
-            for j, n0 in enumerate(n0_values):
-                beta = beta0 * beta_decay**j
-                peaks = []
-                snr_sum = 0.0
-                for _ in range(trials):
-                    x = synthesize_tx(pset, RngStream(cfg.seed, stream))
-                    c = steered_projection(x, _GEOM, cfg.target_angle_deg)
-                    y = two_stage_capture(
-                        c, n0, beta, cfg.noise_power_radar,
-                        RngStream(cfg.seed, stream + 1), RngStream(cfg.seed, stream + 2),
-                    )
-                    stream += 3
-                    prof = range_profile(y, c)
-                    peaks.append(prof.peak_bin)
-                    snr_sum += 10.0 ** (prof.snr_rad_db / 10.0)
+            for n0, beta in zip(n0_values, betas):
+                peaks, snr_sum = _heatmap_cell(pset, cfg, n0, beta, trials, stream)
+                stream += 3 * trials
                 if trials == 0:
                     continue
                 counts = np.bincount(peaks)
@@ -220,6 +222,31 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
                 correct = sum(1 for p in peaks if p == n0) / trials
                 snr_db = 10.0 * math.log10(snr_sum / trials)
                 fh.write(f"{row_index},{n0},{modal},{snr_db:.6f},{correct:.6f}\n")
+
+
+def _heatmap_cell(pset, cfg: ScenarioConfig, n0: int, beta: float, trials: int, stream: int):
+    """A heatmap cell's peak bins and summed linear SNR, a chunk of trials at a time.
+
+    Trial t draws from streams s, s + 1 and s + 2 with s = stream + 3t.
+    """
+    peaks = []
+    snr_sum = 0.0
+    for chunk in _trial_chunks(trials):
+        keys = [stream + 3 * t for t in chunk]
+        x = synthesize_tx(pset, [RngStream(cfg.seed, s) for s in keys])
+        c = steered_projection(x, _GEOM, cfg.target_angle_deg)
+        del x  # each stack goes once the next stage has consumed it
+        y = two_stage_capture(
+            c, n0, beta, cfg.noise_power_radar,
+            [RngStream(cfg.seed, s + 1) for s in keys],
+            [RngStream(cfg.seed, s + 2) for s in keys],
+        )
+        prof = range_profile(y, c)
+        del c, y
+        peaks += prof.peak_bin.tolist()
+        for snr_db in prof.snr_rad_db.tolist():
+            snr_sum += 10.0 ** (snr_db / 10.0)
+    return peaks, snr_sum
 
 
 def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -81,8 +81,9 @@ _SCENARIO_DOC = {
 
 
 def _finite(value) -> bool:
+    # NaN, the infinities and integers beyond the float range all fail.
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ consistent with every other.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +43,23 @@ _CLUTTER_STREAM_ID = 0x7FFFFFFF
 _SENSING_SYMBOL_SEED = 0x5EED
 
 
+# Monte Carlo callers stack this many trials per call: enough to amortize
+# numpy's per-call cost, few enough to keep the stacked temporaries small.
+_TRIAL_CHUNK = 8
+
+
+def _trial_chunks(trials: int):
+    """Split range(trials) into consecutive runs of at most _TRIAL_CHUNK trials."""
+    return (range(s, min(s + _TRIAL_CHUNK, trials)) for s in range(0, trials, _TRIAL_CHUNK))
+
+
 @dataclass(frozen=True)
 class RangeProfile:
-    """Matched-filter magnitudes with the derived delay estimate and SNR."""
+    """Per-trial magnitudes (trials, N_c), peak bins and SNRs (trials,)."""
 
     magnitudes: np.ndarray
-    peak_bin: int
-    snr_rad_db: float
+    peak_bin: np.ndarray
+    snr_rad_db: np.ndarray
 
 
 def sensing_symbols(n_subcarriers: int) -> np.ndarray:
@@ -57,32 +68,44 @@ def sensing_symbols(n_subcarriers: int) -> np.ndarray:
     return 2.0 * gen.integers(0, 2, size=n_subcarriers).astype(float) - 1.0
 
 
-def synthesize_tx(pset: PrecoderSet, rng: RngStream) -> np.ndarray:
-    """Draw one OFDM symbol's worth of data and superpose the four streams.
+# The QPSK constellation exp(j(pi/4 + pi/2 q)) for quadrants q = 0..3;
+# indexing it gives the same symbols as evaluating the exponential per draw.
+_QPSK = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * np.arange(4)))
 
-    Returns the transmit grid x, shape (n_subcarriers, n_tx). Data streams
-    carry random QPSK symbols (exactly unit energy). The sensing stream
-    always carries the fixed BPSK pattern from :func:`sensing_symbols`.
-    Streams whose precoders are zero contribute nothing, symbols included.
+
+def synthesize_tx(pset: PrecoderSet, rngs: Sequence[RngStream]) -> np.ndarray:
+    """Draw one OFDM symbol's worth of data per trial and superpose the streams.
+
+    Trial t draws from ``rngs[t]``. Returns the transmit grids x, shape
+    (trials, n_subcarriers, n_tx). Data streams carry random QPSK symbols
+    (exactly unit energy). The sensing stream always carries the fixed
+    BPSK pattern from :func:`sensing_symbols`. Streams whose precoders are
+    zero contribute nothing, symbols included.
     """
     nc = pset.p_c.shape[0]
-    gen = rng.generator()
-    x = np.zeros_like(pset.p_c)
+    gens = [rng.generator() for rng in rngs]
+    x = np.zeros((len(rngs), *pset.p_c.shape), dtype=pset.p_c.dtype)
+    rows = np.empty((len(rngs), nc), dtype=np.intp)
     for p in (pset.p_c, pset.p_1, pset.p_2):
         if np.any(p):
-            quadrant = gen.integers(0, 4, size=nc)
-            x = x + p * np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrant))[:, None]
+            # Row q*N_c + k of the table is p[k]·QPSK[q]: the symbol the
+            # quadrant q drawn for subcarrier k picks, times its precoder.
+            for t, gen in enumerate(gens):
+                rows[t] = gen.integers(0, 4, size=nc)
+            rows *= nc
+            rows += np.arange(nc)
+            x += (p * _QPSK[:, None, None]).reshape(4 * nc, -1).take(rows, axis=0)
     if np.any(pset.p_r):
-        x = x + pset.p_r * sensing_symbols(nc)[:, None]
+        x += pset.p_r * sensing_symbols(nc)[:, None]
     return x
 
 
 def steered_projection(
     x: np.ndarray, geom: ArrayGeometry, angle_deg: float = 0.0
 ) -> np.ndarray:
-    """Per-subcarrier complex amplitude c[k] = a^H x[k]; later stages take c."""
+    """Per-subcarrier complex amplitude c[k] = a^H x[k], leading trial axes kept."""
     a = steering_vector(geom, angle_deg)
-    return np.einsum("t,kt->k", np.conj(a), x)
+    return np.einsum("t,...kt->...k", np.conj(a), x)
 
 
 def expected_steered_power(
@@ -114,33 +137,27 @@ def radar_return(
     n0: int,
     beta: float,
     sigma_r2: float,
-    rng: RngStream,
-    clutter_energy: float | None = None,
+    rngs: Sequence[RngStream],
 ) -> np.ndarray:
-    """Simulate one receive capture y of the steered waveform c echoed at delay n0.
+    """Simulate receive captures y of the steered waveforms c, (trials, N_c), echoed at n0.
 
-    The echo is beta times c with a per-subcarrier phase ramp. Noise is
-    white with total energy ``sigma_r2`` spread across the grid. A
-    ``clutter_energy`` (None means no clutter) adds a static clutter grid
-    of that total energy; the grid depends only on ``rng.seed`` (not the
-    stream id), so captures that share a root seed and energy can subtract
-    each other's clutter exactly.
+    The echo is beta times c with a per-subcarrier phase ramp. Trial t
+    draws white noise of total energy ``sigma_r2`` from ``rngs[t]``.
     """
-    nc = c.shape[0]
+    nc = c.shape[-1]
     if not 0 <= n0 < nc:
         raise ValueError(f"n0 must lie in [0, {nc}), got {n0}")
-    k = np.arange(nc)
-    echo = beta * c * np.exp(2j * np.pi * n0 * k / nc)
-
-    gen = rng.generator()
+    if c.shape != (len(rngs), nc):
+        raise ValueError(f"need one stream key per row of c, got {len(rngs)} for {c.shape}")
+    y = beta * c
+    y *= np.exp(2j * np.pi * n0 * np.arange(nc) / nc)
     scale = math.sqrt(sigma_r2 / (2.0 * nc)) if sigma_r2 > 0 else 0.0
-    noise = gen.normal(scale=scale, size=(nc, 2)) if scale else np.zeros((nc, 2))
-    y = echo + noise[:, 0] + 1j * noise[:, 1]
-
-    if clutter_energy is not None:
-        cgen = np.random.default_rng((rng.seed, _CLUTTER_STREAM_ID))
-        z = cgen.normal(scale=math.sqrt(0.5), size=(nc, 2))
-        y = y + math.sqrt(clutter_energy / nc) * (z[:, 0] + 1j * z[:, 1])
+    noise = np.zeros((len(rngs), nc, 2))
+    if scale:
+        for t, rng in enumerate(rngs):
+            noise[t] = rng.generator().normal(scale=scale, size=(nc, 2))
+    y += noise[..., 0]
+    y += 1j * noise[..., 1]
     return y
 
 
@@ -149,25 +166,34 @@ def two_stage_capture(
     n0: int,
     beta: float,
     sigma_r2: float,
-    rng_with: RngStream,
-    rng_without: RngStream,
+    rngs_with: Sequence[RngStream],
+    rngs_without: Sequence[RngStream],
 ) -> np.ndarray:
-    """Capture the same waveform with and without the target and subtract.
+    """Capture each trial's waveform with and without the target and subtract.
 
-    The two captures must share a root seed (same clutter) but use distinct
-    stream ids (independent noise). Both see clutter of 10x the echo
-    energy; the target-free capture has no echo to scale by, so the energy
-    is fixed here. Clutter cancels exactly; the two noises add, so the
-    difference carries noise of total energy 2·sigma_r2.
+    Trial t captures with ``rngs_with[t]`` and ``rngs_without[t]``. All
+    captures share a root seed and use distinct stream ids (independent
+    noise). Both captures of a trial see clutter of 10x its echo energy
+    on one unit grid, drawn once per call from the root seed alone. Clutter
+    cancels exactly; the difference carries noise of energy 2·sigma_r2.
     """
-    if rng_with.seed != rng_without.seed:
+    keys = [*rngs_with, *rngs_without]
+    if any(rng.seed != keys[0].seed for rng in keys):
         raise ValueError("captures need the same root seed to share clutter")
-    if rng_with.stream_id == rng_without.stream_id:
+    if len({rng.stream_id for rng in keys}) != len(keys):
         raise ValueError("captures need distinct stream ids for independent noise")
-    energy = 10.0 * float(beta**2) * float(np.sum(np.abs(c) ** 2))
-    with_t = radar_return(c, n0, beta, sigma_r2, rng_with, energy)
-    without = radar_return(c, n0, 0.0, sigma_r2, rng_without, energy)
-    return with_t - without
+    nc = c.shape[-1]
+    z = np.random.default_rng((keys[0].seed, _CLUTTER_STREAM_ID)).normal(
+        scale=math.sqrt(0.5), size=(nc, 2)
+    )
+    energy = 10.0 * float(beta**2) * np.sum(np.abs(c) ** 2, axis=-1)
+    clutter = np.sqrt(energy / nc)[:, None] * (z[:, 0] + 1j * z[:, 1])
+    y = radar_return(c, n0, beta, sigma_r2, rngs_with)
+    y += clutter
+    without = radar_return(c, n0, 0.0, sigma_r2, rngs_without)
+    without += clutter
+    y -= without
+    return y
 
 
 def _delay_fisher(weighted: float, nc: int, beta: float, sigma_r2: float) -> float:
@@ -214,22 +240,25 @@ def snr_rad_closed_form(c: np.ndarray, beta: float, sigma_r2: float) -> float:
 
 
 def range_profile(y: np.ndarray, c: np.ndarray) -> RangeProfile:
-    """Correlate the capture y with the steered waveform c and locate the peak.
+    """Correlate each capture y with its steered waveform c, both (trials, N_c).
 
-    The matched filter multiplies y by conj(c) and DFTs across
-    subcarriers; a target at delay n0 lands on bin n0. SNR is the peak
-    power over the average off-peak power. Ties in the peak search resolve
-    to the lowest bin.
+    The matched filter multiplies y by conj(c) and DFTs across subcarriers;
+    a target at delay n0 lands on bin n0. SNR is the peak power over the
+    average off-peak power. Ties in the peak search resolve to the lowest bin.
     """
-    spectrum = np.fft.fft(y * np.conj(c))
-    mags = np.abs(spectrum)
-    if not np.any(mags > 0.0):
+    mags = np.abs(np.fft.fft(y * np.conj(c), axis=-1))
+    if not np.all(np.any(mags > 0.0, axis=-1)):
         raise UndefinedProfileError(
             "matched-filter output is identically zero; no energy toward the target"
         )
-    peak = int(np.argmax(mags))
-    off = np.delete(mags, peak)
-    denom = float(np.mean(off**2))
-    snr = math.inf if denom == 0.0 else float(mags[peak] ** 2) / denom
-    snr_db = 10.0 * math.log10(snr) if math.isfinite(snr) else math.inf
-    return RangeProfile(magnitudes=mags, peak_bin=peak, snr_rad_db=snr_db)
+    peak = np.argmax(mags, axis=-1)
+    trials, nc = mags.shape
+    off_peak = mags[np.arange(nc) != peak[:, None]].reshape(trials, nc - 1)
+    denom = np.mean(off_peak**2, axis=-1)
+    # The SNR stays scalar math per trial: a numpy scalar's ** and math.log10
+    # round differently from their array forms on some inputs.
+    snr_db = []
+    for m, d in zip(mags[np.arange(trials), peak], denom.tolist()):
+        snr = math.inf if d == 0.0 else float(m**2) / d
+        snr_db.append(10.0 * math.log10(snr) if math.isfinite(snr) else math.inf)
+    return RangeProfile(magnitudes=mags, peak_bin=peak, snr_rad_db=np.array(snr_db))

@@ -39,6 +39,7 @@ from .radar import (
     ZeroInformationError,
     _delay_crb,
     _k2_sum,
+    _trial_chunks,
     expected_steered_power,
     radar_return,
     range_profile,
@@ -285,19 +286,24 @@ def _measured_snr_db(
     trials: int,
     stream_base: int,
 ) -> float:
-    """Mean measured matched-filter SNR over seeded end-to-end simulations."""
+    """Mean measured matched-filter SNR over seeded end-to-end simulations.
+
+    Trial t draws its waveform from stream ``stream_base + 2t`` and its
+    noise from the next one; the trials run a chunk at a time.
+    """
     total = 0.0
-    for t in range(trials):
-        x = synthesize_tx(pset, RngStream(cfg.seed, stream_base + 2 * t))
+    for chunk in _trial_chunks(trials):
+        x = synthesize_tx(pset, [RngStream(cfg.seed, stream_base + 2 * t) for t in chunk])
         c = steered_projection(x, geom, cfg.target_angle_deg)
+        del x  # each stack goes once the next stage has consumed it
         y = radar_return(
-            c,
-            cfg.target_delay_bins,
-            cfg.target_attenuation,
-            cfg.noise_power_radar,
-            RngStream(cfg.seed, stream_base + 2 * t + 1),
+            c, cfg.target_delay_bins, cfg.target_attenuation, cfg.noise_power_radar,
+            [RngStream(cfg.seed, stream_base + 2 * t + 1) for t in chunk],
         )
-        total += 10.0 ** (range_profile(y, c).snr_rad_db / 10.0)
+        snrs = range_profile(y, c).snr_rad_db.tolist()
+        del c, y
+        for snr_db in snrs:
+            total += 10.0 ** (snr_db / 10.0)
     return 10.0 * math.log10(total / trials)
 
 

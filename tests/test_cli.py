@@ -237,6 +237,13 @@ def test_missing_scenario_file(tmp_path):
         [*_HEATMAP_ON_PARAMS, "--beta-decay", "nan"],
         [*_HEATMAP_ON_PARAMS, "--beta-decay=-inf"],
         [*_HEATMAP_ON_PARAMS, "--trials", "-3"],
+        # finite betas whose clutter energy 10*beta**2*sum|c|**2 can overflow,
+        # at any n0 step; more transmit power lowers the betas that overflow
+        [*_HEATMAP_ON_PARAMS, "--beta", "3e154"],
+        [*_HEATMAP_ON_PARAMS, "--beta", "1e154"],
+        [*_HEATMAP_ON_PARAMS, "--beta", "4e153"],
+        [*_HEATMAP_ON_PARAMS, "--beta", "1e105", "--set", "total_power=1e100"],
+        [*_HEATMAP_ON_PARAMS, "--beta", "1", "--beta-decay", "1e200", "--n0", "1,2,3"],
         # a truncated row of the params file is an error, not a skipped row
         ["radar-heatmap", "--params", "{truncated}", "--set", "n_subcarriers=16"],
         # the Monte Carlo trial count is an integer under either metric
@@ -366,6 +373,19 @@ def test_reproduce_rejects_negative_heatmap_trials(heatmap_flow, tmp_path):
     out = tmp_path / "redo"
     assert main(["reproduce", "--run", str(run), "--out", str(out)]) == 2
     assert not (out / "heatmap.csv").exists()
+
+
+def test_reproduce_rejects_overflowing_heatmap_beta(heatmap_flow, tmp_path):
+    _, hm = heatmap_flow
+    manifest = json.loads((hm / "run.json").read_text())
+    # an integer beyond the float range is as unusable as an overflowing float
+    for i, (beta0, decay) in enumerate(((3e154, 0.5), (4e153, 1.0), (1.0, 1e200), (10**400, 0.5))):
+        manifest["heatmap"].update(beta0=beta0, beta_decay=decay)
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps(manifest))
+        out = tmp_path / f"redo{i}"
+        assert main(["reproduce", "--run", str(run), "--out", str(out)]) == 2
+        assert not (out / "heatmap.csv").exists()
 
 
 def test_reproduce_rejects_empty_or_repeated_heatmap_n0(heatmap_flow, tmp_path):

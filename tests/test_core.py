@@ -120,7 +120,8 @@ def test_scenario_validation_errors(make_cfg, overrides):
         make_cfg(**overrides)
 
 
-_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# integers beyond the float range are no finite float either
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)])
 _FLOAT_FIELDS = ("total_power", "noise_power_comms", "noise_power_radar",
                  "target_angle_deg", "target_attenuation", "csit_error_var",
                  "shannon_gap_db")

@@ -1,10 +1,15 @@
-"""OFDM radar chain: waveform synthesis, echo model, matched filter, CRB."""
+"""OFDM radar chain: waveform synthesis, echo model, matched filter, CRB.
+
+The chain's stages take a leading trial axis; most tests run one trial,
+a stack of shape (1, N_c).
+"""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rsma_isac import (
     ArrayGeometry,
@@ -15,8 +20,12 @@ from rsma_isac import (
     scenario_preset,
     synthesize_tx,
 )
-from rsma_isac.precoders import PrecoderSet
+from rsma_isac.cli import _heatmap_cell
+from rsma_isac.core import steering_vector
+from rsma_isac.precoders import DegenerateDirectionError, PrecoderSet, RankDeficientChannelError
 from rsma_isac.radar import (
+    _CLUTTER_STREAM_ID,
+    _TRIAL_CHUNK,
     UndefinedProfileError,
     ZeroInformationError,
     _delay_crb,
@@ -30,6 +39,7 @@ from rsma_isac.radar import (
     steered_projection,
     two_stage_capture,
 )
+from rsma_isac.region import _measured_snr_db
 
 _GEOM = ArrayGeometry(2, 0.5)
 
@@ -41,8 +51,8 @@ def _sensing_only(make_channels, nc=64):
 
 
 def _steered(pset, rng):
-    """The broadside steered waveform c of one synthesized symbol."""
-    return steered_projection(synthesize_tx(pset, rng), _GEOM)
+    """The broadside steered waveform c of one synthesized symbol, shape (1, N_c)."""
+    return steered_projection(synthesize_tx(pset, [rng]), _GEOM)
 
 
 def _gain(c):
@@ -51,8 +61,8 @@ def _gain(c):
 
 
 def _k2(c):
-    """The delay-weighted energy sum_k k^2 |c_k|^2 the Fisher formula takes."""
-    return _k2_sum(np.abs(c) ** 2)
+    """The delay-weighted energy sum_k k^2 |c_k|^2 of one trial's waveform."""
+    return _k2_sum(np.abs(c[0]) ** 2)
 
 
 def test_sensing_symbols_fixed_bpsk():
@@ -65,9 +75,9 @@ def test_sensing_symbols_fixed_bpsk():
 
 def test_synthesize_sensing_only_is_deterministic(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=8)
-    x = synthesize_tx(pset, RngStream(cfg.seed, 50))
+    x = synthesize_tx(pset, [RngStream(cfg.seed, 50)])
     expect = pset.p_r * sensing_symbols(8)[:, None]
-    assert np.array_equal(x, expect)
+    assert np.array_equal(x, expect[None])
     # every subcarrier radiates total_power*n_tx/nc toward broadside
     per_k = np.abs(steered_projection(x, _GEOM)) ** 2
     assert np.allclose(per_k, cfg.total_power * 2 / 8, rtol=1e-12)
@@ -75,23 +85,23 @@ def test_synthesize_sensing_only_is_deterministic(make_channels):
 
 def test_synthesize_zero_precoders_zero_signal():
     z = np.zeros((8, 2), dtype=complex)
-    x = synthesize_tx(PrecoderSet(z, z, z, z), RngStream(0, 0))
+    x = synthesize_tx(PrecoderSet(z, z, z, z), [RngStream(0, 0)])
     assert not np.any(x)
-    assert x.shape == (8, 2)
+    assert x.shape == (1, 8, 2)
 
 
 def test_symbol_statistics():
     col = np.ones((10000, 1), dtype=complex)
     zeros = np.zeros_like(col)
     pset = PrecoderSet(col, zeros, zeros, zeros)
-    qpsk = synthesize_tx(pset, RngStream(11, 0))[:, 0]
+    qpsk = synthesize_tx(pset, [RngStream(11, 0)])[0, :, 0]
     assert np.max(np.abs(np.abs(qpsk) - 1.0)) < 1e-12
 
 
 def test_broadside_gain_matches_loop(make_channels):
     cfg, channels = make_channels(n_subcarriers=8)
     pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6), channels, cfg)
-    x = synthesize_tx(pset, RngStream(1, 1))
+    x = synthesize_tx(pset, [RngStream(1, 1)])[0]
     a = np.ones(2, dtype=complex)  # broadside steering for a 2-element ULA
     total = sum(abs(np.vdot(a, x[k])) ** 2 for k in range(8))
     assert _gain(steered_projection(x, _GEOM)) == pytest.approx(total, rel=1e-12)
@@ -145,14 +155,14 @@ def test_expected_equals_realized_for_sensing_only(make_channels):
 def test_radar_return_noiseless_zero_delay(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=8)
     c = _steered(pset, RngStream(0, 0))
-    y = radar_return(c, 0, 1.0, 0.0, RngStream(0, 1))
+    y = radar_return(c, 0, 1.0, 0.0, [RngStream(0, 1)])
     assert np.array_equal(y, c)
 
 
 def test_radar_return_phase_ramp(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=8)
     c = _steered(pset, RngStream(0, 0))
-    y = radar_return(c, 2, 0.5, 0.0, RngStream(0, 1))
+    y = radar_return(c, 2, 0.5, 0.0, [RngStream(0, 1)])
     k = np.arange(8)
     assert np.allclose(y, 0.5 * c * np.exp(2j * np.pi * 2 * k / 8), atol=1e-15)
 
@@ -162,39 +172,76 @@ def test_radar_return_rejects_bad_delay(make_channels):
     c = _steered(pset, RngStream(0, 0))
     for bad in (-1, 8, 100):
         with pytest.raises(ValueError, match="n0"):
-            radar_return(c, bad, 0.5, 0.1, RngStream(0, 1))
+            radar_return(c, bad, 0.5, 0.1, [RngStream(0, 1)])
 
 
-def test_clutter_depends_only_on_root_seed(make_channels):
-    # with no echo and no noise a capture is exactly its clutter grid
+def _record_clutter_draws(monkeypatch):
+    """Collect the keys of every clutter-grid generator built from now on."""
+    keys = []
+    real = np.random.default_rng
+
+    def spy(seed=None):
+        if isinstance(seed, tuple) and seed[1] == _CLUTTER_STREAM_ID:
+            keys.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    return keys
+
+
+def test_clutter_depends_only_on_root_seed(make_channels, monkeypatch):
+    # the clutter generator is keyed by the root seed alone, so captures
+    # with other stream ids see the same grid and another seed a new one
     cfg, pset = _sensing_only(make_channels, nc=16)
     c = _steered(pset, RngStream(0, 0))
-    a = radar_return(c, 3, 0.0, 0.0, RngStream(9, 1), clutter_energy=2.0)
-    b = radar_return(c, 3, 0.0, 0.0, RngStream(9, 2), clutter_energy=2.0)
-    assert np.array_equal(a, b)
-    other = radar_return(c, 3, 0.0, 0.0, RngStream(10, 1), clutter_energy=2.0)
-    assert not np.array_equal(a, other)
+    keys = _record_clutter_draws(monkeypatch)
+    two_stage_capture(c, 3, 0.2, 0.0, [RngStream(9, 1)], [RngStream(9, 2)])
+    two_stage_capture(c, 3, 0.2, 0.0, [RngStream(9, 5)], [RngStream(9, 6)])
+    two_stage_capture(c, 3, 0.2, 0.0, [RngStream(10, 1)], [RngStream(10, 2)])
+    assert keys == [(9, _CLUTTER_STREAM_ID), (9, _CLUTTER_STREAM_ID), (10, _CLUTTER_STREAM_ID)]
+
+
+def test_clutter_drawn_once_per_capture_call(make_channels, monkeypatch):
+    # a heatmap cell of T trials makes one capture call, hence one clutter
+    # draw, per chunk of trials (it drew twice per trial before the stacking)
+    cfg, pset = _sensing_only(make_channels, nc=16)
+    c = np.repeat(_steered(pset, RngStream(0, 0)), 3, axis=0)
+    keys = _record_clutter_draws(monkeypatch)
+    two_stage_capture(
+        c, 3, 0.2, 0.01, [RngStream(4, t) for t in range(3)], [RngStream(4, 9 + t) for t in range(3)]
+    )
+    assert keys == [(4, _CLUTTER_STREAM_ID)]
+    for trials in (1, _TRIAL_CHUNK, 2 * _TRIAL_CHUNK + 1):
+        keys.clear()
+        peaks, _ = _heatmap_cell(pset, cfg, 3, 0.2, trials, 1)
+        assert len(peaks) == trials
+        assert keys == [(cfg.seed, _CLUTTER_STREAM_ID)] * math.ceil(trials / _TRIAL_CHUNK)
 
 
 def test_background_subtract_noiseless_recovers_echo(make_channels):
-    cfg, pset = _sensing_only(make_channels, nc=16)
-    c = _steered(pset, RngStream(0, 0))
+    # every trial of a stack carries its own clutter energy (10x its echo),
+    # and each one cancels exactly between the two captures
+    cfg, channels = make_channels(n_subcarriers=16)
+    pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6), channels, cfg)
+    c = steered_projection(synthesize_tx(pset, [RngStream(0, t) for t in range(3)]), _GEOM)
     beta = 0.3
-    with_t = radar_return(c, 4, beta, 0.0, RngStream(9, 1), clutter_energy=5.0)
-    without = radar_return(c, 4, 0.0, 0.0, RngStream(9, 2), clutter_energy=5.0)
+    y = two_stage_capture(c, 4, beta, 0.0, [RngStream(9, 1), RngStream(9, 3), RngStream(9, 5)],
+                          [RngStream(9, 2), RngStream(9, 4), RngStream(9, 6)])
     k = np.arange(16)
     echo = beta * c * np.exp(2j * np.pi * 4 * k / 16)
-    err = float(np.sum(np.abs(with_t - without - echo) ** 2))
-    assert err <= 1e-12 * _gain(without)  # the target-free capture is the clutter
+    for row in range(3):
+        err = float(np.sum(np.abs(y[row] - echo[row]) ** 2))
+        assert err <= 1e-12 * 10.0 * beta**2 * _gain(c[row])
 
 
 def test_two_stage_noise_variance_doubles():
-    c = np.ones(512, dtype=complex)
+    c = np.ones((40, 512), dtype=complex)
     sigma = 0.04
-    energies = []
-    for t in range(40):
-        y = two_stage_capture(c, 3, 0.0, sigma, RngStream(5, 2 * t), RngStream(5, 2 * t + 1))
-        energies.append(_gain(y))
+    y = two_stage_capture(
+        c, 3, 0.0, sigma,
+        [RngStream(5, 2 * t) for t in range(40)], [RngStream(5, 2 * t + 1) for t in range(40)],
+    )
+    energies = np.sum(np.abs(y) ** 2, axis=-1)
     ratio = float(np.mean(energies)) / (2.0 * sigma)
     assert abs(ratio - 1.0) < 0.05
 
@@ -203,15 +250,31 @@ def test_two_stage_seed_discipline(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=8)
     c = _steered(pset, RngStream(0, 0))
     with pytest.raises(ValueError, match="root seed"):
-        two_stage_capture(c, 1, 0.1, 0.01, RngStream(1, 0), RngStream(2, 1))
+        two_stage_capture(c, 1, 0.1, 0.01, [RngStream(1, 0)], [RngStream(2, 1)])
     with pytest.raises(ValueError, match="stream ids"):
-        two_stage_capture(c, 1, 0.1, 0.01, RngStream(1, 3), RngStream(1, 3))
+        two_stage_capture(c, 1, 0.1, 0.01, [RngStream(1, 3)], [RngStream(1, 3)])
+
+
+def test_two_stage_checks_every_pair_of_a_stack():
+    # one bad pair among good ones is enough to stop the capture
+    c = np.ones((3, 8), dtype=complex)
+    with_t = [RngStream(1, 2 * t) for t in range(3)]
+    without = [RngStream(1, 2 * t + 1) for t in range(3)]
+    two_stage_capture(c, 1, 0.1, 0.01, with_t, without)
+    with pytest.raises(ValueError, match="root seed"):
+        two_stage_capture(c, 1, 0.1, 0.01, with_t, [*without[:2], RngStream(2, 5)])
+    with pytest.raises(ValueError, match="stream ids"):
+        two_stage_capture(c, 1, 0.1, 0.01, with_t, [without[0], RngStream(1, 2), without[2]])
+    with pytest.raises(ValueError, match="n0"):
+        two_stage_capture(c, 8, 0.1, 0.01, with_t, without)
+    with pytest.raises(ValueError, match="one stream key per row"):
+        radar_return(c, 1, 0.1, 0.01, with_t[:2])
 
 
 def test_two_stage_noiseless_exact(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=16)
     c = _steered(pset, RngStream(0, 0))
-    y = two_stage_capture(c, 5, 0.4, 0.0, RngStream(8, 0), RngStream(8, 1))
+    y = two_stage_capture(c, 5, 0.4, 0.0, [RngStream(8, 0)], [RngStream(8, 1)])
     k = np.arange(16)
     echo = 0.4 * c * np.exp(2j * np.pi * 5 * k / 16)
     clutter_power = 10.0 * 0.4**2 * _gain(c)
@@ -221,53 +284,78 @@ def test_two_stage_noiseless_exact(make_channels):
 def test_range_profile_flat_waveform_orthogonality(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=8)
     c = _steered(pset, RngStream(0, 0))
-    y = radar_return(c, 5, 1.0, 0.0, RngStream(0, 1))
+    y = radar_return(c, 5, 1.0, 0.0, [RngStream(0, 1)])
     prof = range_profile(y, c)
-    assert prof.peak_bin == 5
+    assert prof.peak_bin.tolist() == [5]
+    mags = prof.magnitudes[0]
     # peak picks up the full steered energy, Sigma |c_k|^2 = P*n_tx
-    assert prof.magnitudes[5] == pytest.approx(2.0, rel=1e-9)
-    off = np.delete(prof.magnitudes, 5)
-    assert np.max(off) < 1e-9 * prof.magnitudes[5]
-    assert prof.snr_rad_db == math.inf or prof.snr_rad_db > 150.0
+    assert mags[5] == pytest.approx(2.0, rel=1e-9)
+    off = np.delete(mags, 5)
+    assert np.max(off) < 1e-9 * mags[5]
+    assert prof.snr_rad_db[0] == math.inf or prof.snr_rad_db[0] > 150.0
 
 
 def test_range_profile_matches_direct_dft():
     nc = 16
     k = np.arange(nc)
-    cvals = (1.0 + 0.3 * np.sin(2 * np.pi * k / nc)).astype(complex)
-    y = radar_return(cvals, 3, 1.0, 0.0, RngStream(0, 1))
+    cvals = (1.0 + 0.3 * np.sin(2 * np.pi * k / nc)).astype(complex)[None]
+    y = radar_return(cvals, 3, 1.0, 0.0, [RngStream(0, 1)])
     prof = range_profile(y, cvals)
-    z = y * np.conj(cvals)
+    z = (y * np.conj(cvals))[0]
     manual = np.array(
         [abs(np.sum(z * np.exp(-2j * np.pi * k * n / nc))) for n in range(nc)]
     )
-    assert np.allclose(prof.magnitudes, manual, atol=1e-9)
-    assert prof.peak_bin == 3
+    assert np.allclose(prof.magnitudes[0], manual, atol=1e-9)
+    assert prof.peak_bin.tolist() == [3]
+    # a real waveform is a waveform too; it gives the same profile
+    real = range_profile(y, cvals.real)
+    assert np.array_equal(real.magnitudes, prof.magnitudes)
+    assert real.peak_bin.tolist() == [3]
 
 
 def test_range_profile_tie_resolves_to_lowest_bin():
     nc = 8
-    y = np.zeros(nc, dtype=complex)
-    y[0] = 1.0
-    prof = range_profile(y, np.ones(nc, dtype=complex))
+    y = np.zeros((1, nc), dtype=complex)
+    y[0, 0] = 1.0
+    prof = range_profile(y, np.ones((1, nc), dtype=complex))
     assert np.allclose(prof.magnitudes, 1.0, atol=1e-12)
-    assert prof.peak_bin == 0
+    assert prof.peak_bin.tolist() == [0]
+
+
+def test_range_profile_ties_resolve_per_row():
+    # exact ties on every row: flat (all bins), odd bins, and bins 2 and 6
+    y = np.array(
+        [[1, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, -1, 0, 0, 0], [1, 0, -1, 0, 1, 0, -1, 0]],
+        dtype=complex,
+    )
+    prof = range_profile(y, np.ones_like(y))
+    mags = prof.magnitudes
+    assert np.all(mags[0] == mags[0, 0])
+    assert mags[1, 1] == mags[1, 3] == mags[1, 5] == mags[1, 7]
+    assert mags[2, 2] == mags[2, 6]
+    assert prof.peak_bin.tolist() == [0, 1, 2]
 
 
 def test_range_profile_zero_output_raises():
     nc = 8
     with pytest.raises(UndefinedProfileError):
-        range_profile(np.zeros(nc, dtype=complex), np.ones(nc, dtype=complex))
+        range_profile(np.zeros((1, nc), dtype=complex), np.ones((1, nc), dtype=complex))
+    # one all-zero row is enough, wherever it sits in the stack
+    for row in range(3):
+        y = np.ones((3, nc), dtype=complex)
+        y[row] = 0.0
+        with pytest.raises(UndefinedProfileError):
+            range_profile(y, np.ones((3, nc), dtype=complex))
 
 
 def test_noise_only_peak_stays_small(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=64)
-    c = _steered(pset, RngStream(cfg.seed, 50))
+    c = np.repeat(_steered(pset, RngStream(cfg.seed, 50)), 100, axis=0)
+    prof = range_profile(radar_return(c, 0, 0.0, 0.05, [RngStream(3, t) for t in range(100)]), c)
     ratios = []
-    for t in range(100):
-        prof = range_profile(radar_return(c, 0, 0.0, 0.05, RngStream(3, t)), c)
-        off = np.delete(prof.magnitudes, prof.peak_bin)
-        ratios.append(float(prof.magnitudes[prof.peak_bin] / np.mean(off)))
+    for mags, peak in zip(prof.magnitudes, prof.peak_bin):
+        off = np.delete(mags, peak)
+        ratios.append(float(mags[peak] / np.mean(off)))
     med = float(np.median(ratios))
     assert med == pytest.approx(2.4414815846520805, rel=1e-9)
     assert med < 3.0
@@ -275,7 +363,7 @@ def test_noise_only_peak_stays_small(make_channels):
 
 def test_closed_form_snr_values(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=64)
-    c = _steered(pset, RngStream(0, 0))
+    c = _steered(pset, RngStream(0, 0))[0]
     sigma = 0.5
     expect = 0.1**2 * 63 * (cfg.total_power * 2) / sigma
     assert snr_rad_closed_form(c, 0.1, sigma) == pytest.approx(expect, rel=1e-9)
@@ -298,11 +386,10 @@ def test_measured_snr_tracks_closed_form():
         pset = build_precoders(pp, channels, cfg)
         c = _steered(pset, RngStream(cfg.seed, 600 + i))
         sigma = beta**2 * (1024 - 1) * _gain(c) / 10**1.5  # closed form = 15 dB
-        cf_db = 10 * math.log10(snr_rad_closed_form(c, beta, sigma))
-        meas = []
-        for t in range(20):
-            y = radar_return(c, 3, beta, sigma, RngStream(7, 100 * i + t))
-            meas.append(range_profile(y, c).snr_rad_db)
+        cf_db = 10 * math.log10(snr_rad_closed_form(c[0], beta, sigma))
+        stack = np.repeat(c, 20, axis=0)
+        y = radar_return(stack, 3, beta, sigma, [RngStream(7, 100 * i + t) for t in range(20)])
+        meas = range_profile(y, stack).snr_rad_db
         worst = max(worst, abs(float(np.mean(meas)) - cf_db))
     assert worst <= 1.0
 
@@ -357,9 +444,134 @@ def test_crb_degenerate_inputs(make_channels):
 
 
 def test_dc_only_waveform_has_no_delay_information():
-    c = np.zeros(8, dtype=complex)
-    c[0] = 1.0
+    c = np.zeros((1, 8), dtype=complex)
+    c[0, 0] = 1.0
     with pytest.raises(ZeroInformationError):
         _delay_fisher(_k2(c), 8, 0.5, 0.1)
     with pytest.raises(ZeroInformationError):
         _delay_crb(_k2(c), 8, 0.5, 0.1)
+
+
+# The per-trial radar chain the stacked stages replaced, kept here as the
+# reference the stacks must reproduce bit for bit.
+
+
+def _reference_tx(pset, rng):
+    nc = pset.p_c.shape[0]
+    gen = rng.generator()
+    x = np.zeros_like(pset.p_c)
+    for p in (pset.p_c, pset.p_1, pset.p_2):
+        if np.any(p):
+            quadrant = gen.integers(0, 4, size=nc)
+            x = x + p * np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quadrant))[:, None]
+    if np.any(pset.p_r):
+        x = x + pset.p_r * sensing_symbols(nc)[:, None]
+    return x
+
+
+def _reference_return(c, n0, beta, sigma_r2, rng, clutter_energy=None):
+    nc = c.shape[0]
+    k = np.arange(nc)
+    echo = beta * c * np.exp(2j * np.pi * n0 * k / nc)
+    gen = rng.generator()
+    scale = math.sqrt(sigma_r2 / (2.0 * nc)) if sigma_r2 > 0 else 0.0
+    noise = gen.normal(scale=scale, size=(nc, 2)) if scale else np.zeros((nc, 2))
+    y = echo + noise[:, 0] + 1j * noise[:, 1]
+    if clutter_energy is not None:
+        cgen = np.random.default_rng((rng.seed, _CLUTTER_STREAM_ID))
+        z = cgen.normal(scale=math.sqrt(0.5), size=(nc, 2))
+        y = y + math.sqrt(clutter_energy / nc) * (z[:, 0] + 1j * z[:, 1])
+    return y
+
+
+def _reference_profile(y, c):
+    """(peak bin, SNR dB) of one capture, or None when the output is all zero."""
+    mags = np.abs(np.fft.fft(y * np.conj(c)))
+    if not np.any(mags > 0.0):
+        return None
+    peak = int(np.argmax(mags))
+    denom = float(np.mean(np.delete(mags, peak) ** 2))
+    snr = math.inf if denom == 0.0 else float(mags[peak] ** 2) / denom
+    return peak, 10.0 * math.log10(snr) if math.isfinite(snr) else math.inf
+
+
+def _reference_trial(pset, cfg, stream, two_stage):
+    seed, n0, beta = cfg.seed, cfg.target_delay_bins, cfg.target_attenuation
+    sigma = cfg.noise_power_radar
+    x = _reference_tx(pset, RngStream(seed, stream))
+    c = np.einsum("t,kt->k", np.conj(steering_vector(_GEOM, cfg.target_angle_deg)), x)
+    if not two_stage:
+        return _reference_profile(_reference_return(c, n0, beta, sigma, RngStream(seed, stream + 1)), c)
+    energy = 10.0 * float(beta**2) * float(np.sum(np.abs(c) ** 2))
+    y = _reference_return(c, n0, beta, sigma, RngStream(seed, stream + 1), energy)
+    y = y - _reference_return(c, n0, 0.0, sigma, RngStream(seed, stream + 2), energy)
+    return _reference_profile(y, c)
+
+
+def _linear_mean_sum(profiles):
+    total = 0.0
+    for _, snr_db in profiles:
+        total += 10.0 ** (snr_db / 10.0)
+    return total
+
+
+_REFERENCE_POINTS = [
+    ParameterPoint(0.7, 0.5, 0.4, 0.6),
+    ParameterPoint(0.0, 1.0, 1.0, 1.0),
+    ParameterPoint(1.0, 0.0, 0.3, 1.0),
+    ParameterPoint(0.5, 0.8, 1.0, 0.2, "ZF"),
+    ParameterPoint(0.9, 0.3, 0.6, 0.5, "ZF"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    trials=st.integers(1, 2 * _TRIAL_CHUNK + 1),
+    nc=st.sampled_from([8, 16, 64]),
+    n0_frac=st.floats(0.0, 1.0, exclude_max=True),
+    beta=st.just(0.0) | st.floats(1e-3, 2.0),
+    sigma_r2=st.just(0.0) | st.floats(1e-4, 1.0),
+    angle=st.floats(1.0, 60.0) | st.floats(-60.0, -1.0),
+    seed=st.integers(0, 2**16),
+    point=st.sampled_from(_REFERENCE_POINTS),
+)
+def test_stacked_chain_equals_per_trial_reference(
+    trials, nc, n0_frac, beta, sigma_r2, angle, seed, point
+):
+    # Any trial count, chunk boundaries included, gives every row's peak and
+    # SNR and each Monte Carlo mean exactly as the per-trial chain did.
+    cfg = dataclasses.replace(
+        scenario_preset("S1"), n_subcarriers=nc, target_delay_bins=int(n0_frac * nc),
+        target_attenuation=beta, noise_power_radar=sigma_r2, target_angle_deg=angle, seed=seed,
+    )
+    channels = generate_channels(cfg, _GEOM, RngStream(seed, 0))
+    try:
+        pset = build_precoders(point, channels, cfg)
+    except (DegenerateDirectionError, RankDeficientChannelError):
+        assume(False)
+    n0 = cfg.target_delay_bins
+
+    # the SNR-sweep chain: one radar_return per trial, streams 2t and 2t + 1
+    want = [_reference_trial(pset, cfg, 2 * t, two_stage=False) for t in range(trials)]
+    if None in want:
+        with pytest.raises(UndefinedProfileError):
+            _measured_snr_db(pset, cfg, _GEOM, trials, 0)
+    else:
+        x = synthesize_tx(pset, [RngStream(seed, 2 * t) for t in range(trials)])
+        c = steered_projection(x, _GEOM, angle)
+        y = radar_return(c, n0, beta, sigma_r2, [RngStream(seed, 2 * t + 1) for t in range(trials)])
+        prof = range_profile(y, c)
+        assert prof.peak_bin.tolist() == [p for p, _ in want]
+        assert prof.snr_rad_db.tolist() == [s for _, s in want]
+        expect = 10.0 * math.log10(_linear_mean_sum(want) / trials)
+        assert _measured_snr_db(pset, cfg, _GEOM, trials, 0) == expect
+
+    # the heatmap chain: two-stage captures, streams 1 + 3t, +1 and +2
+    want = [_reference_trial(pset, cfg, 1 + 3 * t, two_stage=True) for t in range(trials)]
+    if None in want:
+        with pytest.raises(UndefinedProfileError):
+            _heatmap_cell(pset, cfg, n0, beta, trials, 1)
+    else:
+        peaks, snr_sum = _heatmap_cell(pset, cfg, n0, beta, trials, 1)
+        assert peaks == [p for p, _ in want]
+        assert snr_sum == _linear_mean_sum(want)
