@@ -41,7 +41,6 @@ from .precoders import (
 from .radar import (
     RangeProfile,
     UndefinedProfileError,
-    ZeroInformationError,
     expected_steered_power,
     radar_return,
     range_profile,

@@ -45,7 +45,6 @@ from .precoders import (
 )
 from .radar import (
     UndefinedProfileError,
-    ZeroInformationError,
     expected_steered_power,
     range_profile,
     steered_projection,
@@ -76,7 +75,6 @@ _NUMERIC_ERRORS = (
     DegenerateDirectionError,
     RankDeficientChannelError,
     UndefinedProfileError,
-    ZeroInformationError,
     FloatingPointError,
     ReproduceMismatchError,
 )
@@ -191,18 +189,23 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
             raise ConfigError(f"n0 values must be integer delay bins, got {n0!r}")
         if not 0 <= n0 < cfg.n_subcarriers:
             raise ConfigError(f"n0 value {n0} outside [0, {cfg.n_subcarriers})")
-    # Captures add clutter of energy 10·β²·Σ|c|², which must stay finite. Four
-    # unit-modulus streams share total_power, so Σ|c|² ≤ 4·n_tx·total_power.
+    # Captures add clutter of energy 10·β²·G and the matched filter peaks at
+    # a power up to (β·G)², G = Σ|c|²; both must stay finite. Four
+    # unit-modulus streams share total_power, so G ≤ 4·n_tx·total_power.
     gain_bound = 4.0 * _GEOM.n_tx * cfg.total_power
     try:
         betas = [beta0 * beta_decay**j for j in range(len(n0_values))]
-        finite = all(math.isfinite(10.0 * b**2 * gain_bound) for b in betas)
+        finite = all(
+            math.isfinite(10.0 * b**2 * gain_bound) and math.isfinite((b * gain_bound) ** 2)
+            for b in betas
+        )
     except OverflowError:
         finite = False
     if not finite:
         raise ConfigError(
             f"beta {beta0!r} decaying by {beta_decay!r} over {len(n0_values)} n0 values "
-            f"can reach a clutter energy 10*beta**2*{gain_bound:g} that is not finite"
+            f"can reach a clutter energy 10*beta**2*G or a peak power (beta*G)**2, "
+            f"G = {gain_bound:g}, that is not finite"
         )
     rows = [(i, ParameterPoint(*key)) for i, key in section["params_rows"]]
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
@@ -256,12 +259,9 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
     report = throughput(channels, pset, cfg)
     power = expected_steered_power(pset, _GEOM, cfg.target_angle_deg)
     g0 = round_sig(float(np.sum(power)))
-    try:
-        bound = _delay_crb(
-            _k2_sum(power), power.shape[0], cfg.target_attenuation, cfg.noise_power_radar
-        )
-    except ZeroInformationError:
-        bound = math.inf
+    bound = float(
+        _delay_crb(_k2_sum(power), power.shape[0], cfg.target_attenuation, cfg.noise_power_radar)
+    )
 
     def mean_db(values: np.ndarray) -> float | str:
         mean = float(np.mean(values))
@@ -276,14 +276,11 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
         },
         "case": classify_special_case(pp),
         "stream_powers": pset.stream_powers(),
-        "t_common_bps": report.t_common,
-        "t_private_bps": list(report.t_private),
-        "t_sum_bps": report.t_sum,
-        "collapsed": report.collapsed,
-        "mcs_indices": [
-            level.index if level is not None else None
-            for level in report.mcs_chosen
-        ],
+        "t_common_bps": report.t_common.tolist(),
+        "t_private_bps": [rate.tolist() for rate in report.t_private],
+        "t_sum_bps": report.t_sum.tolist(),
+        "collapsed": bool(report.collapsed),
+        "mcs_indices": [int(m) if m >= 0 else None for m in report.mcs_chosen],
         "sinr_common_mean_db": [mean_db(sinr) for sinr in common],
         "sinr_private_mean_db": [
             mean_db(sinr_private(channels, pset, ue, sigma2)) for ue in (1, 2)

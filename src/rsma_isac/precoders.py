@@ -88,9 +88,6 @@ class PrecoderSet:
             "sensing": float(np.sum(np.abs(self.p_r) ** 2)),
         }
 
-    def total_power(self) -> float:
-        return float(sum(self.stream_powers().values()))
-
 
 def common_direction(channels: ChannelSet) -> np.ndarray:
     """Equal-weight blend of the two users' unit channel estimates.

@@ -30,10 +30,6 @@ class UndefinedProfileError(ValueError):
     """The matched-filter output is identically zero, so no peak exists."""
 
 
-class ZeroInformationError(ValueError):
-    """The waveform carries no delay information (no k-weighted energy)."""
-
-
 # Stream id reserved for the clutter grid so captures that share a root seed
 # see the same clutter no matter which noise streams they use.
 _CLUTTER_STREAM_ID = 0x7FFFFFFF
@@ -196,31 +192,30 @@ def two_stage_capture(
     return y
 
 
-def _delay_fisher(weighted: float, nc: int, beta: float, sigma_r2: float) -> float:
+def _delay_fisher(weighted, nc: int, beta: float, sigma_r2: float) -> np.ndarray:
     """Fisher information for the delay in bins, from sum_k k^2 |c_k|^2.
 
     Per-subcarrier noise variance is sigma_r2/N_c, so the information is
-    8 pi^2 beta^2 sum_k k^2 |c_k|^2 / (sigma_r2 N_c).
+    8 pi^2 beta^2 sum_k k^2 |c_k|^2 / (sigma_r2 N_c). ``weighted`` may be
+    an array; an entry with no energy on k > 0 (weighted <= 0) carries
+    no delay information, 0.
     """
-    if weighted <= 0.0:
-        raise ZeroInformationError(
-            "waveform has no energy on k > 0 subcarriers; delay is unidentifiable"
-        )
+    weighted = np.asarray(weighted, dtype=float)
     if beta == 0.0:
-        return 0.0
-    if sigma_r2 == 0.0:
-        return math.inf
-    return 8.0 * math.pi**2 * beta**2 * weighted / (sigma_r2 * nc)
+        info = np.zeros_like(weighted)
+    elif sigma_r2 == 0.0:
+        info = np.full_like(weighted, math.inf)
+    else:
+        # Information past the float range is infinite, a CRB of 0.
+        with np.errstate(over="ignore"):
+            info = 8.0 * math.pi**2 * beta**2 * weighted / (sigma_r2 * nc)
+    return np.where(weighted <= 0.0, 0.0, info)
 
 
-def _delay_crb(weighted: float, nc: int, beta: float, sigma_r2: float) -> float:
+def _delay_crb(weighted, nc: int, beta: float, sigma_r2: float) -> np.ndarray:
     """The inverse of :func:`_delay_fisher`: no information gives inf, infinite gives 0."""
-    info = _delay_fisher(weighted, nc, beta, sigma_r2)
-    if info == 0.0:
-        return math.inf
-    if math.isinf(info):
-        return 0.0
-    return 1.0 / info
+    with np.errstate(divide="ignore"):
+        return 1.0 / _delay_fisher(weighted, nc, beta, sigma_r2)
 
 
 def _k2_sum(power_per_k: np.ndarray) -> np.ndarray:
@@ -239,6 +234,8 @@ def snr_rad_closed_form(c: np.ndarray, beta: float, sigma_r2: float) -> float:
     return beta**2 * (c.shape[0] - 1) * gain / sigma_r2
 
 
+# Powers past the float range would read as an infinite SNR; fail instead.
+@np.errstate(over="raise")
 def range_profile(y: np.ndarray, c: np.ndarray) -> RangeProfile:
     """Correlate each capture y with its steered waveform c, both (trials, N_c).
 

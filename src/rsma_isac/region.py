@@ -36,7 +36,6 @@ from .precoders import (
     private_directions,
 )
 from .radar import (
-    ZeroInformationError,
     _delay_crb,
     _k2_sum,
     _trial_chunks,
@@ -129,7 +128,7 @@ class IsacPoint:
     crb_bins2: float
     case: str
     collapsed: bool
-    mcs_indices: tuple[int | None, int | None, int | None] = (None, None, None)
+    mcs_indices: tuple[int, int, int] = (-1, -1, -1)
 
     def metric_value(self, metric: str) -> float:
         if metric == "G0":
@@ -363,17 +362,13 @@ def sweep(
             report = throughput(channels, pset, cfg)
             t_sum = report.t_sum.tolist()
             collapsed = report.collapsed.tolist()
-            mcs = [levels.tolist() for levels in report.mcs_chosen]
+            mcs = [index.tolist() for index in report.mcs_chosen]
             power = expected_steered_power(pset, geom, cfg.target_angle_deg)
             g0 = np.sum(power, axis=-1).tolist()
-            weighted = _k2_sum(power).tolist()
+            crb = _delay_crb(
+                _k2_sum(power), nc, cfg.target_attenuation, cfg.noise_power_radar
+            ).tolist()
             for i, j, pp, case in block:
-                try:
-                    bound = _delay_crb(
-                        weighted[i][j], nc, cfg.target_attenuation, cfg.noise_power_radar
-                    )
-                except ZeroInformationError:
-                    bound = math.inf
                 snr_db = None
                 if spec.metric == "SNR_RAD":
                     snr_db = _measured_snr_db(
@@ -389,13 +384,10 @@ def sweep(
                         t_sum_bps=t_sum[i][j],
                         g0=round_sig(g0[i][j]),
                         snr_rad_db=snr_db,
-                        crb_bins2=bound,
+                        crb_bins2=crb[i][j],
                         case=case,
                         collapsed=collapsed[i][j],
-                        mcs_indices=tuple(
-                            None if levels[i][j] is None else levels[i][j].index
-                            for levels in mcs
-                        ),
+                        mcs_indices=tuple(index[i][j] for index in mcs),
                     )
                 )
                 counter += 1
@@ -465,5 +457,5 @@ def write_boundary_params_csv(points, path: str) -> None:
         fh.write("index,t_comms,t_p,alpha_c,alpha_p,mcs_c,mcs_1,mcs_2\n")
         for index, p in enumerate(points):
             t, tp, ac, ap = _dash_params(p.params)
-            mcs = ["-" if m is None else str(m) for m in p.mcs_indices]
+            mcs = ["-" if m < 0 else str(m) for m in p.mcs_indices]
             fh.write(f"{index},{t},{tp},{ac},{ap},{mcs[0]},{mcs[1]},{mcs[2]}\n")

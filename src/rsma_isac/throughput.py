@@ -66,8 +66,9 @@ class McsLevel:
         """Information bits per subcarrier use, m·r."""
         return self.bits_per_symbol * self.code_rate
 
-    def data_rate_bps(self, bandwidth_hz: float = DEFAULT_BANDWIDTH.value_hz) -> float:
-        return bandwidth_hz * float(self.bit_density)
+    def data_rate_bps(self) -> float:
+        """Bit rate of the level over ``DEFAULT_BANDWIDTH``."""
+        return DEFAULT_BANDWIDTH.value_hz * float(self.bit_density)
 
 
 _MCS_ROWS = (
@@ -95,27 +96,23 @@ def _float_above(x: Fraction) -> float:
 # An efficiency e can carry a level exactly when e > m·r, that is when e is
 # at least the level's threshold; the thresholds rise with the index.
 _MCS_THRESHOLDS = np.array([_float_above(level.bit_density) for level in MCS_TABLE])
-# Indexed by MCS index, so index -1 (no level fits) picks the trailing entry.
-_MCS_CHOICES = np.array(MCS_TABLE + (None,), dtype=object)
-_BIT_DENSITIES = tuple(float(level.bit_density) for level in MCS_TABLE)
-_bits_per_use = np.frompyfunc(
-    lambda level: 0.0 if level is None else _BIT_DENSITIES[level.index], 1, 1
-)
+# Bit rate per MCS index; index -1 (no level fits) picks the trailing 0.0.
+_MCS_RATES = np.array([level.data_rate_bps() for level in MCS_TABLE] + [0.0])
 
 
-def max_mcs(avg_spectral_efficiency) -> McsLevel | None | np.ndarray:
-    """Highest MCS whose bit density is strictly below the efficiency.
+def max_mcs(avg_spectral_efficiency) -> np.ndarray:
+    """Index of the highest MCS whose bit density is strictly below the efficiency.
 
     Strictly: a stream whose averaged spectral efficiency exactly equals
     m·r cannot carry that level, and an efficiency below 0.5 bits/s/Hz
-    cannot carry anything. A scalar gives its McsLevel, or None; an array
-    gives an object array of the same shape holding one of those per
-    element. NaN and negative efficiencies raise ValueError.
+    cannot carry anything, which gives index -1. Scalars and arrays alike
+    give integer indices of the input's shape. NaN and negative
+    efficiencies raise ValueError.
     """
     eff = np.asarray(avg_spectral_efficiency, dtype=float)
     if not np.all(eff >= 0.0):
         raise ValueError("spectral efficiency must be a nonnegative number")
-    return _MCS_CHOICES[np.searchsorted(_MCS_THRESHOLDS, eff, side="right") - 1]
+    return np.searchsorted(_MCS_THRESHOLDS, eff, side="right") - 1
 
 
 def spectral_efficiency(sinr: np.ndarray, gap_db: float = 0.0) -> float | np.ndarray:
@@ -184,17 +181,17 @@ class CollapseMask(np.ndarray):
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    """Stream and sum throughputs with the MCS levels that produced them.
+    """Stream and sum throughputs with the MCS indices that produced them.
 
-    A report on a batch of precoder sets holds arrays of the batch shape:
-    float rates, object arrays of levels, and a CollapseMask.
+    Every field holds arrays of the batch shape: float rates, integer
+    MCS indices (-1 where no level is carried), and a CollapseMask.
     """
 
-    t_common: float
-    t_private: tuple[float, float]
-    t_sum: float
-    mcs_chosen: tuple[McsLevel | None, McsLevel | None, McsLevel | None]
-    collapsed: bool
+    t_common: np.ndarray
+    t_private: tuple[np.ndarray, np.ndarray]
+    t_sum: np.ndarray
+    mcs_chosen: tuple[np.ndarray, np.ndarray, np.ndarray]
+    collapsed: CollapseMask
 
 
 def throughput(
@@ -209,49 +206,31 @@ def throughput(
 
     The precoder arrays may carry leading batch axes that broadcast
     against each other; every report field then has the broadcast batch
-    shape. A plain PrecoderSet is a batch of shape () and gets Python
-    scalars. Rates use ``DEFAULT_BANDWIDTH``.
+    shape. A plain PrecoderSet is a batch of shape () and gets 0-d
+    arrays. Rates use ``DEFAULT_BANDWIDTH``.
     """
     sigma2 = cfg.noise_power_comms
     gap = cfg.shannon_gap_db
     has_common = np.any(pset.p_c, axis=(-2, -1))
 
-    def stream(eff):
-        level = max_mcs(eff)
-        rate = DEFAULT_BANDWIDTH.value_hz * np.asarray(_bits_per_use(level), dtype=float)
-        return level, rate
-
-    mcs_c, t_c = stream(
+    mcs_c = max_mcs(
         np.minimum(
             spectral_efficiency(sinr_common(channels, pset, 1, sigma2), gap),
             spectral_efficiency(sinr_common(channels, pset, 2, sigma2), gap),
         )
     )
+    t_c = _MCS_RATES[mcs_c]
     collapsed = has_common & (t_c == 0.0)
-    levels = [mcs_c]
+    indices = [np.asarray(mcs_c)]
     rates = []
     for ue in (1, 2):
-        level, rate = stream(
-            spectral_efficiency(sinr_private(channels, pset, ue, sigma2), gap)
-        )
-        levels.append(np.where(collapsed, None, level))
-        rates.append(np.where(collapsed, 0.0, rate))
-    t_sum = t_c + rates[0] + rates[1]
-    if np.ndim(collapsed) == 0:
-        def item(x):
-            return np.asarray(x).tolist()
-
-        return ThroughputReport(
-            t_common=item(t_c),
-            t_private=(item(rates[0]), item(rates[1])),
-            t_sum=item(t_sum),
-            mcs_chosen=tuple(map(item, levels)),
-            collapsed=bool(collapsed),
-        )
+        index = max_mcs(spectral_efficiency(sinr_private(channels, pset, ue, sigma2), gap))
+        indices.append(np.where(collapsed, -1, index))
+        rates.append(np.where(collapsed, 0.0, _MCS_RATES[index]))
     return ThroughputReport(
-        t_common=t_c,
+        t_common=np.asarray(t_c),
         t_private=(rates[0], rates[1]),
-        t_sum=t_sum,
-        mcs_chosen=tuple(levels),
-        collapsed=collapsed.view(CollapseMask),
+        t_sum=np.asarray(t_c + rates[0] + rates[1]),
+        mcs_chosen=tuple(indices),
+        collapsed=np.asarray(collapsed).view(CollapseMask),
     )

@@ -153,10 +153,10 @@ def test_criterion_3_bandwidth_and_rates(verdict):
     exact_bw = Fraction(73125000)
     for level in MCS_TABLE:
         exact = float(exact_bw * level.bit_density)
-        got = level.data_rate_bps(eb.value_hz)
+        got = level.data_rate_bps()
         if not math.isclose(got, exact, rel_tol=1e-6):  # 6 significant figures
             failures.append(f"MCS {level.index}: {got} != {exact}")
-    if MCS_TABLE[9].data_rate_bps(eb.value_hz) != 487500000.0:
+    if MCS_TABLE[9].data_rate_bps() != 487500000.0:
         failures.append("top MCS rate is not exactly 487.5 Mbps")
 
     verdict(3, "effective bandwidth and MCS data rates", failures)
@@ -245,7 +245,8 @@ def test_criterion_6_property_suites(region_data, verdict):
         vals = prng.uniform(0.0, 1.0, 4)
         family = "MRT" if prng.integers(0, 2) == 0 else "ZF"
         pset = build_precoders(ParameterPoint(*vals, family), ch16, cfg16)
-        if abs(pset.total_power() - cfg16.total_power) > 1e-9 * cfg16.total_power:
+        total = sum(pset.stream_powers().values())
+        if abs(total - cfg16.total_power) > 1e-9 * cfg16.total_power:
             failures.append(f"power leak at {vals} {family}")
             break
 

@@ -256,6 +256,10 @@ def test_missing_scenario_file(tmp_path):
         # every delay is measured once
         [*_HEATMAP_ON_PARAMS, "--n0", ""],
         [*_HEATMAP_ON_PARAMS, "--n0", "1,1"],
+        # a finite clutter energy but a matched-filter peak power (beta*G)**2
+        # past the float range
+        [*_HEATMAP_ON_PARAMS, "--set", "total_power=1e100", "--beta", "1e60",
+         "--n0", "1,2", "--trials", "5"],
     ],
 )
 def test_bad_configuration_exits_2(tmp_path, argv):
@@ -267,6 +271,16 @@ def test_bad_configuration_exits_2(tmp_path, argv):
     argv = [files.get(arg, arg) for arg in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o" / "heatmap.csv").exists()
+
+
+def test_radar_power_overflow_exits_3(tmp_path):
+    # The echo's matched-filter power overflows float64: once an inf SNR
+    # on every row with exit 0, now a numeric failure with no rows written.
+    out = tmp_path / "o"
+    argv = [*_SMALL_SNR_SWEEP, "--family", "mrt", "--trials", "2", "--set", "total_power=1e100",
+            "--set", "target_attenuation=1e60", "--out", str(out)]
+    assert main(argv) == 3
+    assert not (out / "points.csv").exists()
 
 
 def test_params_csv_skips_blank_lines_only(tmp_path):

@@ -120,7 +120,8 @@ def test_zf_rank_deficient_raises(flat_channels):
 def test_power_conservation(t, tp, ac, ap, family):
     pp = ParameterPoint(t, tp, ac, ap, family)
     pset = build_precoders(pp, _CHANNELS, _CFG)
-    assert abs(pset.total_power() - _CFG.total_power) <= 1e-9 * _CFG.total_power
+    total = sum(pset.stream_powers().values())
+    assert abs(total - _CFG.total_power) <= 1e-9 * _CFG.total_power
 
 
 def test_stream_powers_closed_form():

@@ -27,7 +27,6 @@ from rsma_isac.radar import (
     _CLUTTER_STREAM_ID,
     _TRIAL_CHUNK,
     UndefinedProfileError,
-    ZeroInformationError,
     _delay_crb,
     _delay_fisher,
     _k2_sum,
@@ -446,10 +445,40 @@ def test_crb_degenerate_inputs(make_channels):
 def test_dc_only_waveform_has_no_delay_information():
     c = np.zeros((1, 8), dtype=complex)
     c[0, 0] = 1.0
-    with pytest.raises(ZeroInformationError):
-        _delay_fisher(_k2(c), 8, 0.5, 0.1)
-    with pytest.raises(ZeroInformationError):
-        _delay_crb(_k2(c), 8, 0.5, 0.1)
+    assert _delay_fisher(_k2(c), 8, 0.5, 0.1) == 0.0
+    assert _delay_crb(_k2(c), 8, 0.5, 0.1) == math.inf
+
+
+def _per_point_crb(weighted: float, nc: int, beta: float, sigma_r2: float) -> float:
+    """The per-point CRB in Python float arithmetic, no information giving inf."""
+    if weighted <= 0.0 or beta == 0.0:
+        return math.inf
+    if sigma_r2 == 0.0:
+        return 0.0
+    return 1.0 / (8.0 * math.pi**2 * beta**2 * weighted / (sigma_r2 * nc))
+
+
+@given(
+    weighted=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-30, 1e30)), min_size=1, max_size=12
+    ),
+    nc=st.sampled_from([8, 64, 512]),
+    beta=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+    sigma_r2=st.one_of(st.just(0.0), st.floats(1e-9, 1e9)),
+)
+def test_array_delay_crb_matches_per_point(weighted, nc, beta, sigma_r2):
+    # One call over an array gives, entry by entry, the per-point bound
+    # bit for bit; entries without k-weighted energy read 0 and inf.
+    arr = np.array(weighted).reshape(1, -1)
+    info = _delay_fisher(arr, nc, beta, sigma_r2)
+    crb = _delay_crb(arr, nc, beta, sigma_r2)
+    assert info.shape == crb.shape == arr.shape
+    for w, i, b in zip(weighted, info.ravel().tolist(), crb.ravel().tolist()):
+        assert b == _per_point_crb(w, nc, beta, sigma_r2)
+        assert i == _delay_fisher(w, nc, beta, sigma_r2)
+        assert b == _delay_crb(w, nc, beta, sigma_r2)
+        if w == 0.0:
+            assert (i, b) == (0.0, math.inf)
 
 
 # The per-trial radar chain the stacked stages replaced, kept here as the

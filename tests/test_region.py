@@ -28,7 +28,7 @@ from rsma_isac import (
 )
 from rsma_isac.core import ConfigError
 from rsma_isac.precoders import CASE_TAGS
-from rsma_isac.radar import ZeroInformationError, _delay_crb, _k2_sum, expected_steered_power
+from rsma_isac.radar import _delay_crb, _k2_sum, expected_steered_power
 from rsma_isac.precoders import common_direction, private_directions
 from rsma_isac.region import (
     _block_precoders,
@@ -225,9 +225,7 @@ def test_sweep_matches_standalone_throughput():
             rep = throughput(channels, build_precoders(p.params, channels, cfg), cfg)
             assert p.t_sum_bps == rep.t_sum
             assert p.collapsed == rep.collapsed
-            assert p.mcs_indices == tuple(
-                None if level is None else level.index for level in rep.mcs_chosen
-            )
+            assert p.mcs_indices == tuple(int(index) for index in rep.mcs_chosen)
         assert any(p.collapsed for p in result.points)
         assert not all(p.collapsed for p in result.points)
 
@@ -266,13 +264,10 @@ def _point_eval_sensing(pp, channels, cfg):
     power = expected_steered_power(
         build_precoders(pp, channels, cfg), _GEOM, cfg.target_angle_deg
     )
-    try:
-        bound = _delay_crb(
-            _k2_sum(power), power.shape[0], cfg.target_attenuation, cfg.noise_power_radar
-        )
-    except ZeroInformationError:
-        bound = math.inf
-    return round_sig(float(np.sum(power))), bound
+    bound = _delay_crb(
+        _k2_sum(power), power.shape[0], cfg.target_attenuation, cfg.noise_power_radar
+    )
+    return round_sig(float(np.sum(power))), float(bound)
 
 
 def test_sweep_sensing_numbers_cross_check():
