@@ -29,6 +29,7 @@ from .core import (
 from .precoders import (
     CASE_TAGS,
     FAMILIES,
+    BlendTable,
     DegenerateDirectionError,
     ParameterPoint,
     PrecoderSet,
@@ -52,9 +53,9 @@ from .radar import (
 )
 from .region import (
     SCHEMES,
-    IsacPoint,
+    IsacPoints,
     RegionResult,
-    SkippedPoint,
+    SkippedPoints,
     SweepSpec,
     enumerate_grid,
     frontier_points,
@@ -78,6 +79,7 @@ from .throughput import (
     sinr_common,
     sinr_private,
     spectral_efficiency,
+    stream_gains,
     throughput,
 )
 

@@ -61,7 +61,13 @@ from .region import (
     write_boundary_params_csv,
     write_points_csv,
 )
-from .throughput import sinr_common, sinr_private, spectral_efficiency, throughput
+from .throughput import (
+    sinr_common,
+    sinr_private,
+    spectral_efficiency,
+    stream_gains,
+    throughput,
+)
 
 _GEOM = ArrayGeometry(n_tx=2, spacing_wavelengths=0.5)
 
@@ -268,7 +274,8 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
         return 10.0 * math.log10(mean) if mean > 0 else "-inf"
 
     sigma2 = cfg.noise_power_comms
-    common = [sinr_common(channels, pset, ue, sigma2) for ue in (1, 2)]
+    gains = stream_gains(channels, pset)
+    common = [sinr_common(gains, ue, sigma2) for ue in (1, 2)]
     payload = {
         "params": {
             "t_comms": pp.t_comms, "t_p": pp.t_p,
@@ -283,7 +290,7 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
         "mcs_indices": [int(m) if m >= 0 else None for m in report.mcs_chosen],
         "sinr_common_mean_db": [mean_db(sinr) for sinr in common],
         "sinr_private_mean_db": [
-            mean_db(sinr_private(channels, pset, ue, sigma2)) for ue in (1, 2)
+            mean_db(sinr_private(gains, ue, sigma2)) for ue in (1, 2)
         ],
         "spectral_efficiency_common": [
             spectral_efficiency(sinr, cfg.shannon_gap_db) for sinr in common

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import sys
 import warnings
@@ -135,6 +136,13 @@ class ScenarioConfig:
             raise ConfigError("ue_gains must be positive")
         if not 0 <= self.target_delay_bins < self.n_subcarriers:
             raise ConfigError("target_delay_bins must lie in [0, n_subcarriers)")
+        # The delay Fisher information and the radar chain take the echo
+        # amplitude squared; a square past the float range has no answer.
+        beta = float(self.target_attenuation)
+        if not math.isfinite(beta * beta):
+            raise ConfigError(
+                f"target_attenuation {beta!r} has a square past the float range"
+            )
         if self.csit_error_var < 0:
             raise ConfigError("csit_error_var must be nonnegative")
         if self.shannon_gap_db < 0:

@@ -12,6 +12,7 @@ communications-vs-sensing trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,19 +49,22 @@ class ParameterPoint:
     t_p splits the communications share between private and common
     streams, alpha_c blends the common beam between the users' bisector
     and the sensing direction, and alpha_p does the same for each
-    private beam.
+    private beam. Either mix may be an axis (a tuple of values): the point
+    then stands for the block of every (alpha_c, alpha_p) pair, which
+    ``build_precoders`` builds in one call.
     """
 
     t_comms: float
     t_p: float
-    alpha_c: float
-    alpha_p: float
+    alpha_c: float | tuple[float, ...]
+    alpha_p: float | tuple[float, ...]
     family: str = "MRT"
 
     def __post_init__(self) -> None:
         for name in ("t_comms", "t_p", "alpha_c", "alpha_p"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            axis = v if name.startswith("alpha") and isinstance(v, tuple) else (v,)
+            if not all(0.0 <= x <= 1.0 for x in axis):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         fam = self.family.upper()
         if fam not in FAMILIES:
@@ -136,66 +140,116 @@ def private_directions(channels: ChannelSet, family: str) -> np.ndarray:
     return w / np.linalg.norm(w, axis=2)[..., None]
 
 
-def _mixed_stream(
-    power: float, alpha: float, steered: np.ndarray, u0: np.ndarray
-) -> np.ndarray:
-    """Blend a steered direction grid with the sensing direction and scale
-    the whole grid so its total power equals ``power``."""
-    v = np.sqrt(alpha) * steered + np.sqrt(1.0 - alpha) * u0[None, :]
-    total = float(np.sum(np.abs(v) ** 2))
-    if total < 1e-24:
+class BlendTable:
+    """Unscaled blended beams of one family over an axis of mixes.
+
+    Row i of a stream's table holds v(α_i) = √α_i·d + √(1−α_i)·u0, where
+    d is the stream's steered direction grid and u0 the sensing direction,
+    and its total power T(α_i) = Σ|v(α_i)|² over the whole grid. A stream
+    of power P at mix α_i is then √(P/T(α_i))·v(α_i), so a sweep blends
+    each (stream, α) once and every power split only rescales rows.
+
+    ``common`` is (v, T) with v of shape (1, n_α, N_c, N_T) and T of shape
+    (1, n_α); ``private`` holds the two private streams, (2, n_α, N_c, N_T)
+    and (2, n_α). Each is computed on first use, so a point that gives a
+    stream no power never computes (or fails on) its direction.
+    """
+
+    def __init__(self, channels: ChannelSet, family: str, alphas) -> None:
+        self.channels = channels
+        self.family = family
+        self.alphas = np.asarray(alphas, dtype=float)
+
+    @cached_property
+    def common(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._blend(common_direction(self.channels)[None])
+
+    @cached_property
+    def private(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._blend(private_directions(self.channels, self.family))
+
+    def _blend(self, steered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u0 = self.channels.broadside_unit
+        v = np.empty((len(steered), len(self.alphas)) + steered.shape[1:], dtype=complex)
+        total = np.empty(v.shape[:2])
+        for s, d in enumerate(steered):
+            for i, alpha in enumerate(self.alphas.tolist()):
+                v[s, i] = np.sqrt(alpha) * d + np.sqrt(1.0 - alpha) * u0[None, :]
+                total[s, i] = np.sum(np.abs(v[s, i]) ** 2)
+        return v, total
+
+    def rows(self, alphas: np.ndarray) -> np.ndarray | slice:
+        """The table row of each mix in ``alphas``, in the shape of ``alphas``.
+
+        The whole axis is a slice, so its rows are used without a copy.
+        """
+        if alphas.shape == self.alphas.shape and np.array_equal(alphas, self.alphas):
+            return slice(None)
+        index = np.searchsorted(self.alphas, alphas)
+        if not np.array_equal(self.alphas[np.minimum(index, len(self.alphas) - 1)], alphas):
+            raise ValueError(f"mixes {alphas} are not all rows of the table {self.alphas}")
+        return index
+
+
+def _scaled_rows(power: float, table: tuple[np.ndarray, np.ndarray], rows) -> np.ndarray:
+    """√(power/T)·v for the given rows of every stream in a blend table."""
+    v, total = table
+    total = total[:, rows]
+    if np.any(total < 1e-24):
         raise DegenerateDirectionError(
             "blended beam direction vanished on every subcarrier"
         )
-    return np.sqrt(power / total) * v
+    return np.sqrt(power / total)[..., None, None] * v[:, rows]
 
 
 def build_precoders(
     pp: ParameterPoint,
     channels: ChannelSet,
     cfg: ScenarioConfig,
-    *,
-    private_dirs: np.ndarray | None = None,
-    common_dir: np.ndarray | None = None,
+    table: BlendTable | None = None,
 ) -> PrecoderSet:
-    """Materialize the four precoder grids for one parameter point.
+    """Materialize the four precoder grids of a point or a block of points.
+
+    A point whose alpha_c and alpha_p are axes (tuples) is the block of
+    every pair of them: p_c comes back with batch shape (n_αc, 1) and p_1,
+    p_2 with (1, n_αp), which broadcast to the block's (alpha_c, alpha_p)
+    plane. A point of scalar mixes is a block of shape (). Each stream is
+    a row of ``table`` scaled to the stream's power; without a table, one
+    over the point's own mixes is built. Sweeps pass one table per family
+    so the blends are computed once.
 
     Streams with zero allocated power come back as exact zero arrays and
     their directions are never computed, so e.g. an all-sensing point never
-    trips the ZF rank check. ``private_dirs`` / ``common_dir`` accept
-    precomputed direction grids; sweeps use this to factor the per-channel
-    work out of the inner loop.
+    trips the ZF rank check.
     """
+    ac, ap = np.asarray(pp.alpha_c), np.asarray(pp.alpha_p)
+    if table is None:
+        mixes = {*ac.ravel().tolist(), *ap.ravel().tolist()}
+        table = BlendTable(channels, pp.family, sorted(mixes))
     nc, nt = channels.n_subcarriers, channels.n_tx
+    common_shape = ac.shape + (1,) * ap.ndim + (nc, nt)
+    private_shape = (1,) * ac.ndim + ap.shape + (nc, nt)
     pt = cfg.total_power
     p_common = pt * pp.t_comms * (1.0 - pp.t_p)
     p_private = pt * pp.t_comms * pp.t_p / 2.0
     p_sense = pt * (1.0 - pp.t_comms)
     u0 = channels.broadside_unit
-    zeros = np.zeros((nc, nt), dtype=complex)
 
     if p_common > 0.0:
-        uc = common_dir if common_dir is not None else common_direction(channels)
-        p_c = _mixed_stream(p_common, pp.alpha_c, uc, u0)
+        p_c = _scaled_rows(p_common, table.common, table.rows(ac)).reshape(common_shape)
     else:
-        p_c = zeros
+        p_c = np.zeros(common_shape, dtype=complex)
 
     if p_private > 0.0:
-        dirs = (
-            private_dirs
-            if private_dirs is not None
-            else private_directions(channels, pp.family)
-        )
-        p_1 = _mixed_stream(p_private, pp.alpha_p, dirs[0], u0)
-        p_2 = _mixed_stream(p_private, pp.alpha_p, dirs[1], u0)
+        p_1, p_2 = _scaled_rows(p_private, table.private, table.rows(ap))
+        p_1, p_2 = p_1.reshape(private_shape), p_2.reshape(private_shape)
     else:
-        p_1 = zeros
-        p_2 = zeros
+        p_1 = p_2 = np.zeros(private_shape, dtype=complex)
 
     if p_sense > 0.0:
         p_r = np.sqrt(p_sense / nc) * np.broadcast_to(u0, (nc, nt)).copy()
     else:
-        p_r = zeros
+        p_r = np.zeros((nc, nt), dtype=complex)
 
     return PrecoderSet(p_c=p_c, p_1=p_1, p_2=p_2, p_r=p_r)
 

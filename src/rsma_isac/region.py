@@ -10,30 +10,23 @@ twice.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
-from .core import (
-    ArrayGeometry,
-    ChannelSet,
-    ConfigError,
-    RngStream,
-    ScenarioConfig,
-)
+from .core import ArrayGeometry, ChannelSet, ConfigError, RngStream, ScenarioConfig
 from .precoders import (
+    _SOFT_ATOL,
     CASE_TAGS,
     FAMILIES,
+    BlendTable,
     ParameterPoint,
     PrecoderSet,
     RankDeficientChannelError,
     build_precoders,
-    classify_special_case,
-    common_direction,
-    private_directions,
 )
 from .radar import (
     _delay_crb,
@@ -59,8 +52,8 @@ METRICS = ("G0", "SNR_RAD")
 # two overlap (t_comms = 1 with t_p = 1 is in both), and SDMA includes the
 # sensing-only endpoint, which no case tag covers.
 _SCHEME_PREDICATES = {
-    "SDMA": lambda pp: pp.t_p == 1.0,
-    "RSMA_NoSense": lambda pp: pp.t_comms == 1.0,
+    "SDMA": lambda points: points.t_p == 1.0,
+    "RSMA_NoSense": lambda points: points.t_comms == 1.0,
 }
 SCHEMES = tuple(_SCHEME_PREDICATES)
 
@@ -117,42 +110,81 @@ class SweepSpec:
             raise ConfigError("SNR_RAD metric needs at least one Monte Carlo trial")
 
 
-@dataclass(frozen=True)
-class IsacPoint:
-    """One evaluated operating point: throughput vs sensing, plus context."""
+class _Columns:
+    """Numpy columns of equal length, one row per operating point.
 
-    params: ParameterPoint
-    t_sum_bps: float
-    g0: float
-    snr_rad_db: float | None
-    crb_bins2: float
-    case: str
-    collapsed: bool
-    mcs_indices: tuple[int, int, int] = (-1, -1, -1)
+    ``len`` counts the rows and ``==`` compares every column.
+    """
 
-    def metric_value(self, metric: str) -> float:
+    def _values(self) -> list:
+        return [getattr(self, f.name) for f in dataclasses.fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.t_comms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            a is b or (a is not None and b is not None and np.array_equal(a, b))
+            for a, b in zip(self._values(), other._values())
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class IsacPoints(_Columns):
+    """Evaluated operating points as columns: throughput vs sensing, plus context.
+
+    ``family`` and ``case`` index FAMILIES and CASE_TAGS. ``snr_rad_db`` is
+    None unless the sweep measured the SNR_RAD metric. ``mcs`` has one row
+    per point: the common, private 1 and private 2 MCS indices, -1 where
+    the stream carries no level.
+    """
+
+    t_comms: np.ndarray
+    t_p: np.ndarray
+    alpha_c: np.ndarray
+    alpha_p: np.ndarray
+    family: np.ndarray
+    case: np.ndarray
+    t_sum_bps: np.ndarray
+    g0: np.ndarray
+    snr_rad_db: np.ndarray | None
+    crb_bins2: np.ndarray
+    collapsed: np.ndarray
+    mcs: np.ndarray
+
+    def take(self, rows) -> IsacPoints:
+        """The points at ``rows`` (indices or a mask), in that order."""
+        return IsacPoints(*(None if col is None else col[rows] for col in self._values()))
+
+    def metric_values(self, metric: str) -> np.ndarray:
         if metric == "G0":
             return self.g0
         if self.snr_rad_db is None:
-            raise ConfigError("point carries no SNR_RAD value")
+            raise ConfigError("points carry no SNR_RAD values")
         return self.snr_rad_db
 
 
-@dataclass(frozen=True)
-class SkippedPoint:
-    """A grid point that could not be evaluated, with the reason."""
+@dataclass(frozen=True, eq=False)
+class SkippedPoints(_Columns):
+    """Grid points that could not be evaluated, with the reason for each."""
 
-    params: ParameterPoint
-    reason: str
+    t_comms: np.ndarray
+    t_p: np.ndarray
+    alpha_c: np.ndarray
+    alpha_p: np.ndarray
+    family: np.ndarray
+    reason: np.ndarray
 
 
 @dataclass(frozen=True)
 class RegionResult:
-    """Everything a sweep produced: raw points, their frontier, skipped points."""
+    """Everything a sweep produced: its points, their frontier, skipped points."""
 
-    points: tuple[IsacPoint, ...]
-    boundary: tuple[IsacPoint, ...]
-    skipped: tuple[SkippedPoint, ...] = ()
+    points: IsacPoints
+    boundary: IsacPoints
+    skipped: SkippedPoints
     metric: str = "G0"
 
 
@@ -180,102 +212,80 @@ def _grid_blocks(grid_step: float):
 
 def enumerate_grid(grid_step: float, family: str) -> list[ParameterPoint]:
     """All distinct operating points of one family on the grid."""
-    return [
-        ParameterPoint(t, tp, ac, ap, family)
-        for t, tp, ac_axis, ap_axis in _grid_blocks(grid_step)
-        for ac in ac_axis
-        for ap in ap_axis
-    ]
+    _, _, columns = _grid_columns(grid_step)
+    return [ParameterPoint(*knobs, family) for knobs in zip(*(c.tolist() for c in columns))]
 
 
-def pareto_indices(
-    xs: np.ndarray, ys: np.ndarray, keys: list | None = None
-) -> list[int]:
+def _grid_columns(grid_step: float):
+    """The grid's blocks, their row bounds, and its four knob columns.
+
+    The columns list one family's points block after block, alpha_p
+    fastest within a block; block k holds rows bounds[k]:bounds[k + 1].
+    """
+    blocks = list(_grid_blocks(grid_step))
+    bounds = np.cumsum([0] + [len(ac) * len(ap) for _, _, ac, ap in blocks]).tolist()
+    columns = (
+        np.repeat([t for t, _, _, _ in blocks], np.diff(bounds)),
+        np.repeat([tp for _, tp, _, _ in blocks], np.diff(bounds)),
+        np.concatenate([np.repeat(ac, len(ap)) for _, _, ac, ap in blocks]),
+        np.concatenate([np.tile(ap, len(ac)) for _, _, ac, ap in blocks]),
+    )
+    return blocks, bounds, columns
+
+
+def _case_codes(t, tp, ac, ap) -> np.ndarray:
+    """``classify_special_case`` over arrays: each point's index into CASE_TAGS."""
+    t, tp, ac, ap = np.broadcast_arrays(t, tp, ac, ap)
+    sdma = tp == 1.0
+    full = t == 1.0
+    sensing = (0.0 < t) & (t < 1.0)
+    mixed = (0.0 < ap) & (ap < 1.0)
+    soft = (np.abs(ac - (1.0 - ap)) <= _SOFT_ATOL) & (0.5 <= ap) & (ap <= 1.0)
+    # Rules from the weakest to the strongest: a later match overrides.
+    rules = {
+        "RSMA_NoSense_General": full,
+        "RSMA_NoSense_Soft": full & soft,
+        "SDMA_NoSense": sdma & full & mixed,
+        "SDMA_Sense_General": sdma & sensing & mixed,
+        "SDMA_Sense_Hard": sdma & sensing & (ap == 1.0),
+    }
+    codes = np.full(t.shape, CASE_TAGS.index("General"))
+    for tag, match in rules.items():
+        codes[match] = CASE_TAGS.index(tag)
+    return codes
+
+
+def pareto_indices(xs, ys, keys=()) -> np.ndarray:
     """Indices of the non-dominated points, ordered by x ascending.
 
     A point is dominated when some other point is at least as good on both
     axes and strictly better on one. Exact coordinate duplicates keep the
-    entry with the lowest key (input order when no keys are given).
+    entry with the lowest ``keys`` (tie-break columns, most significant
+    first), then the first in input order.
     """
-    n = len(xs)
-    if n == 0:
-        return []
-    if keys is None:
-        keys = list(range(n))
-    order = sorted(range(n), key=lambda i: (-xs[i], -ys[i], keys[i]))
-    chosen: list[int] = []
-    best_y = -math.inf
-    for i in order:
-        if ys[i] > best_y:
-            chosen.append(i)
-            best_y = ys[i]
-    chosen.reverse()
-    return chosen
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    order = np.lexsort((*keys[::-1], -ys, -xs))
+    y = ys[order]
+    keep = y > np.concatenate(([-math.inf], np.maximum.accumulate(y)[:-1]))
+    return order[keep][::-1]
 
 
-def frontier_points(points: list[IsacPoint], metric: str = "G0") -> list[IsacPoint]:
-    """Pareto frontier of IsacPoints on (t_sum, sensing metric)."""
-    if not points:
-        return []
-    xs = np.array([p.t_sum_bps for p in points])
-    ys = np.array([p.metric_value(metric) for p in points])
-    keys = [p.params.key() for p in points]
-    return [points[i] for i in pareto_indices(xs, ys, keys)]
+def frontier_points(points: IsacPoints, metric: str = "G0") -> IsacPoints:
+    """Pareto frontier of points on (t_sum, sensing metric)."""
+    knobs = (points.t_comms, points.t_p, points.alpha_c, points.alpha_p, points.family)
+    return points.take(pareto_indices(points.t_sum_bps, points.metric_values(metric), knobs))
 
 
-def scheme_points(points: list[IsacPoint], scheme: str) -> list[IsacPoint]:
+def scheme_points(points: IsacPoints, scheme: str) -> IsacPoints:
     """The subset of points matching a parameter-pattern scheme."""
     if scheme not in _SCHEME_PREDICATES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    pred = _SCHEME_PREDICATES[scheme]
-    return [p for p in points if pred(p.params)]
+    return points.take(_SCHEME_PREDICATES[scheme](points))
 
 
-def scheme_frontier(
-    points: list[IsacPoint], scheme: str, metric: str = "G0"
-) -> list[IsacPoint]:
+def scheme_frontier(points: IsacPoints, scheme: str, metric: str = "G0") -> IsacPoints:
     """Pareto frontier restricted to one scheme's points."""
     return frontier_points(scheme_points(points, scheme), metric)
-
-
-def _block_precoders(
-    t_comms: float,
-    t_p: float,
-    ac_axis: tuple[float, ...],
-    ap_axis: tuple[float, ...],
-    family: str,
-    channels: ChannelSet,
-    cfg: ScenarioConfig,
-    private_dirs: np.ndarray | None,
-    common_dir: np.ndarray,
-) -> PrecoderSet:
-    """Precoders of a whole (t_comms, t_p) block as one batch.
-
-    With the power split fixed, the common precoder depends only on
-    alpha_c and the private ones only on alpha_p, so one build per axis
-    value gives them all: p_c comes back with batch shape (n_ac, 1) and
-    p_1, p_2 with (1, n_ap), which broadcast to the block's (alpha_c,
-    alpha_p) plane. A pinned axis is (1.0,), the value its shorter list is
-    padded with, and each entry is exactly what ``build_precoders`` gives
-    for the single point.
-    """
-    psets = [
-        build_precoders(
-            ParameterPoint(t_comms, t_p, ac, ap, family),
-            channels,
-            cfg,
-            private_dirs=private_dirs,
-            common_dir=common_dir,
-        )
-        for ac, ap in zip_longest(ac_axis, ap_axis, fillvalue=1.0)
-    ]
-    privates = psets[: len(ap_axis)]
-    return PrecoderSet(
-        p_c=np.stack([ps.p_c for ps in psets[: len(ac_axis)]])[:, None],
-        p_1=np.stack([ps.p_1 for ps in privates])[None],
-        p_2=np.stack([ps.p_2 for ps in privates])[None],
-        p_r=psets[0].p_r,
-    )
 
 
 def _measured_snr_db(
@@ -315,147 +325,153 @@ def sweep(
     """Evaluate every grid point and extract the Pareto boundary.
 
     ``geom`` is the array the channels were drawn with; the sensing axis
-    steers through it. The grid is evaluated one (t_comms, t_p) block at
-    a time. The block's precoders form one batch over its (alpha_c,
-    alpha_p) plane (``_block_precoders``), and one ``throughput`` call
-    scores all of it.
+    steers through it. Each family blends its beams once over the grid
+    axis (a ``BlendTable``); the grid is then evaluated one (t_comms, t_p)
+    block at a time. One ``build_precoders`` call scales the table rows
+    into the block's precoders, a batch over its (alpha_c, alpha_p) plane,
+    and one ``throughput`` call scores all of it.
     The sensing axis is the symbol-averaged energy toward the target: one
     ``expected_steered_power`` call on the same batch gives every point's
     per-subcarrier power, g0 is its sum and the delay CRB comes from its
     k^2-weighted sum, so each point gets exactly what point-eval computes
     for it. g0 is rounded to 12 significant digits so points that are
-    equal on paper tie exactly.
+    equal on paper tie exactly. Results are kept as columns; no object is
+    built per point.
     SNR_RAD mode additionally simulates the full radar chain per point with
     deterministic per-point random streams. ZF rank failures mark the
     affected points as skipped instead of aborting the sweep (points that
     allocate no private power survive, since they never need the failing
     directions).
     """
-    uc = common_direction(channels)
     nc = channels.n_subcarriers
-    points: list[IsacPoint] = []
-    skipped: list[SkippedPoint] = []
-    counter = 0
+    blocks, bounds, grid = _grid_columns(spec.grid_step)
+    case = _case_codes(*grid)
+    keep = (
+        np.ones(len(case), dtype=bool)
+        if spec.include_cases is None
+        else np.isin(case, [CASE_TAGS.index(tag) for tag in spec.include_cases])
+    )
+    trials = spec.monte_carlo_trials
+    parts: list[tuple] = []
+    skipped: list[tuple] = []
+    snrs: list[float] = []
     for family in spec.families:
-        dirs = None
-        dirs_error: str | None = None
+        table = BlendTable(channels, family, grid_axis(spec.grid_step))
         try:
-            dirs = private_directions(channels, family)
+            table.private  # a ZF rank failure shows here, once per family
         except RankDeficientChannelError as exc:
             dirs_error = str(exc)
-        for t, tp, ac_axis, ap_axis in _grid_blocks(spec.grid_step):
-            block = []
-            for i, ac in enumerate(ac_axis):
-                for j, ap in enumerate(ap_axis):
-                    pp = ParameterPoint(t, tp, ac, ap, family)
-                    case = classify_special_case(pp)
-                    if spec.include_cases is None or case in spec.include_cases:
-                        block.append((i, j, pp, case))
-            if not block:
+        else:
+            dirs_error = ""
+        scored = keep.copy()
+        t_sum, g0, crb = (np.empty(len(case)) for _ in range(3))
+        collapsed = np.empty(len(case), dtype=bool)
+        mcs = np.empty((len(case), 3), dtype=int)
+        for (t, tp, ac_axis, ap_axis), lo, hi in zip(blocks, bounds, bounds[1:]):
+            if not keep[lo:hi].any():
                 continue
-            if t > 0.0 and tp > 0.0 and dirs_error is not None:
-                skipped.extend(SkippedPoint(pp, dirs_error) for _, _, pp, _ in block)
+            if t > 0.0 and tp > 0.0 and dirs_error:
+                scored[lo:hi] = False
                 continue
-            pset = _block_precoders(
-                t, tp, ac_axis, ap_axis, family, channels, cfg, dirs, uc
+            pset = build_precoders(
+                ParameterPoint(t, tp, ac_axis, ap_axis, family), channels, cfg, table
             )
             report = throughput(channels, pset, cfg)
-            t_sum = report.t_sum.tolist()
-            collapsed = report.collapsed.tolist()
-            mcs = [index.tolist() for index in report.mcs_chosen]
             power = expected_steered_power(pset, geom, cfg.target_angle_deg)
-            g0 = np.sum(power, axis=-1).tolist()
-            crb = _delay_crb(
+            t_sum[lo:hi] = report.t_sum.ravel()
+            g0[lo:hi] = np.sum(power, axis=-1).ravel()
+            crb[lo:hi] = _delay_crb(
                 _k2_sum(power), nc, cfg.target_attenuation, cfg.noise_power_radar
-            ).tolist()
-            for i, j, pp, case in block:
-                snr_db = None
-                if spec.metric == "SNR_RAD":
-                    snr_db = _measured_snr_db(
+            ).ravel()
+            collapsed[lo:hi] = report.collapsed.ravel()
+            for m, index in enumerate(report.mcs_chosen):
+                mcs[lo:hi, m] = index.ravel()
+            if spec.metric == "SNR_RAD":
+                for k in np.flatnonzero(keep[lo:hi]).tolist():
+                    i, j = divmod(k, len(ap_axis))
+                    snrs.append(_measured_snr_db(
                         PrecoderSet(pset.p_c[i, 0], pset.p_1[0, j], pset.p_2[0, j], pset.p_r),
                         cfg,
                         geom,
-                        spec.monte_carlo_trials,
-                        _SNR_STREAM_BASE + 2 * spec.monte_carlo_trials * counter,
-                    )
-                points.append(
-                    IsacPoint(
-                        params=pp,
-                        t_sum_bps=t_sum[i][j],
-                        g0=round_sig(g0[i][j]),
-                        snr_rad_db=snr_db,
-                        crb_bins2=crb[i][j],
-                        case=case,
-                        collapsed=collapsed[i][j],
-                        mcs_indices=tuple(index[i][j] for index in mcs),
-                    )
-                )
-                counter += 1
+                        trials,
+                        _SNR_STREAM_BASE + 2 * trials * len(snrs),
+                    ))
+        fam = np.full(len(case), FAMILIES.index(family))
+        columns = (*grid, fam, case, t_sum, g0, crb, collapsed, mcs)
+        parts.append(tuple(column[scored] for column in columns))
+        lost = keep & ~scored
+        skipped.append((*(column[lost] for column in (*grid, fam)),
+                        np.full(np.count_nonzero(lost), dirs_error)))
 
+    t_comms, t_p, ac, ap, fam, case, t_sum, g0, crb, collapsed, mcs = (
+        np.concatenate(column) for column in zip(*parts)
+    )
+    points = IsacPoints(
+        t_comms, t_p, ac, ap, fam, case, t_sum,
+        np.fromiter(map(round_sig, g0.tolist()), float, len(g0)),
+        np.array(snrs) if spec.metric == "SNR_RAD" else None,
+        crb, collapsed, mcs,
+    )
     return RegionResult(
-        points=tuple(points),
-        boundary=tuple(frontier_points(points, spec.metric)),
-        skipped=tuple(skipped),
+        points=points,
+        boundary=frontier_points(points, spec.metric),
+        skipped=SkippedPoints(*(np.concatenate(column) for column in zip(*skipped))),
         metric=spec.metric,
     )
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(value, ".10g")
+def _fmt(values: np.ndarray) -> list[str]:
+    """A column formatted as .10g, which spells the infinities inf and -inf."""
+    return [format(v, ".10g") for v in values.tolist()]
 
 
-def _point_row(p: IsacPoint) -> str:
-    pp = p.params
-    return ",".join(
-        [
-            _fmt(pp.t_comms),
-            _fmt(pp.t_p),
-            _fmt(pp.alpha_c),
-            _fmt(pp.alpha_p),
-            pp.family,
-            p.case,
-            _fmt(p.t_sum_bps / 1e6),
-            _fmt(p.g0),
-            _fmt(p.snr_rad_db),
-            _fmt(p.crb_bins2),
-            str(int(p.collapsed)),
-        ]
-    )
+def _dashed(mask: np.ndarray, cells: list[str]) -> list[str]:
+    return ["-" if m else cell for m, cell in zip(mask.tolist(), cells)]
 
 
 _POINTS_HEADER = (
     "t_comms,t_p,alpha_c,alpha_p,family,case,"
-    "t_sum_mbps,g0,snr_rad_db,crb_bins2,collapsed"
+    "t_sum_mbps,g0,snr_rad_db,crb_bins2,collapsed\n"
 )
+# %-formatting spells .10g exactly as format() does, infinities included.
+_POINTS_ROW = "%.10g,%.10g,%.10g,%.10g,%s,%s,%.10g,%.10g,%s,%.10g,%d\n"
 
 
-def write_points_csv(points, path: str) -> None:
+def write_points_csv(points: IsacPoints, path: str) -> None:
+    snr = points.snr_rad_db
+    rows = zip(
+        points.t_comms.tolist(),
+        points.t_p.tolist(),
+        points.alpha_c.tolist(),
+        points.alpha_p.tolist(),
+        [FAMILIES[f] for f in points.family.tolist()],
+        [CASE_TAGS[c] for c in points.case.tolist()],
+        (points.t_sum_bps / 1e6).tolist(),
+        points.g0.tolist(),
+        [""] * len(points) if snr is None else _fmt(snr),
+        points.crb_bins2.tolist(),
+        points.collapsed.tolist(),
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_POINTS_HEADER + "\n")
-        for p in points:
-            fh.write(_point_row(p) + "\n")
+        fh.write(_POINTS_HEADER)
+        fh.writelines(_POINTS_ROW % row for row in rows)
 
 
-def _dash_params(pp: ParameterPoint) -> tuple[str, str, str, str]:
-    """Render parameters, dashing the ones that cannot matter at the point."""
-    t = _fmt(pp.t_comms)
-    if pp.t_comms == 0.0:
-        return t, "-", "-", "-"
-    tp = _fmt(pp.t_p)
-    ac = "-" if pp.t_p == 1.0 else _fmt(pp.alpha_c)
-    ap = "-" if pp.t_p == 0.0 else _fmt(pp.alpha_p)
-    return t, tp, ac, ap
+def write_boundary_params_csv(points: IsacPoints, path: str) -> None:
+    """The knobs and chosen MCS levels behind each frontier point, by position.
 
-
-def write_boundary_params_csv(points, path: str) -> None:
-    """The knobs and chosen MCS levels behind each frontier point, by position."""
+    Knobs that cannot matter at a point are dashed: all but t_comms with no
+    communications power, alpha_c at t_p = 1 and alpha_p at t_p = 0. So
+    is the MCS index of a stream that carries no level.
+    """
+    idle = points.t_comms == 0.0
+    columns = (
+        _fmt(points.t_comms),
+        _dashed(idle, _fmt(points.t_p)),
+        _dashed(idle | (points.t_p == 1.0), _fmt(points.alpha_c)),
+        _dashed(idle | (points.t_p == 0.0), _fmt(points.alpha_p)),
+        *(_dashed(m < 0, [str(v) for v in m.tolist()]) for m in points.mcs.T),
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index,t_comms,t_p,alpha_c,alpha_p,mcs_c,mcs_1,mcs_2\n")
-        for index, p in enumerate(points):
-            t, tp, ac, ap = _dash_params(p.params)
-            mcs = ["-" if m < 0 else str(m) for m in p.mcs_indices]
-            fh.write(f"{index},{t},{tp},{ac},{ap},{mcs[0]},{mcs[1]},{mcs[2]}\n")
+        fh.writelines(f"{i},{','.join(row)}\n" for i, row in enumerate(zip(*columns)))

@@ -123,12 +123,29 @@ def spectral_efficiency(sinr: np.ndarray, gap_db: float = 0.0) -> float | np.nda
     axis; any leading axes are a batch and come back as an array.
     """
     gap = 10.0 ** (gap_db / 10.0)
-    return np.mean(np.log2(1.0 + np.asarray(sinr) / gap), axis=-1)
+    # One temporary, updated in place: a batch's SINR grid is the largest
+    # array a sweep block makes.
+    x = np.divide(sinr, gap)
+    x += 1.0
+    return np.mean(np.log2(x, out=x), axis=-1)
 
 
-def _project(h: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """|h^H p|² per subcarrier: h is (N_c, N_T), p is (..., N_c, N_T)."""
-    return np.abs(np.einsum("kt,...kt->...k", np.conj(h), p)) ** 2
+def stream_gains(
+    channels: ChannelSet, pset: PrecoderSet
+) -> tuple[tuple[np.ndarray, ...], ...]:
+    """|h^H p|² per subcarrier of each comms stream at each user.
+
+    ``gains[u]`` holds user u+1's (common, private 1, private 2) gains on
+    the true channel, each with its precoder's batch shape and subcarriers
+    last: one projection per (user, stream).
+    """
+    return tuple(
+        tuple(
+            np.abs(np.einsum("kt,...kt->...k", np.conj(h), p)) ** 2
+            for p in (pset.p_c, pset.p_1, pset.p_2)
+        )
+        for h in channels.true_channels
+    )
 
 
 def _check_ue(ue: int) -> int:
@@ -137,34 +154,23 @@ def _check_ue(ue: int) -> int:
     return ue - 1
 
 
-def sinr_common(
-    channels: ChannelSet, pset: PrecoderSet, ue: int, noise_power: float
-) -> np.ndarray:
-    """Common-stream SINR at one user, per subcarrier.
+def sinr_common(gains: tuple, ue: int, noise_power: float) -> np.ndarray:
+    """Common-stream SINR at one user, per subcarrier, from ``stream_gains``.
 
     Both private streams interfere (SIC has not run yet); the sensing
     stream does not, because its symbols are known at the users and
-    subtracted before decoding. Leading batch axes of the precoders
+    subtracted before decoding. Leading batch axes of the gains
     broadcast against each other.
     """
-    i = _check_ue(ue)
-    h = channels.true_channels[i]
-    num = _project(h, pset.p_c)
-    den = _project(h, pset.p_1) + _project(h, pset.p_2) + noise_power
-    return num / den
+    common, private_1, private_2 = gains[_check_ue(ue)]
+    return common / (private_1 + private_2 + noise_power)
 
 
-def sinr_private(
-    channels: ChannelSet, pset: PrecoderSet, ue: int, noise_power: float
-) -> np.ndarray:
+def sinr_private(gains: tuple, ue: int, noise_power: float) -> np.ndarray:
     """Private-stream SINR at one user after the common stream is removed."""
     i = _check_ue(ue)
-    h = channels.true_channels[i]
-    own = (pset.p_1, pset.p_2)[i]
-    other = (pset.p_2, pset.p_1)[i]
-    num = _project(h, own)
-    den = _project(h, other) + noise_power
-    return num / den
+    own, other = gains[i][1 + i], gains[i][2 - i]
+    return own / (other + noise_power)
 
 
 class CollapseMask(np.ndarray):
@@ -212,11 +218,12 @@ def throughput(
     sigma2 = cfg.noise_power_comms
     gap = cfg.shannon_gap_db
     has_common = np.any(pset.p_c, axis=(-2, -1))
+    gains = stream_gains(channels, pset)
 
     mcs_c = max_mcs(
         np.minimum(
-            spectral_efficiency(sinr_common(channels, pset, 1, sigma2), gap),
-            spectral_efficiency(sinr_common(channels, pset, 2, sigma2), gap),
+            spectral_efficiency(sinr_common(gains, 1, sigma2), gap),
+            spectral_efficiency(sinr_common(gains, 2, sigma2), gap),
         )
     )
     t_c = _MCS_RATES[mcs_c]
@@ -224,7 +231,7 @@ def throughput(
     indices = [np.asarray(mcs_c)]
     rates = []
     for ue in (1, 2):
-        index = max_mcs(spectral_efficiency(sinr_private(channels, pset, ue, sigma2), gap))
+        index = max_mcs(spectral_efficiency(sinr_private(gains, ue, sigma2), gap))
         indices.append(np.where(collapsed, -1, index))
         rates.append(np.where(collapsed, 0.0, _MCS_RATES[index]))
     return ThroughputReport(

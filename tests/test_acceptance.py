@@ -66,6 +66,12 @@ def region_data():
     return out
 
 
+def _keys(points):
+    """Each point's knobs and family code, as tuples."""
+    knobs = (points.t_comms, points.t_p, points.alpha_c, points.alpha_p, points.family)
+    return list(zip(*(k.tolist() for k in knobs)))
+
+
 @pytest.fixture
 def verdict(capsys):
     def _report(num, label, failures):
@@ -84,34 +90,30 @@ def test_criterion_1_region_shape(region_data, verdict):
     # strictly beaten on both axes by some full-communications point
     for preset in ("S2", "S3"):
         cfg, channels, result, _ = region_data[(preset, "MRT")]
-        pts = list(result.points)
-        corner = scheme_frontier(pts, "SDMA")[-1]
+        pts = result.points
+        corner = scheme_frontier(pts, "SDMA").take([-1])
         rsma = scheme_points(pts, "RSMA_NoSense")
-        dominators = [
-            p for p in rsma if p.t_sum_bps > corner.t_sum_bps and p.g0 > corner.g0
-        ]
-        if not dominators:
+        dominators = (rsma.t_sum_bps > corner.t_sum_bps) & (rsma.g0 > corner.g0)
+        if not dominators.any():
             failures.append(f"{preset} MRT SDMA corner not dominated")
 
     for (preset, family), (cfg, channels, result, _) in region_data.items():
-        pts = list(result.points)
+        pts = result.points
 
         # (b) the full-communications frontier spends the whole budget on
         # communications at every point
         front = scheme_frontier(pts, "RSMA_NoSense")
         if not front:
             failures.append(f"{preset} {family}: empty full-communications frontier")
-        if any(p.params.t_comms != 1.0 for p in front):
+        if np.any(front.t_comms != 1.0):
             failures.append(f"{preset} {family}: frontier point with t_comms < 1")
 
         # (c) the no-sensing SDMA line is not wholly on the SDMA frontier
-        no_sense = [
-            p for p in pts if p.params.t_p == 1.0 and p.params.t_comms == 1.0
-        ]
-        front_keys = {p.params.key() for p in scheme_frontier(pts, "SDMA")}
+        no_sense = pts.take((pts.t_p == 1.0) & (pts.t_comms == 1.0))
+        front_keys = set(_keys(scheme_frontier(pts, "SDMA")))
         if len(no_sense) != 11:
             failures.append(f"{preset} {family}: expected 11 no-sensing points")
-        if all(p.params.key() in front_keys for p in no_sense):
+        if all(key in front_keys for key in _keys(no_sense)):
             failures.append(
                 f"{preset} {family}: every no-sensing point sits on the frontier"
             )
@@ -128,8 +130,7 @@ def test_criterion_2_angle_separation_ratios(region_data, verdict):
     failures = []
     peaks = {}
     for key, (cfg, channels, result, _) in region_data.items():
-        sdma = scheme_points(list(result.points), "SDMA")
-        peaks[key] = max(p.t_sum_bps for p in sdma)
+        peaks[key] = max(scheme_points(result.points, "SDMA").t_sum_bps)
 
     for preset in ("S2", "S3"):
         mrt_ratio = peaks[(preset, "MRT")] / peaks[("S1", "MRT")]
@@ -279,7 +280,7 @@ def test_criterion_6_property_suites(region_data, verdict):
                 continue
             brute.append(i)
         brute.sort(key=lambda i: xs[i])
-        if pareto_indices(xs, ys) != brute:
+        if pareto_indices(xs, ys).tolist() != brute:
             failures.append(f"pareto mismatch on trial {trial}")
             break
 
@@ -293,8 +294,8 @@ def test_criterion_6_property_suites(region_data, verdict):
     if not rep.collapsed or rep.t_sum != 0.0:
         failures.append("constructed collapse did not zero the sum rate")
     for (preset, family), (_, _, result, _) in region_data.items():
-        bad = [p for p in result.points if p.collapsed and p.t_sum_bps != 0.0]
-        if bad:
+        pts = result.points
+        if np.any(pts.t_sum_bps[pts.collapsed] != 0.0):
             failures.append(f"{preset} {family}: collapsed point with rate")
 
     # (f) background subtraction is exact without noise

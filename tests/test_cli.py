@@ -260,6 +260,11 @@ def test_missing_scenario_file(tmp_path):
         # past the float range
         [*_HEATMAP_ON_PARAMS, "--set", "total_power=1e100", "--beta", "1e60",
          "--n0", "1,2", "--trials", "5"],
+        # a finite echo amplitude whose square, which the delay CRB and the
+        # radar chain take, is past the float range
+        ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
+         "--family", "mrt", "--set", "target_attenuation=1e200"],
+        ["point-eval", "--set", "target_attenuation=-1e160", *_POINT_SETS],
     ],
 )
 def test_bad_configuration_exits_2(tmp_path, argv):
@@ -269,8 +274,9 @@ def test_bad_configuration_exits_2(tmp_path, argv):
     truncated.write_text(_PARAMS_HEADER + "0,1,1,-,0.5,-,9,9\n1,0.5\n2,1,1,-,0.5,-,9,9\n")
     files = {"{params}": str(params), "{truncated}": str(truncated)}
     argv = [files.get(arg, arg) for arg in argv]
-    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
-    assert not (tmp_path / "o" / "heatmap.csv").exists()
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_radar_power_overflow_exits_3(tmp_path):

@@ -1,5 +1,6 @@
 """Parametric precoder construction: directions, powers, special cases."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rsma_isac import (
     ArrayGeometry,
+    BlendTable,
     DegenerateDirectionError,
     ParameterPoint,
     RankDeficientChannelError,
@@ -122,6 +124,56 @@ def test_power_conservation(t, tp, ac, ap, family):
     pset = build_precoders(pp, _CHANNELS, _CFG)
     total = sum(pset.stream_powers().values())
     assert abs(total - _CFG.total_power) <= 1e-9 * _CFG.total_power
+
+
+_AXIS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_SUB_AXES = st.lists(st.sampled_from(_AXIS), min_size=1, unique=True).map(sorted).map(tuple)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    t=_unit,
+    tp=_unit,
+    ac_axis=_SUB_AXES,
+    ap_axis=_SUB_AXES,
+    family=st.sampled_from(["MRT", "ZF"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_build_equals_point_build(t, tp, ac_axis, ap_axis, family, seed):
+    # One build per block from a shared blend table gives, at every
+    # (alpha_c, alpha_p) of the block, exactly the point's own precoders,
+    # and both equal the blend-then-scale expression stream by stream.
+    cfg = dataclasses.replace(_CFG, seed=seed, csit_error_var=1e-2)
+    channels = generate_channels(cfg, _GEOM, RngStream(seed, 0))
+    block = build_precoders(
+        ParameterPoint(t, tp, ac_axis, ap_axis, family), channels, cfg,
+        BlendTable(channels, family, _AXIS),
+    )
+    assert block.p_c.shape[:2] == (len(ac_axis), 1)
+    assert block.p_1.shape[:2] == block.p_2.shape[:2] == (1, len(ap_axis))
+    u0 = channels.broadside_unit
+    p_common = cfg.total_power * t * (1.0 - tp)
+    p_private = cfg.total_power * t * tp / 2.0
+    for i, ac in enumerate(ac_axis):
+        for j, ap in enumerate(ap_axis):
+            single = build_precoders(ParameterPoint(t, tp, ac, ap, family), channels, cfg)
+            assert (block.p_c[i, 0] == single.p_c).all()
+            assert (block.p_1[0, j] == single.p_1).all()
+            assert (block.p_2[0, j] == single.p_2).all()
+            assert (block.p_r == single.p_r).all()
+            if p_common > 0.0:
+                ref = _blend(p_common, ac, common_direction(channels), u0)
+                assert (single.p_c == ref).all()
+            if p_private > 0.0:
+                dirs = private_directions(channels, family)
+                assert (single.p_1 == _blend(p_private, ap, dirs[0], u0)).all()
+                assert (single.p_2 == _blend(p_private, ap, dirs[1], u0)).all()
+
+
+def test_block_mixes_must_be_table_rows():
+    table = BlendTable(_CHANNELS, "MRT", _AXIS)
+    with pytest.raises(ValueError, match="not all rows"):
+        build_precoders(ParameterPoint(0.5, 0.5, (0.3,), (0.5,)), _CHANNELS, _CFG, table)
 
 
 def test_stream_powers_closed_form():

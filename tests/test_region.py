@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsma_isac import (
     ArrayGeometry,
+    BlendTable,
     ChannelSet,
-    IsacPoint,
+    IsacPoints,
     ParameterPoint,
     RegionResult,
     RngStream,
@@ -27,19 +29,24 @@ from rsma_isac import (
     write_points_csv,
 )
 from rsma_isac.core import ConfigError
-from rsma_isac.precoders import CASE_TAGS
+from rsma_isac.precoders import CASE_TAGS, FAMILIES, classify_special_case
 from rsma_isac.radar import _delay_crb, _k2_sum, expected_steered_power
-from rsma_isac.precoders import common_direction, private_directions
 from rsma_isac.region import (
-    _block_precoders,
+    _case_codes,
     _grid_blocks,
     frontier_points,
     grid_axis,
     round_sig,
 )
-from rsma_isac.throughput import sinr_common, sinr_private, spectral_efficiency
+from rsma_isac.throughput import sinr_common, sinr_private, spectral_efficiency, stream_gains
 
 _GEOM = ArrayGeometry(2, 0.5)
+
+
+def _params(points, i):
+    """Row i of a sweep's columns as the ParameterPoint it was evaluated at."""
+    knobs = (points.t_comms, points.t_p, points.alpha_c, points.alpha_p)
+    return ParameterPoint(*(float(k[i]) for k in knobs), FAMILIES[points.family[i]])
 
 
 def test_grid_axis():
@@ -99,15 +106,36 @@ def test_sweep_spec_normalizes_family_case():
     SweepSpec(metric="G0", monte_carlo_trials=0)
 
 
+@pytest.mark.parametrize("family", ["MRT", "ZF"])
+def test_case_codes_match_classify_special_case(family):
+    grid = enumerate_grid(0.05, family)
+    knobs = (np.array([pp.key()[k] for pp in grid]) for k in range(4))
+    expect = [CASE_TAGS.index(classify_special_case(pp)) for pp in grid]
+    assert _case_codes(*knobs).tolist() == expect
+
+
+_MIX = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(t=_MIX, tp=_MIX, ac=_MIX, ap=_MIX, nudge=st.sampled_from([0.0, 5e-10, -5e-10, 2e-9]))
+def test_case_codes_match_classify_special_case_off_grid(t, tp, ac, ap, nudge):
+    # nudge moves alpha_c around the soft-separation line alpha_c = 1 - alpha_p
+    ac = min(max(1.0 - ap + nudge, 0.0), 1.0) if nudge else ac
+    pp = ParameterPoint(t, tp, ac, ap)
+    assert CASE_TAGS[int(_case_codes(t, tp, ac, ap))] == classify_special_case(pp)
+
+
 def test_pareto_frontier_examples():
     pts = [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (1.0, 1.0)]
     xs, ys = np.array(pts).T
     assert [pts[i] for i in pareto_indices(xs, ys)] == [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]
-    assert pareto_indices(np.array([5.0]), np.array([5.0])) == [0]
+    assert pareto_indices(np.array([5.0]), np.array([5.0])).tolist() == [0]
 
 
-def _oracle_frontier(xs, ys):
+def _oracle_frontier(xs, ys, keys=None):
+    """The O(n^2) definition; a duplicate keeps the lowest (key, index)."""
     n = len(xs)
+    keys = [0] * n if keys is None else keys
     keep = []
     for i in range(n):
         dominated = any(
@@ -117,7 +145,7 @@ def _oracle_frontier(xs, ys):
         if dominated:
             continue
         dup = [j for j in range(n) if xs[j] == xs[i] and ys[j] == ys[i]]
-        if min(dup) != i:
+        if min(dup, key=lambda j: (keys[j], j)) != i:
             continue
         keep.append(i)
     keep.sort(key=lambda i: xs[i])
@@ -130,12 +158,28 @@ def test_pareto_against_quadratic_oracle():
         n = int(rng.integers(1, 60))
         xs = rng.integers(0, 8, size=n).astype(float)
         ys = rng.integers(0, 8, size=n).astype(float)
-        assert pareto_indices(xs, ys) == _oracle_frontier(xs, ys)
+        assert pareto_indices(xs, ys).tolist() == _oracle_frontier(xs, ys)
+
+
+_SMALL = st.integers(0, 5).map(float)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(_SMALL, _SMALL, st.integers(0, 3), st.integers(0, 3)), max_size=40))
+def test_columnar_frontier_matches_quadratic_oracle(rows):
+    # Few distinct values, so exact duplicates are common; their two key
+    # columns decide which one the frontier keeps.
+    xs = np.array([r[0] for r in rows])
+    ys = np.array([r[1] for r in rows])
+    k1 = np.array([r[2] for r in rows], dtype=int)
+    k2 = np.array([r[3] for r in rows], dtype=int)
+    got = pareto_indices(xs, ys, (k1, k2)).tolist()
+    assert got == _oracle_frontier(xs, ys, list(zip(k1.tolist(), k2.tolist())))
 
 
 def test_pareto_duplicate_keeps_lowest_key():
-    idx = pareto_indices(np.array([1.0, 1.0]), np.array([2.0, 2.0]), keys=["b", "a"])
-    assert idx == [1]
+    idx = pareto_indices(np.array([1.0, 1.0]), np.array([2.0, 2.0]), keys=(np.array(["b", "a"]),))
+    assert idx.tolist() == [1]
 
 
 def test_round_sig():
@@ -148,18 +192,16 @@ def test_round_sig():
 
 
 def test_metric_value_requires_snr():
-    p = IsacPoint(
-        params=ParameterPoint(0.5, 0.5, 0.5, 0.5),
-        t_sum_bps=1.0,
-        g0=2.0,
+    p = IsacPoints(
+        *(np.array([v]) for v in (0.5, 0.5, 0.5, 0.5, 0, CASE_TAGS.index("General"), 1.0, 2.0)),
         snr_rad_db=None,
-        crb_bins2=1.0,
-        case="General",
-        collapsed=False,
+        crb_bins2=np.array([1.0]),
+        collapsed=np.array([False]),
+        mcs=np.array([[-1, -1, -1]]),
     )
-    assert p.metric_value("G0") == 2.0
+    assert p.metric_values("G0").tolist() == [2.0]
     with pytest.raises(ConfigError):
-        p.metric_value("SNR_RAD")
+        p.metric_values("SNR_RAD")
 
 
 @pytest.fixture(scope="module")
@@ -176,25 +218,24 @@ def test_sweep_smoke_structure(smoke_sweep):
     assert len(result.points) == 31
     assert not result.skipped
     assert result.metric == "G0"
-    for p in result.points:
-        if p.collapsed:
-            assert p.t_sum_bps == 0.0
-        assert p.snr_rad_db is None
-        assert p.g0 > 0.0
+    pts = result.points
+    assert np.all(pts.t_sum_bps[pts.collapsed] == 0.0)
+    assert pts.snr_rad_db is None
+    assert np.all(pts.g0 > 0.0)
 
 
 def test_sweep_boundary_is_nondominated(smoke_sweep):
     cfg, channels, spec, result = smoke_sweep
-    xs = [p.t_sum_bps for p in result.points]
-    ys = [p.g0 for p in result.points]
-    for b in result.boundary:
+    xs = result.points.t_sum_bps.tolist()
+    ys = result.points.g0.tolist()
+    for bx, by in zip(result.boundary.t_sum_bps.tolist(), result.boundary.g0.tolist()):
         strictly_better = [
             1
             for x, y in zip(xs, ys)
-            if x >= b.t_sum_bps and y >= b.g0 and (x > b.t_sum_bps or y > b.g0)
+            if x >= bx and y >= by and (x > bx or y > by)
         ]
         assert not strictly_better
-    bx = [p.t_sum_bps for p in result.boundary]
+    bx = result.boundary.t_sum_bps.tolist()
     assert bx == sorted(bx)
 
 
@@ -219,15 +260,16 @@ def test_sweep_matches_standalone_throughput():
     spec = SweepSpec(grid_step=0.25, families=("MRT", "ZF"))
     for cfg, channels in _grid_scenarios():
         result = sweep(spec, channels, cfg, _GEOM)
+        pts = result.points
         assert not result.skipped
-        assert len(result.points) == 2 * len(enumerate_grid(0.25, "MRT"))
-        for p in result.points:
-            rep = throughput(channels, build_precoders(p.params, channels, cfg), cfg)
-            assert p.t_sum_bps == rep.t_sum
-            assert p.collapsed == rep.collapsed
-            assert p.mcs_indices == tuple(int(index) for index in rep.mcs_chosen)
-        assert any(p.collapsed for p in result.points)
-        assert not all(p.collapsed for p in result.points)
+        assert len(pts) == 2 * len(enumerate_grid(0.25, "MRT"))
+        for i in range(len(pts)):
+            rep = throughput(channels, build_precoders(_params(pts, i), channels, cfg), cfg)
+            assert pts.t_sum_bps[i] == rep.t_sum
+            assert pts.collapsed[i] == rep.collapsed
+            assert tuple(pts.mcs[i].tolist()) == tuple(int(index) for index in rep.mcs_chosen)
+        assert any(pts.collapsed)
+        assert not all(pts.collapsed)
 
 
 def test_block_sinr_is_bit_identical_to_per_point():
@@ -236,23 +278,23 @@ def test_block_sinr_is_bit_identical_to_per_point():
     for cfg, channels in _grid_scenarios():
         noise, gap = cfg.noise_power_comms, cfg.shannon_gap_db
         for family in ("MRT", "ZF"):
-            dirs = private_directions(channels, family)
-            uc = common_direction(channels)
+            table = BlendTable(channels, family, grid_axis(0.25))
             for t, tp, ac_axis, ap_axis in _grid_blocks(0.25):
-                block = _block_precoders(
-                    t, tp, ac_axis, ap_axis, family, channels, cfg, dirs, uc
+                block = build_precoders(
+                    ParameterPoint(t, tp, ac_axis, ap_axis, family), channels, cfg, table
                 )
+                gains = stream_gains(channels, block)
                 batched = {}
                 for fn in (sinr_common, sinr_private):
                     for ue in (1, 2):
-                        values = fn(channels, block, ue, noise)
+                        values = fn(gains, ue, noise)
                         batched[fn, ue] = values, spectral_efficiency(values, gap)
                 for i, ac in enumerate(ac_axis):
                     for j, ap in enumerate(ap_axis):
                         pp = ParameterPoint(t, tp, ac, ap, family)
-                        pset = build_precoders(pp, channels, cfg)
+                        single_gains = stream_gains(channels, build_precoders(pp, channels, cfg))
                         for (fn, ue), (values, eff) in batched.items():
-                            single = fn(channels, pset, ue, noise)
+                            single = fn(single_gains, ue, noise)
                             # p_c batches over rows, p_1 and p_2 over columns
                             row = min(i, values.shape[0] - 1)
                             assert np.array_equal(values[row, j], single), (pp, ue)
@@ -281,11 +323,12 @@ def test_sweep_sensing_numbers_cross_check():
             )
             channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
             result = sweep(spec, channels, cfg, _GEOM)
+            pts = result.points
             assert not result.skipped
-            for p in result.points:
-                g0, bound = _point_eval_sensing(p.params, channels, cfg)
-                assert p.g0 == g0, p.params
-                assert p.crb_bins2 == bound, p.params
+            for i in range(len(pts)):
+                g0, bound = _point_eval_sensing(_params(pts, i), channels, cfg)
+                assert pts.g0[i] == g0, _params(pts, i)
+                assert pts.crb_bins2[i] == bound, _params(pts, i)
 
 
 def test_rank_deficient_zf_sweep_scores_common_only_blocks(make_channels):
@@ -294,36 +337,37 @@ def test_rank_deficient_zf_sweep_scores_common_only_blocks(make_channels):
     # still scored, and their sensing numbers equal point-eval's.
     cfg, channels = make_channels(n_subcarriers=16, ue_angles_deg=(30.0, 30.0))
     result = sweep(SweepSpec(grid_step=0.5, families=("ZF",)), channels, cfg, _GEOM)
+    pts = result.points
     assert len(result.skipped) == 24
-    assert all("rank" in s.reason for s in result.skipped)
-    assert len(result.points) == 7
-    assert {p.params.t_p for p in result.points if p.params.t_comms > 0.0} == {0.0}
-    for p in result.points:
-        assert (p.g0, p.crb_bins2) == _point_eval_sensing(p.params, channels, cfg)
+    assert all("rank" in reason for reason in result.skipped.reason.tolist())
+    assert len(pts) == 7
+    assert set(pts.t_p[pts.t_comms > 0.0].tolist()) == {0.0}
+    for i in range(len(pts)):
+        sensing = (pts.g0[i], pts.crb_bins2[i])
+        assert sensing == _point_eval_sensing(_params(pts, i), channels, cfg)
 
 
 def test_frontier_idempotent(smoke_sweep):
     *_, result = smoke_sweep
-    again = frontier_points(list(result.boundary), result.metric)
-    assert tuple(again) == result.boundary
+    again = frontier_points(result.boundary, result.metric)
+    assert again == result.boundary
 
 
 def test_grid_refinement_weakly_dominates(smoke_sweep):
     cfg, channels, spec, coarse_result = smoke_sweep
-    fine = sweep(SweepSpec(grid_step=0.25), channels, cfg, _GEOM)
-    for b in coarse_result.boundary:
-        assert any(
-            q.t_sum_bps >= b.t_sum_bps and q.g0 >= b.g0 for q in fine.boundary
-        )
+    fine = sweep(SweepSpec(grid_step=0.25), channels, cfg, _GEOM).boundary
+    coarse = coarse_result.boundary
+    for bx, by in zip(coarse.t_sum_bps, coarse.g0):
+        assert np.any((fine.t_sum_bps >= bx) & (fine.g0 >= by))
 
 
 def test_scheme_filters(smoke_sweep):
     *_, result = smoke_sweep
-    pts = list(result.points)
+    pts = result.points
     sdma = scheme_points(pts, "SDMA")
-    assert sdma and all(p.params.t_p == 1.0 for p in sdma)
+    assert sdma and np.all(sdma.t_p == 1.0)
     rsma = scheme_points(pts, "RSMA_NoSense")
-    assert rsma and all(p.params.t_comms == 1.0 for p in rsma)
+    assert rsma and np.all(rsma.t_comms == 1.0)
     with pytest.raises(ConfigError, match="scheme"):
         scheme_points(pts, "NOMA")
     with pytest.raises(ConfigError, match="scheme"):
@@ -332,9 +376,10 @@ def test_scheme_filters(smoke_sweep):
 
 def test_scheme_frontier_contained_in_region(smoke_sweep):
     *_, result = smoke_sweep
-    full = list(result.boundary)
-    for p in scheme_frontier(list(result.points), "SDMA"):
-        assert any(q.t_sum_bps >= p.t_sum_bps and q.g0 >= p.g0 for q in full)
+    full = result.boundary
+    sdma = scheme_frontier(result.points, "SDMA")
+    for px, py in zip(sdma.t_sum_bps, sdma.g0):
+        assert np.any((full.t_sum_bps >= px) & (full.g0 >= py))
 
 
 def test_sweep_skips_zf_on_rank_deficient_channels(make_channels):
@@ -346,10 +391,11 @@ def test_sweep_skips_zf_on_rank_deficient_channels(make_channels):
         broadside_unit=base.broadside_unit,
     )
     result = sweep(SweepSpec(grid_step=0.5, families=("ZF",)), dup, cfg, _GEOM)
+    pts = result.points
     assert len(result.skipped) == 24
-    assert len(result.points) == 7
-    assert all("rank" in s.reason for s in result.skipped)
-    assert all(p.params.t_comms == 0.0 or p.params.t_p == 0.0 for p in result.points)
+    assert len(pts) == 7
+    assert all("rank" in reason for reason in result.skipped.reason.tolist())
+    assert np.all((pts.t_comms == 0.0) | (pts.t_p == 0.0))
 
 
 def test_sweep_snr_metric_smoke(make_channels):
@@ -357,8 +403,8 @@ def test_sweep_snr_metric_smoke(make_channels):
     spec = SweepSpec(grid_step=0.5, metric="SNR_RAD", monte_carlo_trials=2)
     result = sweep(spec, channels, cfg, _GEOM)
     assert result.metric == "SNR_RAD"
-    assert all(p.snr_rad_db is not None for p in result.points)
-    assert all(math.isfinite(p.snr_rad_db) for p in result.points)
+    assert len(result.points.snr_rad_db) == len(result.points)
+    assert all(math.isfinite(snr) for snr in result.points.snr_rad_db.tolist())
     again = sweep(spec, channels, cfg, _GEOM)
     assert again == result
 
@@ -368,7 +414,7 @@ def test_sensing_dominant_sdma_boundary(make_cfg):
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     result = sweep(SweepSpec(grid_step=0.1), channels, cfg, _GEOM)
 
-    rows = scheme_frontier(list(result.points), "SDMA")
+    rows = scheme_frontier(result.points, "SDMA")
     assert len(rows) == 5
     expect = [
         ((0.0, 1.0, 1.0, 1.0), 0.0, 2.0),
@@ -377,14 +423,14 @@ def test_sensing_dominant_sdma_boundary(make_cfg):
         ((0.9, 1.0, 1.0, 0.4), 127968750.0, 1.31783317945),
         ((1.0, 1.0, 1.0, 0.5), 146250000.0, 1.05272351354),
     ]
-    for row, (params, t_sum, g0) in zip(rows, expect):
-        assert row.params.key()[:4] == pytest.approx(params, abs=1e-12)
-        assert row.t_sum_bps == t_sum
-        assert row.g0 == pytest.approx(g0, rel=1e-9)
+    for i, (params, t_sum, g0) in enumerate(expect):
+        assert _params(rows, i).key()[:4] == pytest.approx(params, abs=1e-12)
+        assert rows.t_sum_bps[i] == t_sum
+        assert rows.g0[i] == pytest.approx(g0, rel=1e-9)
 
-    rsma_rows = scheme_frontier(list(result.points), "RSMA_NoSense")
+    rsma_rows = scheme_frontier(result.points, "RSMA_NoSense")
     assert len(rsma_rows) == 9
-    assert all(r.params.t_comms == 1.0 for r in rsma_rows)
+    assert np.all(rsma_rows.t_comms == 1.0)
 
 
 def test_boundary_params_csv_exact(tmp_path, make_cfg):
@@ -392,7 +438,7 @@ def test_boundary_params_csv_exact(tmp_path, make_cfg):
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     result = sweep(SweepSpec(grid_step=0.1), channels, cfg, _GEOM)
     path = tmp_path / "boundary_params.csv"
-    write_boundary_params_csv(scheme_frontier(list(result.points), "SDMA"), str(path))
+    write_boundary_params_csv(scheme_frontier(result.points, "SDMA"), str(path))
     lines = path.read_text().splitlines()
     assert lines == [
         "index,t_comms,t_p,alpha_c,alpha_p,mcs_c,mcs_1,mcs_2",
@@ -409,25 +455,25 @@ def test_preset_regression_tight_angles():
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     result = sweep(SweepSpec(grid_step=0.1), channels, cfg, _GEOM)
 
-    sdma = scheme_points(list(result.points), "SDMA")
-    assert max(p.t_sum_bps for p in sdma) == 146250000.0
-    corner = scheme_frontier(list(result.points), "SDMA")[-1]
-    assert corner.params.key()[:4] == pytest.approx((0.4, 1.0, 1.0, 0.1), abs=1e-12)
-    assert corner.g0 == pytest.approx(1.93621959579, rel=1e-9)
+    sdma = scheme_points(result.points, "SDMA")
+    assert max(sdma.t_sum_bps) == 146250000.0
+    sdma_front = scheme_frontier(result.points, "SDMA")
+    corner = sdma_front.take([-1])
+    assert _params(corner, 0).key()[:4] == pytest.approx((0.4, 1.0, 1.0, 0.1), abs=1e-12)
+    assert corner.g0[0] == pytest.approx(1.93621959579, rel=1e-9)
 
-    rsma_pts = scheme_points(list(result.points), "RSMA_NoSense")
-    dominators = [
-        p for p in rsma_pts if p.t_sum_bps > corner.t_sum_bps and p.g0 > corner.g0
-    ]
+    rsma_pts = scheme_points(result.points, "RSMA_NoSense")
+    dominators = rsma_pts.take(
+        (rsma_pts.t_sum_bps > corner.t_sum_bps[0]) & (rsma_pts.g0 > corner.g0[0])
+    )
     assert len(dominators) == 14
-    first = dominators[0]
-    assert first.params.key()[:4] == (1.0, 0.0, 0.0, 1.0)
-    assert first.t_sum_bps == 292500000.0
-    assert first.g0 == 2.0
+    assert _params(dominators, 0).key()[:4] == (1.0, 0.0, 0.0, 1.0)
+    assert dominators.t_sum_bps[0] == 292500000.0
+    assert dominators.g0[0] == 2.0
 
-    assert len(scheme_frontier(list(result.points), "RSMA_NoSense")) == 4
+    assert len(scheme_frontier(result.points, "RSMA_NoSense")) == 4
     assert len(result.boundary) == 5
-    tset = {round(p.params.t_comms, 6) for p in result.boundary}
+    tset = {round(t, 6) for t in result.boundary.t_comms.tolist()}
     assert tset == {0.5, 0.7, 0.9, 1.0}
 
 

@@ -18,6 +18,7 @@ from rsma_isac import (
     sinr_common,
     sinr_private,
     spectral_efficiency,
+    stream_gains,
     throughput,
 )
 from rsma_isac.core import ConfigError
@@ -203,9 +204,10 @@ def test_sinr_matches_bruteforce(make_channels):
     cfg, channels = make_channels(n_subcarriers=5, ue_angles_deg=(-37.0, 12.0))
     pset = build_precoders(ParameterPoint(0.7, 0.6, 0.4, 0.55), channels, cfg)
     noise = cfg.noise_power_comms
+    gains = stream_gains(channels, pset)
     for ue in (1, 2):
-        got_c = sinr_common(channels, pset, ue, noise)
-        got_p = sinr_private(channels, pset, ue, noise)
+        got_c = sinr_common(gains, ue, noise)
+        got_p = sinr_private(gains, ue, noise)
         assert np.allclose(got_c, _brute_sinr(channels, pset, ue, noise, "common"))
         assert np.allclose(got_p, _brute_sinr(channels, pset, ue, noise, "private"))
 
@@ -213,16 +215,17 @@ def test_sinr_matches_bruteforce(make_channels):
 def test_sinr_rejects_bad_ue(make_channels):
     cfg, channels = make_channels(n_subcarriers=4)
     pset = build_precoders(ParameterPoint(0.5, 0.5, 0.5, 0.5), channels, cfg)
+    gains = stream_gains(channels, pset)
     with pytest.raises(ValueError):
-        sinr_common(channels, pset, 0, cfg.noise_power_comms)
+        sinr_common(gains, 0, cfg.noise_power_comms)
     with pytest.raises(ValueError):
-        sinr_private(channels, pset, 3, cfg.noise_power_comms)
+        sinr_private(gains, 3, cfg.noise_power_comms)
 
 
 def test_sinr_zero_common_power(make_channels):
     cfg, channels = make_channels(n_subcarriers=4)
     pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5), channels, cfg)
-    assert np.all(sinr_common(channels, pset, 1, cfg.noise_power_comms) == 0.0)
+    assert np.all(sinr_common(stream_gains(channels, pset), 1, cfg.noise_power_comms) == 0.0)
 
 
 def test_sinr_interference_free(flat_channels, make_cfg):
@@ -233,7 +236,7 @@ def test_sinr_interference_free(flat_channels, make_cfg):
     # each user sees only its own beam: SINR = (P/2/nc) / noise on every tone
     expect = (0.5 / 4) / noise
     for ue in (1, 2):
-        got = sinr_private(ch, pset, ue, noise)
+        got = sinr_private(stream_gains(ch, pset), ue, noise)
         assert np.allclose(got, expect, rtol=1e-12)
 
 
