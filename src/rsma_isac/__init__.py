@@ -27,7 +27,6 @@ from .core import (
     steering_vector,
 )
 from .precoders import (
-    CASE_TAGS,
     FAMILIES,
     BlendTable,
     DegenerateDirectionError,
@@ -35,14 +34,15 @@ from .precoders import (
     PrecoderSet,
     RankDeficientChannelError,
     build_precoders,
-    classify_special_case,
     common_direction,
     private_directions,
 )
 from .radar import (
     RangeProfile,
     UndefinedProfileError,
+    expected_sensing,
     expected_steered_power,
+    monte_carlo,
     radar_return,
     range_profile,
     sensing_symbols,
@@ -52,11 +52,13 @@ from .radar import (
     two_stage_capture,
 )
 from .region import (
+    CASE_TAGS,
     SCHEMES,
     IsacPoints,
     RegionResult,
     SkippedPoints,
     SweepSpec,
+    case_codes,
     enumerate_grid,
     frontier_points,
     grid_axis,
@@ -71,10 +73,8 @@ from .region import (
 from .throughput import (
     DEFAULT_BANDWIDTH,
     MCS_TABLE,
-    EffectiveBandwidth,
     McsLevel,
     ThroughputReport,
-    effective_bandwidth,
     max_mcs,
     sinr_common,
     sinr_private,

@@ -41,21 +41,12 @@ from .precoders import (
     ParameterPoint,
     RankDeficientChannelError,
     build_precoders,
-    classify_special_case,
 )
-from .radar import (
-    UndefinedProfileError,
-    expected_steered_power,
-    range_profile,
-    steered_projection,
-    synthesize_tx,
-    two_stage_capture,
-    _delay_crb,
-    _k2_sum,
-    _trial_chunks,
-)
+from .radar import UndefinedProfileError, expected_sensing, monte_carlo, two_stage_capture
 from .region import (
+    CASE_TAGS,
     SweepSpec,
+    case_codes,
     round_sig,
     sweep,
     write_boundary_params_csv,
@@ -222,7 +213,14 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
         for row_index, pp in rows:
             pset = build_precoders(pp, channels, cfg)
             for n0, beta in zip(n0_values, betas):
-                peaks, snr_sum = _heatmap_cell(pset, cfg, n0, beta, trials, stream)
+                # Trial t draws from streams s, s + 1 and s + 2 with s = stream + 3t.
+                peaks, snr_sum = monte_carlo(
+                    pset, _GEOM, cfg.target_angle_deg, cfg.seed,
+                    [(s, s + 1, s + 2) for s in range(stream, stream + 3 * trials, 3)],
+                    lambda c, with_target, without: two_stage_capture(
+                        c, n0, beta, cfg.noise_power_radar, with_target, without
+                    ),
+                )
                 stream += 3 * trials
                 if trials == 0:
                     continue
@@ -233,40 +231,13 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
                 fh.write(f"{row_index},{n0},{modal},{snr_db:.6f},{correct:.6f}\n")
 
 
-def _heatmap_cell(pset, cfg: ScenarioConfig, n0: int, beta: float, trials: int, stream: int):
-    """A heatmap cell's peak bins and summed linear SNR, a chunk of trials at a time.
-
-    Trial t draws from streams s, s + 1 and s + 2 with s = stream + 3t.
-    """
-    peaks = []
-    snr_sum = 0.0
-    for chunk in _trial_chunks(trials):
-        keys = [stream + 3 * t for t in chunk]
-        x = synthesize_tx(pset, [RngStream(cfg.seed, s) for s in keys])
-        c = steered_projection(x, _GEOM, cfg.target_angle_deg)
-        del x  # each stack goes once the next stage has consumed it
-        y = two_stage_capture(
-            c, n0, beta, cfg.noise_power_radar,
-            [RngStream(cfg.seed, s + 1) for s in keys],
-            [RngStream(cfg.seed, s + 2) for s in keys],
-        )
-        prof = range_profile(y, c)
-        del c, y
-        peaks += prof.peak_bin.tolist()
-        for snr_db in prof.snr_rad_db.tolist():
-            snr_sum += 10.0 ** (snr_db / 10.0)
-    return peaks, snr_sum
-
-
 def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
     pp = ParameterPoint(*section)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     pset = build_precoders(pp, channels, cfg)
     report = throughput(channels, pset, cfg)
-    power = expected_steered_power(pset, _GEOM, cfg.target_angle_deg)
-    g0 = round_sig(float(np.sum(power)))
-    bound = float(
-        _delay_crb(_k2_sum(power), power.shape[0], cfg.target_attenuation, cfg.noise_power_radar)
+    g0, crb = expected_sensing(
+        pset, _GEOM, cfg.target_angle_deg, cfg.target_attenuation, cfg.noise_power_radar
     )
 
     def mean_db(values: np.ndarray) -> float | str:
@@ -281,7 +252,7 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
             "t_comms": pp.t_comms, "t_p": pp.t_p,
             "alpha_c": pp.alpha_c, "alpha_p": pp.alpha_p, "family": pp.family,
         },
-        "case": classify_special_case(pp),
+        "case": CASE_TAGS[case_codes(pp.t_comms, pp.t_p, pp.alpha_c, pp.alpha_p)],
         "stream_powers": pset.stream_powers(),
         "t_common_bps": report.t_common.tolist(),
         "t_private_bps": [rate.tolist() for rate in report.t_private],
@@ -295,8 +266,8 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
         "spectral_efficiency_common": [
             spectral_efficiency(sinr, cfg.shannon_gap_db) for sinr in common
         ],
-        "g0": g0,
-        "crb_bins2": bound if math.isfinite(bound) else "inf",
+        "g0": round_sig(float(g0)),
+        "crb_bins2": float(crb) if math.isfinite(crb) else "inf",
     }
     return _write_json(os.path.join(out_dir, "point.json"), payload)
 
@@ -377,12 +348,16 @@ def _parse_params_csv(path: str, family: str) -> list:
     Dashed entries are the pinned values the sweep collapsed away:
     no communications power pins everything downstream, t_p = 1 pins
     alpha_c, t_p = 0 pins alpha_p. Blank lines are skipped; a row with
-    fewer cells than the header is a ``ConfigError`` naming its line.
+    fewer cells than the header is a ``ConfigError`` naming its line, and
+    so are a header without the knob columns and a file without rows.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         idx = {name: i for i, name in enumerate(header)}
+        missing = [name for name in ("index", *_KNOBS) if name not in idx]
+        if missing:
+            raise ConfigError(f"{path}: header lacks the columns {missing}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -400,6 +375,8 @@ def _parse_params_csv(path: str, family: str) -> list:
             key = [float(cells[idx["t_comms"]]), cell("t_p", 1.0),
                    cell("alpha_c", 1.0), cell("alpha_p", 1.0), family]
             rows.append([int(cells[idx["index"]]), key])
+    if not rows:
+        raise ConfigError(f"{path}: no operating points")
     return rows
 
 

@@ -29,17 +29,6 @@ class RankDeficientChannelError(ValueError):
 
 FAMILIES = ("MRT", "ZF")
 
-CASE_TAGS = (
-    "RSMA_NoSense_General",
-    "RSMA_NoSense_Soft",
-    "SDMA_Sense_General",
-    "SDMA_Sense_Hard",
-    "SDMA_NoSense",
-    "General",
-)
-
-_SOFT_ATOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ParameterPoint:
@@ -70,9 +59,6 @@ class ParameterPoint:
         if fam not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         object.__setattr__(self, "family", fam)
-
-    def key(self) -> tuple:
-        return (self.t_comms, self.t_p, self.alpha_c, self.alpha_p, self.family)
 
 
 @dataclass(frozen=True)
@@ -252,27 +238,3 @@ def build_precoders(
         p_r = np.zeros((nc, nt), dtype=complex)
 
     return PrecoderSet(p_c=p_c, p_1=p_1, p_2=p_2, p_r=p_r)
-
-
-def classify_special_case(pp: ParameterPoint) -> str:
-    """Name the operating regime a parameter point falls into.
-
-    The named regimes are exact parameter patterns; anything else is
-    ``General``. When several patterns overlap the more specific one wins,
-    and the pure-SDMA patterns (t_p = 1) are checked before the
-    full-communications ones.
-    """
-    t, tp, ac, ap = pp.t_comms, pp.t_p, pp.alpha_c, pp.alpha_p
-    if tp == 1.0:
-        if 0.0 < t < 1.0:
-            if ap == 1.0:
-                return "SDMA_Sense_Hard"
-            if 0.0 < ap < 1.0:
-                return "SDMA_Sense_General"
-        elif t == 1.0 and 0.0 < ap < 1.0:
-            return "SDMA_NoSense"
-    if t == 1.0:
-        if abs(ac - (1.0 - ap)) <= _SOFT_ATOL and 0.5 <= ap <= 1.0:
-            return "RSMA_NoSense_Soft"
-        return "RSMA_NoSense_General"
-    return "General"

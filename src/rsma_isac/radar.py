@@ -17,7 +17,7 @@ consistent with every other.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,21 +39,15 @@ _CLUTTER_STREAM_ID = 0x7FFFFFFF
 _SENSING_SYMBOL_SEED = 0x5EED
 
 
-# Monte Carlo callers stack this many trials per call: enough to amortize
-# numpy's per-call cost, few enough to keep the stacked temporaries small.
+# monte_carlo stacks this many trials per call: enough to amortize numpy's
+# per-call cost, few enough to keep the stacked temporaries small.
 _TRIAL_CHUNK = 8
-
-
-def _trial_chunks(trials: int):
-    """Split range(trials) into consecutive runs of at most _TRIAL_CHUNK trials."""
-    return (range(s, min(s + _TRIAL_CHUNK, trials)) for s in range(0, trials, _TRIAL_CHUNK))
 
 
 @dataclass(frozen=True)
 class RangeProfile:
-    """Per-trial magnitudes (trials, N_c), peak bins and SNRs (trials,)."""
+    """Per-trial peak bins and SNRs, each of shape (trials,)."""
 
-    magnitudes: np.ndarray
     peak_bin: np.ndarray
     snr_rad_db: np.ndarray
 
@@ -226,6 +220,21 @@ def _k2_sum(power_per_k: np.ndarray) -> np.ndarray:
     return np.sum(np.arange(power_per_k.shape[-1]) ** 2 * power_per_k, axis=-1)
 
 
+def expected_sensing(
+    pset: PrecoderSet, geom: ArrayGeometry, angle_deg: float, beta: float, sigma_r2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sensing numbers of precoders: g0 and the delay CRB in bins².
+
+    g0 is the symbol-averaged energy radiated toward ``angle_deg``, the
+    sum over subcarriers of :func:`expected_steered_power`; the CRB comes
+    from its k²-weighted sum. Both keep the precoders' batch shape, and
+    every entry of a batch equals what its own point gives, bit for bit.
+    """
+    power = expected_steered_power(pset, geom, angle_deg)
+    nc = power.shape[-1]
+    return np.sum(power, axis=-1), _delay_crb(_k2_sum(power), nc, beta, sigma_r2)
+
+
 def snr_rad_closed_form(c: np.ndarray, beta: float, sigma_r2: float) -> float:
     """Predicted peak-to-offpeak power ratio, linear: β²(N_c−1)·Σ|c|²/σ_r²."""
     gain = float(np.sum(np.abs(c) ** 2))
@@ -258,4 +267,39 @@ def range_profile(y: np.ndarray, c: np.ndarray) -> RangeProfile:
     for m, d in zip(mags[np.arange(trials), peak], denom.tolist()):
         snr = math.inf if d == 0.0 else float(m**2) / d
         snr_db.append(10.0 * math.log10(snr) if math.isfinite(snr) else math.inf)
-    return RangeProfile(magnitudes=mags, peak_bin=peak, snr_rad_db=np.array(snr_db))
+    return RangeProfile(peak_bin=peak, snr_rad_db=np.array(snr_db))
+
+
+def monte_carlo(
+    pset: PrecoderSet,
+    geom: ArrayGeometry,
+    angle_deg: float,
+    seed: int,
+    streams: Sequence[Sequence[int]],
+    capture: Callable[..., np.ndarray],
+) -> tuple[list[int], float]:
+    """Peak bins and summed linear SNR of seeded end-to-end radar trials.
+
+    Trial t draws its waveform from stream ``streams[t][0]``. Its other
+    ids are for the capture: ``capture(c, *rngs)`` gets the steered
+    waveforms c and one list of keys per further id (``rngs[0][t]`` keys
+    ``streams[t][1]``), and returns the captures y. The trials run
+    ``_TRIAL_CHUNK`` at a time, and their SNRs are added one at a time as
+    scalar math, in trial order.
+    """
+    peaks: list[int] = []
+    total = 0.0
+    for lo in range(0, len(streams), _TRIAL_CHUNK):
+        tx, *rngs = zip(*(
+            [RngStream(seed, s) for s in ids] for ids in streams[lo:lo + _TRIAL_CHUNK]
+        ))
+        x = synthesize_tx(pset, tx)
+        c = steered_projection(x, geom, angle_deg)
+        del x  # each stack goes once the next stage has consumed it
+        y = capture(c, *rngs)
+        prof = range_profile(y, c)
+        del c, y
+        peaks += prof.peak_bin.tolist()
+        for snr_db in prof.snr_rad_db.tolist():
+            total += 10.0 ** (snr_db / 10.0)
+    return peaks, total

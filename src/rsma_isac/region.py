@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry, ChannelSet, ConfigError, RngStream, ScenarioConfig
+from .core import ArrayGeometry, ChannelSet, ConfigError, ScenarioConfig
 from .precoders import (
-    _SOFT_ATOL,
-    CASE_TAGS,
     FAMILIES,
     BlendTable,
     ParameterPoint,
@@ -28,16 +26,7 @@ from .precoders import (
     RankDeficientChannelError,
     build_precoders,
 )
-from .radar import (
-    _delay_crb,
-    _k2_sum,
-    _trial_chunks,
-    expected_steered_power,
-    radar_return,
-    range_profile,
-    steered_projection,
-    synthesize_tx,
-)
+from .radar import expected_sensing, monte_carlo, radar_return
 from .throughput import throughput
 
 # Stream ids below this are free for callers; sweep Monte Carlo draws live
@@ -45,6 +34,19 @@ from .throughput import throughput
 _SNR_STREAM_BASE = 1 << 20
 
 METRICS = ("G0", "SNR_RAD")
+
+# The operating regimes a point can fall into; see case_codes.
+CASE_TAGS = (
+    "RSMA_NoSense_General",
+    "RSMA_NoSense_Soft",
+    "SDMA_Sense_General",
+    "SDMA_Sense_Hard",
+    "SDMA_NoSense",
+    "General",
+)
+
+# How far alpha_c may sit from 1 - alpha_p for a point to count as soft.
+_SOFT_ATOL = 1e-9
 
 # Parameter patterns coarser than the case tags, for frontier filtering.
 # SDMA sends no common stream regardless of how much power sensing gets;
@@ -96,6 +98,13 @@ class SweepSpec:
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}")
         if self.include_cases is not None:
+            # A string would be split into characters, and an empty filter
+            # would skip every point.
+            if isinstance(self.include_cases, str) or not self.include_cases:
+                raise ConfigError(
+                    f"include_cases must be a nonempty list of case tags, "
+                    f"got {self.include_cases!r}"
+                )
             cases = frozenset(self.include_cases)
             unknown = cases - set(CASE_TAGS)
             if unknown:
@@ -233,8 +242,15 @@ def _grid_columns(grid_step: float):
     return blocks, bounds, columns
 
 
-def _case_codes(t, tp, ac, ap) -> np.ndarray:
-    """``classify_special_case`` over arrays: each point's index into CASE_TAGS."""
+def case_codes(t, tp, ac, ap) -> np.ndarray:
+    """The operating regime of each point, as its index into CASE_TAGS.
+
+    The knobs broadcast against each other; a single point is 0-d input
+    and gets a 0-d code. The named regimes are exact parameter patterns;
+    anything else is ``General``. When several patterns overlap the more
+    specific one wins, and the pure-SDMA patterns (t_p = 1) win over the
+    full-communications ones.
+    """
     t, tp, ac, ap = np.broadcast_arrays(t, tp, ac, ap)
     sdma = tp == 1.0
     full = t == 1.0
@@ -288,34 +304,6 @@ def scheme_frontier(points: IsacPoints, scheme: str, metric: str = "G0") -> Isac
     return frontier_points(scheme_points(points, scheme), metric)
 
 
-def _measured_snr_db(
-    pset,
-    cfg: ScenarioConfig,
-    geom: ArrayGeometry,
-    trials: int,
-    stream_base: int,
-) -> float:
-    """Mean measured matched-filter SNR over seeded end-to-end simulations.
-
-    Trial t draws its waveform from stream ``stream_base + 2t`` and its
-    noise from the next one; the trials run a chunk at a time.
-    """
-    total = 0.0
-    for chunk in _trial_chunks(trials):
-        x = synthesize_tx(pset, [RngStream(cfg.seed, stream_base + 2 * t) for t in chunk])
-        c = steered_projection(x, geom, cfg.target_angle_deg)
-        del x  # each stack goes once the next stage has consumed it
-        y = radar_return(
-            c, cfg.target_delay_bins, cfg.target_attenuation, cfg.noise_power_radar,
-            [RngStream(cfg.seed, stream_base + 2 * t + 1) for t in chunk],
-        )
-        snrs = range_profile(y, c).snr_rad_db.tolist()
-        del c, y
-        for snr_db in snrs:
-            total += 10.0 ** (snr_db / 10.0)
-    return 10.0 * math.log10(total / trials)
-
-
 def sweep(
     spec: SweepSpec,
     channels: ChannelSet,
@@ -331,27 +319,30 @@ def sweep(
     into the block's precoders, a batch over its (alpha_c, alpha_p) plane,
     and one ``throughput`` call scores all of it.
     The sensing axis is the symbol-averaged energy toward the target: one
-    ``expected_steered_power`` call on the same batch gives every point's
-    per-subcarrier power, g0 is its sum and the delay CRB comes from its
-    k^2-weighted sum, so each point gets exactly what point-eval computes
-    for it. g0 is rounded to 12 significant digits so points that are
-    equal on paper tie exactly. Results are kept as columns; no object is
-    built per point.
-    SNR_RAD mode additionally simulates the full radar chain per point with
-    deterministic per-point random streams. ZF rank failures mark the
-    affected points as skipped instead of aborting the sweep (points that
-    allocate no private power survive, since they never need the failing
-    directions).
+    ``expected_sensing`` call on the same batch gives every point's g0 and
+    delay CRB, exactly what point-eval computes for it. g0 is rounded to
+    12 significant digits so points that are equal on paper tie exactly.
+    Results are kept as columns; no object is built per point.
+    SNR_RAD mode additionally runs the radar chain's ``monte_carlo`` per
+    point with deterministic per-point random streams. ZF rank failures
+    mark the affected points as skipped instead of aborting the sweep
+    (points that allocate no private power survive, since they never need
+    the failing directions).
     """
-    nc = channels.n_subcarriers
     blocks, bounds, grid = _grid_columns(spec.grid_step)
-    case = _case_codes(*grid)
+    case = case_codes(*grid)
     keep = (
         np.ones(len(case), dtype=bool)
         if spec.include_cases is None
         else np.isin(case, [CASE_TAGS.index(tag) for tag in spec.include_cases])
     )
     trials = spec.monte_carlo_trials
+
+    def capture(c, noise):
+        return radar_return(
+            c, cfg.target_delay_bins, cfg.target_attenuation, cfg.noise_power_radar, noise
+        )
+
     parts: list[tuple] = []
     skipped: list[tuple] = []
     snrs: list[float] = []
@@ -377,25 +368,30 @@ def sweep(
                 ParameterPoint(t, tp, ac_axis, ap_axis, family), channels, cfg, table
             )
             report = throughput(channels, pset, cfg)
-            power = expected_steered_power(pset, geom, cfg.target_angle_deg)
+            block_g0, block_crb = expected_sensing(
+                pset, geom, cfg.target_angle_deg, cfg.target_attenuation, cfg.noise_power_radar
+            )
             t_sum[lo:hi] = report.t_sum.ravel()
-            g0[lo:hi] = np.sum(power, axis=-1).ravel()
-            crb[lo:hi] = _delay_crb(
-                _k2_sum(power), nc, cfg.target_attenuation, cfg.noise_power_radar
-            ).ravel()
+            g0[lo:hi] = block_g0.ravel()
+            crb[lo:hi] = block_crb.ravel()
             collapsed[lo:hi] = report.collapsed.ravel()
             for m, index in enumerate(report.mcs_chosen):
                 mcs[lo:hi, m] = index.ravel()
             if spec.metric == "SNR_RAD":
                 for k in np.flatnonzero(keep[lo:hi]).tolist():
                     i, j = divmod(k, len(ap_axis))
-                    snrs.append(_measured_snr_db(
+                    # Trial t draws its waveform from stream base + 2t and
+                    # its noise from the next one.
+                    base = _SNR_STREAM_BASE + 2 * trials * len(snrs)
+                    _, total = monte_carlo(
                         PrecoderSet(pset.p_c[i, 0], pset.p_1[0, j], pset.p_2[0, j], pset.p_r),
-                        cfg,
                         geom,
-                        trials,
-                        _SNR_STREAM_BASE + 2 * trials * len(snrs),
-                    ))
+                        cfg.target_angle_deg,
+                        cfg.seed,
+                        [(base + 2 * t, base + 2 * t + 1) for t in range(trials)],
+                        capture,
+                    )
+                    snrs.append(10.0 * math.log10(total / trials))
         fam = np.full(len(case), FAMILIES.index(family))
         columns = (*grid, fam, case, t_sum, g0, crb, collapsed, mcs)
         parts.append(tuple(column[scored] for column in columns))

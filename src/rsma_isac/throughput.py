@@ -15,41 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ChannelSet, ConfigError, ScenarioConfig
+from .core import ChannelSet, ScenarioConfig
 from .precoders import PrecoderSet
 
 
-@dataclass(frozen=True)
-class EffectiveBandwidth:
-    """Nominal bandwidth discounted by cyclic prefix and guard subcarriers."""
-
-    total_hz: float
-    cp_samples: int
-    data_subcarriers: int
-    value_hz: float
-
-
-def effective_bandwidth(
-    total_hz: float, n_subcarriers: int, cp_samples: int, data_subcarriers: int
-) -> EffectiveBandwidth:
-    """Bandwidth actually carrying data: total · N_c/(N_c+cp) · data/N_c."""
-    if total_hz <= 0 or n_subcarriers <= 0 or data_subcarriers <= 0:
-        raise ConfigError("bandwidth, subcarrier and data counts must be positive")
-    if cp_samples < 0:
-        raise ConfigError("cp_samples must be nonnegative")
-    if data_subcarriers > n_subcarriers:
-        raise ConfigError("data_subcarriers cannot exceed n_subcarriers")
-    value = (
-        total_hz
-        * (n_subcarriers / (n_subcarriers + cp_samples))
-        * (data_subcarriers / n_subcarriers)
-    )
-    return EffectiveBandwidth(total_hz, cp_samples, data_subcarriers, value)
-
-
 # 100 MHz OFDM with a 1/4 cyclic prefix and 468 of 512 subcarriers carrying
-# data: the link budget every throughput number in this package assumes.
-DEFAULT_BANDWIDTH = effective_bandwidth(100e6, 512, 128, 468)
+# data: the link budget every throughput number in this package assumes,
+# in Hz. total · N_c/(N_c + cp) · data/N_c = 73.125 MHz.
+DEFAULT_BANDWIDTH = 100e6 * (512 / (512 + 128)) * (468 / 512)
 
 
 @dataclass(frozen=True)
@@ -68,7 +41,7 @@ class McsLevel:
 
     def data_rate_bps(self) -> float:
         """Bit rate of the level over ``DEFAULT_BANDWIDTH``."""
-        return DEFAULT_BANDWIDTH.value_hz * float(self.bit_density)
+        return DEFAULT_BANDWIDTH * float(self.bit_density)
 
 
 _MCS_ROWS = (

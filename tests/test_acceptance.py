@@ -16,14 +16,16 @@ import numpy as np
 import pytest
 
 from rsma_isac import (
+    CASE_TAGS,
+    DEFAULT_BANDWIDTH,
     ArrayGeometry,
     MCS_TABLE,
     ParameterPoint,
     RngStream,
     SweepSpec,
     build_precoders,
+    case_codes,
     common_direction,
-    effective_bandwidth,
     generate_channels,
     scenario_preset,
     scheme_frontier,
@@ -33,7 +35,6 @@ from rsma_isac import (
     throughput,
 )
 from rsma_isac.cli import main
-from rsma_isac.precoders import classify_special_case
 from rsma_isac.radar import (
     _delay_crb,
     _delay_fisher,
@@ -147,9 +148,8 @@ def test_criterion_2_angle_separation_ratios(region_data, verdict):
 
 def test_criterion_3_bandwidth_and_rates(verdict):
     failures = []
-    eb = effective_bandwidth(100e6, 512, 128, 468)
-    if eb.value_hz != 73125000.0:
-        failures.append(f"effective bandwidth {eb.value_hz!r} != 73.125 MHz")
+    if DEFAULT_BANDWIDTH != 73125000.0:
+        failures.append(f"effective bandwidth {DEFAULT_BANDWIDTH!r} != 73.125 MHz")
 
     exact_bw = Fraction(73125000)
     for level in MCS_TABLE:
@@ -358,7 +358,7 @@ def _closed_form_failures(channels, cfg):
     }
     seen = set()
     for pp, expect in cases.items():
-        seen.add(classify_special_case(pp))
+        seen.add(CASE_TAGS[case_codes(pp.t_comms, pp.t_p, pp.alpha_c, pp.alpha_p)])
         pset = build_precoders(pp, channels, cfg)
         for name, built, closed in zip(
             ("common", "p1", "p2", "sensing"),
@@ -366,7 +366,7 @@ def _closed_form_failures(channels, cfg):
             expect,
         ):
             if not np.allclose(built, closed, atol=1e-12):
-                failures.append(f"{pp.key()}: {name} deviates from closed form")
+                failures.append(f"{dataclasses.astuple(pp)}: {name} deviates from closed form")
     if len(seen) != 5:
         failures.append(f"regimes covered: {sorted(seen)}")
     return failures

@@ -1,5 +1,6 @@
 """End-to-end command-line flows, exercised in process through main()."""
 
+import csv
 import hashlib
 import json
 import os
@@ -265,6 +266,15 @@ def test_missing_scenario_file(tmp_path):
         ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
          "--family", "mrt", "--set", "target_attenuation=1e200"],
         ["point-eval", "--set", "target_attenuation=-1e160", *_POINT_SETS],
+        # a case filter that is empty, or a bare tag that would split into
+        # characters, is a configuration error, not a sweep with no points
+        ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
+         "--family", "mrt", "--set", "include_cases=[]"],
+        ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
+         "--family", "mrt", "--set", 'include_cases="General"'],
+        # a params file with no operating points, or without the knob columns
+        ["radar-heatmap", "--params", "{empty}", "--set", "n_subcarriers=16"],
+        ["radar-heatmap", "--params", "{noheader}", "--set", "n_subcarriers=16"],
     ],
 )
 def test_bad_configuration_exits_2(tmp_path, argv):
@@ -272,7 +282,12 @@ def test_bad_configuration_exits_2(tmp_path, argv):
     params.write_text(_PARAMS_HEADER + "0,1,1,-,0.5,-,9,9\n")
     truncated = tmp_path / "truncated.csv"
     truncated.write_text(_PARAMS_HEADER + "0,1,1,-,0.5,-,9,9\n1,0.5\n2,1,1,-,0.5,-,9,9\n")
-    files = {"{params}": str(params), "{truncated}": str(truncated)}
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    noheader = tmp_path / "noheader.csv"
+    noheader.write_text("foo,bar\n")
+    files = {"{params}": str(params), "{truncated}": str(truncated),
+             "{empty}": str(empty), "{noheader}": str(noheader)}
     argv = [files.get(arg, arg) for arg in argv]
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
@@ -299,6 +314,49 @@ def test_params_csv_skips_blank_lines_only(tmp_path):
     path.write_text(_PARAMS_HEADER + "0,0,-,-,-,-,-,-\n1,1,1,-,0.5\n")
     with pytest.raises(ConfigError, match="line 3"):
         _parse_params_csv(str(path), "ZF")
+
+
+def test_params_csv_needs_knob_columns_and_a_row(tmp_path):
+    path = tmp_path / "boundary_params.csv"
+    path.write_text(_PARAMS_HEADER)
+    with pytest.raises(ConfigError, match="no operating points"):
+        _parse_params_csv(str(path), "MRT")
+    path.write_text("index,t_comms,alpha_c,mcs_c\n0,1,1,9\n")
+    with pytest.raises(ConfigError, match=r"\['t_p', 'alpha_p'\]"):
+        _parse_params_csv(str(path), "MRT")
+
+
+def test_point_eval_agrees_with_sweep_rows(tmp_path):
+    # point-eval and a sweep label and score an operating point through the
+    # same functions, so every column they share reads the same
+    sw = tmp_path / "sw"
+    small = ["--preset", "S2", "--set", "n_subcarriers=16"]
+    knob_names = ("t_comms", "t_p", "alpha_c", "alpha_p")
+    assert main(["sweep", *small, "--step", "0.5", "--family", "both", "--out", str(sw)]) == 0
+    with open(sw / "points.csv", encoding="utf-8") as fh:
+        rows = {
+            (row["family"], *(float(row[k]) for k in knob_names)): row
+            for row in csv.DictReader(fh)
+        }
+    picks = {
+        ("MRT", 0.5, 1.0, 1.0, 1.0): "SDMA_Sense_Hard",
+        ("MRT", 1.0, 0.5, 0.0, 1.0): "RSMA_NoSense_Soft",  # collapsed
+        ("MRT", 0.0, 1.0, 1.0, 1.0): "General",  # sensing only
+        ("ZF", 1.0, 0.5, 0.5, 0.5): "RSMA_NoSense_Soft",
+        ("ZF", 0.5, 0.5, 1.0, 1.0): "General",
+    }
+    assert {rows[key]["collapsed"] for key in picks} == {"0", "1"}
+    for i, ((family, *knobs), case) in enumerate(picks.items()):
+        row = rows[(family, *knobs)]
+        sets = [f"--set={k}={v}" for k, v in zip(knob_names, knobs)]
+        out = tmp_path / f"pt{i}"
+        assert main(["point-eval", *small, *sets, "--family", family, "--out", str(out)]) == 0
+        payload = _strict_json((out / "point.json").read_text())
+        assert payload["case"] == row["case"] == case
+        assert format(payload["g0"], ".10g") == row["g0"]
+        assert format(float(payload["crb_bins2"]), ".10g") == row["crb_bins2"]
+        assert format(payload["t_sum_bps"] / 1e6, ".10g") == row["t_sum_mbps"]
+        assert str(int(payload["collapsed"])) == row["collapsed"]
 
 
 def test_bad_preset_is_usage_error(tmp_path):
@@ -424,9 +482,7 @@ def test_reproduce_rejects_empty_or_repeated_heatmap_n0(heatmap_flow, tmp_path):
 def test_radar_chain_projects_once_per_trial(tmp_path, monkeypatch):
     # Every Monte Carlo trial synthesizes one waveform and steers it once;
     # the capture and matched-filter stages take the projection as given.
-    import rsma_isac.cli as cli_mod
     import rsma_isac.radar as radar_mod
-    import rsma_isac.region as region_mod
 
     counts = {"synthesize_tx": 0, "steered_projection": 0}
 
@@ -439,10 +495,9 @@ def test_radar_chain_projects_once_per_trial(tmp_path, monkeypatch):
 
         return wrapper
 
+    # radar.monte_carlo runs the chain for both commands
     for name in counts:
-        wrapper = counting(name)
-        for module in (radar_mod, region_mod, cli_mod):
-            monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(radar_mod, name, counting(name))
 
     sw = tmp_path / "sw"
     assert main(["sweep", "--metric", "snr", "--step", "0.5", "--family", "mrt",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsma_isac import (
+    CASE_TAGS,
     ArrayGeometry,
     BlendTable,
     DegenerateDirectionError,
@@ -16,7 +17,7 @@ from rsma_isac import (
     RngStream,
     ScenarioConfig,
     build_precoders,
-    classify_special_case,
+    case_codes,
     common_direction,
     generate_channels,
     private_directions,
@@ -51,7 +52,7 @@ def test_parameter_point_validation():
         ParameterPoint(0.5, 0.5, 0.5, 0.5, family="QR")
     pp = ParameterPoint(0.5, 0.5, 0.5, 0.5, family="zf")
     assert pp.family == "ZF"
-    assert pp.key() == (0.5, 0.5, 0.5, 0.5, "ZF")
+    assert dataclasses.astuple(pp) == (0.5, 0.5, 0.5, 0.5, "ZF")
 
 
 def test_common_direction_identical_users(flat_channels):
@@ -274,7 +275,10 @@ def test_continuity_in_parameters():
     ],
 )
 def test_classification(params, tag):
-    assert classify_special_case(ParameterPoint(*params)) == tag
+    # a single point is 0-d input to the vectorized classifier
+    code = case_codes(*params)
+    assert code.shape == ()
+    assert CASE_TAGS[code] == tag
 
 
 def _blend(power, alpha, grid, u0):
@@ -325,7 +329,7 @@ def test_special_case_closed_forms():
     }
     seen = set()
     for pp, expect in cases.items():
-        seen.add(classify_special_case(pp))
+        seen.add(CASE_TAGS[case_codes(pp.t_comms, pp.t_p, pp.alpha_c, pp.alpha_p)])
         pset = build_precoders(pp, _CHANNELS, _CFG)
         for built, closed in zip((pset.p_c, pset.p_1, pset.p_2, pset.p_r), expect):
             assert np.allclose(built, closed, atol=1e-12)

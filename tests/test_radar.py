@@ -20,7 +20,6 @@ from rsma_isac import (
     scenario_preset,
     synthesize_tx,
 )
-from rsma_isac.cli import _heatmap_cell
 from rsma_isac.core import steering_vector
 from rsma_isac.precoders import DegenerateDirectionError, PrecoderSet, RankDeficientChannelError
 from rsma_isac.radar import (
@@ -31,6 +30,7 @@ from rsma_isac.radar import (
     _delay_fisher,
     _k2_sum,
     expected_steered_power,
+    monte_carlo,
     radar_return,
     range_profile,
     sensing_symbols,
@@ -38,7 +38,6 @@ from rsma_isac.radar import (
     steered_projection,
     two_stage_capture,
 )
-from rsma_isac.region import _measured_snr_db
 
 _GEOM = ArrayGeometry(2, 0.5)
 
@@ -62,6 +61,42 @@ def _gain(c):
 def _k2(c):
     """The delay-weighted energy sum_k k^2 |c_k|^2 of one trial's waveform."""
     return _k2_sum(np.abs(c[0]) ** 2)
+
+
+def _sweep_chain(pset, cfg, trials):
+    """An SNR sweep point's Monte Carlo run: trial t uses streams 2t and 2t + 1."""
+    def capture(c, noise):
+        return radar_return(
+            c, cfg.target_delay_bins, cfg.target_attenuation, cfg.noise_power_radar, noise
+        )
+
+    streams = [(2 * t, 2 * t + 1) for t in range(trials)]
+    return monte_carlo(pset, _GEOM, cfg.target_angle_deg, cfg.seed, streams, capture)
+
+
+def _heatmap_chain(pset, cfg, n0, beta, trials):
+    """A heatmap cell's Monte Carlo run: trial t uses streams s, s + 1, s + 2, s = 1 + 3t."""
+    def capture(c, with_target, without):
+        return two_stage_capture(c, n0, beta, cfg.noise_power_radar, with_target, without)
+
+    streams = [(s, s + 1, s + 2) for s in range(1, 1 + 3 * trials, 3)]
+    return monte_carlo(pset, _GEOM, cfg.target_angle_deg, cfg.seed, streams, capture)
+
+
+def _dft_magnitudes(y, c):
+    """|DFT of y·conj(c)| of each row, (trials, N_c): the matched-filter output."""
+    return np.abs(np.fft.fft(y * np.conj(c), axis=-1))
+
+
+def _assert_scores(prof, mags):
+    """Each row's peak is its first maximum and its SNR the peak over the off-peak power."""
+    peaks = np.argmax(mags, axis=-1)
+    assert prof.peak_bin.tolist() == peaks.tolist()
+    for row, peak, snr_db in zip(mags, peaks.tolist(), prof.snr_rad_db.tolist()):
+        denom = float(np.mean(np.delete(row, peak) ** 2))
+        snr = math.inf if denom == 0.0 else float(row[peak] ** 2) / denom
+        expect = 10.0 * math.log10(snr) if math.isfinite(snr) else math.inf
+        assert snr_db == pytest.approx(expect, rel=1e-12)
 
 
 def test_sensing_symbols_fixed_bpsk():
@@ -212,7 +247,7 @@ def test_clutter_drawn_once_per_capture_call(make_channels, monkeypatch):
     assert keys == [(4, _CLUTTER_STREAM_ID)]
     for trials in (1, _TRIAL_CHUNK, 2 * _TRIAL_CHUNK + 1):
         keys.clear()
-        peaks, _ = _heatmap_cell(pset, cfg, 3, 0.2, trials, 1)
+        peaks, _ = _heatmap_chain(pset, cfg, 3, 0.2, trials)
         assert len(peaks) == trials
         assert keys == [(cfg.seed, _CLUTTER_STREAM_ID)] * math.ceil(trials / _TRIAL_CHUNK)
 
@@ -285,8 +320,10 @@ def test_range_profile_flat_waveform_orthogonality(make_channels):
     c = _steered(pset, RngStream(0, 0))
     y = radar_return(c, 5, 1.0, 0.0, [RngStream(0, 1)])
     prof = range_profile(y, c)
+    profile = _dft_magnitudes(y, c)
     assert prof.peak_bin.tolist() == [5]
-    mags = prof.magnitudes[0]
+    _assert_scores(prof, profile)
+    mags = profile[0]
     # peak picks up the full steered energy, Sigma |c_k|^2 = P*n_tx
     assert mags[5] == pytest.approx(2.0, rel=1e-9)
     off = np.delete(mags, 5)
@@ -304,21 +341,27 @@ def test_range_profile_matches_direct_dft():
     manual = np.array(
         [abs(np.sum(z * np.exp(-2j * np.pi * k * n / nc))) for n in range(nc)]
     )
-    assert np.allclose(prof.magnitudes[0], manual, atol=1e-9)
+    profile = _dft_magnitudes(y, cvals)
+    assert np.allclose(profile[0], manual, atol=1e-9)
     assert prof.peak_bin.tolist() == [3]
+    _assert_scores(prof, profile)
     # a real waveform is a waveform too; it gives the same profile
     real = range_profile(y, cvals.real)
-    assert np.array_equal(real.magnitudes, prof.magnitudes)
+    assert np.array_equal(_dft_magnitudes(y, cvals.real), profile)
     assert real.peak_bin.tolist() == [3]
+    assert np.array_equal(real.snr_rad_db, prof.snr_rad_db)
 
 
 def test_range_profile_tie_resolves_to_lowest_bin():
     nc = 8
     y = np.zeros((1, nc), dtype=complex)
     y[0, 0] = 1.0
-    prof = range_profile(y, np.ones((1, nc), dtype=complex))
-    assert np.allclose(prof.magnitudes, 1.0, atol=1e-12)
+    c = np.ones((1, nc), dtype=complex)
+    prof = range_profile(y, c)
+    profile = _dft_magnitudes(y, c)
+    assert np.allclose(profile, 1.0, atol=1e-12)
     assert prof.peak_bin.tolist() == [0]
+    _assert_scores(prof, profile)
 
 
 def test_range_profile_ties_resolve_per_row():
@@ -328,11 +371,12 @@ def test_range_profile_ties_resolve_per_row():
         dtype=complex,
     )
     prof = range_profile(y, np.ones_like(y))
-    mags = prof.magnitudes
+    mags = _dft_magnitudes(y, np.ones_like(y))
     assert np.all(mags[0] == mags[0, 0])
     assert mags[1, 1] == mags[1, 3] == mags[1, 5] == mags[1, 7]
     assert mags[2, 2] == mags[2, 6]
     assert prof.peak_bin.tolist() == [0, 1, 2]
+    _assert_scores(prof, mags)
 
 
 def test_range_profile_zero_output_raises():
@@ -350,9 +394,12 @@ def test_range_profile_zero_output_raises():
 def test_noise_only_peak_stays_small(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=64)
     c = np.repeat(_steered(pset, RngStream(cfg.seed, 50)), 100, axis=0)
-    prof = range_profile(radar_return(c, 0, 0.0, 0.05, [RngStream(3, t) for t in range(100)]), c)
+    y = radar_return(c, 0, 0.0, 0.05, [RngStream(3, t) for t in range(100)])
+    prof = range_profile(y, c)
+    profile = _dft_magnitudes(y, c)
+    _assert_scores(prof, profile)
     ratios = []
-    for mags, peak in zip(prof.magnitudes, prof.peak_bin):
+    for mags, peak in zip(profile, prof.peak_bin):
         off = np.delete(mags, peak)
         ratios.append(float(mags[peak] / np.mean(off)))
     med = float(np.median(ratios))
@@ -568,7 +615,8 @@ def test_stacked_chain_equals_per_trial_reference(
     trials, nc, n0_frac, beta, sigma_r2, angle, seed, point
 ):
     # Any trial count, chunk boundaries included, gives every row's peak and
-    # SNR and each Monte Carlo mean exactly as the per-trial chain did.
+    # SNR, and monte_carlo each summed SNR, exactly as the per-trial chain
+    # did, under both callers' stream layouts and captures.
     cfg = dataclasses.replace(
         scenario_preset("S1"), n_subcarriers=nc, target_delay_bins=int(n0_frac * nc),
         target_attenuation=beta, noise_power_radar=sigma_r2, target_angle_deg=angle, seed=seed,
@@ -584,7 +632,7 @@ def test_stacked_chain_equals_per_trial_reference(
     want = [_reference_trial(pset, cfg, 2 * t, two_stage=False) for t in range(trials)]
     if None in want:
         with pytest.raises(UndefinedProfileError):
-            _measured_snr_db(pset, cfg, _GEOM, trials, 0)
+            _sweep_chain(pset, cfg, trials)
     else:
         x = synthesize_tx(pset, [RngStream(seed, 2 * t) for t in range(trials)])
         c = steered_projection(x, _GEOM, angle)
@@ -592,15 +640,16 @@ def test_stacked_chain_equals_per_trial_reference(
         prof = range_profile(y, c)
         assert prof.peak_bin.tolist() == [p for p, _ in want]
         assert prof.snr_rad_db.tolist() == [s for _, s in want]
-        expect = 10.0 * math.log10(_linear_mean_sum(want) / trials)
-        assert _measured_snr_db(pset, cfg, _GEOM, trials, 0) == expect
+        peaks, snr_sum = _sweep_chain(pset, cfg, trials)
+        assert peaks == [p for p, _ in want]
+        assert snr_sum == _linear_mean_sum(want)
 
     # the heatmap chain: two-stage captures, streams 1 + 3t, +1 and +2
     want = [_reference_trial(pset, cfg, 1 + 3 * t, two_stage=True) for t in range(trials)]
     if None in want:
         with pytest.raises(UndefinedProfileError):
-            _heatmap_cell(pset, cfg, n0, beta, trials, 1)
+            _heatmap_chain(pset, cfg, n0, beta, trials)
     else:
-        peaks, snr_sum = _heatmap_cell(pset, cfg, n0, beta, trials, 1)
+        peaks, snr_sum = _heatmap_chain(pset, cfg, n0, beta, trials)
         assert peaks == [p for p, _ in want]
         assert snr_sum == _linear_mean_sum(want)

@@ -29,11 +29,13 @@ from rsma_isac import (
     write_points_csv,
 )
 from rsma_isac.core import ConfigError
-from rsma_isac.precoders import CASE_TAGS, FAMILIES, classify_special_case
+from rsma_isac.precoders import FAMILIES
 from rsma_isac.radar import _delay_crb, _k2_sum, expected_steered_power
 from rsma_isac.region import (
-    _case_codes,
+    _SOFT_ATOL,
+    CASE_TAGS,
     _grid_blocks,
+    case_codes,
     frontier_points,
     grid_axis,
     round_sig,
@@ -61,7 +63,7 @@ def test_grid_axis():
 def test_enumerate_grid_counts_and_pinning():
     fine = enumerate_grid(0.1, "MRT")
     assert len(fine) == 11111
-    assert len({pp.key() for pp in fine}) == len(fine)
+    assert len({dataclasses.astuple(pp) for pp in fine}) == len(fine)
 
     coarse = enumerate_grid(0.5, "MRT")
     assert len(coarse) == 31
@@ -106,12 +108,36 @@ def test_sweep_spec_normalizes_family_case():
     SweepSpec(metric="G0", monte_carlo_trials=0)
 
 
+def classify_special_case(pp: ParameterPoint) -> str:
+    """Name the operating regime of one point: the scalar oracle of case_codes.
+
+    The named regimes are exact parameter patterns; anything else is
+    ``General``. When several patterns overlap the more specific one wins,
+    and the pure-SDMA patterns (t_p = 1) are checked before the
+    full-communications ones.
+    """
+    t, tp, ac, ap = pp.t_comms, pp.t_p, pp.alpha_c, pp.alpha_p
+    if tp == 1.0:
+        if 0.0 < t < 1.0:
+            if ap == 1.0:
+                return "SDMA_Sense_Hard"
+            if 0.0 < ap < 1.0:
+                return "SDMA_Sense_General"
+        elif t == 1.0 and 0.0 < ap < 1.0:
+            return "SDMA_NoSense"
+    if t == 1.0:
+        if abs(ac - (1.0 - ap)) <= _SOFT_ATOL and 0.5 <= ap <= 1.0:
+            return "RSMA_NoSense_Soft"
+        return "RSMA_NoSense_General"
+    return "General"
+
+
 @pytest.mark.parametrize("family", ["MRT", "ZF"])
 def test_case_codes_match_classify_special_case(family):
     grid = enumerate_grid(0.05, family)
-    knobs = (np.array([pp.key()[k] for pp in grid]) for k in range(4))
+    knobs = (np.array([dataclasses.astuple(pp)[k] for pp in grid]) for k in range(4))
     expect = [CASE_TAGS.index(classify_special_case(pp)) for pp in grid]
-    assert _case_codes(*knobs).tolist() == expect
+    assert case_codes(*knobs).tolist() == expect
 
 
 _MIX = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
@@ -122,7 +148,7 @@ def test_case_codes_match_classify_special_case_off_grid(t, tp, ac, ap, nudge):
     # nudge moves alpha_c around the soft-separation line alpha_c = 1 - alpha_p
     ac = min(max(1.0 - ap + nudge, 0.0), 1.0) if nudge else ac
     pp = ParameterPoint(t, tp, ac, ap)
-    assert CASE_TAGS[int(_case_codes(t, tp, ac, ap))] == classify_special_case(pp)
+    assert CASE_TAGS[case_codes(t, tp, ac, ap)] == classify_special_case(pp)
 
 
 def test_pareto_frontier_examples():
@@ -424,7 +450,7 @@ def test_sensing_dominant_sdma_boundary(make_cfg):
         ((1.0, 1.0, 1.0, 0.5), 146250000.0, 1.05272351354),
     ]
     for i, (params, t_sum, g0) in enumerate(expect):
-        assert _params(rows, i).key()[:4] == pytest.approx(params, abs=1e-12)
+        assert dataclasses.astuple(_params(rows, i))[:4] == pytest.approx(params, abs=1e-12)
         assert rows.t_sum_bps[i] == t_sum
         assert rows.g0[i] == pytest.approx(g0, rel=1e-9)
 
@@ -459,7 +485,8 @@ def test_preset_regression_tight_angles():
     assert max(sdma.t_sum_bps) == 146250000.0
     sdma_front = scheme_frontier(result.points, "SDMA")
     corner = sdma_front.take([-1])
-    assert _params(corner, 0).key()[:4] == pytest.approx((0.4, 1.0, 1.0, 0.1), abs=1e-12)
+    corner_knobs = dataclasses.astuple(_params(corner, 0))[:4]
+    assert corner_knobs == pytest.approx((0.4, 1.0, 1.0, 0.1), abs=1e-12)
     assert corner.g0[0] == pytest.approx(1.93621959579, rel=1e-9)
 
     rsma_pts = scheme_points(result.points, "RSMA_NoSense")
@@ -467,7 +494,7 @@ def test_preset_regression_tight_angles():
         (rsma_pts.t_sum_bps > corner.t_sum_bps[0]) & (rsma_pts.g0 > corner.g0[0])
     )
     assert len(dominators) == 14
-    assert _params(dominators, 0).key()[:4] == (1.0, 0.0, 0.0, 1.0)
+    assert dataclasses.astuple(_params(dominators, 0))[:4] == (1.0, 0.0, 0.0, 1.0)
     assert dominators.t_sum_bps[0] == 292500000.0
     assert dominators.g0[0] == 2.0
 

@@ -13,7 +13,6 @@ from rsma_isac import (
     ParameterPoint,
     PrecoderSet,
     build_precoders,
-    effective_bandwidth,
     max_mcs,
     sinr_common,
     sinr_private,
@@ -21,39 +20,16 @@ from rsma_isac import (
     stream_gains,
     throughput,
 )
-from rsma_isac.core import ConfigError
 
 
 def _indices(report):
     return tuple(int(index) for index in report.mcs_chosen)
 
 
-def test_effective_bandwidth_values():
-    eb = effective_bandwidth(100e6, 512, 128, 468)
-    assert eb.value_hz == 73125000.0
-    assert eb.value_hz == 100e6 * (512 / (512 + 128)) * (468 / 512)
-
-    full = effective_bandwidth(100e6, 512, 0, 512)
-    assert full.value_hz == 100e6
-
-    narrow = effective_bandwidth(20e6, 64, 16, 52)
-    assert narrow.value_hz == 13e6
-
-
-def test_effective_bandwidth_validation():
-    with pytest.raises(ConfigError):
-        effective_bandwidth(-1.0, 512, 128, 468)
-    with pytest.raises(ConfigError):
-        effective_bandwidth(100e6, 512, 128, 513)
-    with pytest.raises(ConfigError):
-        effective_bandwidth(100e6, 0, 0, 0)
-    with pytest.raises(ConfigError):
-        effective_bandwidth(100e6, 512, -1, 468)
-
-
 def test_default_bandwidth():
-    assert DEFAULT_BANDWIDTH.value_hz == 73125000.0
-    assert DEFAULT_BANDWIDTH.total_hz == 100e6
+    # 100 MHz less a 1/4 cyclic prefix, on 468 of 512 subcarriers
+    assert DEFAULT_BANDWIDTH == 73125000.0
+    assert DEFAULT_BANDWIDTH == 100e6 * (512 / (512 + 128)) * (468 / 512)
 
 
 def test_mcs_table_densities():
