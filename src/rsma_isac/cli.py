@@ -400,9 +400,8 @@ def cmd_point_eval(args) -> int:
     missing = [k for k in _KNOBS if k not in knobs]
     if missing:
         raise ConfigError(f"point-eval needs --set for: {missing}")
-    for name, value in knobs.items():
-        if not _finite(value):
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    # Checked before float() could read true as 1.0.
+    ParameterPoint(*(knobs[k] for k in _KNOBS))
     return _record(args, cfg, [float(knobs[k]) for k in _KNOBS] + [_single_family(args)])
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ChannelSet, ScenarioConfig
+from .core import ChannelSet, ConfigError, ScenarioConfig, _finite
 
 
 class DegenerateDirectionError(ValueError):
@@ -53,8 +53,9 @@ class ParameterPoint:
         for name in ("t_comms", "t_p", "alpha_c", "alpha_p"):
             v = getattr(self, name)
             axis = v if name.startswith("alpha") and isinstance(v, tuple) else (v,)
-            if not all(0.0 <= x <= 1.0 for x in axis):
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            # _finite turns away bools, which would otherwise pass as 0 and 1.
+            if not all(_finite(x) and 0.0 <= x <= 1.0 for x in axis):
+                raise ConfigError(f"{name} must be a finite number in [0, 1], got {v!r}")
         fam = self.family.upper()
         if fam not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")

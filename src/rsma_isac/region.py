@@ -11,6 +11,7 @@ twice.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -94,6 +95,9 @@ class SweepSpec:
         fams = tuple(f.upper() for f in self.families)
         if not fams or any(f not in FAMILIES for f in fams):
             raise ConfigError(f"families must be a nonempty subset of {FAMILIES}")
+        # A repeated family would be swept, and written, twice.
+        if len(set(fams)) != len(fams):
+            raise ConfigError(f"families must be distinct, got {list(self.families)!r}")
         object.__setattr__(self, "families", fams)
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}")
@@ -314,28 +318,36 @@ def sweep(
 
     ``geom`` is the array the channels were drawn with; the sensing axis
     steers through it. Each family blends its beams once over the grid
-    axis (a ``BlendTable``); the grid is then evaluated one (t_comms, t_p)
-    block at a time. One ``build_precoders`` call scales the table rows
-    into the block's precoders, a batch over its (alpha_c, alpha_p) plane,
-    and one ``throughput`` call scores all of it.
+    axis (a ``BlendTable``); the grid is then evaluated one (family,
+    (t_comms, t_p) block) pair at a time into one set of columns that
+    holds the grid once per family. One ``build_precoders`` call scales
+    the table rows into the block's precoders, a batch over its
+    (alpha_c, alpha_p) plane, and one ``throughput`` call scores all of it.
     The sensing axis is the symbol-averaged energy toward the target: one
     ``expected_sensing`` call on the same batch gives every point's g0 and
     delay CRB, exactly what point-eval computes for it. g0 is rounded to
     12 significant digits so points that are equal on paper tie exactly.
     Results are kept as columns; no object is built per point.
     SNR_RAD mode additionally runs the radar chain's ``monte_carlo`` per
-    point with deterministic per-point random streams. ZF rank failures
-    mark the affected points as skipped instead of aborting the sweep
-    (points that allocate no private power survive, since they never need
-    the failing directions).
+    point with deterministic per-point random streams. A block whose
+    precoders cannot be built for want of ZF directions is skipped, with
+    the ``RankDeficientChannelError`` message as its points' reason,
+    instead of aborting the sweep; blocks that allocate no private power
+    never need those directions and are scored.
     """
     blocks, bounds, grid = _grid_columns(spec.grid_step)
-    case = case_codes(*grid)
-    keep = (
-        np.ones(len(case), dtype=bool)
-        if spec.include_cases is None
-        else np.isin(case, [CASE_TAGS.index(tag) for tag in spec.include_cases])
-    )
+    tables = [BlendTable(channels, fam, grid_axis(spec.grid_step)) for fam in spec.families]
+    # Family f fills rows f·n to (f + 1)·n, its blocks in grid order.
+    n = bounds[-1]
+    knobs = tuple(np.tile(column, len(tables)) for column in grid)
+    family = np.repeat([FAMILIES.index(table.family) for table in tables], n)
+    case = case_codes(*knobs)
+    keep = np.isin(case, [CASE_TAGS.index(tag) for tag in spec.include_cases or CASE_TAGS])
+    scored = np.ones(len(case), dtype=bool)
+    reason = np.full(len(case), "", dtype=object)
+    t_sum, g0, crb = (np.empty(len(case)) for _ in range(3))
+    collapsed = np.empty(len(case), dtype=bool)
+    mcs = np.empty((len(case), 3), dtype=int)
     trials = spec.monte_carlo_trials
 
     def capture(c, noise):
@@ -343,75 +355,59 @@ def sweep(
             c, cfg.target_delay_bins, cfg.target_attenuation, cfg.noise_power_radar, noise
         )
 
-    parts: list[tuple] = []
-    skipped: list[tuple] = []
     snrs: list[float] = []
-    for family in spec.families:
-        table = BlendTable(channels, family, grid_axis(spec.grid_step))
+    for (f, table), ((t, tp, ac_axis, ap_axis), lo, hi) in itertools.product(
+        enumerate(tables), zip(blocks, bounds, bounds[1:])
+    ):
+        rows = slice(f * n + lo, f * n + hi)
+        if not keep[rows].any():
+            continue
         try:
-            table.private  # a ZF rank failure shows here, once per family
-        except RankDeficientChannelError as exc:
-            dirs_error = str(exc)
-        else:
-            dirs_error = ""
-        scored = keep.copy()
-        t_sum, g0, crb = (np.empty(len(case)) for _ in range(3))
-        collapsed = np.empty(len(case), dtype=bool)
-        mcs = np.empty((len(case), 3), dtype=int)
-        for (t, tp, ac_axis, ap_axis), lo, hi in zip(blocks, bounds, bounds[1:]):
-            if not keep[lo:hi].any():
-                continue
-            if t > 0.0 and tp > 0.0 and dirs_error:
-                scored[lo:hi] = False
-                continue
             pset = build_precoders(
-                ParameterPoint(t, tp, ac_axis, ap_axis, family), channels, cfg, table
+                ParameterPoint(t, tp, ac_axis, ap_axis, table.family), channels, cfg, table
             )
-            report = throughput(channels, pset, cfg)
-            block_g0, block_crb = expected_sensing(
-                pset, geom, cfg.target_angle_deg, cfg.target_attenuation, cfg.noise_power_radar
-            )
-            t_sum[lo:hi] = report.t_sum.ravel()
-            g0[lo:hi] = block_g0.ravel()
-            crb[lo:hi] = block_crb.ravel()
-            collapsed[lo:hi] = report.collapsed.ravel()
-            for m, index in enumerate(report.mcs_chosen):
-                mcs[lo:hi, m] = index.ravel()
-            if spec.metric == "SNR_RAD":
-                for k in np.flatnonzero(keep[lo:hi]).tolist():
-                    i, j = divmod(k, len(ap_axis))
-                    # Trial t draws its waveform from stream base + 2t and
-                    # its noise from the next one.
-                    base = _SNR_STREAM_BASE + 2 * trials * len(snrs)
-                    _, total = monte_carlo(
-                        PrecoderSet(pset.p_c[i, 0], pset.p_1[0, j], pset.p_2[0, j], pset.p_r),
-                        geom,
-                        cfg.target_angle_deg,
-                        cfg.seed,
-                        [(base + 2 * t, base + 2 * t + 1) for t in range(trials)],
-                        capture,
-                    )
-                    snrs.append(10.0 * math.log10(total / trials))
-        fam = np.full(len(case), FAMILIES.index(family))
-        columns = (*grid, fam, case, t_sum, g0, crb, collapsed, mcs)
-        parts.append(tuple(column[scored] for column in columns))
-        lost = keep & ~scored
-        skipped.append((*(column[lost] for column in (*grid, fam)),
-                        np.full(np.count_nonzero(lost), dirs_error)))
+        except RankDeficientChannelError as exc:
+            scored[rows] = False
+            reason[rows] = str(exc)
+            continue
+        report = throughput(channels, pset, cfg)
+        block_g0, block_crb = expected_sensing(
+            pset, geom, cfg.target_angle_deg, cfg.target_attenuation, cfg.noise_power_radar
+        )
+        t_sum[rows] = report.t_sum.ravel()
+        g0[rows] = block_g0.ravel()
+        crb[rows] = block_crb.ravel()
+        collapsed[rows] = report.collapsed.ravel()
+        for m, index in enumerate(report.mcs_chosen):
+            mcs[rows, m] = index.ravel()
+        if spec.metric == "SNR_RAD":
+            for k in np.flatnonzero(keep[rows]).tolist():
+                i, j = divmod(k, len(ap_axis))
+                # Trial t draws its waveform from stream base + 2t and
+                # its noise from the next one.
+                base = _SNR_STREAM_BASE + 2 * trials * len(snrs)
+                _, total = monte_carlo(
+                    PrecoderSet(pset.p_c[i, 0], pset.p_1[0, j], pset.p_2[0, j], pset.p_r),
+                    geom,
+                    cfg.target_angle_deg,
+                    cfg.seed,
+                    [(base + 2 * t, base + 2 * t + 1) for t in range(trials)],
+                    capture,
+                )
+                snrs.append(10.0 * math.log10(total / trials))
 
-    t_comms, t_p, ac, ap, fam, case, t_sum, g0, crb, collapsed, mcs = (
-        np.concatenate(column) for column in zip(*parts)
-    )
+    ok, lost = keep & scored, keep & ~scored
     points = IsacPoints(
-        t_comms, t_p, ac, ap, fam, case, t_sum,
-        np.fromiter(map(round_sig, g0.tolist()), float, len(g0)),
+        *(column[ok] for column in (*knobs, family, case, t_sum)),
+        np.fromiter(map(round_sig, g0[ok].tolist()), float, np.count_nonzero(ok)),
         np.array(snrs) if spec.metric == "SNR_RAD" else None,
-        crb, collapsed, mcs,
+        crb[ok], collapsed[ok], mcs[ok],
     )
     return RegionResult(
         points=points,
         boundary=frontier_points(points, spec.metric),
-        skipped=SkippedPoints(*(np.concatenate(column) for column in zip(*skipped))),
+        skipped=SkippedPoints(*(column[lost] for column in (*knobs, family)),
+                              reason[lost].astype(str)),
         metric=spec.metric,
     )
 

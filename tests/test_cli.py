@@ -275,6 +275,9 @@ def test_missing_scenario_file(tmp_path):
         # a params file with no operating points, or without the knob columns
         ["radar-heatmap", "--params", "{empty}", "--set", "n_subcarriers=16"],
         ["radar-heatmap", "--params", "{noheader}", "--set", "n_subcarriers=16"],
+        # a repeated family would be swept, and written, twice
+        ["sweep", "--preset", "S2", "--set", "n_subcarriers=16", "--step", "0.5",
+         "--set", 'families=["MRT","MRT"]'],
     ],
 )
 def test_bad_configuration_exits_2(tmp_path, argv):
@@ -477,6 +480,24 @@ def test_reproduce_rejects_empty_or_repeated_heatmap_n0(heatmap_flow, tmp_path):
         out = tmp_path / f"redo{i}"
         assert main(["reproduce", "--run", str(run), "--out", str(out)]) == 2
         assert not (out / "heatmap.csv").exists()
+
+
+def test_reproduce_rejects_bool_knobs(heatmap_flow, tmp_path):
+    # point-eval --set t_comms=true exits 2; a replayed manifest that
+    # carries the same bool, as a point or as a heatmap row, does too
+    pt = tmp_path / "pt"
+    assert _point_eval(pt, dict(t_comms=1, t_p=1, alpha_c=1, alpha_p=0.5)) == 0
+    point = json.loads((pt / "run.json").read_text())
+    point["point"] = [True, 1.0, 1.0, 0.5, "MRT"]
+    _, hm = heatmap_flow
+    heatmap = json.loads((hm / "run.json").read_text())
+    heatmap["heatmap"]["params_rows"][0][1][0] = True
+    for manifest, output in ((point, "point.json"), (heatmap, "heatmap.csv")):
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps(manifest))
+        out = tmp_path / f"redo-{output}"
+        assert main(["reproduce", "--run", str(run), "--out", str(out)]) == 2
+        assert not any(out.iterdir())
 
 
 def test_radar_chain_projects_once_per_trial(tmp_path, monkeypatch):

@@ -1,16 +1,16 @@
 """Module layering: no module reaches into another's private names.
 
-The precoder, radar and throughput layers each keep their helpers
-private; a quantity another module needs gets one public function
-instead. ``core._finite``, the shared input validator, is outside this
-rule.
+Every module of the package keeps its helpers private; a quantity
+another module needs gets one public function instead. ``core._finite``,
+the shared input validator, is outside this rule.
 """
 
 import ast
 from pathlib import Path
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rsma_isac"
-_GUARDED = {"precoders", "radar", "throughput"}
+_GUARDED = {path.stem for path in _PACKAGE.glob("*.py")}
+_EXEMPT = {"core._finite"}
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -24,7 +24,8 @@ def _private_imports(path: Path) -> list[str]:
         if node.level == 0 and not node.module.startswith("rsma_isac."):
             continue
         if module in _GUARDED:
-            found += [f"{module}.{a.name}" for a in node.names if a.name.startswith("_")]
+            found += [f"{module}.{a.name}" for a in node.names
+                      if a.name.startswith("_") and f"{module}.{a.name}" not in _EXEMPT]
     return found
 
 
@@ -43,6 +44,11 @@ def test_private_import_finder(tmp_path):
         "from .radar import _k2_sum, range_profile\n"
         "from rsma_isac.precoders import _SOFT_ATOL\n"
         "from .core import _finite\n"
+        "from .core import _parse\n"
+        "from rsma_isac.region import _grid_columns, sweep\n"
         "from numpy import _NoValue\n"
     )
-    assert _private_imports(path) == ["radar._k2_sum", "precoders._SOFT_ATOL"]
+    assert _private_imports(path) == [
+        "radar._k2_sum", "precoders._SOFT_ATOL", "core._parse", "region._grid_columns",
+    ]
+    assert {"core", "region", "cli", "calibration"} <= _GUARDED

@@ -11,6 +11,7 @@ from rsma_isac import (
     CASE_TAGS,
     ArrayGeometry,
     BlendTable,
+    ConfigError,
     DegenerateDirectionError,
     ParameterPoint,
     RankDeficientChannelError,
@@ -50,6 +51,11 @@ def test_parameter_point_validation():
         ParameterPoint(0.5, -0.1, 0.0, 0.0)
     with pytest.raises(ValueError):
         ParameterPoint(0.5, 0.5, 0.5, 0.5, family="QR")
+    # bools, non-finite values and strings are not knob values, on an axis too
+    for knobs in ((True, 1.0, 1.0, 0.5), (0.5, 0.5, (0.0, True), 0.5),
+                  (0.5, math.nan, 0.5, 0.5), (0.5, 0.5, 0.5, "0.5")):
+        with pytest.raises(ConfigError, match="finite number in"):
+            ParameterPoint(*knobs)
     pp = ParameterPoint(0.5, 0.5, 0.5, 0.5, family="zf")
     assert pp.family == "ZF"
     assert dataclasses.astuple(pp) == (0.5, 0.5, 0.5, 0.5, "ZF")

@@ -371,6 +371,33 @@ def test_rank_deficient_zf_sweep_scores_common_only_blocks(make_channels):
     for i in range(len(pts)):
         sensing = (pts.g0[i], pts.crb_bins2[i])
         assert sensing == _point_eval_sensing(_params(pts, i), channels, cfg)
+    # Swept together, MRT is scored everywhere and ZF loses the same points
+    # for the same reason as when it is swept alone.
+    both = sweep(SweepSpec(grid_step=0.5, families=("MRT", "ZF")), channels, cfg, _GEOM)
+    mrt = sweep(SweepSpec(grid_step=0.5, families=("MRT",)), channels, cfg, _GEOM)
+    assert both.points.take(both.points.family == FAMILIES.index("MRT")) == mrt.points
+    assert len(mrt.points) == 31 and not mrt.skipped
+    assert both.skipped == result.skipped
+    assert set(both.skipped.family.tolist()) == {FAMILIES.index("ZF")}
+
+
+def test_zf_sweep_computes_private_directions_once(make_channels, monkeypatch):
+    # The blend table caches the ZF directions: one SVD per family, not
+    # one per block.
+    import rsma_isac.precoders as precoders_mod
+
+    calls = []
+    original = precoders_mod.private_directions
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(precoders_mod, "private_directions", counting)
+    cfg, channels = make_channels(n_subcarriers=16)
+    result = sweep(SweepSpec(grid_step=0.25, families=("ZF",)), channels, cfg, _GEOM)
+    assert calls == ["ZF"]
+    assert len(result.points) == len(enumerate_grid(0.25, "ZF")) and not result.skipped
 
 
 def test_frontier_idempotent(smoke_sweep):
