@@ -205,6 +205,9 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
             f"G = {gain_bound:g}, that is not finite"
         )
     rows = [(i, ParameterPoint(*key)) for i, key in section["params_rows"]]
+    for i, _ in rows:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise ConfigError(f"params row indices must be integers, got {i!r}")
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     path = os.path.join(out_dir, "heatmap.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -400,9 +403,10 @@ def cmd_point_eval(args) -> int:
     missing = [k for k in _KNOBS if k not in knobs]
     if missing:
         raise ConfigError(f"point-eval needs --set for: {missing}")
+    family = _single_family(args)
     # Checked before float() could read true as 1.0.
-    ParameterPoint(*(knobs[k] for k in _KNOBS))
-    return _record(args, cfg, [float(knobs[k]) for k in _KNOBS] + [_single_family(args)])
+    ParameterPoint(*(knobs[k] for k in _KNOBS), family)
+    return _record(args, cfg, [float(knobs[k]) for k in _KNOBS] + [family])
 
 
 def cmd_calibrate_demo(args) -> int:
@@ -414,21 +418,25 @@ def cmd_reproduce(args) -> int:
     with open(args.run, encoding="utf-8") as fh:
         manifest = json.load(fh)
     cfg = ScenarioConfig.from_json_dict(manifest["scenario"])
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     command = manifest["command"]
     if command not in _COMMANDS:
         raise ConfigError(f"manifest has unknown command {command!r}")
-    key, run, _ = _COMMANDS[command]
+    key, run, outputs = _COMMANDS[command]
+    # The files checked are the command's own, never names the manifest
+    # supplies: an empty list would check nothing, a path could leave --out.
+    expected = manifest["outputs"]
+    if not isinstance(expected, dict) or sorted(expected) != sorted(outputs):
+        raise ConfigError(
+            f"manifest outputs must be the digests of {list(outputs)}, got {expected!r}"
+        )
+    out_dir = args.out
+    os.makedirs(out_dir, exist_ok=True)
     run(cfg, manifest[key] if key is not None else None, out_dir)
 
-    expected = manifest["outputs"]
-    actual = {
-        name: _digest(os.path.join(out_dir, name)) for name in expected
-    }
+    actual = {name: _digest(os.path.join(out_dir, name)) for name in outputs}
     mismatched = {
         name: {"expected": expected[name], "actual": actual[name]}
-        for name in expected
+        for name in outputs
         if actual[name] != expected[name]
     }
     verdict = {"status": "ok" if not mismatched else "mismatch", "files": actual}

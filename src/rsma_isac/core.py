@@ -29,8 +29,8 @@ class DegenerateChannelError(ValueError):
 class ArrayGeometry:
     """Uniform linear transmit array with element spacing in wavelengths."""
 
-    n_tx: int = 2
-    spacing_wavelengths: float = 0.5
+    n_tx: int
+    spacing_wavelengths: float
 
     def __post_init__(self) -> None:
         if self.n_tx < 1:
@@ -59,26 +59,10 @@ class RngStream:
     """
 
     seed: int
-    stream_id: int = 0
+    stream_id: int
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng((self.seed, self.stream_id))
-
-
-_SCENARIO_DOC = {
-    "n_subcarriers": "OFDM subcarrier count",
-    "total_power": "sum transmit power budget, linear",
-    "noise_power_comms": "per-subcarrier noise variance at each UE",
-    "noise_power_radar": "total in-band radar receiver noise energy",
-    "ue_angles_deg": "two UE directions relative to broadside",
-    "ue_gains": "per-UE channel amplitude",
-    "target_angle_deg": "sensed direction, 0 = broadside",
-    "target_delay_bins": "true target delay in range bins",
-    "target_attenuation": "two-way echo amplitude factor",
-    "csit_error_var": "variance of additive channel-estimate noise",
-    "shannon_gap_db": "SNR penalty applied before MCS selection",
-    "seed": "root seed for every random draw in the scenario",
-}
 
 
 def _finite(value) -> bool:
@@ -89,7 +73,13 @@ def _finite(value) -> bool:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulated deployment: powers, noise, geometry targets, seed."""
+    """One simulated deployment: powers, noise, geometry targets, seed.
+
+    ``noise_power_comms`` is the noise variance per subcarrier at each UE;
+    ``noise_power_radar`` is the total in-band noise energy of one radar
+    capture, spread evenly over the subcarriers; ``target_attenuation`` is
+    the two-way echo amplitude factor (not a power).
+    """
 
     n_subcarriers: int
     total_power: float
@@ -160,9 +150,6 @@ class ScenarioConfig:
         d["ue_angles_deg"] = list(self.ue_angles_deg)
         d["ue_gains"] = list(self.ue_gains)
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScenarioConfig":

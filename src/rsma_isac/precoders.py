@@ -47,7 +47,7 @@ class ParameterPoint:
     t_p: float
     alpha_c: float | tuple[float, ...]
     alpha_p: float | tuple[float, ...]
-    family: str = "MRT"
+    family: str
 
     def __post_init__(self) -> None:
         for name in ("t_comms", "t_p", "alpha_c", "alpha_p"):
@@ -56,9 +56,9 @@ class ParameterPoint:
             # _finite turns away bools, which would otherwise pass as 0 and 1.
             if not all(_finite(x) and 0.0 <= x <= 1.0 for x in axis):
                 raise ConfigError(f"{name} must be a finite number in [0, 1], got {v!r}")
-        fam = self.family.upper()
+        fam = self.family.upper() if isinstance(self.family, str) else None
         if fam not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         object.__setattr__(self, "family", fam)
 
 

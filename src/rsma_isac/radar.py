@@ -90,16 +90,14 @@ def synthesize_tx(pset: PrecoderSet, rngs: Sequence[RngStream]) -> np.ndarray:
     return x
 
 
-def steered_projection(
-    x: np.ndarray, geom: ArrayGeometry, angle_deg: float = 0.0
-) -> np.ndarray:
+def steered_projection(x: np.ndarray, geom: ArrayGeometry, angle_deg: float) -> np.ndarray:
     """Per-subcarrier complex amplitude c[k] = a^H x[k], leading trial axes kept."""
     a = steering_vector(geom, angle_deg)
     return np.einsum("t,...kt->...k", np.conj(a), x)
 
 
 def expected_steered_power(
-    pset: PrecoderSet, geom: ArrayGeometry, angle_deg: float = 0.0
+    pset: PrecoderSet, geom: ArrayGeometry, angle_deg: float
 ) -> np.ndarray:
     """Symbol-averaged |a^H x[k]|² per subcarrier.
 

@@ -80,11 +80,11 @@ def round_sig(value: float) -> float:
 class SweepSpec:
     """What to sweep and how to score the sensing axis."""
 
-    grid_step: float = 0.1
-    families: tuple[str, ...] = ("MRT",)
-    metric: str = "G0"
-    include_cases: frozenset[str] | None = None
-    monte_carlo_trials: int = 25
+    grid_step: float
+    families: tuple[str, ...]
+    metric: str
+    include_cases: frozenset[str] | None
+    monte_carlo_trials: int
 
     def __post_init__(self) -> None:
         if not 0.0 < self.grid_step <= 0.5:
@@ -92,9 +92,11 @@ class SweepSpec:
         inv = 1.0 / self.grid_step
         if abs(inv - round(inv)) > 1e-9:
             raise ConfigError("1/grid_step must be an integer")
-        fams = tuple(f.upper() for f in self.families)
+        fams = tuple(f.upper() if isinstance(f, str) else None for f in self.families)
         if not fams or any(f not in FAMILIES for f in fams):
-            raise ConfigError(f"families must be a nonempty subset of {FAMILIES}")
+            raise ConfigError(
+                f"families must be a nonempty subset of {FAMILIES}, got {self.families!r}"
+            )
         # A repeated family would be swept, and written, twice.
         if len(set(fams)) != len(fams):
             raise ConfigError(f"families must be distinct, got {list(self.families)!r}")
@@ -198,7 +200,7 @@ class RegionResult:
     points: IsacPoints
     boundary: IsacPoints
     skipped: SkippedPoints
-    metric: str = "G0"
+    metric: str
 
 
 def grid_axis(grid_step: float) -> tuple[float, ...]:
@@ -275,7 +277,7 @@ def case_codes(t, tp, ac, ap) -> np.ndarray:
     return codes
 
 
-def pareto_indices(xs, ys, keys=()) -> np.ndarray:
+def pareto_indices(xs, ys, keys) -> np.ndarray:
     """Indices of the non-dominated points, ordered by x ascending.
 
     A point is dominated when some other point is at least as good on both
@@ -290,7 +292,7 @@ def pareto_indices(xs, ys, keys=()) -> np.ndarray:
     return order[keep][::-1]
 
 
-def frontier_points(points: IsacPoints, metric: str = "G0") -> IsacPoints:
+def frontier_points(points: IsacPoints, metric: str) -> IsacPoints:
     """Pareto frontier of points on (t_sum, sensing metric)."""
     knobs = (points.t_comms, points.t_p, points.alpha_c, points.alpha_p, points.family)
     return points.take(pareto_indices(points.t_sum_bps, points.metric_values(metric), knobs))
@@ -303,7 +305,7 @@ def scheme_points(points: IsacPoints, scheme: str) -> IsacPoints:
     return points.take(_SCHEME_PREDICATES[scheme](points))
 
 
-def scheme_frontier(points: IsacPoints, scheme: str, metric: str = "G0") -> IsacPoints:
+def scheme_frontier(points: IsacPoints, scheme: str, metric: str) -> IsacPoints:
     """Pareto frontier restricted to one scheme's points."""
     return frontier_points(scheme_points(points, scheme), metric)
 

@@ -88,7 +88,7 @@ def max_mcs(avg_spectral_efficiency) -> np.ndarray:
     return np.searchsorted(_MCS_THRESHOLDS, eff, side="right") - 1
 
 
-def spectral_efficiency(sinr: np.ndarray, gap_db: float = 0.0) -> float | np.ndarray:
+def spectral_efficiency(sinr: np.ndarray, gap_db: float) -> float | np.ndarray:
     """Subcarrier-averaged log2(1 + SINR/gap) with the gap given in dB.
 
     The gap models the shortfall of practical coding from capacity; it

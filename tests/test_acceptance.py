@@ -61,7 +61,7 @@ def region_data():
         channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
         for family in _FAMILIES:
             start = time.monotonic()
-            result = sweep(SweepSpec(0.1, (family,)), channels, cfg, _GEOM)
+            result = sweep(SweepSpec(0.1, (family,), "G0", None, 25), channels, cfg, _GEOM)
             elapsed = time.monotonic() - start
             out[(preset, family)] = (cfg, channels, result, elapsed)
     return out
@@ -92,7 +92,7 @@ def test_criterion_1_region_shape(region_data, verdict):
     for preset in ("S2", "S3"):
         cfg, channels, result, _ = region_data[(preset, "MRT")]
         pts = result.points
-        corner = scheme_frontier(pts, "SDMA").take([-1])
+        corner = scheme_frontier(pts, "SDMA", "G0").take([-1])
         rsma = scheme_points(pts, "RSMA_NoSense")
         dominators = (rsma.t_sum_bps > corner.t_sum_bps) & (rsma.g0 > corner.g0)
         if not dominators.any():
@@ -103,7 +103,7 @@ def test_criterion_1_region_shape(region_data, verdict):
 
         # (b) the full-communications frontier spends the whole budget on
         # communications at every point
-        front = scheme_frontier(pts, "RSMA_NoSense")
+        front = scheme_frontier(pts, "RSMA_NoSense", "G0")
         if not front:
             failures.append(f"{preset} {family}: empty full-communications frontier")
         if np.any(front.t_comms != 1.0):
@@ -111,7 +111,7 @@ def test_criterion_1_region_shape(region_data, verdict):
 
         # (c) the no-sensing SDMA line is not wholly on the SDMA frontier
         no_sense = pts.take((pts.t_p == 1.0) & (pts.t_comms == 1.0))
-        front_keys = set(_keys(scheme_frontier(pts, "SDMA")))
+        front_keys = set(_keys(scheme_frontier(pts, "SDMA", "G0")))
         if len(no_sense) != 11:
             failures.append(f"{preset} {family}: expected 11 no-sensing points")
         if all(key in front_keys for key in _keys(no_sense)):
@@ -169,8 +169,8 @@ def test_criterion_4_radar_chain_end_to_end(verdict):
 
     cfg = dataclasses.replace(scenario_preset("S1"), n_subcarriers=64)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
-    pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0), channels, cfg)
-    c = steered_projection(synthesize_tx(pset, [RngStream(cfg.seed, 50)]), _GEOM)[0]
+    pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
+    c = steered_projection(synthesize_tx(pset, [RngStream(cfg.seed, 50)]), _GEOM, 0.0)[0]
     beta = 0.1
     # noise sized so the closed-form SNR sits at 22 dB, inside the 20-24 dB band
     sigma = beta**2 * 63 * (cfg.total_power * 2) / 10**2.2
@@ -208,10 +208,10 @@ def test_criterion_5_crb_validation(verdict):
     k = np.arange(64)
 
     for inst in range(3):
-        pp = ParameterPoint(*prng.uniform(0.05, 0.95, 4))
+        pp = ParameterPoint(*prng.uniform(0.05, 0.95, 4), "MRT")
         pset = build_precoders(pp, channels, cfg)
         x = synthesize_tx(pset, [RngStream(cfg.seed, 200 + inst)])
-        c = steered_projection(x, _GEOM)[0]
+        c = steered_projection(x, _GEOM, 0.0)[0]
         weighted = _k2_sum(np.abs(c) ** 2)
 
         def nll_shift(n):
@@ -280,7 +280,7 @@ def test_criterion_6_property_suites(region_data, verdict):
                 continue
             brute.append(i)
         brute.sort(key=lambda i: xs[i])
-        if pareto_indices(xs, ys).tolist() != brute:
+        if pareto_indices(xs, ys, ()).tolist() != brute:
             failures.append(f"pareto mismatch on trial {trial}")
             break
 
@@ -289,7 +289,7 @@ def test_criterion_6_property_suites(region_data, verdict):
 
     # (e) collapse identity: a collapsed report carries zero throughput
     noisy = dataclasses.replace(cfg16, noise_power_comms=10.0)
-    pset = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5), ch16, noisy)
+    pset = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5, "MRT"), ch16, noisy)
     rep = throughput(ch16, pset, noisy)
     if not rep.collapsed or rep.t_sum != 0.0:
         failures.append("constructed collapse did not zero the sum rate")
@@ -299,8 +299,8 @@ def test_criterion_6_property_suites(region_data, verdict):
             failures.append(f"{preset} {family}: collapsed point with rate")
 
     # (f) background subtraction is exact without noise
-    pset_r = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0), ch16, cfg16)
-    c = steered_projection(synthesize_tx(pset_r, [RngStream(cfg16.seed, 50)]), _GEOM)
+    pset_r = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), ch16, cfg16)
+    c = steered_projection(synthesize_tx(pset_r, [RngStream(cfg16.seed, 50)]), _GEOM, 0.0)
     # both captures carry clutter of 10x the echo energy; only the echo survives
     y = two_stage_capture(c, 3, 0.3, 0.0, [RngStream(6, 1)], [RngStream(6, 2)])
     echo = 0.3 * c * np.exp(2j * np.pi * 3 * np.arange(16) / 16)
@@ -325,31 +325,31 @@ def _closed_form_failures(channels, cfg):
         return math.sqrt(power / float(np.sum(np.abs(v) ** 2))) * v
 
     cases = {
-        ParameterPoint(1.0, 0.4, 0.3, 0.6): (
+        ParameterPoint(1.0, 0.4, 0.3, 0.6, "MRT"): (
             blend(pt * 0.6, 0.3, uc),
             blend(pt * 0.2, 0.6, u1),
             blend(pt * 0.2, 0.6, u2),
             zeros,
         ),
-        ParameterPoint(1.0, 0.4, 0.25, 0.75): (
+        ParameterPoint(1.0, 0.4, 0.25, 0.75, "MRT"): (
             blend(pt * 0.6, 0.25, uc),
             blend(pt * 0.2, 0.75, u1),
             blend(pt * 0.2, 0.75, u2),
             zeros,
         ),
-        ParameterPoint(0.5, 1.0, 1.0, 0.4): (
+        ParameterPoint(0.5, 1.0, 1.0, 0.4, "MRT"): (
             zeros,
             blend(pt * 0.25, 0.4, u1),
             blend(pt * 0.25, 0.4, u2),
             math.sqrt(pt * 0.5 / nc) * np.tile(u0, (nc, 1)),
         ),
-        ParameterPoint(0.5, 1.0, 1.0, 1.0): (
+        ParameterPoint(0.5, 1.0, 1.0, 1.0, "MRT"): (
             zeros,
             math.sqrt(pt * 0.25 / nc) * u1,
             math.sqrt(pt * 0.25 / nc) * u2,
             math.sqrt(pt * 0.5 / nc) * np.tile(u0, (nc, 1)),
         ),
-        ParameterPoint(1.0, 1.0, 1.0, 0.3): (
+        ParameterPoint(1.0, 1.0, 1.0, 0.3, "MRT"): (
             zeros,
             blend(pt * 0.5, 0.3, u1),
             blend(pt * 0.5, 0.3, u2),

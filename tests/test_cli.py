@@ -81,6 +81,29 @@ def test_reproduce_rejects_tampered_digest(tmp_path, capsys):
     assert err["error"]["type"] == "ReproduceMismatchError"
 
 
+def test_reproduce_checks_the_command_outputs_only(tmp_path, capsys):
+    # An empty outputs map would check no file, and a name with a path
+    # would digest a file outside --out; both stop before the re-run.
+    out = tmp_path / "sw"
+    assert _run_sweep(out) == 0
+    manifest = json.loads((out / "run.json").read_text())
+    digests = manifest["outputs"]
+    foreign = {**digests, "../sw/points.csv": digests["points.csv"]}
+    renamed = {("../sw/" + name if name == "points.csv" else name): digest
+               for name, digest in digests.items()}
+    for i, outputs in enumerate(({}, foreign, renamed, list(digests))):
+        manifest["outputs"] = outputs
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps(manifest))
+        redo = tmp_path / f"redo{i}"
+        capsys.readouterr()
+        assert main(["reproduce", "--run", str(run), "--out", str(redo)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "ConfigError"
+        assert not redo.exists()
+
+
 def test_reproduce_missing_manifest(tmp_path):
     rc = main(["reproduce", "--run", str(tmp_path / "nope.json")])
     assert rc == 2
@@ -197,7 +220,7 @@ def test_seed_and_overrides_land_in_manifest(tmp_path):
 def test_scenario_file_input(tmp_path):
     cfg = scenario_preset("S3")
     path = tmp_path / "scenario.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(cfg.to_json_dict()))
     out = tmp_path / "pt"
     rc = main(
         ["point-eval", "--scenario", str(path),
@@ -278,6 +301,9 @@ def test_missing_scenario_file(tmp_path):
         # a repeated family would be swept, and written, twice
         ["sweep", "--preset", "S2", "--set", "n_subcarriers=16", "--step", "0.5",
          "--set", 'families=["MRT","MRT"]'],
+        # a family that is not a string
+        ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
+         "--set", "families=[5]"],
     ],
 )
 def test_bad_configuration_exits_2(tmp_path, argv):
@@ -482,21 +508,33 @@ def test_reproduce_rejects_empty_or_repeated_heatmap_n0(heatmap_flow, tmp_path):
         assert not (out / "heatmap.csv").exists()
 
 
-def test_reproduce_rejects_bool_knobs(heatmap_flow, tmp_path):
+def test_reproduce_rejects_bool_knobs(heatmap_flow, tmp_path, capsys):
     # point-eval --set t_comms=true exits 2; a replayed manifest that
-    # carries the same bool, as a point or as a heatmap row, does too
+    # carries the same bool, as a point or as a heatmap row, does too. So
+    # do a family that is not a string and a heatmap row index that is not
+    # an integer, which would otherwise be written into heatmap.csv.
     pt = tmp_path / "pt"
     assert _point_eval(pt, dict(t_comms=1, t_p=1, alpha_c=1, alpha_p=0.5)) == 0
-    point = json.loads((pt / "run.json").read_text())
-    point["point"] = [True, 1.0, 1.0, 0.5, "MRT"]
     _, hm = heatmap_flow
-    heatmap = json.loads((hm / "run.json").read_text())
-    heatmap["heatmap"]["params_rows"][0][1][0] = True
-    for manifest, output in ((point, "point.json"), (heatmap, "heatmap.csv")):
+    manifests = []
+    for knobs in ([True, 1.0, 1.0, 0.5, "MRT"], [1.0, 1.0, 1.0, 0.5, 5]):
+        point = json.loads((pt / "run.json").read_text())
+        point["point"] = knobs
+        manifests.append(point)
+    for row in ([0, [True, 1.0, 1.0, 0.5, "MRT"]], [0, [1.0, 1.0, 1.0, 0.5, 5]],
+                [True, [1.0, 1.0, 1.0, 0.5, "MRT"]], ["x,y", [1.0, 1.0, 1.0, 0.5, "MRT"]],
+                [1.5, [1.0, 1.0, 1.0, 0.5, "MRT"]]):
+        heatmap = json.loads((hm / "run.json").read_text())
+        heatmap["heatmap"]["params_rows"][0] = row
+        manifests.append(heatmap)
+    for i, manifest in enumerate(manifests):
         run = tmp_path / "run.json"
         run.write_text(json.dumps(manifest))
-        out = tmp_path / f"redo-{output}"
+        out = tmp_path / f"redo{i}"
+        capsys.readouterr()
         assert main(["reproduce", "--run", str(run), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error" in json.loads(err)
         assert not any(out.iterdir())
 
 

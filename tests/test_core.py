@@ -21,7 +21,7 @@ from rsma_isac import (
 
 def test_steering_broadside_is_all_ones():
     for nt in (1, 2, 5):
-        a = steering_vector(ArrayGeometry(n_tx=nt), 0.0)
+        a = steering_vector(ArrayGeometry(n_tx=nt, spacing_wavelengths=0.5), 0.0)
         assert np.array_equal(a, np.ones(nt, dtype=complex))
 
 
@@ -31,20 +31,20 @@ def test_steering_two_element_endfire(geom):
 
 
 def test_steering_four_element_30deg():
-    a = steering_vector(ArrayGeometry(n_tx=4), 30.0)
+    a = steering_vector(ArrayGeometry(n_tx=4, spacing_wavelengths=0.5), 30.0)
     assert np.allclose(a, [1.0, 1.0j, -1.0, -1.0j], atol=1e-12)
 
 
 @given(angle=st.floats(-90.0, 90.0))
 def test_steering_element0_unity_and_unimodular(angle):
-    a = steering_vector(ArrayGeometry(n_tx=4), angle)
+    a = steering_vector(ArrayGeometry(n_tx=4, spacing_wavelengths=0.5), angle)
     assert a[0] == 1.0
     assert np.allclose(np.abs(a), 1.0, atol=1e-12)
 
 
 def test_geometry_validation():
     with pytest.raises(ConfigError):
-        ArrayGeometry(n_tx=0)
+        ArrayGeometry(n_tx=0, spacing_wavelengths=0.5)
     with pytest.raises(ConfigError):
         ArrayGeometry(n_tx=2, spacing_wavelengths=0.0)
 
@@ -153,7 +153,7 @@ def test_dissimilar_gains_warn(make_cfg, recwarn):
 
 def test_json_round_trip(make_cfg):
     cfg = make_cfg(ue_angles_deg=(12.5, -7.25), seed=99)
-    again = ScenarioConfig.from_json(cfg.to_json())
+    again = ScenarioConfig.from_json(json.dumps(cfg.to_json_dict()))
     assert again == cfg
 
 

@@ -1,11 +1,16 @@
-"""Module layering: no module reaches into another's private names.
+"""Package layout: layering, one signature per function, no dead names.
 
 Every module of the package keeps its helpers private; a quantity
 another module needs gets one public function instead. ``core._finite``,
-the shared input validator, is outside this rule.
+the shared input validator, is outside this rule. Library functions and
+dataclasses take every argument explicitly, so each default lives once,
+in the CLI; and every private module-level name is used somewhere.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rsma_isac"
@@ -52,3 +57,107 @@ def test_private_import_finder(tmp_path):
         "radar._k2_sum", "precoders._SOFT_ATOL", "core._parse", "region._grid_columns",
     ]
     assert {"core", "region", "cli", "calibration"} <= _GUARDED
+
+
+# build_precoders builds its own blend table for a single point; main
+# reads sys.argv when run as the console script.
+_ALLOWED_DEFAULTS = {"precoders.build_precoders.table", "cli.main.argv"}
+
+
+def _defaults(module) -> list[str]:
+    """``module.callable.parameter`` of every default in the module's public signatures.
+
+    Functions, and the constructors (dataclass fields included) and public
+    methods of classes, defined in the module itself.
+    """
+    found = []
+    stem = module.__name__.rsplit(".", 1)[-1]
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            members = {name: obj}
+        elif inspect.isclass(obj):
+            members = {
+                name if attr == "__init__" else f"{name}.{attr}": getattr(m, "__func__", m)
+                for attr, m in vars(obj).items()
+                if attr == "__init__" or not attr.startswith("_")
+            }
+        else:
+            continue
+        for label, fn in members.items():
+            if inspect.isfunction(fn):
+                found += [f"{stem}.{label}.{p.name}"
+                          for p in inspect.signature(fn).parameters.values()
+                          if p.default is not p.empty]
+    return found
+
+
+def test_public_signatures_have_no_test_only_defaults():
+    modules = [importlib.import_module(f"rsma_isac.{stem}")
+               for stem in sorted(_GUARDED - {"__init__", "__main__"})]
+    found = [d for module in modules for d in _defaults(module)]
+    assert sorted(found) == sorted(_ALLOWED_DEFAULTS)
+
+
+def test_default_finder(tmp_path, monkeypatch):
+    (tmp_path / "layout_probe.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    step: float\n"
+        "    trials: int = 25\n"
+        "    def scaled(self, by=2.0): return self.step * by\n"
+        "class Table:\n"
+        "    def __init__(self, rows, fill=None): self.rows = rows\n"
+        "    @classmethod\n"
+        "    def empty(cls, n=0): return cls([])\n"
+        "def score(x, gap_db=0.0): return x\n"
+        "def _helper(x, y=1): return x\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    module = importlib.import_module("layout_probe")
+    assert dataclasses.is_dataclass(module.Spec)
+    assert sorted(_defaults(module)) == [
+        "layout_probe.Spec.scaled.by", "layout_probe.Spec.trials",
+        "layout_probe.Table.empty.n", "layout_probe.Table.fill",
+        "layout_probe.score.gap_db",
+    ]
+
+
+def _unused_private_names(sources: list[Path]) -> list[str]:
+    """``module.name`` of every module-level _-prefixed name no source reads."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            unused += [f"{stem}.{n}" for n in names
+                       if n.startswith("_") and not n.startswith("__") and n not in read]
+    return unused
+
+
+def test_every_private_module_name_is_used():
+    assert _unused_private_names(sorted(_PACKAGE.glob("*.py"))) == []
+
+
+def test_unused_private_name_finder(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_DOC = {'x': 1}\n_LIMIT: int = 3\n_USED = 2\n"
+        "def _helper(): return _USED\nclass _Kept: pass\n__all__ = []\n"
+    )
+    (tmp_path / "b.py").write_text("import a\nprint(a._Kept, a._helper())\n")
+    assert _unused_private_names(sorted(tmp_path.glob("*.py"))) == ["a._DOC", "a._LIMIT"]

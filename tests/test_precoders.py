@@ -46,16 +46,19 @@ _unit = st.floats(0.0, 1.0, allow_nan=False)
 
 def test_parameter_point_validation():
     with pytest.raises(ValueError):
-        ParameterPoint(1.2, 0.0, 0.0, 0.0)
+        ParameterPoint(1.2, 0.0, 0.0, 0.0, "MRT")
     with pytest.raises(ValueError):
-        ParameterPoint(0.5, -0.1, 0.0, 0.0)
+        ParameterPoint(0.5, -0.1, 0.0, 0.0, "MRT")
     with pytest.raises(ValueError):
         ParameterPoint(0.5, 0.5, 0.5, 0.5, family="QR")
+    # A family that is not a string is a configuration error, not a crash.
+    with pytest.raises(ConfigError, match="family must be one of"):
+        ParameterPoint(0.5, 0.5, 0.5, 0.5, 5)
     # bools, non-finite values and strings are not knob values, on an axis too
     for knobs in ((True, 1.0, 1.0, 0.5), (0.5, 0.5, (0.0, True), 0.5),
                   (0.5, math.nan, 0.5, 0.5), (0.5, 0.5, 0.5, "0.5")):
         with pytest.raises(ConfigError, match="finite number in"):
-            ParameterPoint(*knobs)
+            ParameterPoint(*knobs, "MRT")
     pp = ParameterPoint(0.5, 0.5, 0.5, 0.5, family="zf")
     assert pp.family == "ZF"
     assert dataclasses.astuple(pp) == (0.5, 0.5, 0.5, 0.5, "ZF")
@@ -180,11 +183,11 @@ def test_block_build_equals_point_build(t, tp, ac_axis, ap_axis, family, seed):
 def test_block_mixes_must_be_table_rows():
     table = BlendTable(_CHANNELS, "MRT", _AXIS)
     with pytest.raises(ValueError, match="not all rows"):
-        build_precoders(ParameterPoint(0.5, 0.5, (0.3,), (0.5,)), _CHANNELS, _CFG, table)
+        build_precoders(ParameterPoint(0.5, 0.5, (0.3,), (0.5,), "MRT"), _CHANNELS, _CFG, table)
 
 
 def test_stream_powers_closed_form():
-    pp = ParameterPoint(0.7, 0.4, 0.3, 0.6)
+    pp = ParameterPoint(0.7, 0.4, 0.3, 0.6, "MRT")
     powers = build_precoders(pp, _CHANNELS, _CFG).stream_powers()
     assert abs(powers["common"] - 0.7 * 0.6) < 1e-12
     assert abs(powers["private_1"] - 0.7 * 0.4 / 2) < 1e-12
@@ -193,11 +196,11 @@ def test_stream_powers_closed_form():
 
 
 def test_zero_power_streams_are_exact_zeros():
-    sdma = build_precoders(ParameterPoint(1.0, 1.0, 0.3, 0.7), _CHANNELS, _CFG)
+    sdma = build_precoders(ParameterPoint(1.0, 1.0, 0.3, 0.7, "MRT"), _CHANNELS, _CFG)
     assert not np.any(sdma.p_c)
     assert not np.any(sdma.p_r)
 
-    sensing = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0), _CHANNELS, _CFG)
+    sensing = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), _CHANNELS, _CFG)
     assert not np.any(sensing.p_c)
     assert not np.any(sensing.p_1)
     assert not np.any(sensing.p_2)
@@ -209,14 +212,14 @@ def test_zero_power_streams_are_exact_zeros():
 
 
 def test_sdma_splits_power_equally():
-    pset = build_precoders(ParameterPoint(1.0, 1.0, 0.5, 0.7), _CHANNELS, _CFG)
+    pset = build_precoders(ParameterPoint(1.0, 1.0, 0.5, 0.7, "MRT"), _CHANNELS, _CFG)
     powers = pset.stream_powers()
     assert abs(powers["private_1"] - 0.5) < 1e-12
     assert abs(powers["private_2"] - 0.5) < 1e-12
 
 
 def test_hard_separation_point():
-    pset = build_precoders(ParameterPoint(0.6, 1.0, 1.0, 1.0), _CHANNELS, _CFG)
+    pset = build_precoders(ParameterPoint(0.6, 1.0, 1.0, 1.0, "MRT"), _CHANNELS, _CFG)
     nc = _CFG.n_subcarriers
     scale = math.sqrt(0.6 * _CFG.total_power / 2 / nc)
     assert np.allclose(pset.p_1, scale * _CHANNELS.unit_est[0], atol=1e-12)
@@ -242,7 +245,7 @@ def test_precoders_invariant_to_channel_scale():
 
 
 def test_continuity_in_parameters():
-    base = ParameterPoint(0.5, 0.5, 0.5, 0.5)
+    base = ParameterPoint(0.5, 0.5, 0.5, 0.5, "MRT")
     ref = build_precoders(base, _CHANNELS, _CFG)
     for name in ("t_comms", "t_p", "alpha_c", "alpha_p"):
         kwargs = {
@@ -250,6 +253,7 @@ def test_continuity_in_parameters():
             "t_p": base.t_p,
             "alpha_c": base.alpha_c,
             "alpha_p": base.alpha_p,
+            "family": base.family,
         }
         kwargs[name] += 1e-6
         moved = build_precoders(ParameterPoint(**kwargs), _CHANNELS, _CFG)
@@ -302,31 +306,31 @@ def test_special_case_closed_forms():
 
     zeros = np.zeros((nc, 2), dtype=complex)
     cases = {
-        ParameterPoint(1.0, 0.4, 0.3, 0.6): (
+        ParameterPoint(1.0, 0.4, 0.3, 0.6, "MRT"): (
             _blend(pt * 0.6, 0.3, uc, u0),
             _blend(pt * 0.2, 0.6, u1, u0),
             _blend(pt * 0.2, 0.6, u2, u0),
             zeros,
         ),
-        ParameterPoint(1.0, 0.4, 0.25, 0.75): (
+        ParameterPoint(1.0, 0.4, 0.25, 0.75, "MRT"): (
             _blend(pt * 0.6, 0.25, uc, u0),
             _blend(pt * 0.2, 0.75, u1, u0),
             _blend(pt * 0.2, 0.75, u2, u0),
             zeros,
         ),
-        ParameterPoint(0.5, 1.0, 1.0, 0.4): (
+        ParameterPoint(0.5, 1.0, 1.0, 0.4, "MRT"): (
             zeros,
             _blend(pt * 0.25, 0.4, u1, u0),
             _blend(pt * 0.25, 0.4, u2, u0),
             math.sqrt(pt * 0.5 / nc) * np.tile(u0, (nc, 1)),
         ),
-        ParameterPoint(0.5, 1.0, 1.0, 1.0): (
+        ParameterPoint(0.5, 1.0, 1.0, 1.0, "MRT"): (
             zeros,
             math.sqrt(pt * 0.25 / nc) * u1,
             math.sqrt(pt * 0.25 / nc) * u2,
             math.sqrt(pt * 0.5 / nc) * np.tile(u0, (nc, 1)),
         ),
-        ParameterPoint(1.0, 1.0, 1.0, 0.3): (
+        ParameterPoint(1.0, 1.0, 1.0, 0.3, "MRT"): (
             zeros,
             _blend(pt * 0.5, 0.3, u1, u0),
             _blend(pt * 0.5, 0.3, u2, u0),

@@ -44,13 +44,13 @@ _GEOM = ArrayGeometry(2, 0.5)
 
 def _sensing_only(make_channels, nc=64):
     cfg, channels = make_channels(n_subcarriers=nc)
-    pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0), channels, cfg)
+    pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
     return cfg, pset
 
 
 def _steered(pset, rng):
     """The broadside steered waveform c of one synthesized symbol, shape (1, N_c)."""
-    return steered_projection(synthesize_tx(pset, [rng]), _GEOM)
+    return steered_projection(synthesize_tx(pset, [rng]), _GEOM, 0.0)
 
 
 def _gain(c):
@@ -113,7 +113,7 @@ def test_synthesize_sensing_only_is_deterministic(make_channels):
     expect = pset.p_r * sensing_symbols(8)[:, None]
     assert np.array_equal(x, expect[None])
     # every subcarrier radiates total_power*n_tx/nc toward broadside
-    per_k = np.abs(steered_projection(x, _GEOM)) ** 2
+    per_k = np.abs(steered_projection(x, _GEOM, 0.0)) ** 2
     assert np.allclose(per_k, cfg.total_power * 2 / 8, rtol=1e-12)
 
 
@@ -134,21 +134,21 @@ def test_symbol_statistics():
 
 def test_broadside_gain_matches_loop(make_channels):
     cfg, channels = make_channels(n_subcarriers=8)
-    pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6), channels, cfg)
+    pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"), channels, cfg)
     x = synthesize_tx(pset, [RngStream(1, 1)])[0]
     a = np.ones(2, dtype=complex)  # broadside steering for a 2-element ULA
     total = sum(abs(np.vdot(a, x[k])) ** 2 for k in range(8))
-    assert _gain(steered_projection(x, _GEOM)) == pytest.approx(total, rel=1e-12)
+    assert _gain(steered_projection(x, _GEOM, 0.0)) == pytest.approx(total, rel=1e-12)
 
 
 def test_expected_steered_power_sums_streams(make_channels):
     cfg, channels = make_channels(n_subcarriers=8)
-    pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6), channels, cfg)
+    pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"), channels, cfg)
     a = np.ones(2, dtype=complex)
     manual = np.zeros(8)
     for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r):
         manual += np.array([abs(np.vdot(a, p[k])) ** 2 for k in range(8)])
-    got = expected_steered_power(pset, _GEOM)
+    got = expected_steered_power(pset, _GEOM, 0.0)
     assert np.allclose(got, manual, rtol=1e-12)
     assert np.sum(got) == pytest.approx(manual.sum())
 
@@ -158,9 +158,9 @@ def test_sensing_helpers_on_a_stacked_batch_equal_per_point(make_channels):
     # bit for bit what its own point gives, zero streams included.
     cfg, channels = make_channels(n_subcarriers=16, csit_error_var=1e-3)
     points = [
-        ParameterPoint(0.7, 0.5, 0.4, 0.6),
-        ParameterPoint(0.0, 1.0, 1.0, 1.0),
-        ParameterPoint(1.0, 0.0, 0.3, 1.0),
+        ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"),
+        ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"),
+        ParameterPoint(1.0, 0.0, 0.3, 1.0, "MRT"),
         ParameterPoint(0.5, 1.0, 1.0, 0.2, "ZF"),
     ]
     psets = [build_precoders(pp, channels, cfg) for pp in points]
@@ -182,7 +182,7 @@ def test_expected_equals_realized_for_sensing_only(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=16)
     c = _steered(pset, RngStream(2, 2))
     assert _gain(c) == pytest.approx(
-        np.sum(expected_steered_power(pset, _GEOM)), rel=1e-12
+        np.sum(expected_steered_power(pset, _GEOM, 0.0)), rel=1e-12
     )
 
 
@@ -256,8 +256,8 @@ def test_background_subtract_noiseless_recovers_echo(make_channels):
     # every trial of a stack carries its own clutter energy (10x its echo),
     # and each one cancels exactly between the two captures
     cfg, channels = make_channels(n_subcarriers=16)
-    pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6), channels, cfg)
-    c = steered_projection(synthesize_tx(pset, [RngStream(0, t) for t in range(3)]), _GEOM)
+    pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"), channels, cfg)
+    c = steered_projection(synthesize_tx(pset, [RngStream(0, t) for t in range(3)]), _GEOM, 0.0)
     beta = 0.3
     y = two_stage_capture(c, 4, beta, 0.0, [RngStream(9, 1), RngStream(9, 3), RngStream(9, 5)],
                           [RngStream(9, 2), RngStream(9, 4), RngStream(9, 6)])
@@ -428,7 +428,7 @@ def test_measured_snr_tracks_closed_form():
     beta = 0.1
     worst = 0.0
     for i in range(20):
-        pp = ParameterPoint(*prng.uniform(0.1, 1.0, 4))
+        pp = ParameterPoint(*prng.uniform(0.1, 1.0, 4), "MRT")
         pset = build_precoders(pp, channels, cfg)
         c = _steered(pset, RngStream(cfg.seed, 600 + i))
         sigma = beta**2 * (1024 - 1) * _gain(c) / 10**1.5  # closed form = 15 dB
@@ -446,7 +446,7 @@ def test_fisher_matches_likelihood_curvature(make_channels):
     cfg = dataclasses.replace(scenario_preset("S1"), n_subcarriers=64)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     prng = np.random.default_rng(99)
-    pp = ParameterPoint(*prng.uniform(0.05, 0.95, 4))
+    pp = ParameterPoint(*prng.uniform(0.05, 0.95, 4), "MRT")
     pset = build_precoders(pp, channels, cfg)
     beta, sigma, n0, h = 0.37, 0.8, 5.0, 1e-3
     c = _steered(pset, RngStream(cfg.seed, 200))
@@ -592,9 +592,9 @@ def _linear_mean_sum(profiles):
 
 
 _REFERENCE_POINTS = [
-    ParameterPoint(0.7, 0.5, 0.4, 0.6),
-    ParameterPoint(0.0, 1.0, 1.0, 1.0),
-    ParameterPoint(1.0, 0.0, 0.3, 1.0),
+    ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"),
+    ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"),
+    ParameterPoint(1.0, 0.0, 0.3, 1.0, "MRT"),
     ParameterPoint(0.5, 0.8, 1.0, 0.2, "ZF"),
     ParameterPoint(0.9, 0.3, 0.6, 0.5, "ZF"),
 ]

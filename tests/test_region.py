@@ -43,6 +43,8 @@ from rsma_isac.region import (
 from rsma_isac.throughput import sinr_common, sinr_private, spectral_efficiency, stream_gains
 
 _GEOM = ArrayGeometry(2, 0.5)
+# The CLI's sweep defaults; tests change fields with dataclasses.replace.
+_SPEC = SweepSpec(0.1, ("MRT",), "G0", None, 25)
 
 
 def _params(points, i):
@@ -94,18 +96,19 @@ def test_enumerate_grid_counts_and_pinning():
         dict(monte_carlo_trials=math.nan),
         dict(monte_carlo_trials=-3),
         dict(metric="SNR_RAD", monte_carlo_trials=-3),
+        dict(families=(5,)),
     ],
 )
 def test_sweep_spec_validation(kwargs):
     with pytest.raises(ConfigError):
-        SweepSpec(**kwargs)
+        dataclasses.replace(_SPEC, **kwargs)
 
 
 def test_sweep_spec_normalizes_family_case():
-    spec = SweepSpec(families=("mrt", "zf"))
+    spec = dataclasses.replace(_SPEC, families=("mrt", "zf"))
     assert spec.families == ("MRT", "ZF")
     # trials only constrain the Monte Carlo metric
-    SweepSpec(metric="G0", monte_carlo_trials=0)
+    dataclasses.replace(_SPEC, monte_carlo_trials=0)
 
 
 def classify_special_case(pp: ParameterPoint) -> str:
@@ -147,15 +150,15 @@ _MIX = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 def test_case_codes_match_classify_special_case_off_grid(t, tp, ac, ap, nudge):
     # nudge moves alpha_c around the soft-separation line alpha_c = 1 - alpha_p
     ac = min(max(1.0 - ap + nudge, 0.0), 1.0) if nudge else ac
-    pp = ParameterPoint(t, tp, ac, ap)
+    pp = ParameterPoint(t, tp, ac, ap, "MRT")
     assert CASE_TAGS[case_codes(t, tp, ac, ap)] == classify_special_case(pp)
 
 
 def test_pareto_frontier_examples():
     pts = [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (1.0, 1.0)]
     xs, ys = np.array(pts).T
-    assert [pts[i] for i in pareto_indices(xs, ys)] == [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]
-    assert pareto_indices(np.array([5.0]), np.array([5.0])).tolist() == [0]
+    assert [pts[i] for i in pareto_indices(xs, ys, ())] == [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]
+    assert pareto_indices(np.array([5.0]), np.array([5.0]), ()).tolist() == [0]
 
 
 def _oracle_frontier(xs, ys, keys=None):
@@ -184,7 +187,7 @@ def test_pareto_against_quadratic_oracle():
         n = int(rng.integers(1, 60))
         xs = rng.integers(0, 8, size=n).astype(float)
         ys = rng.integers(0, 8, size=n).astype(float)
-        assert pareto_indices(xs, ys).tolist() == _oracle_frontier(xs, ys)
+        assert pareto_indices(xs, ys, ()).tolist() == _oracle_frontier(xs, ys)
 
 
 _SMALL = st.integers(0, 5).map(float)
@@ -235,7 +238,7 @@ def smoke_sweep():
     cfg = scenario_preset("S1")
     cfg = dataclasses.replace(cfg, n_subcarriers=16)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
-    spec = SweepSpec(grid_step=0.5, families=("MRT",))
+    spec = dataclasses.replace(_SPEC, grid_step=0.5)
     return cfg, channels, spec, sweep(spec, channels, cfg, _GEOM)
 
 
@@ -283,7 +286,7 @@ def _grid_scenarios():
 def test_sweep_matches_standalone_throughput():
     # Every point of a step-0.25 grid, both families: the block-batched
     # sweep must give exactly what a per-point throughput() call gives.
-    spec = SweepSpec(grid_step=0.25, families=("MRT", "ZF"))
+    spec = dataclasses.replace(_SPEC, grid_step=0.25, families=("MRT", "ZF"))
     for cfg, channels in _grid_scenarios():
         result = sweep(spec, channels, cfg, _GEOM)
         pts = result.points
@@ -341,7 +344,7 @@ def _point_eval_sensing(pp, channels, cfg):
 def test_sweep_sensing_numbers_cross_check():
     # Every point's g0 and CRB come from the same batched arithmetic as a
     # single point's, so they are equal, not merely close.
-    spec = SweepSpec(grid_step=0.25, families=("MRT", "ZF"))
+    spec = dataclasses.replace(_SPEC, grid_step=0.25, families=("MRT", "ZF"))
     for preset in ("S1", "S2"):
         for csit_error_var in (0.0, 1e-3):
             cfg = dataclasses.replace(
@@ -362,7 +365,8 @@ def test_rank_deficient_zf_sweep_scores_common_only_blocks(make_channels):
     # so ZF has no private directions; the blocks without private power are
     # still scored, and their sensing numbers equal point-eval's.
     cfg, channels = make_channels(n_subcarriers=16, ue_angles_deg=(30.0, 30.0))
-    result = sweep(SweepSpec(grid_step=0.5, families=("ZF",)), channels, cfg, _GEOM)
+    zf = dataclasses.replace(_SPEC, grid_step=0.5, families=("ZF",))
+    result = sweep(zf, channels, cfg, _GEOM)
     pts = result.points
     assert len(result.skipped) == 24
     assert all("rank" in reason for reason in result.skipped.reason.tolist())
@@ -373,8 +377,9 @@ def test_rank_deficient_zf_sweep_scores_common_only_blocks(make_channels):
         assert sensing == _point_eval_sensing(_params(pts, i), channels, cfg)
     # Swept together, MRT is scored everywhere and ZF loses the same points
     # for the same reason as when it is swept alone.
-    both = sweep(SweepSpec(grid_step=0.5, families=("MRT", "ZF")), channels, cfg, _GEOM)
-    mrt = sweep(SweepSpec(grid_step=0.5, families=("MRT",)), channels, cfg, _GEOM)
+    both_spec = dataclasses.replace(_SPEC, grid_step=0.5, families=("MRT", "ZF"))
+    both = sweep(both_spec, channels, cfg, _GEOM)
+    mrt = sweep(dataclasses.replace(_SPEC, grid_step=0.5), channels, cfg, _GEOM)
     assert both.points.take(both.points.family == FAMILIES.index("MRT")) == mrt.points
     assert len(mrt.points) == 31 and not mrt.skipped
     assert both.skipped == result.skipped
@@ -395,7 +400,8 @@ def test_zf_sweep_computes_private_directions_once(make_channels, monkeypatch):
 
     monkeypatch.setattr(precoders_mod, "private_directions", counting)
     cfg, channels = make_channels(n_subcarriers=16)
-    result = sweep(SweepSpec(grid_step=0.25, families=("ZF",)), channels, cfg, _GEOM)
+    zf = dataclasses.replace(_SPEC, grid_step=0.25, families=("ZF",))
+    result = sweep(zf, channels, cfg, _GEOM)
     assert calls == ["ZF"]
     assert len(result.points) == len(enumerate_grid(0.25, "ZF")) and not result.skipped
 
@@ -408,7 +414,7 @@ def test_frontier_idempotent(smoke_sweep):
 
 def test_grid_refinement_weakly_dominates(smoke_sweep):
     cfg, channels, spec, coarse_result = smoke_sweep
-    fine = sweep(SweepSpec(grid_step=0.25), channels, cfg, _GEOM).boundary
+    fine = sweep(dataclasses.replace(_SPEC, grid_step=0.25), channels, cfg, _GEOM).boundary
     coarse = coarse_result.boundary
     for bx, by in zip(coarse.t_sum_bps, coarse.g0):
         assert np.any((fine.t_sum_bps >= bx) & (fine.g0 >= by))
@@ -424,13 +430,13 @@ def test_scheme_filters(smoke_sweep):
     with pytest.raises(ConfigError, match="scheme"):
         scheme_points(pts, "NOMA")
     with pytest.raises(ConfigError, match="scheme"):
-        scheme_frontier(pts, "noma")
+        scheme_frontier(pts, "noma", "G0")
 
 
 def test_scheme_frontier_contained_in_region(smoke_sweep):
     *_, result = smoke_sweep
     full = result.boundary
-    sdma = scheme_frontier(result.points, "SDMA")
+    sdma = scheme_frontier(result.points, "SDMA", "G0")
     for px, py in zip(sdma.t_sum_bps, sdma.g0):
         assert np.any((full.t_sum_bps >= px) & (full.g0 >= py))
 
@@ -443,7 +449,7 @@ def test_sweep_skips_zf_on_rank_deficient_channels(make_channels):
         unit_est=np.stack([base.unit_est[0], base.unit_est[0]]),
         broadside_unit=base.broadside_unit,
     )
-    result = sweep(SweepSpec(grid_step=0.5, families=("ZF",)), dup, cfg, _GEOM)
+    result = sweep(dataclasses.replace(_SPEC, grid_step=0.5, families=("ZF",)), dup, cfg, _GEOM)
     pts = result.points
     assert len(result.skipped) == 24
     assert len(pts) == 7
@@ -453,7 +459,7 @@ def test_sweep_skips_zf_on_rank_deficient_channels(make_channels):
 
 def test_sweep_snr_metric_smoke(make_channels):
     cfg, channels = make_channels(n_subcarriers=16)
-    spec = SweepSpec(grid_step=0.5, metric="SNR_RAD", monte_carlo_trials=2)
+    spec = dataclasses.replace(_SPEC, grid_step=0.5, metric="SNR_RAD", monte_carlo_trials=2)
     result = sweep(spec, channels, cfg, _GEOM)
     assert result.metric == "SNR_RAD"
     assert len(result.points.snr_rad_db) == len(result.points)
@@ -465,9 +471,9 @@ def test_sweep_snr_metric_smoke(make_channels):
 def test_sensing_dominant_sdma_boundary(make_cfg):
     cfg = make_cfg(noise_power_comms=1.5e-3, ue_angles_deg=(-60.0, 60.0), seed=21)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
-    result = sweep(SweepSpec(grid_step=0.1), channels, cfg, _GEOM)
+    result = sweep(_SPEC, channels, cfg, _GEOM)
 
-    rows = scheme_frontier(result.points, "SDMA")
+    rows = scheme_frontier(result.points, "SDMA", "G0")
     assert len(rows) == 5
     expect = [
         ((0.0, 1.0, 1.0, 1.0), 0.0, 2.0),
@@ -481,7 +487,7 @@ def test_sensing_dominant_sdma_boundary(make_cfg):
         assert rows.t_sum_bps[i] == t_sum
         assert rows.g0[i] == pytest.approx(g0, rel=1e-9)
 
-    rsma_rows = scheme_frontier(result.points, "RSMA_NoSense")
+    rsma_rows = scheme_frontier(result.points, "RSMA_NoSense", "G0")
     assert len(rsma_rows) == 9
     assert np.all(rsma_rows.t_comms == 1.0)
 
@@ -489,9 +495,9 @@ def test_sensing_dominant_sdma_boundary(make_cfg):
 def test_boundary_params_csv_exact(tmp_path, make_cfg):
     cfg = make_cfg(noise_power_comms=1.5e-3, ue_angles_deg=(-60.0, 60.0), seed=21)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
-    result = sweep(SweepSpec(grid_step=0.1), channels, cfg, _GEOM)
+    result = sweep(_SPEC, channels, cfg, _GEOM)
     path = tmp_path / "boundary_params.csv"
-    write_boundary_params_csv(scheme_frontier(result.points, "SDMA"), str(path))
+    write_boundary_params_csv(scheme_frontier(result.points, "SDMA", "G0"), str(path))
     lines = path.read_text().splitlines()
     assert lines == [
         "index,t_comms,t_p,alpha_c,alpha_p,mcs_c,mcs_1,mcs_2",
@@ -506,11 +512,11 @@ def test_boundary_params_csv_exact(tmp_path, make_cfg):
 def test_preset_regression_tight_angles():
     cfg = dataclasses.replace(scenario_preset("S2"), n_subcarriers=64)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
-    result = sweep(SweepSpec(grid_step=0.1), channels, cfg, _GEOM)
+    result = sweep(_SPEC, channels, cfg, _GEOM)
 
     sdma = scheme_points(result.points, "SDMA")
     assert max(sdma.t_sum_bps) == 146250000.0
-    sdma_front = scheme_frontier(result.points, "SDMA")
+    sdma_front = scheme_frontier(result.points, "SDMA", "G0")
     corner = sdma_front.take([-1])
     corner_knobs = dataclasses.astuple(_params(corner, 0))[:4]
     assert corner_knobs == pytest.approx((0.4, 1.0, 1.0, 0.1), abs=1e-12)
@@ -525,7 +531,7 @@ def test_preset_regression_tight_angles():
     assert dominators.t_sum_bps[0] == 292500000.0
     assert dominators.g0[0] == 2.0
 
-    assert len(scheme_frontier(result.points, "RSMA_NoSense")) == 4
+    assert len(scheme_frontier(result.points, "RSMA_NoSense", "G0")) == 4
     assert len(result.boundary) == 5
     tset = {round(t, 6) for t in result.boundary.t_comms.tolist()}
     assert tset == {0.5, 0.7, 0.9, 1.0}

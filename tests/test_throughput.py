@@ -178,7 +178,7 @@ def _brute_sinr(channels, pset, ue, noise, stream):
 
 def test_sinr_matches_bruteforce(make_channels):
     cfg, channels = make_channels(n_subcarriers=5, ue_angles_deg=(-37.0, 12.0))
-    pset = build_precoders(ParameterPoint(0.7, 0.6, 0.4, 0.55), channels, cfg)
+    pset = build_precoders(ParameterPoint(0.7, 0.6, 0.4, 0.55, "MRT"), channels, cfg)
     noise = cfg.noise_power_comms
     gains = stream_gains(channels, pset)
     for ue in (1, 2):
@@ -190,7 +190,7 @@ def test_sinr_matches_bruteforce(make_channels):
 
 def test_sinr_rejects_bad_ue(make_channels):
     cfg, channels = make_channels(n_subcarriers=4)
-    pset = build_precoders(ParameterPoint(0.5, 0.5, 0.5, 0.5), channels, cfg)
+    pset = build_precoders(ParameterPoint(0.5, 0.5, 0.5, 0.5, "MRT"), channels, cfg)
     gains = stream_gains(channels, pset)
     with pytest.raises(ValueError):
         sinr_common(gains, 0, cfg.noise_power_comms)
@@ -200,7 +200,7 @@ def test_sinr_rejects_bad_ue(make_channels):
 
 def test_sinr_zero_common_power(make_channels):
     cfg, channels = make_channels(n_subcarriers=4)
-    pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5), channels, cfg)
+    pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5, "MRT"), channels, cfg)
     assert np.all(sinr_common(stream_gains(channels, pset), 1, cfg.noise_power_comms) == 0.0)
 
 
@@ -208,7 +208,7 @@ def test_sinr_interference_free(flat_channels, make_cfg):
     noise = 2e-4
     ch = flat_channels([1.0, 0.0], [0.0, 1.0], nc=4)
     cfg = make_cfg(n_subcarriers=4)
-    pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 1.0), ch, cfg)
+    pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 1.0, "MRT"), ch, cfg)
     # each user sees only its own beam: SINR = (P/2/nc) / noise on every tone
     expect = (0.5 / 4) / noise
     for ue in (1, 2):
@@ -229,7 +229,7 @@ def test_zf_private_sinr_has_no_cross_interference(make_channels):
 
 def test_throughput_sdma_top_mcs(make_channels):
     cfg, channels = make_channels(noise_power_comms=1e-5)
-    pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 1.0), channels, cfg)
+    pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
     rep = throughput(channels, pset, cfg)
     assert _indices(rep) == (-1, 9, 9)
     assert rep.t_sum == pytest.approx(2 * 487500000.0, rel=1e-12)
@@ -238,7 +238,7 @@ def test_throughput_sdma_top_mcs(make_channels):
 
 def test_throughput_common_collapse(make_channels):
     cfg, channels = make_channels(noise_power_comms=10.0)
-    pset = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5), channels, cfg)
+    pset = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5, "MRT"), channels, cfg)
     rep = throughput(channels, pset, cfg)
     assert rep.collapsed
     assert rep.t_sum == 0.0
@@ -248,7 +248,7 @@ def test_throughput_common_collapse(make_channels):
 
 def test_throughput_sdma_never_collapses(make_channels):
     cfg, channels = make_channels(noise_power_comms=10.0)
-    pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5), channels, cfg)
+    pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5, "MRT"), channels, cfg)
     rep = throughput(channels, pset, cfg)
     assert not rep.collapsed
     assert rep.t_sum == 0.0
@@ -257,7 +257,7 @@ def test_throughput_sdma_never_collapses(make_channels):
 
 def test_throughput_sensing_only(make_channels):
     cfg, channels = make_channels()
-    pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0), channels, cfg)
+    pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
     rep = throughput(channels, pset, cfg)
     assert rep.t_sum == 0.0
     assert not rep.collapsed
@@ -266,12 +266,12 @@ def test_throughput_sensing_only(make_channels):
 
 def test_throughput_sum_identity(make_channels):
     cfg, channels = make_channels()
-    with_common = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5), channels, cfg)
+    with_common = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5, "MRT"), channels, cfg)
     rep = throughput(channels, with_common, cfg)
     assert rep.t_sum == rep.t_common + rep.t_private[0] + rep.t_private[1]
     assert rep.t_common > 0
 
-    sdma = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5), channels, cfg)
+    sdma = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5, "MRT"), channels, cfg)
     rep2 = throughput(channels, sdma, cfg)
     assert rep2.t_common == 0.0
     assert rep2.t_sum == rep2.t_private[0] + rep2.t_private[1]
@@ -282,7 +282,7 @@ def test_throughput_gap_monotone(make_channels):
     prev_rank = None
     for gap in (0.0, 1.0, 2.0, 4.0):
         cfg, channels = make_channels(shannon_gap_db=gap)
-        pset = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5), channels, cfg)
+        pset = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5, "MRT"), channels, cfg)
         rep = throughput(channels, pset, cfg)
         rank = _indices(rep)
         if prev_sum is not None:
@@ -296,10 +296,10 @@ def test_throughput_batch_matches_points(make_channels):
     # the single-point report: sum rate, stream rates, levels, collapse.
     cfg, channels = make_channels(noise_power_comms=0.01)
     points = [
-        ParameterPoint(1.0, 0.5, 0.5, 0.5),  # common stream fails: collapse
-        ParameterPoint(1.0, 1.0, 1.0, 0.5),  # SDMA, no common stream
-        ParameterPoint(0.6, 0.2, 0.9, 0.3),  # common stream carried
-        ParameterPoint(0.0, 1.0, 1.0, 1.0),  # sensing only
+        ParameterPoint(1.0, 0.5, 0.5, 0.5, "MRT"),  # common stream fails: collapse
+        ParameterPoint(1.0, 1.0, 1.0, 0.5, "MRT"),  # SDMA, no common stream
+        ParameterPoint(0.6, 0.2, 0.9, 0.3, "MRT"),  # common stream carried
+        ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"),  # sensing only
     ]
     psets = [build_precoders(pp, channels, cfg) for pp in points]
     batch = PrecoderSet(
