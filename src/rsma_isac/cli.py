@@ -205,9 +205,13 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
             f"G = {gain_bound:g}, that is not finite"
         )
     rows = [(i, ParameterPoint(*key)) for i, key in section["params_rows"]]
-    for i, _ in rows:
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise ConfigError(f"params row indices must be integers, got {i!r}")
+    indices = [i for i, _ in rows]
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, int) or i < 0:
+            raise ConfigError(f"params row indices must be nonnegative integers, got {i!r}")
+    # A repeated index would write rows no reader of heatmap.csv can tell apart.
+    if len(set(indices)) != len(indices):
+        raise ConfigError(f"params row indices must be distinct, got {indices!r}")
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     path = os.path.join(out_dir, "heatmap.csv")
     with open(path, "w", encoding="utf-8") as fh:

@@ -62,9 +62,34 @@ class ParameterPoint:
         object.__setattr__(self, "family", fam)
 
 
+def _grid(fill, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex array of shape (…, N_c, N_T) stored as (…, N_T, N_c).
+
+    Subcarriers are innermost in memory, so a projection onto a receiver
+    row, which sums over N_T, runs one long contiguous loop per antenna
+    instead of an N_T-long loop per subcarrier.
+    """
+    *batch, nc, nt = shape
+    return fill((*batch, nt, nc), dtype=complex).swapaxes(-1, -2)
+
+
+def _total_power(grid: np.ndarray) -> float:
+    """Σ|grid|², summed in C order whatever the grid's memory order.
+
+    A full reduction adds in memory order, so without ``order="C"`` a
+    subcarrier-innermost grid would group the sum differently.
+    """
+    return float(np.sum(np.abs(grid, order="C") ** 2))
+
+
 @dataclass(frozen=True)
 class PrecoderSet:
-    """Per-subcarrier precoders, one (n_subcarriers, n_tx) array per stream."""
+    """Per-subcarrier precoders, one (n_subcarriers, n_tx) array per stream.
+
+    Each array may carry leading batch axes. ``build_precoders`` stores
+    every grid with subcarriers innermost in memory (see ``_grid``); the
+    shape, and so all indexing, is the same as for a C-ordered grid.
+    """
 
     p_c: np.ndarray
     p_1: np.ndarray
@@ -73,10 +98,10 @@ class PrecoderSet:
 
     def stream_powers(self) -> dict[str, float]:
         return {
-            "common": float(np.sum(np.abs(self.p_c) ** 2)),
-            "private_1": float(np.sum(np.abs(self.p_1) ** 2)),
-            "private_2": float(np.sum(np.abs(self.p_2) ** 2)),
-            "sensing": float(np.sum(np.abs(self.p_r) ** 2)),
+            "common": _total_power(self.p_c),
+            "private_1": _total_power(self.p_1),
+            "private_2": _total_power(self.p_2),
+            "sensing": _total_power(self.p_r),
         }
 
 
@@ -140,6 +165,12 @@ class BlendTable:
     (1, n_α); ``private`` holds the two private streams, (2, n_α, N_c, N_T)
     and (2, n_α). Each is computed on first use, so a point that gives a
     stream no power never computes (or fails on) its direction.
+
+    v is stored with subcarriers innermost (``_grid``), so the precoders
+    scaled from its rows are too, and every gain projection of a sweep
+    block runs over contiguous subcarriers. Each T is summed from the
+    C-ordered row before it is stored, so its summation order does not
+    depend on the table's memory order.
     """
 
     def __init__(self, channels: ChannelSet, family: str, alphas) -> None:
@@ -157,12 +188,13 @@ class BlendTable:
 
     def _blend(self, steered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u0 = self.channels.broadside_unit
-        v = np.empty((len(steered), len(self.alphas)) + steered.shape[1:], dtype=complex)
+        v = _grid(np.empty, (len(steered), len(self.alphas)) + steered.shape[1:])
         total = np.empty(v.shape[:2])
         for s, d in enumerate(steered):
             for i, alpha in enumerate(self.alphas.tolist()):
-                v[s, i] = np.sqrt(alpha) * d + np.sqrt(1.0 - alpha) * u0[None, :]
-                total[s, i] = np.sum(np.abs(v[s, i]) ** 2)
+                row = np.sqrt(alpha) * d + np.sqrt(1.0 - alpha) * u0[None, :]
+                v[s, i] = row
+                total[s, i] = _total_power(row)
         return v, total
 
     def rows(self, alphas: np.ndarray) -> np.ndarray | slice:
@@ -207,7 +239,8 @@ def build_precoders(
 
     Streams with zero allocated power come back as exact zero arrays and
     their directions are never computed, so e.g. an all-sensing point never
-    trips the ZF rank check.
+    trips the ZF rank check. Every grid, zero or not, is stored with
+    subcarriers innermost, as the table rows are.
     """
     ac, ap = np.asarray(pp.alpha_c), np.asarray(pp.alpha_p)
     if table is None:
@@ -225,17 +258,17 @@ def build_precoders(
     if p_common > 0.0:
         p_c = _scaled_rows(p_common, table.common, table.rows(ac)).reshape(common_shape)
     else:
-        p_c = np.zeros(common_shape, dtype=complex)
+        p_c = _grid(np.zeros, common_shape)
 
     if p_private > 0.0:
         p_1, p_2 = _scaled_rows(p_private, table.private, table.rows(ap))
         p_1, p_2 = p_1.reshape(private_shape), p_2.reshape(private_shape)
     else:
-        p_1 = p_2 = np.zeros(private_shape, dtype=complex)
+        p_1 = p_2 = _grid(np.zeros, private_shape)
 
     if p_sense > 0.0:
-        p_r = np.sqrt(p_sense / nc) * np.broadcast_to(u0, (nc, nt)).copy()
+        p_r = np.sqrt(p_sense / nc) * np.broadcast_to(u0, (nc, nt)).copy(order="F")
     else:
-        p_r = np.zeros((nc, nt), dtype=complex)
+        p_r = _grid(np.zeros, (nc, nt))
 
     return PrecoderSet(p_c=p_c, p_1=p_1, p_2=p_2, p_r=p_r)

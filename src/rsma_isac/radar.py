@@ -283,8 +283,13 @@ def monte_carlo(
     waveforms c and one list of keys per further id (``rngs[0][t]`` keys
     ``streams[t][1]``), and returns the captures y. The trials run
     ``_TRIAL_CHUNK`` at a time, and their SNRs are added one at a time as
-    scalar math, in trial order.
+    scalar math, in trial order. The precoders are copied to C order once
+    per call: ``synthesize_tx`` reshapes each chunk's symbol table in that
+    order, which a subcarrier-innermost grid would make copy per chunk.
     """
+    pset = PrecoderSet(
+        *(np.ascontiguousarray(p) for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r))
+    )
     peaks: list[int] = []
     total = 0.0
     for lo in range(0, len(streams), _TRIAL_CHUNK):

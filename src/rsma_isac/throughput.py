@@ -110,14 +110,17 @@ def stream_gains(
 
     ``gains[u]`` holds user u+1's (common, private 1, private 2) gains on
     the true channel, each with its precoder's batch shape and subcarriers
-    last: one projection per (user, stream).
+    last: one projection per (user, stream). The conjugated channel rows
+    are stored with subcarriers innermost (Fortran order), as
+    ``build_precoders`` stores the precoders, so each projection sums over
+    contiguous subcarriers.
     """
     return tuple(
         tuple(
-            np.abs(np.einsum("kt,...kt->...k", np.conj(h), p)) ** 2
+            np.abs(np.einsum("kt,...kt->...k", h_conj, p)) ** 2
             for p in (pset.p_c, pset.p_1, pset.p_2)
         )
-        for h in channels.true_channels
+        for h_conj in (np.conj(h, order="F") for h in channels.true_channels)
     )
 
 

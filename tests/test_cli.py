@@ -512,7 +512,8 @@ def test_reproduce_rejects_bool_knobs(heatmap_flow, tmp_path, capsys):
     # point-eval --set t_comms=true exits 2; a replayed manifest that
     # carries the same bool, as a point or as a heatmap row, does too. So
     # do a family that is not a string and a heatmap row index that is not
-    # an integer, which would otherwise be written into heatmap.csv.
+    # an integer, or is negative, or repeats another row's (row 1's here),
+    # which would otherwise be written into heatmap.csv.
     pt = tmp_path / "pt"
     assert _point_eval(pt, dict(t_comms=1, t_p=1, alpha_c=1, alpha_p=0.5)) == 0
     _, hm = heatmap_flow
@@ -523,7 +524,8 @@ def test_reproduce_rejects_bool_knobs(heatmap_flow, tmp_path, capsys):
         manifests.append(point)
     for row in ([0, [True, 1.0, 1.0, 0.5, "MRT"]], [0, [1.0, 1.0, 1.0, 0.5, 5]],
                 [True, [1.0, 1.0, 1.0, 0.5, "MRT"]], ["x,y", [1.0, 1.0, 1.0, 0.5, "MRT"]],
-                [1.5, [1.0, 1.0, 1.0, 0.5, "MRT"]]):
+                [1.5, [1.0, 1.0, 1.0, 0.5, "MRT"]], [-1, [1.0, 1.0, 1.0, 0.5, "MRT"]],
+                [1, [1.0, 1.0, 1.0, 0.5, "MRT"]]):
         heatmap = json.loads((hm / "run.json").read_text())
         heatmap["heatmap"]["params_rows"][0] = row
         manifests.append(heatmap)

@@ -22,6 +22,7 @@ from rsma_isac import (
     common_direction,
     generate_channels,
     private_directions,
+    scenario_preset,
 )
 
 _GEOM = ArrayGeometry(n_tx=2, spacing_wavelengths=0.5)
@@ -178,6 +179,44 @@ def test_block_build_equals_point_build(t, tp, ac_axis, ap_axis, family, seed):
                 dirs = private_directions(channels, family)
                 assert (single.p_1 == _blend(p_private, ap, dirs[0], u0)).all()
                 assert (single.p_2 == _blend(p_private, ap, dirs[1], u0)).all()
+
+
+@pytest.mark.parametrize("family", ["MRT", "ZF"])
+def test_grids_keep_subcarriers_innermost(family):
+    # Table rows and every grid scaled from them (a block of rows, the
+    # whole axis, a point) or built as zeros keep subcarriers innermost in
+    # memory, so the gain projections sum over contiguous subcarriers. Each
+    # T(alpha) is still summed in C order.
+    table = BlendTable(_CHANNELS, family, _AXIS)
+    for v, total in (table.common, table.private):
+        assert v.strides[-2] == v.itemsize
+        for s, i in np.ndindex(total.shape):
+            assert total[s, i] == np.sum(np.abs(np.ascontiguousarray(v[s, i])) ** 2)
+    for pp, tbl in (
+        (ParameterPoint(0.5, 0.5, (0.0, 0.5), (0.25, 1.0), family), table),
+        (ParameterPoint(0.5, 0.5, _AXIS, _AXIS, family), table),
+        (ParameterPoint(0.7, 0.4, 0.3, 0.6, family), None),
+        (ParameterPoint(1.0, 1.0, 0.3, 0.6, family), None),
+        (ParameterPoint(0.0, 1.0, 1.0, 1.0, family), None),
+    ):
+        pset = build_precoders(pp, _CHANNELS, _CFG, tbl)
+        for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r):
+            assert p.strides[-2] == p.itemsize, (pp, p.strides)
+
+
+def test_stream_powers_keep_their_summation_order():
+    # Point-eval's stream powers for this S2 point at 512 subcarriers,
+    # summed in C order. Summed in the memory order of the
+    # subcarrier-innermost grids instead, the common power reads 0.35.
+    cfg = scenario_preset("S2")
+    channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
+    expect = {
+        "MRT": (0.3499999999999999, 0.17500000000000004, 0.175, 0.2999999999999999),
+        "ZF": (0.3499999999999999, 0.17500000000000002, 0.175, 0.2999999999999999),
+    }
+    for family, powers in expect.items():
+        pset = build_precoders(ParameterPoint(0.7, 0.5, 0.5, 0.5, family), channels, cfg)
+        assert tuple(pset.stream_powers().values()) == powers
 
 
 def test_block_mixes_must_be_table_rows():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rsma_isac import (
     DEFAULT_BANDWIDTH,
@@ -320,3 +320,36 @@ def test_throughput_batch_matches_points(make_channels):
             assert single.dtype == whole.dtype
             assert single == whole[k]
     assert int(rep.collapsed) == sum(int(one.collapsed) for one in singles) == 1
+
+
+def _subcarriers_innermost(grid):
+    """The same (…, N_c, N_T) values, stored with subcarriers innermost."""
+    return np.ascontiguousarray(grid.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_tx=st.integers(1, 8),
+    nc=st.integers(1, 600),
+    batch=st.integers(1, 4),
+)
+def test_projection_bits_do_not_depend_on_memory_order(seed, n_tx, nc, batch):
+    # stream_gains projects subcarrier-innermost precoders onto
+    # subcarrier-innermost channel rows; the sums over antennas must give
+    # the bits the C-ordered operands give, over 16 decades of magnitude.
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        mag = 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+        return mag * np.exp(2j * np.pi * rng.uniform(size=shape))
+
+    h_conj, p = np.conj(draw((nc, n_tx))), draw((batch, nc, n_tx))
+    c_ordered = np.einsum("kt,...kt->...k", h_conj, p)
+    innermost = np.einsum(
+        "kt,...kt->...k", _subcarriers_innermost(h_conj), _subcarriers_innermost(p)
+    )
+    assert np.array_equal(
+        np.ascontiguousarray(c_ordered).view(np.uint64),
+        np.ascontiguousarray(innermost).view(np.uint64),
+    )
