@@ -38,7 +38,6 @@ from .precoders import (
     private_directions,
 )
 from .radar import (
-    RangeProfile,
     UndefinedProfileError,
     expected_sensing,
     expected_steered_power,
@@ -73,7 +72,6 @@ from .region import (
 from .throughput import (
     DEFAULT_BANDWIDTH,
     MCS_TABLE,
-    McsLevel,
     ThroughputReport,
     max_mcs,
     sinr_common,

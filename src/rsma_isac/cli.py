@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration or I/O error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -169,6 +170,18 @@ def _run_sweep(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
     write_boundary_params_csv(result.boundary, os.path.join(out_dir, "boundary_params.csv"))
 
 
+def _check_indices(name: str, values, stop: float) -> None:
+    """Require a nonempty list of distinct non-bool integers in [0, stop).
+
+    A repeated n0 or row index would write rows no reader can tell apart.
+    """
+    ok = values and all(type(v) is int and 0 <= v < stop for v in values)
+    if not ok or len(set(values)) != len(values):
+        raise ConfigError(
+            f"{name} must be distinct integers in [0, {stop}), at least one; got {values!r}"
+        )
+
+
 def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
     n0_values, trials = section["n0_values"], section["trials"]
     beta0, beta_decay = section["beta0"], section["beta_decay"]
@@ -176,16 +189,8 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
         raise ConfigError(
             f"beta and beta_decay must be finite numbers, got {beta0!r} and {beta_decay!r}"
         )
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
-        raise ConfigError(f"trials must be a nonnegative integer, got {trials!r}")
-    # A repeated n0 would write rows told apart only by a beta the CSV omits.
-    if not n0_values or len(set(n0_values)) != len(n0_values):
-        raise ConfigError(f"n0 values must be nonempty and distinct, got {n0_values!r}")
-    for n0 in n0_values:
-        if isinstance(n0, bool) or not isinstance(n0, int):
-            raise ConfigError(f"n0 values must be integer delay bins, got {n0!r}")
-        if not 0 <= n0 < cfg.n_subcarriers:
-            raise ConfigError(f"n0 value {n0} outside [0, {cfg.n_subcarriers})")
+    _check_indices("trials", [trials], math.inf)
+    _check_indices("n0 values", n0_values, cfg.n_subcarriers)
     # Captures add clutter of energy 10·β²·G and the matched filter peaks at
     # a power up to (β·G)², G = Σ|c|²; both must stay finite. Four
     # unit-modulus streams share total_power, so G ≤ 4·n_tx·total_power.
@@ -205,37 +210,32 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
             f"G = {gain_bound:g}, that is not finite"
         )
     rows = [(i, ParameterPoint(*key)) for i, key in section["params_rows"]]
-    indices = [i for i, _ in rows]
-    for i in indices:
-        if isinstance(i, bool) or not isinstance(i, int) or i < 0:
-            raise ConfigError(f"params row indices must be nonnegative integers, got {i!r}")
-    # A repeated index would write rows no reader of heatmap.csv can tell apart.
-    if len(set(indices)) != len(indices):
-        raise ConfigError(f"params row indices must be distinct, got {indices!r}")
+    _check_indices("params row indices", [i for i, _ in rows], math.inf)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
-    path = os.path.join(out_dir, "heatmap.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,n0,bin,snr_db,peak_correct\n")
-        stream = 1
-        for row_index, pp in rows:
-            pset = build_precoders(pp, channels, cfg)
-            for n0, beta in zip(n0_values, betas):
-                # Trial t draws from streams s, s + 1 and s + 2 with s = stream + 3t.
-                peaks, snr_sum = monte_carlo(
-                    pset, _GEOM, cfg.target_angle_deg, cfg.seed,
-                    [(s, s + 1, s + 2) for s in range(stream, stream + 3 * trials, 3)],
-                    lambda c, with_target, without: two_stage_capture(
-                        c, n0, beta, cfg.noise_power_radar, with_target, without
-                    ),
-                )
-                stream += 3 * trials
-                if trials == 0:
-                    continue
-                counts = np.bincount(peaks)
-                modal = int(np.argmax(counts))
-                correct = sum(1 for p in peaks if p == n0) / trials
-                snr_db = 10.0 * math.log10(snr_sum / trials)
-                fh.write(f"{row_index},{n0},{modal},{snr_db:.6f},{correct:.6f}\n")
+    lines = ["index,n0,bin,snr_db,peak_correct\n"]
+    stream = 1
+    for row_index, pp in rows:
+        pset = build_precoders(pp, channels, cfg)
+        for n0, beta in zip(n0_values, betas):
+            # Trial t draws from streams s, s + 1 and s + 2 with s = stream + 3t.
+            peaks, snr_sum = monte_carlo(
+                pset, _GEOM, cfg.target_angle_deg, cfg.seed,
+                [(s, s + 1, s + 2) for s in range(stream, stream + 3 * trials, 3)],
+                lambda c, with_target, without: two_stage_capture(
+                    c, n0, beta, cfg.noise_power_radar, with_target, without
+                ),
+            )
+            stream += 3 * trials
+            if trials == 0:
+                continue
+            counts = np.bincount(peaks)
+            modal = int(np.argmax(counts))
+            correct = sum(1 for p in peaks if p == n0) / trials
+            snr_db = 10.0 * math.log10(snr_sum / trials)
+            lines.append(f"{row_index},{n0},{modal},{snr_db:.6f},{correct:.6f}\n")
+    # Written once, after every row is measured: a run that fails leaves no file.
+    with open(os.path.join(out_dir, "heatmap.csv"), "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
 
 
 def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
@@ -312,18 +312,29 @@ _COMMANDS = {
 }
 
 
+def _execute(command: str, cfg: ScenarioConfig, section, out_dir: str, stale: tuple):
+    """Run ``command`` from its section into ``out_dir``; return its report and digests.
+
+    The command's output files and the ``stale`` names are removed first,
+    so each is this run's or absent. Remove-then-create also skips the
+    flush on close that ext4 gives a truncated and rewritten file.
+    """
+    _, run, outputs = _COMMANDS[command]
+    os.makedirs(out_dir, exist_ok=True)
+    for name in (*outputs, *stale):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
+    report = run(cfg, section, out_dir)
+    return report, {name: _digest(os.path.join(out_dir, name)) for name in outputs}
+
+
 def _record(args, cfg: ScenarioConfig, section) -> int:
     """Run ``args.command`` from its section, echo its report, write run.json."""
-    key, run, outputs = _COMMANDS[args.command]
-    os.makedirs(args.out, exist_ok=True)
-    report = run(cfg, section, args.out)
+    report, digests = _execute(args.command, cfg, section, args.out, ("run.json",))
     if report is not None:
         print(report, end="")
-    manifest = {
-        "command": args.command,
-        "scenario": cfg.to_json_dict(),
-        "outputs": {name: _digest(os.path.join(args.out, name)) for name in outputs},
-    }
+    manifest = {"command": args.command, "scenario": cfg.to_json_dict(), "outputs": digests}
+    key = _COMMANDS[args.command][0]
     if key is not None:
         manifest[key] = section
     _write_json(os.path.join(args.out, "run.json"), manifest)
@@ -375,12 +386,8 @@ def _parse_params_csv(path: str, family: str) -> list:
                     f"has {len(header)}"
                 )
 
-            def cell(name: str, pinned: float) -> float:
-                raw = cells[idx[name]]
-                return pinned if raw == "-" else float(raw)
-
-            key = [float(cells[idx["t_comms"]]), cell("t_p", 1.0),
-                   cell("alpha_c", 1.0), cell("alpha_p", 1.0), family]
+            t_comms, *rest = (cells[idx[name]] for name in _KNOBS)
+            key = [float(t_comms), *(1.0 if raw == "-" else float(raw) for raw in rest), family]
             rows.append([int(cells[idx["index"]]), key])
     if not rows:
         raise ConfigError(f"{path}: no operating points")
@@ -425,7 +432,7 @@ def cmd_reproduce(args) -> int:
     command = manifest["command"]
     if command not in _COMMANDS:
         raise ConfigError(f"manifest has unknown command {command!r}")
-    key, run, outputs = _COMMANDS[command]
+    key, _, outputs = _COMMANDS[command]
     # The files checked are the command's own, never names the manifest
     # supplies: an empty list would check nothing, a path could leave --out.
     expected = manifest["outputs"]
@@ -433,24 +440,19 @@ def cmd_reproduce(args) -> int:
         raise ConfigError(
             f"manifest outputs must be the digests of {list(outputs)}, got {expected!r}"
         )
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    run(cfg, manifest[key] if key is not None else None, out_dir)
-
-    actual = {name: _digest(os.path.join(out_dir, name)) for name in outputs}
+    # No run.json is written or removed here, so --out may hold the manifest.
+    _, actual = _execute(command, cfg, manifest[key] if key is not None else None, args.out, ())
     mismatched = {
         name: {"expected": expected[name], "actual": actual[name]}
         for name in outputs
         if actual[name] != expected[name]
     }
-    verdict = {"status": "ok" if not mismatched else "mismatch", "files": actual}
+    verdict = {"status": "mismatch" if mismatched else "ok", "files": actual}
     if mismatched:
         verdict["mismatched"] = mismatched
-        print(json.dumps(verdict, indent=2, sort_keys=True))
-        raise ReproduceMismatchError(
-            "reproduced outputs differ from the manifest digests"
-        )
     print(json.dumps(verdict, indent=2, sort_keys=True))
+    if mismatched:
+        raise ReproduceMismatchError("reproduced outputs differ from the manifest digests")
     return 0
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +41,6 @@ _SENSING_SYMBOL_SEED = 0x5EED
 # monte_carlo stacks this many trials per call: enough to amortize numpy's
 # per-call cost, few enough to keep the stacked temporaries small.
 _TRIAL_CHUNK = 8
-
-
-@dataclass(frozen=True)
-class RangeProfile:
-    """Per-trial peak bins and SNRs, each of shape (trials,)."""
-
-    peak_bin: np.ndarray
-    snr_rad_db: np.ndarray
 
 
 def sensing_symbols(n_subcarriers: int) -> np.ndarray:
@@ -243,12 +234,13 @@ def snr_rad_closed_form(c: np.ndarray, beta: float, sigma_r2: float) -> float:
 
 # Powers past the float range would read as an infinite SNR; fail instead.
 @np.errstate(over="raise")
-def range_profile(y: np.ndarray, c: np.ndarray) -> RangeProfile:
+def range_profile(y: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Correlate each capture y with its steered waveform c, both (trials, N_c).
 
     The matched filter multiplies y by conj(c) and DFTs across subcarriers;
     a target at delay n0 lands on bin n0. SNR is the peak power over the
-    average off-peak power. Ties in the peak search resolve to the lowest bin.
+    average off-peak power. Returns ``(peak_bin, snr_rad_db)``, each of
+    shape (trials,). Ties in the peak search resolve to the lowest bin.
     """
     mags = np.abs(np.fft.fft(y * np.conj(c), axis=-1))
     if not np.all(np.any(mags > 0.0, axis=-1)):
@@ -265,7 +257,7 @@ def range_profile(y: np.ndarray, c: np.ndarray) -> RangeProfile:
     for m, d in zip(mags[np.arange(trials), peak], denom.tolist()):
         snr = math.inf if d == 0.0 else float(m**2) / d
         snr_db.append(10.0 * math.log10(snr) if math.isfinite(snr) else math.inf)
-    return RangeProfile(peak_bin=peak, snr_rad_db=np.array(snr_db))
+    return peak, np.array(snr_db)
 
 
 def monte_carlo(
@@ -300,9 +292,9 @@ def monte_carlo(
         c = steered_projection(x, geom, angle_deg)
         del x  # each stack goes once the next stage has consumed it
         y = capture(c, *rngs)
-        prof = range_profile(y, c)
+        peak_bin, snr_rad_db = range_profile(y, c)
         del c, y
-        peaks += prof.peak_bin.tolist()
-        for snr_db in prof.snr_rad_db.tolist():
+        peaks += peak_bin.tolist()
+        for snr_db in snr_rad_db.tolist():
             total += 10.0 ** (snr_db / 10.0)
     return peaks, total

@@ -200,7 +200,6 @@ class RegionResult:
     points: IsacPoints
     boundary: IsacPoints
     skipped: SkippedPoints
-    metric: str
 
 
 def grid_axis(grid_step: float) -> tuple[float, ...]:
@@ -410,7 +409,6 @@ def sweep(
         boundary=frontier_points(points, spec.metric),
         skipped=SkippedPoints(*(column[lost] for column in (*knobs, family)),
                               reason[lost].astype(str)),
-        metric=spec.metric,
     )
 
 

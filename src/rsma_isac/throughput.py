@@ -25,39 +25,19 @@ from .precoders import PrecoderSet
 DEFAULT_BANDWIDTH = 100e6 * (512 / (512 + 128)) * (468 / 512)
 
 
-@dataclass(frozen=True)
-class McsLevel:
-    """One modulation-and-coding choice: index, bits/symbol, code rate."""
-
-    index: int
-    modulation: str
-    bits_per_symbol: int
-    code_rate: Fraction
-
-    @property
-    def bit_density(self) -> Fraction:
-        """Information bits per subcarrier use, m·r."""
-        return self.bits_per_symbol * self.code_rate
-
-    def data_rate_bps(self) -> float:
-        """Bit rate of the level over ``DEFAULT_BANDWIDTH``."""
-        return DEFAULT_BANDWIDTH * float(self.bit_density)
-
-
-_MCS_ROWS = (
-    (0, "BPSK", 1, Fraction(1, 2)),
-    (1, "BPSK", 1, Fraction(3, 4)),
-    (2, "QPSK", 2, Fraction(1, 2)),
-    (3, "QPSK", 2, Fraction(3, 4)),
-    (4, "16QAM", 4, Fraction(1, 2)),
-    (5, "16QAM", 4, Fraction(3, 4)),
-    (6, "64QAM", 6, Fraction(2, 3)),
-    (7, "64QAM", 6, Fraction(3, 4)),
-    (8, "256QAM", 8, Fraction(3, 4)),
-    (9, "256QAM", 8, Fraction(5, 6)),
+# One row per MCS index: (modulation, bits per symbol m, code rate r).
+MCS_TABLE: tuple[tuple[str, int, Fraction], ...] = (
+    ("BPSK", 1, Fraction(1, 2)),
+    ("BPSK", 1, Fraction(3, 4)),
+    ("QPSK", 2, Fraction(1, 2)),
+    ("QPSK", 2, Fraction(3, 4)),
+    ("16QAM", 4, Fraction(1, 2)),
+    ("16QAM", 4, Fraction(3, 4)),
+    ("64QAM", 6, Fraction(2, 3)),
+    ("64QAM", 6, Fraction(3, 4)),
+    ("256QAM", 8, Fraction(3, 4)),
+    ("256QAM", 8, Fraction(5, 6)),
 )
-
-MCS_TABLE: tuple[McsLevel, ...] = tuple(McsLevel(*row) for row in _MCS_ROWS)
 
 
 def _float_above(x: Fraction) -> float:
@@ -68,9 +48,10 @@ def _float_above(x: Fraction) -> float:
 
 # An efficiency e can carry a level exactly when e > m·r, that is when e is
 # at least the level's threshold; the thresholds rise with the index.
-_MCS_THRESHOLDS = np.array([_float_above(level.bit_density) for level in MCS_TABLE])
-# Bit rate per MCS index; index -1 (no level fits) picks the trailing 0.0.
-_MCS_RATES = np.array([level.data_rate_bps() for level in MCS_TABLE] + [0.0])
+_MCS_THRESHOLDS = np.array([_float_above(m * r) for _, m, r in MCS_TABLE])
+# Bit rate over ``DEFAULT_BANDWIDTH`` per MCS index; index -1 (no level
+# fits) picks the trailing 0.0.
+_MCS_RATES = np.array([DEFAULT_BANDWIDTH * float(m * r) for _, m, r in MCS_TABLE] + [0.0])
 
 
 def max_mcs(avg_spectral_efficiency) -> np.ndarray:

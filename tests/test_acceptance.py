@@ -46,6 +46,7 @@ from rsma_isac.radar import (
     two_stage_capture,
 )
 from rsma_isac.region import pareto_indices
+from rsma_isac.throughput import _MCS_RATES
 
 _GEOM = ArrayGeometry(2, 0.5)
 _PRESETS = ("S1", "S2", "S3")
@@ -151,13 +152,14 @@ def test_criterion_3_bandwidth_and_rates(verdict):
     if DEFAULT_BANDWIDTH != 73125000.0:
         failures.append(f"effective bandwidth {DEFAULT_BANDWIDTH!r} != 73.125 MHz")
 
+    # the rates throughput() scores with, one per MCS_TABLE row
     exact_bw = Fraction(73125000)
-    for level in MCS_TABLE:
-        exact = float(exact_bw * level.bit_density)
-        got = level.data_rate_bps()
+    for index, (_, m, r) in enumerate(MCS_TABLE):
+        exact = float(exact_bw * m * r)
+        got = float(_MCS_RATES[index])
         if not math.isclose(got, exact, rel_tol=1e-6):  # 6 significant figures
-            failures.append(f"MCS {level.index}: {got} != {exact}")
-    if MCS_TABLE[9].data_rate_bps() != 487500000.0:
+            failures.append(f"MCS {index}: {got} != {exact}")
+    if _MCS_RATES[9] != 487500000.0:
         failures.append("top MCS rate is not exactly 487.5 Mbps")
 
     verdict(3, "effective bandwidth and MCS data rates", failures)
@@ -182,9 +184,9 @@ def test_criterion_4_radar_chain_end_to_end(verdict):
     measured = []
     for i, n0 in enumerate((1, 2, 3)):
         keys = [RngStream(cfg.seed, 1000 + 100 * i + t) for t in range(100)]
-        prof = range_profile(radar_return(stack, n0, beta, sigma, keys), stack)
-        hits = int(np.sum(prof.peak_bin == n0))
-        measured += prof.snr_rad_db.tolist()
+        peak_bin, snr_rad_db = range_profile(radar_return(stack, n0, beta, sigma, keys), stack)
+        hits = int(np.sum(peak_bin == n0))
+        measured += snr_rad_db.tolist()
         if hits < 99:  # >= 99/100 recoveries per delay
             failures.append(f"n0={n0}: only {hits}/100 correct peaks")
 

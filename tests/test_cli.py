@@ -53,6 +53,34 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_sweep_rerun_replaces_its_files(tmp_path):
+    # A rerun into a directory that holds a sweep removes each file and
+    # creates it anew: a hard link to the old points.csv keeps the old
+    # bytes, and every new file equals a run into a fresh directory.
+    out, fresh, old = tmp_path / "sw", tmp_path / "fresh", tmp_path / "old_points.csv"
+    assert _run_sweep(out) == 0
+    old_bytes = (out / "points.csv").read_bytes()
+    os.link(out / "points.csv", old)
+    assert _run_sweep(out, extra=("--step", "0.25")) == 0
+    assert _run_sweep(fresh, extra=("--step", "0.25")) == 0
+    assert old.read_bytes() == old_bytes
+    assert (out / "points.csv").stat().st_ino != old.stat().st_ino
+    for name in ("points.csv", "boundary.csv", "boundary_params.csv", "run.json"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_reproduce_into_the_manifest_directory(tmp_path, capsys):
+    # The re-run replaces the outputs next to the manifest, never the manifest.
+    out = tmp_path / "sw"
+    assert _run_sweep(out) == 0
+    manifest, points = (out / "run.json").read_bytes(), (out / "points.csv").read_bytes()
+    rc = main(["reproduce", "--run", str(out / "run.json"), "--out", str(out)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert (out / "run.json").read_bytes() == manifest
+    assert (out / "points.csv").read_bytes() == points
+
+
 def test_reproduce_matches_manifest(tmp_path, capsys):
     out = tmp_path / "sw"
     assert _run_sweep(out) == 0
@@ -506,6 +534,40 @@ def test_reproduce_rejects_empty_or_repeated_heatmap_n0(heatmap_flow, tmp_path):
         out = tmp_path / f"redo{i}"
         assert main(["reproduce", "--run", str(run), "--out", str(out)]) == 2
         assert not (out / "heatmap.csv").exists()
+
+
+def test_failed_heatmap_rerun_leaves_no_files(heatmap_flow, tmp_path, capsys):
+    # The second delay's echo decays to zero with no radar noise, so its
+    # matched-filter output is identically zero. The rerun fails after the
+    # first delay's rows: neither a partial heatmap.csv nor the earlier
+    # run's run.json, which describes another file, may stay behind.
+    sw, hm = heatmap_flow
+    out = tmp_path / "hm"
+    shutil.copytree(hm, out)
+    capsys.readouterr()
+    rc = main(["radar-heatmap", "--preset", "S1", "--set", "n_subcarriers=64",
+               "--params", str(sw / "boundary_params.csv"), "--set", "noise_power_radar=0",
+               "--beta", "0.1", "--beta-decay", "0", "--out", str(out)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "UndefinedProfileError"
+    assert not (out / "heatmap.csv").exists()
+    assert not (out / "run.json").exists()
+
+
+def test_reproduce_rejects_empty_heatmap_rows(heatmap_flow, tmp_path, capsys):
+    # A fresh run rejects a params file without rows; a replay does too.
+    _, hm = heatmap_flow
+    manifest = json.loads((hm / "run.json").read_text())
+    manifest["heatmap"]["params_rows"] = []
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(manifest))
+    out = tmp_path / "redo"
+    capsys.readouterr()
+    assert main(["reproduce", "--run", str(run), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "ConfigError"
+    assert not any(out.iterdir())
 
 
 def test_reproduce_rejects_bool_knobs(heatmap_flow, tmp_path, capsys):

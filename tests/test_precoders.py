@@ -11,6 +11,7 @@ from rsma_isac import (
     CASE_TAGS,
     ArrayGeometry,
     BlendTable,
+    ChannelSet,
     ConfigError,
     DegenerateDirectionError,
     ParameterPoint,
@@ -83,6 +84,19 @@ def test_common_direction_antipodal_raises(flat_channels):
     ch = flat_channels([1.0, 0.0], [-1.0, 0.0], nc=4)
     with pytest.raises(DegenerateDirectionError, match="antipodal"):
         common_direction(ch)
+
+
+def test_vanished_private_blend_raises():
+    # User 1's estimate is -u0 on every subcarrier, so at alpha_p = 0.5 its
+    # private blend sqrt(0.5)*(-u0) + sqrt(0.5)*u0 is exactly zero. t_p = 1
+    # gives the common stream no power, so its direction is never formed.
+    u0 = _CHANNELS.broadside_unit
+    est = np.stack([np.tile(-u0, (_CFG.n_subcarriers, 1)), _CHANNELS.unit_est[1]])
+    channels = ChannelSet(est.copy(), est.copy(), est.copy(), u0)
+    v, total = BlendTable(channels, "MRT", [0.5]).private
+    assert np.all(v[0] == 0.0) and total[0, 0] == 0.0 and total[1, 0] > 0.0
+    with pytest.raises(DegenerateDirectionError, match="vanished"):
+        build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5, "MRT"), channels, _CFG)
 
 
 def test_private_directions_mrt_are_unit_estimates():
@@ -267,8 +281,6 @@ def test_hard_separation_point():
 
 
 def test_precoders_invariant_to_channel_scale():
-    from rsma_isac import ChannelSet
-
     scaled_est = 3.7 * _CHANNELS.est_channels
     scaled = ChannelSet(
         true_channels=3.7 * _CHANNELS.true_channels,

@@ -88,11 +88,11 @@ def _dft_magnitudes(y, c):
     return np.abs(np.fft.fft(y * np.conj(c), axis=-1))
 
 
-def _assert_scores(prof, mags):
+def _assert_scores(peak_bin, snr_rad_db, mags):
     """Each row's peak is its first maximum and its SNR the peak over the off-peak power."""
     peaks = np.argmax(mags, axis=-1)
-    assert prof.peak_bin.tolist() == peaks.tolist()
-    for row, peak, snr_db in zip(mags, peaks.tolist(), prof.snr_rad_db.tolist()):
+    assert peak_bin.tolist() == peaks.tolist()
+    for row, peak, snr_db in zip(mags, peaks.tolist(), snr_rad_db.tolist()):
         denom = float(np.mean(np.delete(row, peak) ** 2))
         snr = math.inf if denom == 0.0 else float(row[peak] ** 2) / denom
         expect = 10.0 * math.log10(snr) if math.isfinite(snr) else math.inf
@@ -319,16 +319,16 @@ def test_range_profile_flat_waveform_orthogonality(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=8)
     c = _steered(pset, RngStream(0, 0))
     y = radar_return(c, 5, 1.0, 0.0, [RngStream(0, 1)])
-    prof = range_profile(y, c)
+    peak_bin, snr_rad_db = range_profile(y, c)
     profile = _dft_magnitudes(y, c)
-    assert prof.peak_bin.tolist() == [5]
-    _assert_scores(prof, profile)
+    assert peak_bin.tolist() == [5]
+    _assert_scores(peak_bin, snr_rad_db, profile)
     mags = profile[0]
     # peak picks up the full steered energy, Sigma |c_k|^2 = P*n_tx
     assert mags[5] == pytest.approx(2.0, rel=1e-9)
     off = np.delete(mags, 5)
     assert np.max(off) < 1e-9 * mags[5]
-    assert prof.snr_rad_db[0] == math.inf or prof.snr_rad_db[0] > 150.0
+    assert snr_rad_db[0] == math.inf or snr_rad_db[0] > 150.0
 
 
 def test_range_profile_matches_direct_dft():
@@ -336,20 +336,20 @@ def test_range_profile_matches_direct_dft():
     k = np.arange(nc)
     cvals = (1.0 + 0.3 * np.sin(2 * np.pi * k / nc)).astype(complex)[None]
     y = radar_return(cvals, 3, 1.0, 0.0, [RngStream(0, 1)])
-    prof = range_profile(y, cvals)
+    peak_bin, snr_rad_db = range_profile(y, cvals)
     z = (y * np.conj(cvals))[0]
     manual = np.array(
         [abs(np.sum(z * np.exp(-2j * np.pi * k * n / nc))) for n in range(nc)]
     )
     profile = _dft_magnitudes(y, cvals)
     assert np.allclose(profile[0], manual, atol=1e-9)
-    assert prof.peak_bin.tolist() == [3]
-    _assert_scores(prof, profile)
+    assert peak_bin.tolist() == [3]
+    _assert_scores(peak_bin, snr_rad_db, profile)
     # a real waveform is a waveform too; it gives the same profile
-    real = range_profile(y, cvals.real)
+    real_peak_bin, real_snr_rad_db = range_profile(y, cvals.real)
     assert np.array_equal(_dft_magnitudes(y, cvals.real), profile)
-    assert real.peak_bin.tolist() == [3]
-    assert np.array_equal(real.snr_rad_db, prof.snr_rad_db)
+    assert real_peak_bin.tolist() == [3]
+    assert np.array_equal(real_snr_rad_db, snr_rad_db)
 
 
 def test_range_profile_tie_resolves_to_lowest_bin():
@@ -357,11 +357,11 @@ def test_range_profile_tie_resolves_to_lowest_bin():
     y = np.zeros((1, nc), dtype=complex)
     y[0, 0] = 1.0
     c = np.ones((1, nc), dtype=complex)
-    prof = range_profile(y, c)
+    peak_bin, snr_rad_db = range_profile(y, c)
     profile = _dft_magnitudes(y, c)
     assert np.allclose(profile, 1.0, atol=1e-12)
-    assert prof.peak_bin.tolist() == [0]
-    _assert_scores(prof, profile)
+    assert peak_bin.tolist() == [0]
+    _assert_scores(peak_bin, snr_rad_db, profile)
 
 
 def test_range_profile_ties_resolve_per_row():
@@ -370,13 +370,13 @@ def test_range_profile_ties_resolve_per_row():
         [[1, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, -1, 0, 0, 0], [1, 0, -1, 0, 1, 0, -1, 0]],
         dtype=complex,
     )
-    prof = range_profile(y, np.ones_like(y))
+    peak_bin, snr_rad_db = range_profile(y, np.ones_like(y))
     mags = _dft_magnitudes(y, np.ones_like(y))
     assert np.all(mags[0] == mags[0, 0])
     assert mags[1, 1] == mags[1, 3] == mags[1, 5] == mags[1, 7]
     assert mags[2, 2] == mags[2, 6]
-    assert prof.peak_bin.tolist() == [0, 1, 2]
-    _assert_scores(prof, mags)
+    assert peak_bin.tolist() == [0, 1, 2]
+    _assert_scores(peak_bin, snr_rad_db, mags)
 
 
 def test_range_profile_zero_output_raises():
@@ -395,11 +395,11 @@ def test_noise_only_peak_stays_small(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=64)
     c = np.repeat(_steered(pset, RngStream(cfg.seed, 50)), 100, axis=0)
     y = radar_return(c, 0, 0.0, 0.05, [RngStream(3, t) for t in range(100)])
-    prof = range_profile(y, c)
+    peak_bin, snr_rad_db = range_profile(y, c)
     profile = _dft_magnitudes(y, c)
-    _assert_scores(prof, profile)
+    _assert_scores(peak_bin, snr_rad_db, profile)
     ratios = []
-    for mags, peak in zip(profile, prof.peak_bin):
+    for mags, peak in zip(profile, peak_bin):
         off = np.delete(mags, peak)
         ratios.append(float(mags[peak] / np.mean(off)))
     med = float(np.median(ratios))
@@ -435,7 +435,7 @@ def test_measured_snr_tracks_closed_form():
         cf_db = 10 * math.log10(snr_rad_closed_form(c[0], beta, sigma))
         stack = np.repeat(c, 20, axis=0)
         y = radar_return(stack, 3, beta, sigma, [RngStream(7, 100 * i + t) for t in range(20)])
-        meas = range_profile(y, stack).snr_rad_db
+        meas = range_profile(y, stack)[1]
         worst = max(worst, abs(float(np.mean(meas)) - cf_db))
     assert worst <= 1.0
 
@@ -637,9 +637,9 @@ def test_stacked_chain_equals_per_trial_reference(
         x = synthesize_tx(pset, [RngStream(seed, 2 * t) for t in range(trials)])
         c = steered_projection(x, _GEOM, angle)
         y = radar_return(c, n0, beta, sigma_r2, [RngStream(seed, 2 * t + 1) for t in range(trials)])
-        prof = range_profile(y, c)
-        assert prof.peak_bin.tolist() == [p for p, _ in want]
-        assert prof.snr_rad_db.tolist() == [s for _, s in want]
+        peak_bin, snr_rad_db = range_profile(y, c)
+        assert peak_bin.tolist() == [p for p, _ in want]
+        assert snr_rad_db.tolist() == [s for _, s in want]
         peaks, snr_sum = _sweep_chain(pset, cfg, trials)
         assert peaks == [p for p, _ in want]
         assert snr_sum == _linear_mean_sum(want)

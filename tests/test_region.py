@@ -246,7 +246,7 @@ def test_sweep_smoke_structure(smoke_sweep):
     cfg, channels, spec, result = smoke_sweep
     assert len(result.points) == 31
     assert not result.skipped
-    assert result.metric == "G0"
+    assert result.boundary == frontier_points(result.points, "G0")
     pts = result.points
     assert np.all(pts.t_sum_bps[pts.collapsed] == 0.0)
     assert pts.snr_rad_db is None
@@ -407,8 +407,8 @@ def test_zf_sweep_computes_private_directions_once(make_channels, monkeypatch):
 
 
 def test_frontier_idempotent(smoke_sweep):
-    *_, result = smoke_sweep
-    again = frontier_points(result.boundary, result.metric)
+    *_, spec, result = smoke_sweep
+    again = frontier_points(result.boundary, spec.metric)
     assert again == result.boundary
 
 
@@ -461,7 +461,7 @@ def test_sweep_snr_metric_smoke(make_channels):
     cfg, channels = make_channels(n_subcarriers=16)
     spec = dataclasses.replace(_SPEC, grid_step=0.5, metric="SNR_RAD", monte_carlo_trials=2)
     result = sweep(spec, channels, cfg, _GEOM)
-    assert result.metric == "SNR_RAD"
+    assert result.boundary == frontier_points(result.points, "SNR_RAD")
     assert len(result.points.snr_rad_db) == len(result.points)
     assert all(math.isfinite(snr) for snr in result.points.snr_rad_db.tolist())
     again = sweep(spec, channels, cfg, _GEOM)

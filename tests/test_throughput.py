@@ -20,6 +20,7 @@ from rsma_isac import (
     stream_gains,
     throughput,
 )
+from rsma_isac.throughput import _MCS_RATES, _MCS_THRESHOLDS
 
 
 def _indices(report):
@@ -46,20 +47,23 @@ def test_mcs_table_densities():
         Fraction(20, 3),
     ]
     assert len(MCS_TABLE) == 10
-    for i, level in enumerate(MCS_TABLE):
-        assert level.index == i
-        assert level.bit_density == expect[i]
-        assert level.bits_per_symbol * level.code_rate == expect[i]
+    for i, (_, m, r) in enumerate(MCS_TABLE):
+        assert m * r == expect[i]
+        # the threshold max_mcs searches is the first float above m·r
+        threshold = Fraction(_MCS_THRESHOLDS[i])
+        assert Fraction(np.nextafter(_MCS_THRESHOLDS[i], -np.inf)) <= m * r < threshold
 
 
 def test_mcs_data_rates():
     # rate = bandwidth * bits_per_symbol * code_rate, checked against exact
-    # rational arithmetic at six significant figures
+    # rational arithmetic at six significant figures, on the rates
+    # throughput() scores with; the entry after the table is "no level", 0
     bw = Fraction(73125000)
-    for level in MCS_TABLE:
-        exact = bw * level.bit_density
-        assert math.isclose(level.data_rate_bps(), float(exact), rel_tol=1e-6)
-    assert MCS_TABLE[9].data_rate_bps() == 487500000.0
+    assert len(_MCS_RATES) == len(MCS_TABLE) + 1 and _MCS_RATES[-1] == 0.0
+    for (_, m, r), rate in zip(MCS_TABLE, _MCS_RATES.tolist()):
+        exact = bw * m * r
+        assert math.isclose(rate, float(exact), rel_tol=1e-6)
+    assert _MCS_RATES[9] == 487500000.0
 
 
 @pytest.mark.parametrize(
@@ -88,9 +92,10 @@ def _oracle_mcs(eff: float) -> int:
     if eff < 0:
         raise ValueError("spectral efficiency cannot be negative")
     exact = Fraction(eff)
-    for level in reversed(MCS_TABLE):
-        if level.bit_density < exact:
-            return level.index
+    for index in reversed(range(len(MCS_TABLE))):
+        _, m, r = MCS_TABLE[index]
+        if m * r < exact:
+            return index
     return -1
 
 
@@ -98,8 +103,8 @@ def _oracle_mcs(eff: float) -> int:
 _DENSITY_EDGES = sorted(
     {
         float(x)
-        for level in MCS_TABLE
-        for d in (float(level.bit_density),)
+        for _, m, r in MCS_TABLE
+        for d in (float(m * r),)
         for x in (np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf))
     }
 )
