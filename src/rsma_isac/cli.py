@@ -160,7 +160,7 @@ def _write_json(path: str, payload: dict) -> str:
 def _run_sweep(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
     spec = SweepSpec(**section)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
-    result = sweep(spec, channels, cfg, geom=_GEOM)
+    result = sweep(spec, channels, cfg)
     if not result.points:
         raise RankDeficientChannelError(
             "every grid point was skipped; no region to report"
@@ -191,10 +191,11 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
         )
     _check_indices("trials", [trials], math.inf)
     _check_indices("n0 values", n0_values, cfg.n_subcarriers)
+    channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     # Captures add clutter of energy 10·β²·G and the matched filter peaks at
     # a power up to (β·G)², G = Σ|c|²; both must stay finite. Four
     # unit-modulus streams share total_power, so G ≤ 4·n_tx·total_power.
-    gain_bound = 4.0 * _GEOM.n_tx * cfg.total_power
+    gain_bound = 4.0 * channels.n_tx * cfg.total_power
     try:
         betas = [beta0 * beta_decay**j for j in range(len(n0_values))]
         finite = all(
@@ -211,7 +212,6 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
         )
     rows = [(i, ParameterPoint(*key)) for i, key in section["params_rows"]]
     _check_indices("params row indices", [i for i, _ in rows], math.inf)
-    channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     lines = ["index,n0,bin,snr_db,peak_correct\n"]
     stream = 1
     for row_index, pp in rows:
@@ -219,7 +219,7 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
         for n0, beta in zip(n0_values, betas):
             # Trial t draws from streams s, s + 1 and s + 2 with s = stream + 3t.
             peaks, snr_sum = monte_carlo(
-                pset, _GEOM, cfg.target_angle_deg, cfg.seed,
+                channels, pset, cfg,
                 [(s, s + 1, s + 2) for s in range(stream, stream + 3 * trials, 3)],
                 lambda c, with_target, without: two_stage_capture(
                     c, n0, beta, cfg.noise_power_radar, with_target, without
@@ -243,9 +243,7 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     pset = build_precoders(pp, channels, cfg)
     report = throughput(channels, pset, cfg)
-    g0, crb = expected_sensing(
-        pset, _GEOM, cfg.target_angle_deg, cfg.target_attenuation, cfg.noise_power_radar
-    )
+    g0, crb = expected_sensing(channels, pset, cfg)
 
     def mean_db(values: np.ndarray) -> float | str:
         mean = float(np.mean(values))
@@ -440,7 +438,11 @@ def cmd_reproduce(args) -> int:
         raise ConfigError(
             f"manifest outputs must be the digests of {list(outputs)}, got {expected!r}"
         )
-    # No run.json is written or removed here, so --out may hold the manifest.
+    # No run.json is written or removed here, so --out may hold this
+    # manifest; another run's would be left describing files it did not write.
+    held = os.path.join(args.out, "run.json")
+    if os.path.exists(held) and not os.path.samefile(held, args.run):
+        raise ConfigError(f"{args.out} holds another run's run.json; reproduce elsewhere")
     _, actual = _execute(command, cfg, manifest[key] if key is not None else None, args.out, ())
     mismatched = {
         name: {"expected": expected[name], "actual": actual[name]}

@@ -175,17 +175,23 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """True and estimated downlink channels plus the derived unit beams.
+    """True and estimated downlink channels plus the sensed direction.
 
     Arrays are indexed [ue, subcarrier, element]. ``unit_est`` holds the
-    normalized channel estimates the precoders steer along; ``broadside_unit``
-    is the unit-norm steering vector toward the sensed direction.
+    normalized channel estimates the precoders steer along;
+    ``target_steering`` is the array response toward the target, the one
+    place the sensed direction is fixed.
     """
 
     true_channels: np.ndarray
     est_channels: np.ndarray
     unit_est: np.ndarray
-    broadside_unit: np.ndarray
+    target_steering: np.ndarray
+
+    @property
+    def broadside_unit(self) -> np.ndarray:
+        """The unit-norm sensing beam, along ``target_steering``."""
+        return self.target_steering / np.sqrt(self.n_tx)
 
     @property
     def n_subcarriers(self) -> int:
@@ -223,8 +229,7 @@ def generate_channels(cfg: ScenarioConfig, geom: ArrayGeometry, rng: RngStream) 
             "an estimated channel has zero norm; check csit_error_var and ue_gains"
         )
     unit_est = est / norms[..., None]
-    u0 = steering_vector(geom, cfg.target_angle_deg) / np.sqrt(nt)
-    return ChannelSet(true, est, unit_est, u0)
+    return ChannelSet(true, est, unit_est, steering_vector(geom, cfg.target_angle_deg))
 
 
 _PRESETS = {

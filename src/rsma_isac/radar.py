@@ -21,7 +21,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .core import ArrayGeometry, RngStream, steering_vector
+from .core import ChannelSet, RngStream, ScenarioConfig
 from .precoders import PrecoderSet
 
 
@@ -81,16 +81,13 @@ def synthesize_tx(pset: PrecoderSet, rngs: Sequence[RngStream]) -> np.ndarray:
     return x
 
 
-def steered_projection(x: np.ndarray, geom: ArrayGeometry, angle_deg: float) -> np.ndarray:
+def steered_projection(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Per-subcarrier complex amplitude c[k] = a^H x[k], leading trial axes kept."""
-    a = steering_vector(geom, angle_deg)
     return np.einsum("t,...kt->...k", np.conj(a), x)
 
 
-def expected_steered_power(
-    pset: PrecoderSet, geom: ArrayGeometry, angle_deg: float
-) -> np.ndarray:
-    """Symbol-averaged |a^H x[k]|² per subcarrier.
+def expected_steered_power(pset: PrecoderSet, a: np.ndarray) -> np.ndarray:
+    """Symbol-averaged |a^H x[k]|² per subcarrier, for the array response a.
 
     Streams carry independent zero-mean unit-energy symbols, so the
     expectation is the sum of the per-stream projected powers; no symbol
@@ -100,9 +97,8 @@ def expected_steered_power(
     The streams add in the order common, 1, 2, sensing, so every entry of
     a batch equals what its own point gives, bit for bit.
     """
-    a = np.conj(steering_vector(geom, angle_deg))
     c, p1, p2, r = (
-        np.abs(np.einsum("t,...kt->...k", a, p)) ** 2
+        np.abs(np.einsum("t,...kt->...k", np.conj(a), p)) ** 2
         for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r)
     )
     out = c + p1
@@ -210,18 +206,20 @@ def _k2_sum(power_per_k: np.ndarray) -> np.ndarray:
 
 
 def expected_sensing(
-    pset: PrecoderSet, geom: ArrayGeometry, angle_deg: float, beta: float, sigma_r2: float
+    channels: ChannelSet, pset: PrecoderSet, cfg: ScenarioConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sensing numbers of precoders: g0 and the delay CRB in bins².
 
-    g0 is the symbol-averaged energy radiated toward ``angle_deg``, the
-    sum over subcarriers of :func:`expected_steered_power`; the CRB comes
-    from its k²-weighted sum. Both keep the precoders' batch shape, and
-    every entry of a batch equals what its own point gives, bit for bit.
+    g0 is the symbol-averaged energy radiated toward the target, the sum
+    over subcarriers of :func:`expected_steered_power` along
+    ``channels.target_steering``; the CRB comes from its k²-weighted sum.
+    Both keep the precoders' batch shape, and every entry of a batch
+    equals what its own point gives, bit for bit.
     """
-    power = expected_steered_power(pset, geom, angle_deg)
+    power = expected_steered_power(pset, channels.target_steering)
     nc = power.shape[-1]
-    return np.sum(power, axis=-1), _delay_crb(_k2_sum(power), nc, beta, sigma_r2)
+    crb = _delay_crb(_k2_sum(power), nc, cfg.target_attenuation, cfg.noise_power_radar)
+    return np.sum(power, axis=-1), crb
 
 
 def snr_rad_closed_form(c: np.ndarray, beta: float, sigma_r2: float) -> float:
@@ -261,23 +259,24 @@ def range_profile(y: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def monte_carlo(
+    channels: ChannelSet,
     pset: PrecoderSet,
-    geom: ArrayGeometry,
-    angle_deg: float,
-    seed: int,
+    cfg: ScenarioConfig,
     streams: Sequence[Sequence[int]],
     capture: Callable[..., np.ndarray],
 ) -> tuple[list[int], float]:
     """Peak bins and summed linear SNR of seeded end-to-end radar trials.
 
-    Trial t draws its waveform from stream ``streams[t][0]``. Its other
-    ids are for the capture: ``capture(c, *rngs)`` gets the steered
-    waveforms c and one list of keys per further id (``rngs[0][t]`` keys
-    ``streams[t][1]``), and returns the captures y. The trials run
-    ``_TRIAL_CHUNK`` at a time, and their SNRs are added one at a time as
-    scalar math, in trial order. The precoders are copied to C order once
-    per call: ``synthesize_tx`` reshapes each chunk's symbol table in that
-    order, which a subcarrier-innermost grid would make copy per chunk.
+    Every stream is keyed by ``cfg.seed``, and the waveforms are steered
+    along ``channels.target_steering``. Trial t draws its waveform from
+    stream ``streams[t][0]``. Its other ids are for the capture:
+    ``capture(c, *rngs)`` gets the steered waveforms c and one list of
+    keys per further id (``rngs[0][t]`` keys ``streams[t][1]``), and
+    returns the captures y. The trials run ``_TRIAL_CHUNK`` at a time,
+    and their SNRs are added one at a time as scalar math, in trial
+    order. The precoders are copied to C order once per call:
+    ``synthesize_tx`` reshapes each chunk's symbol table in that order,
+    which a subcarrier-innermost grid would make copy per chunk.
     """
     pset = PrecoderSet(
         *(np.ascontiguousarray(p) for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r))
@@ -286,10 +285,10 @@ def monte_carlo(
     total = 0.0
     for lo in range(0, len(streams), _TRIAL_CHUNK):
         tx, *rngs = zip(*(
-            [RngStream(seed, s) for s in ids] for ids in streams[lo:lo + _TRIAL_CHUNK]
+            [RngStream(cfg.seed, s) for s in ids] for ids in streams[lo:lo + _TRIAL_CHUNK]
         ))
         x = synthesize_tx(pset, tx)
-        c = steered_projection(x, geom, angle_deg)
+        c = steered_projection(x, channels.target_steering)
         del x  # each stack goes once the next stage has consumed it
         y = capture(c, *rngs)
         peak_bin, snr_rad_db = range_profile(y, c)

@@ -1,11 +1,11 @@
 """Four-parameter sweeps, performance regions, and Pareto boundaries.
 
 Sweeping (t_comms, t_p, alpha_c, alpha_p) over a grid and evaluating sum
-throughput against broadside sensing energy traces out an achievable
-region; its Pareto frontier is the trade-off curve the precoder family can
-reach. Axes whose stream has no power are pinned to a single value before
-enumeration so the grid never visits the same physical operating point
-twice.
+throughput against the sensing energy toward the target traces out an
+achievable region; its Pareto frontier is the trade-off curve the precoder
+family can reach. Axes whose stream has no power are pinned to a single
+value before enumeration so the grid never visits the same physical
+operating point twice.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry, ChannelSet, ConfigError, ScenarioConfig
+from .core import ChannelSet, ConfigError, ScenarioConfig
 from .precoders import (
     FAMILIES,
     BlendTable,
@@ -309,17 +309,11 @@ def scheme_frontier(points: IsacPoints, scheme: str, metric: str) -> IsacPoints:
     return frontier_points(scheme_points(points, scheme), metric)
 
 
-def sweep(
-    spec: SweepSpec,
-    channels: ChannelSet,
-    cfg: ScenarioConfig,
-    geom: ArrayGeometry,
-) -> RegionResult:
+def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionResult:
     """Evaluate every grid point and extract the Pareto boundary.
 
-    ``geom`` is the array the channels were drawn with; the sensing axis
-    steers through it. Each family blends its beams once over the grid
-    axis (a ``BlendTable``); the grid is then evaluated one (family,
+    Each family blends its beams once over the grid axis (a
+    ``BlendTable``); the grid is then evaluated one (family,
     (t_comms, t_p) block) pair at a time into one set of columns that
     holds the grid once per family. One ``build_precoders`` call scales
     the table rows into the block's precoders, a batch over its
@@ -372,9 +366,7 @@ def sweep(
             reason[rows] = str(exc)
             continue
         report = throughput(channels, pset, cfg)
-        block_g0, block_crb = expected_sensing(
-            pset, geom, cfg.target_angle_deg, cfg.target_attenuation, cfg.noise_power_radar
-        )
+        block_g0, block_crb = expected_sensing(channels, pset, cfg)
         t_sum[rows] = report.t_sum.ravel()
         g0[rows] = block_g0.ravel()
         crb[rows] = block_crb.ravel()
@@ -388,10 +380,9 @@ def sweep(
                 # its noise from the next one.
                 base = _SNR_STREAM_BASE + 2 * trials * len(snrs)
                 _, total = monte_carlo(
+                    channels,
                     PrecoderSet(pset.p_c[i, 0], pset.p_1[0, j], pset.p_2[0, j], pset.p_r),
-                    geom,
-                    cfg.target_angle_deg,
-                    cfg.seed,
+                    cfg,
                     [(base + 2 * t, base + 2 * t + 1) for t in range(trials)],
                     capture,
                 )

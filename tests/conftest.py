@@ -1,7 +1,5 @@
 """Shared fixtures: a two-element array, a small scenario factory, channels."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -54,18 +52,13 @@ def make_channels(geom, make_cfg):
 def flat_channels():
     """ChannelSet with one fixed direction per user, repeated across subcarriers."""
 
-    def _make(u1, u2, nc=8, broadside=None) -> ChannelSet:
+    def _make(u1, u2, nc=8) -> ChannelSet:
         u1 = np.asarray(u1, dtype=complex)
         u2 = np.asarray(u2, dtype=complex)
         est = np.stack([np.tile(u1, (nc, 1)), np.tile(u2, (nc, 1))])
         norms = np.linalg.norm(est, axis=2, keepdims=True)
         unit = est / norms
-        nt = u1.shape[0]
-        u0 = (
-            np.asarray(broadside, dtype=complex)
-            if broadside is not None
-            else np.ones(nt, dtype=complex) / math.sqrt(nt)
-        )
-        return ChannelSet(est.copy(), est.copy(), unit, u0)
+        # A broadside target: the all-ones array response.
+        return ChannelSet(est.copy(), est.copy(), unit, np.ones(u1.shape[0], dtype=complex))
 
     return _make

@@ -30,6 +30,7 @@ from rsma_isac import (
     scenario_preset,
     scheme_frontier,
     scheme_points,
+    steering_vector,
     sweep,
     synthesize_tx,
     throughput,
@@ -62,7 +63,7 @@ def region_data():
         channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
         for family in _FAMILIES:
             start = time.monotonic()
-            result = sweep(SweepSpec(0.1, (family,), "G0", None, 25), channels, cfg, _GEOM)
+            result = sweep(SweepSpec(0.1, (family,), "G0", None, 25), channels, cfg)
             elapsed = time.monotonic() - start
             out[(preset, family)] = (cfg, channels, result, elapsed)
     return out
@@ -172,7 +173,9 @@ def test_criterion_4_radar_chain_end_to_end(verdict):
     cfg = dataclasses.replace(scenario_preset("S1"), n_subcarriers=64)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
-    c = steered_projection(synthesize_tx(pset, [RngStream(cfg.seed, 50)]), _GEOM, 0.0)[0]
+    c = steered_projection(
+        synthesize_tx(pset, [RngStream(cfg.seed, 50)]), steering_vector(_GEOM, 0.0)
+    )[0]
     beta = 0.1
     # noise sized so the closed-form SNR sits at 22 dB, inside the 20-24 dB band
     sigma = beta**2 * 63 * (cfg.total_power * 2) / 10**2.2
@@ -213,7 +216,7 @@ def test_criterion_5_crb_validation(verdict):
         pp = ParameterPoint(*prng.uniform(0.05, 0.95, 4), "MRT")
         pset = build_precoders(pp, channels, cfg)
         x = synthesize_tx(pset, [RngStream(cfg.seed, 200 + inst)])
-        c = steered_projection(x, _GEOM, 0.0)[0]
+        c = steered_projection(x, steering_vector(_GEOM, 0.0))[0]
         weighted = _k2_sum(np.abs(c) ** 2)
 
         def nll_shift(n):
@@ -302,7 +305,9 @@ def test_criterion_6_property_suites(region_data, verdict):
 
     # (f) background subtraction is exact without noise
     pset_r = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), ch16, cfg16)
-    c = steered_projection(synthesize_tx(pset_r, [RngStream(cfg16.seed, 50)]), _GEOM, 0.0)
+    c = steered_projection(
+        synthesize_tx(pset_r, [RngStream(cfg16.seed, 50)]), steering_vector(_GEOM, 0.0)
+    )
     # both captures carry clutter of 10x the echo energy; only the echo survives
     y = two_stage_capture(c, 3, 0.3, 0.0, [RngStream(6, 1)], [RngStream(6, 2)])
     echo = 0.3 * c * np.exp(2j * np.pi * 3 * np.arange(16) / 16)

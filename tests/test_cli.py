@@ -81,6 +81,21 @@ def test_reproduce_into_the_manifest_directory(tmp_path, capsys):
     assert (out / "points.csv").read_bytes() == points
 
 
+def test_reproduce_refuses_a_directory_holding_another_run(tmp_path, capsys):
+    # Reproducing b into a, which holds its own run, would leave b's outputs
+    # beside a's manifest; it stops before any file is touched.
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert _run_sweep(a) == 0
+    assert _run_sweep(b, extra=("--step", "0.25")) == 0
+    before = {path.name: path.read_bytes() for path in a.iterdir()}
+    capsys.readouterr()
+    assert main(["reproduce", "--run", str(b / "run.json"), "--out", str(a)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "ConfigError"
+    assert {path.name: path.read_bytes() for path in a.iterdir()} == before
+
+
 def test_reproduce_matches_manifest(tmp_path, capsys):
     out = tmp_path / "sw"
     assert _run_sweep(out) == 0

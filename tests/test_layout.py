@@ -59,6 +59,48 @@ def test_private_import_finder(tmp_path):
     assert {"core", "region", "cli", "calibration"} <= _GUARDED
 
 
+# The array geometry enters once: the CLI fixes it, generate_channels
+# stores the target's response in the ChannelSet, and calibration builds
+# its anchor grid through it. The package namespace re-exports both names.
+_GEOMETRY = {"ArrayGeometry", "steering_vector"}
+_GEOMETRY_READERS = {"__init__", "core", "calibration", "cli"}
+
+
+def _geometry_uses(path: Path) -> list[str]:
+    """Every import or attribute read of ArrayGeometry or steering_vector in the file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in _GEOMETRY]
+        elif isinstance(node, ast.Attribute) and node.attr in _GEOMETRY:
+            found.append(node.attr)
+    return found
+
+
+def test_only_the_channel_draw_and_its_callers_read_the_geometry():
+    sources = sorted(_PACKAGE.glob("*.py"))
+    offenders = {
+        path.stem: names for path in sources
+        if path.stem not in _GEOMETRY_READERS and (names := _geometry_uses(path))
+    }
+    assert offenders == {}
+    assert _geometry_uses(_PACKAGE / "cli.py")
+
+
+def test_geometry_use_finder(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from .core import ArrayGeometry, ChannelSet\n"
+        "from rsma_isac import steering_vector as sv\n"
+        "import rsma_isac.core as core\n"
+        "a = core.steering_vector(core.ArrayGeometry(2, 0.5), 0.0)\n"
+        "from numpy import ones\n"
+    )
+    assert sorted(_geometry_uses(path)) == [
+        "ArrayGeometry", "ArrayGeometry", "steering_vector", "steering_vector",
+    ]
+
+
 # build_precoders builds its own blend table for a single point; main
 # reads sys.argv when run as the console script.
 _ALLOWED_DEFAULTS = {"precoders.build_precoders.table", "cli.main.argv"}

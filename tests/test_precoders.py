@@ -92,7 +92,7 @@ def test_vanished_private_blend_raises():
     # gives the common stream no power, so its direction is never formed.
     u0 = _CHANNELS.broadside_unit
     est = np.stack([np.tile(-u0, (_CFG.n_subcarriers, 1)), _CHANNELS.unit_est[1]])
-    channels = ChannelSet(est.copy(), est.copy(), est.copy(), u0)
+    channels = ChannelSet(est.copy(), est.copy(), est.copy(), _CHANNELS.target_steering)
     v, total = BlendTable(channels, "MRT", [0.5]).private
     assert np.all(v[0] == 0.0) and total[0, 0] == 0.0 and total[1, 0] > 0.0
     with pytest.raises(DegenerateDirectionError, match="vanished"):
@@ -286,7 +286,7 @@ def test_precoders_invariant_to_channel_scale():
         true_channels=3.7 * _CHANNELS.true_channels,
         est_channels=scaled_est,
         unit_est=scaled_est / np.linalg.norm(scaled_est, axis=2, keepdims=True),
-        broadside_unit=_CHANNELS.broadside_unit,
+        target_steering=_CHANNELS.target_steering,
     )
     pp = ParameterPoint(0.5, 0.4, 0.3, 0.8, "ZF")
     a = build_precoders(pp, _CHANNELS, _CFG)

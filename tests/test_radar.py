@@ -50,7 +50,7 @@ def _sensing_only(make_channels, nc=64):
 
 def _steered(pset, rng):
     """The broadside steered waveform c of one synthesized symbol, shape (1, N_c)."""
-    return steered_projection(synthesize_tx(pset, [rng]), _GEOM, 0.0)
+    return steered_projection(synthesize_tx(pset, [rng]), steering_vector(_GEOM, 0.0))
 
 
 def _gain(c):
@@ -63,7 +63,7 @@ def _k2(c):
     return _k2_sum(np.abs(c[0]) ** 2)
 
 
-def _sweep_chain(pset, cfg, trials):
+def _sweep_chain(channels, pset, cfg, trials):
     """An SNR sweep point's Monte Carlo run: trial t uses streams 2t and 2t + 1."""
     def capture(c, noise):
         return radar_return(
@@ -71,16 +71,16 @@ def _sweep_chain(pset, cfg, trials):
         )
 
     streams = [(2 * t, 2 * t + 1) for t in range(trials)]
-    return monte_carlo(pset, _GEOM, cfg.target_angle_deg, cfg.seed, streams, capture)
+    return monte_carlo(channels, pset, cfg, streams, capture)
 
 
-def _heatmap_chain(pset, cfg, n0, beta, trials):
+def _heatmap_chain(channels, pset, cfg, n0, beta, trials):
     """A heatmap cell's Monte Carlo run: trial t uses streams s, s + 1, s + 2, s = 1 + 3t."""
     def capture(c, with_target, without):
         return two_stage_capture(c, n0, beta, cfg.noise_power_radar, with_target, without)
 
     streams = [(s, s + 1, s + 2) for s in range(1, 1 + 3 * trials, 3)]
-    return monte_carlo(pset, _GEOM, cfg.target_angle_deg, cfg.seed, streams, capture)
+    return monte_carlo(channels, pset, cfg, streams, capture)
 
 
 def _dft_magnitudes(y, c):
@@ -113,7 +113,7 @@ def test_synthesize_sensing_only_is_deterministic(make_channels):
     expect = pset.p_r * sensing_symbols(8)[:, None]
     assert np.array_equal(x, expect[None])
     # every subcarrier radiates total_power*n_tx/nc toward broadside
-    per_k = np.abs(steered_projection(x, _GEOM, 0.0)) ** 2
+    per_k = np.abs(steered_projection(x, steering_vector(_GEOM, 0.0))) ** 2
     assert np.allclose(per_k, cfg.total_power * 2 / 8, rtol=1e-12)
 
 
@@ -138,7 +138,7 @@ def test_broadside_gain_matches_loop(make_channels):
     x = synthesize_tx(pset, [RngStream(1, 1)])[0]
     a = np.ones(2, dtype=complex)  # broadside steering for a 2-element ULA
     total = sum(abs(np.vdot(a, x[k])) ** 2 for k in range(8))
-    assert _gain(steered_projection(x, _GEOM, 0.0)) == pytest.approx(total, rel=1e-12)
+    assert _gain(steered_projection(x, steering_vector(_GEOM, 0.0))) == pytest.approx(total, rel=1e-12)
 
 
 def test_expected_steered_power_sums_streams(make_channels):
@@ -148,7 +148,7 @@ def test_expected_steered_power_sums_streams(make_channels):
     manual = np.zeros(8)
     for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r):
         manual += np.array([abs(np.vdot(a, p[k])) ** 2 for k in range(8)])
-    got = expected_steered_power(pset, _GEOM, 0.0)
+    got = expected_steered_power(pset, steering_vector(_GEOM, 0.0))
     assert np.allclose(got, manual, rtol=1e-12)
     assert np.sum(got) == pytest.approx(manual.sum())
 
@@ -167,11 +167,11 @@ def test_sensing_helpers_on_a_stacked_batch_equal_per_point(make_channels):
     batch = PrecoderSet(
         *(np.stack([getattr(ps, name) for ps in psets]) for name in ("p_c", "p_1", "p_2", "p_r"))
     )
-    power = expected_steered_power(batch, _GEOM, 10.0)
+    power = expected_steered_power(batch, steering_vector(_GEOM, 10.0))
     weighted = _k2_sum(power)
     assert power.shape == (4, 16) and weighted.shape == (4,)
     for n, pset in enumerate(psets):
-        single = expected_steered_power(pset, _GEOM, 10.0)
+        single = expected_steered_power(pset, steering_vector(_GEOM, 10.0))
         assert np.array_equal(power[n], single)
         assert weighted[n] == _k2_sum(single)
 
@@ -182,7 +182,7 @@ def test_expected_equals_realized_for_sensing_only(make_channels):
     cfg, pset = _sensing_only(make_channels, nc=16)
     c = _steered(pset, RngStream(2, 2))
     assert _gain(c) == pytest.approx(
-        np.sum(expected_steered_power(pset, _GEOM, 0.0)), rel=1e-12
+        np.sum(expected_steered_power(pset, steering_vector(_GEOM, 0.0))), rel=1e-12
     )
 
 
@@ -238,7 +238,8 @@ def test_clutter_depends_only_on_root_seed(make_channels, monkeypatch):
 def test_clutter_drawn_once_per_capture_call(make_channels, monkeypatch):
     # a heatmap cell of T trials makes one capture call, hence one clutter
     # draw, per chunk of trials (it drew twice per trial before the stacking)
-    cfg, pset = _sensing_only(make_channels, nc=16)
+    cfg, channels = make_channels(n_subcarriers=16)
+    pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
     c = np.repeat(_steered(pset, RngStream(0, 0)), 3, axis=0)
     keys = _record_clutter_draws(monkeypatch)
     two_stage_capture(
@@ -247,7 +248,7 @@ def test_clutter_drawn_once_per_capture_call(make_channels, monkeypatch):
     assert keys == [(4, _CLUTTER_STREAM_ID)]
     for trials in (1, _TRIAL_CHUNK, 2 * _TRIAL_CHUNK + 1):
         keys.clear()
-        peaks, _ = _heatmap_chain(pset, cfg, 3, 0.2, trials)
+        peaks, _ = _heatmap_chain(channels, pset, cfg, 3, 0.2, trials)
         assert len(peaks) == trials
         assert keys == [(cfg.seed, _CLUTTER_STREAM_ID)] * math.ceil(trials / _TRIAL_CHUNK)
 
@@ -257,7 +258,9 @@ def test_background_subtract_noiseless_recovers_echo(make_channels):
     # and each one cancels exactly between the two captures
     cfg, channels = make_channels(n_subcarriers=16)
     pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"), channels, cfg)
-    c = steered_projection(synthesize_tx(pset, [RngStream(0, t) for t in range(3)]), _GEOM, 0.0)
+    c = steered_projection(
+        synthesize_tx(pset, [RngStream(0, t) for t in range(3)]), steering_vector(_GEOM, 0.0)
+    )
     beta = 0.3
     y = two_stage_capture(c, 4, beta, 0.0, [RngStream(9, 1), RngStream(9, 3), RngStream(9, 5)],
                           [RngStream(9, 2), RngStream(9, 4), RngStream(9, 6)])
@@ -632,15 +635,15 @@ def test_stacked_chain_equals_per_trial_reference(
     want = [_reference_trial(pset, cfg, 2 * t, two_stage=False) for t in range(trials)]
     if None in want:
         with pytest.raises(UndefinedProfileError):
-            _sweep_chain(pset, cfg, trials)
+            _sweep_chain(channels, pset, cfg, trials)
     else:
         x = synthesize_tx(pset, [RngStream(seed, 2 * t) for t in range(trials)])
-        c = steered_projection(x, _GEOM, angle)
+        c = steered_projection(x, steering_vector(_GEOM, angle))
         y = radar_return(c, n0, beta, sigma_r2, [RngStream(seed, 2 * t + 1) for t in range(trials)])
         peak_bin, snr_rad_db = range_profile(y, c)
         assert peak_bin.tolist() == [p for p, _ in want]
         assert snr_rad_db.tolist() == [s for _, s in want]
-        peaks, snr_sum = _sweep_chain(pset, cfg, trials)
+        peaks, snr_sum = _sweep_chain(channels, pset, cfg, trials)
         assert peaks == [p for p, _ in want]
         assert snr_sum == _linear_mean_sum(want)
 
@@ -648,8 +651,8 @@ def test_stacked_chain_equals_per_trial_reference(
     want = [_reference_trial(pset, cfg, 1 + 3 * t, two_stage=True) for t in range(trials)]
     if None in want:
         with pytest.raises(UndefinedProfileError):
-            _heatmap_chain(pset, cfg, n0, beta, trials)
+            _heatmap_chain(channels, pset, cfg, n0, beta, trials)
     else:
-        peaks, snr_sum = _heatmap_chain(pset, cfg, n0, beta, trials)
+        peaks, snr_sum = _heatmap_chain(channels, pset, cfg, n0, beta, trials)
         assert peaks == [p for p, _ in want]
         assert snr_sum == _linear_mean_sum(want)

@@ -239,7 +239,7 @@ def smoke_sweep():
     cfg = dataclasses.replace(cfg, n_subcarriers=16)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     spec = dataclasses.replace(_SPEC, grid_step=0.5)
-    return cfg, channels, spec, sweep(spec, channels, cfg, _GEOM)
+    return cfg, channels, spec, sweep(spec, channels, cfg)
 
 
 def test_sweep_smoke_structure(smoke_sweep):
@@ -270,7 +270,7 @@ def test_sweep_boundary_is_nondominated(smoke_sweep):
 
 def test_sweep_deterministic(smoke_sweep):
     cfg, channels, spec, result = smoke_sweep
-    again = sweep(spec, channels, cfg, _GEOM)
+    again = sweep(spec, channels, cfg)
     assert again == result
 
 
@@ -288,7 +288,7 @@ def test_sweep_matches_standalone_throughput():
     # sweep must give exactly what a per-point throughput() call gives.
     spec = dataclasses.replace(_SPEC, grid_step=0.25, families=("MRT", "ZF"))
     for cfg, channels in _grid_scenarios():
-        result = sweep(spec, channels, cfg, _GEOM)
+        result = sweep(spec, channels, cfg)
         pts = result.points
         assert not result.skipped
         assert len(pts) == 2 * len(enumerate_grid(0.25, "MRT"))
@@ -332,9 +332,7 @@ def test_block_sinr_is_bit_identical_to_per_point():
 
 def _point_eval_sensing(pp, channels, cfg):
     """g0 and CRB of one operating point, computed the way point-eval does."""
-    power = expected_steered_power(
-        build_precoders(pp, channels, cfg), _GEOM, cfg.target_angle_deg
-    )
+    power = expected_steered_power(build_precoders(pp, channels, cfg), channels.target_steering)
     bound = _delay_crb(
         _k2_sum(power), power.shape[0], cfg.target_attenuation, cfg.noise_power_radar
     )
@@ -351,7 +349,7 @@ def test_sweep_sensing_numbers_cross_check():
                 scenario_preset(preset), n_subcarriers=32, csit_error_var=csit_error_var
             )
             channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
-            result = sweep(spec, channels, cfg, _GEOM)
+            result = sweep(spec, channels, cfg)
             pts = result.points
             assert not result.skipped
             for i in range(len(pts)):
@@ -360,13 +358,36 @@ def test_sweep_sensing_numbers_cross_check():
                 assert pts.crb_bins2[i] == bound, _params(pts, i)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    angle=st.floats(-60.0, 60.0, exclude_min=True, exclude_max=True),
+    spacing=st.sampled_from([0.25, 0.5, 1.0]),
+    n_tx=st.integers(1, 4),
+)
+def test_g0_ceiling_is_reached_by_sensing_only(angle, spacing, n_tx):
+    # By Cauchy–Schwarz no precoder radiates more than N_T·P toward the
+    # target, |a^H p|² ≤ N_T·|p|², and the sensing-only point, whose beam
+    # lies along the target's response, radiates exactly that: the
+    # precoders' sensing beam and the radar's steering agree.
+    cfg = dataclasses.replace(scenario_preset("S1"), n_subcarriers=8, target_angle_deg=angle)
+    channels = generate_channels(cfg, ArrayGeometry(n_tx, spacing), RngStream(cfg.seed, 0))
+    families = ("MRT", "ZF") if n_tx >= 2 else ("MRT",)
+    result = sweep(dataclasses.replace(_SPEC, grid_step=0.5, families=families), channels, cfg)
+    ceiling = n_tx * cfg.total_power
+    pts = result.points
+    assert np.all(pts.g0 <= ceiling * (1.0 + 1e-11))
+    sensing_only = pts.g0[pts.t_comms == 0.0]
+    assert len(sensing_only) == len(families)
+    assert np.allclose(sensing_only, ceiling, rtol=1e-11, atol=0.0)
+
+
 def test_rank_deficient_zf_sweep_scores_common_only_blocks(make_channels):
     # Users at the same angle make every subcarrier's channel matrix rank 1,
     # so ZF has no private directions; the blocks without private power are
     # still scored, and their sensing numbers equal point-eval's.
     cfg, channels = make_channels(n_subcarriers=16, ue_angles_deg=(30.0, 30.0))
     zf = dataclasses.replace(_SPEC, grid_step=0.5, families=("ZF",))
-    result = sweep(zf, channels, cfg, _GEOM)
+    result = sweep(zf, channels, cfg)
     pts = result.points
     assert len(result.skipped) == 24
     assert all("rank" in reason for reason in result.skipped.reason.tolist())
@@ -378,8 +399,8 @@ def test_rank_deficient_zf_sweep_scores_common_only_blocks(make_channels):
     # Swept together, MRT is scored everywhere and ZF loses the same points
     # for the same reason as when it is swept alone.
     both_spec = dataclasses.replace(_SPEC, grid_step=0.5, families=("MRT", "ZF"))
-    both = sweep(both_spec, channels, cfg, _GEOM)
-    mrt = sweep(dataclasses.replace(_SPEC, grid_step=0.5), channels, cfg, _GEOM)
+    both = sweep(both_spec, channels, cfg)
+    mrt = sweep(dataclasses.replace(_SPEC, grid_step=0.5), channels, cfg)
     assert both.points.take(both.points.family == FAMILIES.index("MRT")) == mrt.points
     assert len(mrt.points) == 31 and not mrt.skipped
     assert both.skipped == result.skipped
@@ -401,7 +422,7 @@ def test_zf_sweep_computes_private_directions_once(make_channels, monkeypatch):
     monkeypatch.setattr(precoders_mod, "private_directions", counting)
     cfg, channels = make_channels(n_subcarriers=16)
     zf = dataclasses.replace(_SPEC, grid_step=0.25, families=("ZF",))
-    result = sweep(zf, channels, cfg, _GEOM)
+    result = sweep(zf, channels, cfg)
     assert calls == ["ZF"]
     assert len(result.points) == len(enumerate_grid(0.25, "ZF")) and not result.skipped
 
@@ -414,7 +435,7 @@ def test_frontier_idempotent(smoke_sweep):
 
 def test_grid_refinement_weakly_dominates(smoke_sweep):
     cfg, channels, spec, coarse_result = smoke_sweep
-    fine = sweep(dataclasses.replace(_SPEC, grid_step=0.25), channels, cfg, _GEOM).boundary
+    fine = sweep(dataclasses.replace(_SPEC, grid_step=0.25), channels, cfg).boundary
     coarse = coarse_result.boundary
     for bx, by in zip(coarse.t_sum_bps, coarse.g0):
         assert np.any((fine.t_sum_bps >= bx) & (fine.g0 >= by))
@@ -447,9 +468,9 @@ def test_sweep_skips_zf_on_rank_deficient_channels(make_channels):
         true_channels=np.stack([base.true_channels[0], base.true_channels[0]]),
         est_channels=np.stack([base.est_channels[0], base.est_channels[0]]),
         unit_est=np.stack([base.unit_est[0], base.unit_est[0]]),
-        broadside_unit=base.broadside_unit,
+        target_steering=base.target_steering,
     )
-    result = sweep(dataclasses.replace(_SPEC, grid_step=0.5, families=("ZF",)), dup, cfg, _GEOM)
+    result = sweep(dataclasses.replace(_SPEC, grid_step=0.5, families=("ZF",)), dup, cfg)
     pts = result.points
     assert len(result.skipped) == 24
     assert len(pts) == 7
@@ -460,18 +481,18 @@ def test_sweep_skips_zf_on_rank_deficient_channels(make_channels):
 def test_sweep_snr_metric_smoke(make_channels):
     cfg, channels = make_channels(n_subcarriers=16)
     spec = dataclasses.replace(_SPEC, grid_step=0.5, metric="SNR_RAD", monte_carlo_trials=2)
-    result = sweep(spec, channels, cfg, _GEOM)
+    result = sweep(spec, channels, cfg)
     assert result.boundary == frontier_points(result.points, "SNR_RAD")
     assert len(result.points.snr_rad_db) == len(result.points)
     assert all(math.isfinite(snr) for snr in result.points.snr_rad_db.tolist())
-    again = sweep(spec, channels, cfg, _GEOM)
+    again = sweep(spec, channels, cfg)
     assert again == result
 
 
 def test_sensing_dominant_sdma_boundary(make_cfg):
     cfg = make_cfg(noise_power_comms=1.5e-3, ue_angles_deg=(-60.0, 60.0), seed=21)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
-    result = sweep(_SPEC, channels, cfg, _GEOM)
+    result = sweep(_SPEC, channels, cfg)
 
     rows = scheme_frontier(result.points, "SDMA", "G0")
     assert len(rows) == 5
@@ -495,7 +516,7 @@ def test_sensing_dominant_sdma_boundary(make_cfg):
 def test_boundary_params_csv_exact(tmp_path, make_cfg):
     cfg = make_cfg(noise_power_comms=1.5e-3, ue_angles_deg=(-60.0, 60.0), seed=21)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
-    result = sweep(_SPEC, channels, cfg, _GEOM)
+    result = sweep(_SPEC, channels, cfg)
     path = tmp_path / "boundary_params.csv"
     write_boundary_params_csv(scheme_frontier(result.points, "SDMA", "G0"), str(path))
     lines = path.read_text().splitlines()
@@ -512,7 +533,7 @@ def test_boundary_params_csv_exact(tmp_path, make_cfg):
 def test_preset_regression_tight_angles():
     cfg = dataclasses.replace(scenario_preset("S2"), n_subcarriers=64)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
-    result = sweep(_SPEC, channels, cfg, _GEOM)
+    result = sweep(_SPEC, channels, cfg)
 
     sdma = scheme_points(result.points, "SDMA")
     assert max(sdma.t_sum_bps) == 146250000.0
