@@ -40,11 +40,13 @@ class ParameterPoint:
     and the sensing direction, and alpha_p does the same for each
     private beam. Either mix may be an axis (a tuple of values): the point
     then stands for the block of every (alpha_c, alpha_p) pair, which
-    ``build_precoders`` builds in one call.
+    ``build_precoders`` builds in one call. Tuples of one length for
+    t_comms and t_p add an axis of (t_comms, t_p) pairs. The tuple forms
+    are for sweeps; the CLI takes numbers only.
     """
 
-    t_comms: float
-    t_p: float
+    t_comms: float | tuple[float, ...]
+    t_p: float | tuple[float, ...]
     alpha_c: float | tuple[float, ...]
     alpha_p: float | tuple[float, ...]
     family: str
@@ -52,10 +54,15 @@ class ParameterPoint:
     def __post_init__(self) -> None:
         for name in ("t_comms", "t_p", "alpha_c", "alpha_p"):
             v = getattr(self, name)
-            axis = v if name.startswith("alpha") and isinstance(v, tuple) else (v,)
+            axis = v if isinstance(v, tuple) else (v,)
             # _finite turns away bools, which would otherwise pass as 0 and 1.
             if not all(_finite(x) and 0.0 <= x <= 1.0 for x in axis):
                 raise ConfigError(f"{name} must be a finite number in [0, 1], got {v!r}")
+        if np.shape(self.t_comms) != np.shape(self.t_p):
+            raise ConfigError(
+                f"t_comms and t_p must both be numbers or tuples of one length, "
+                f"got {self.t_comms!r} and {self.t_p!r}"
+            )
         fam = self.family.upper() if isinstance(self.family, str) else None
         if fam not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
@@ -210,15 +217,19 @@ class BlendTable:
         return index
 
 
-def _scaled_rows(power: float, table: tuple[np.ndarray, np.ndarray], rows) -> np.ndarray:
-    """√(power/T)·v for the given rows of every stream in a blend table."""
+def _scaled_rows(power: np.ndarray, table: tuple[np.ndarray, np.ndarray], rows) -> np.ndarray:
+    """√(power/T)·v, (streams, pairs, rows, N_c, N_T): zeros where power is 0."""
     v, total = table
-    total = total[:, rows]
+    total = total[:, rows].reshape(len(total), 1, -1)
     if np.any(total < 1e-24):
         raise DegenerateDirectionError(
             "blended beam direction vanished on every subcarrier"
         )
-    return np.sqrt(power / total)[..., None, None] * v[:, rows]
+    scale = np.sqrt(power[:, None] / total)
+    out = scale[..., None, None] * v[:, rows].reshape(len(v), 1, -1, *v.shape[-2:])
+    if not power.all():
+        out[:, power == 0.0] = 0.0
+    return out
 
 
 def build_precoders(
@@ -232,43 +243,48 @@ def build_precoders(
     A point whose alpha_c and alpha_p are axes (tuples) is the block of
     every pair of them: p_c comes back with batch shape (n_αc, 1) and p_1,
     p_2 with (1, n_αp), which broadcast to the block's (alpha_c, alpha_p)
-    plane. A point of scalar mixes is a block of shape (). Each stream is
-    a row of ``table`` scaled to the stream's power; without a table, one
-    over the point's own mixes is built. Sweeps pass one table per family
-    so the blends are computed once.
+    plane. A point of scalar mixes is a block of shape (). Tuples of
+    t_comms and t_p put a leading axis of pairs in front: p_c is then
+    (n_pairs, n_αc, 1), p_1 and p_2 (n_pairs, 1, n_αp) and p_r
+    (n_pairs, 1, 1), with each pair's stream powers computed elementwise.
+    Each stream is a row of ``table`` scaled to the stream's power;
+    without a table, one over the point's own mixes is built. Sweeps pass
+    one table per family so the blends are computed once.
 
-    Streams with zero allocated power come back as exact zero arrays and
-    their directions are never computed, so e.g. an all-sensing point never
-    trips the ZF rank check. Every grid, zero or not, is stored with
-    subcarriers innermost, as the table rows are.
+    Every entry of a batch equals its own point's build bit for bit. A
+    stream with zero power comes back as exact zeros, and one with zero
+    power in every pair never computes its direction, so e.g. an
+    all-sensing point never trips the ZF rank check. Every grid is stored
+    with subcarriers innermost, as the table rows are.
     """
+    t, tp = np.asarray(pp.t_comms), np.asarray(pp.t_p)
     ac, ap = np.asarray(pp.alpha_c), np.asarray(pp.alpha_p)
     if table is None:
         mixes = {*ac.ravel().tolist(), *ap.ravel().tolist()}
         table = BlendTable(channels, pp.family, sorted(mixes))
     nc, nt = channels.n_subcarriers, channels.n_tx
-    common_shape = ac.shape + (1,) * ap.ndim + (nc, nt)
-    private_shape = (1,) * ac.ndim + ap.shape + (nc, nt)
+    common_shape = t.shape + ac.shape + (1,) * ap.ndim + (nc, nt)
+    private_shape = t.shape + (1,) * ac.ndim + ap.shape + (nc, nt)
+    sense_shape = t.shape + (1,) * (ac.ndim + ap.ndim) + (nc, nt)
     pt = cfg.total_power
-    p_common = pt * pp.t_comms * (1.0 - pp.t_p)
-    p_private = pt * pp.t_comms * pp.t_p / 2.0
-    p_sense = pt * (1.0 - pp.t_comms)
-    u0 = channels.broadside_unit
+    p_common = np.ravel(pt * t * (1.0 - tp))
+    p_private = np.ravel(pt * t * tp / 2.0)
+    p_sense = np.ravel(pt * (1.0 - t))
 
-    if p_common > 0.0:
+    if p_common.any():
         p_c = _scaled_rows(p_common, table.common, table.rows(ac)).reshape(common_shape)
     else:
         p_c = _grid(np.zeros, common_shape)
 
-    if p_private > 0.0:
+    if p_private.any():
         p_1, p_2 = _scaled_rows(p_private, table.private, table.rows(ap))
         p_1, p_2 = p_1.reshape(private_shape), p_2.reshape(private_shape)
     else:
         p_1 = p_2 = _grid(np.zeros, private_shape)
 
-    if p_sense > 0.0:
-        p_r = np.sqrt(p_sense / nc) * np.broadcast_to(u0, (nc, nt)).copy(order="F")
-    else:
-        p_r = _grid(np.zeros, (nc, nt))
+    p_r = _grid(np.zeros, sense_shape)
+    on = (p_sense > 0.0).reshape(sense_shape[:-2] + (1, 1))
+    scale = np.sqrt(p_sense / nc).reshape(on.shape)
+    np.multiply(scale, channels.broadside_unit, out=p_r, where=on)
 
     return PrecoderSet(p_c=p_c, p_1=p_1, p_2=p_2, p_r=p_r)

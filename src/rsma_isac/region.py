@@ -34,6 +34,11 @@ from .throughput import throughput
 # above it so they can never collide with channel generation streams.
 _SNR_STREAM_BASE = 1 << 20
 
+# SINR entries a sweep scores per call, or one block where a block is larger:
+# short sweeps share numpy's per-call cost, large blocks (which merge slower)
+# stay one a call.
+_CHUNK_ELEMENTS = 1 << 15
+
 METRICS = ("G0", "SNR_RAD")
 
 # The operating regimes a point can fall into; see case_codes.
@@ -313,21 +318,25 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
     """Evaluate every grid point and extract the Pareto boundary.
 
     Each family blends its beams once over the grid axis (a
-    ``BlendTable``); the grid is then evaluated one (family,
-    (t_comms, t_p) block) pair at a time into one set of columns that
-    holds the grid once per family. One ``build_precoders`` call scales
-    the table rows into the block's precoders, a batch over its
-    (alpha_c, alpha_p) plane, and one ``throughput`` call scores all of it.
-    The sensing axis is the symbol-averaged energy toward the target: one
-    ``expected_sensing`` call on the same batch gives every point's g0 and
-    delay CRB, exactly what point-eval computes for it. g0 is rounded to
-    12 significant digits so points that are equal on paper tie exactly.
-    Results are kept as columns; no object is built per point.
-    SNR_RAD mode additionally runs the radar chain's ``monte_carlo`` per
-    point with deterministic per-point random streams. A block whose
+    ``BlendTable``) and groups its (t_comms, t_p) blocks by mix plane,
+    the (alpha_c axis, alpha_p axis) pair, which also fixes which streams
+    carry power. A group is scored in chunks of blocks, as many as keep
+    pairs × n_αc × n_αp × N_c within ``_CHUNK_ELEMENTS`` (at least one):
+    one ``build_precoders`` call scales the table rows into the chunk's
+    precoders, and one ``throughput`` and one ``expected_sensing`` call
+    score all of them, exactly as point-eval scores one point. A chunk's
+    rows are its blocks' row ranges in turn, so the columns, which hold
+    the grid once per family, fill in grid order. g0 is rounded to 12
+    significant digits so points that are equal on paper tie exactly.
+    No object is built per point.
+
+    SNR_RAD mode then builds each scored chunk again and runs the radar
+    chain's ``monte_carlo`` on each kept point's precoders, with random
+    streams that follow from its position among the measured rows, as if
+    the rows were measured in grid order. A chunk whose
     precoders cannot be built for want of ZF directions is skipped, with
     the ``RankDeficientChannelError`` message as its points' reason,
-    instead of aborting the sweep; blocks that allocate no private power
+    instead of aborting the sweep; groups that allocate no private power
     never need those directions and are scored.
     """
     blocks, bounds, grid = _grid_columns(spec.grid_step)
@@ -343,56 +352,75 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
     t_sum, g0, crb = (np.empty(len(case)) for _ in range(3))
     collapsed = np.empty(len(case), dtype=bool)
     mcs = np.empty((len(case), 3), dtype=int)
-    trials = spec.monte_carlo_trials
+
+    # Each family's kept blocks, grouped by mix plane, in grid order.
+    groups: dict[tuple, list] = {}
+    for f, ((t, tp, ac_axis, ap_axis), lo, hi) in itertools.product(
+        range(len(tables)), zip(blocks, bounds, bounds[1:])
+    ):
+        lo, hi = f * n + lo, f * n + hi
+        if keep[lo:hi].any():
+            groups.setdefault((f, ac_axis, ap_axis), []).append((t, tp, lo, hi))
+    measured = []  # the scored chunks the SNR_RAD metric revisits
+    for (f, ac_axis, ap_axis), members in groups.items():
+        block_size = len(ac_axis) * len(ap_axis) * channels.n_subcarriers
+        per_chunk = max(1, _CHUNK_ELEMENTS // block_size)
+        for c in range(0, len(members), per_chunk):
+            t, tp, lo, hi = zip(*members[c:c + per_chunk])
+            rows = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+            pp = ParameterPoint(t, tp, ac_axis, ap_axis, tables[f].family)
+            try:
+                pset = build_precoders(pp, channels, cfg, tables[f])
+            except RankDeficientChannelError as exc:
+                scored[rows] = False
+                reason[rows] = str(exc)
+                continue
+            if spec.metric == "SNR_RAD":
+                measured.append((pp, tables[f], rows))
+            report = throughput(channels, pset, cfg)
+            chunk_g0, chunk_crb = expected_sensing(channels, pset, cfg)
+            t_sum[rows] = report.t_sum.ravel()
+            g0[rows] = chunk_g0.ravel()
+            crb[rows] = chunk_crb.ravel()
+            collapsed[rows] = report.collapsed.ravel()
+            for m, index in enumerate(report.mcs_chosen):
+                mcs[rows, m] = index.ravel()
 
     def capture(c, noise):
         return radar_return(
             c, cfg.target_delay_bins, cfg.target_attenuation, cfg.noise_power_radar, noise
         )
 
-    snrs: list[float] = []
-    for (f, table), ((t, tp, ac_axis, ap_axis), lo, hi) in itertools.product(
-        enumerate(tables), zip(blocks, bounds, bounds[1:])
-    ):
-        rows = slice(f * n + lo, f * n + hi)
-        if not keep[rows].any():
-            continue
-        try:
-            pset = build_precoders(
-                ParameterPoint(t, tp, ac_axis, ap_axis, table.family), channels, cfg, table
+    trials = spec.monte_carlo_trials
+    snr = np.empty(len(case))
+    # A point's streams follow from its position among the measured rows,
+    # known once every chunk is scored; each chunk is built again here so
+    # that only one is held at a time.
+    position = np.cumsum(keep & scored) - 1
+    for pp, table, rows in measured:
+        pset = build_precoders(pp, channels, cfg, table)
+        shape = (len(pp.t_comms), len(pp.alpha_c), len(pp.alpha_p))
+        for row, (k, i, j) in zip(rows.tolist(), np.ndindex(shape)):
+            if not keep[row]:
+                continue
+            # Trial t draws its waveform from stream base + 2t and its
+            # noise from the next one.
+            base = _SNR_STREAM_BASE + 2 * trials * int(position[row])
+            _, total = monte_carlo(
+                channels,
+                PrecoderSet(pset.p_c[k, i, 0], pset.p_1[k, 0, j], pset.p_2[k, 0, j],
+                            pset.p_r[k, 0, 0]),
+                cfg,
+                [(base + 2 * t, base + 2 * t + 1) for t in range(trials)],
+                capture,
             )
-        except RankDeficientChannelError as exc:
-            scored[rows] = False
-            reason[rows] = str(exc)
-            continue
-        report = throughput(channels, pset, cfg)
-        block_g0, block_crb = expected_sensing(channels, pset, cfg)
-        t_sum[rows] = report.t_sum.ravel()
-        g0[rows] = block_g0.ravel()
-        crb[rows] = block_crb.ravel()
-        collapsed[rows] = report.collapsed.ravel()
-        for m, index in enumerate(report.mcs_chosen):
-            mcs[rows, m] = index.ravel()
-        if spec.metric == "SNR_RAD":
-            for k in np.flatnonzero(keep[rows]).tolist():
-                i, j = divmod(k, len(ap_axis))
-                # Trial t draws its waveform from stream base + 2t and
-                # its noise from the next one.
-                base = _SNR_STREAM_BASE + 2 * trials * len(snrs)
-                _, total = monte_carlo(
-                    channels,
-                    PrecoderSet(pset.p_c[i, 0], pset.p_1[0, j], pset.p_2[0, j], pset.p_r),
-                    cfg,
-                    [(base + 2 * t, base + 2 * t + 1) for t in range(trials)],
-                    capture,
-                )
-                snrs.append(10.0 * math.log10(total / trials))
+            snr[row] = 10.0 * math.log10(total / trials)
 
     ok, lost = keep & scored, keep & ~scored
     points = IsacPoints(
         *(column[ok] for column in (*knobs, family, case, t_sum)),
         np.fromiter(map(round_sig, g0[ok].tolist()), float, np.count_nonzero(ok)),
-        np.array(snrs) if spec.metric == "SNR_RAD" else None,
+        snr[ok] if spec.metric == "SNR_RAD" else None,
         crb[ok], collapsed[ok], mcs[ok],
     )
     return RegionResult(

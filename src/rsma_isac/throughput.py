@@ -78,7 +78,7 @@ def spectral_efficiency(sinr: np.ndarray, gap_db: float) -> float | np.ndarray:
     """
     gap = 10.0 ** (gap_db / 10.0)
     # One temporary, updated in place: a batch's SINR grid is the largest
-    # array a sweep block makes.
+    # array a sweep chunk makes.
     x = np.divide(sinr, gap)
     x += 1.0
     return np.mean(np.log2(x, out=x), axis=-1)

@@ -347,6 +347,11 @@ def test_missing_scenario_file(tmp_path):
         # a family that is not a string
         ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
          "--set", "families=[5]"],
+        # a list-valued knob, typed or replayed: (t_comms, t_p) pairs are
+        # for sweeps, and a command evaluates one point
+        ["point-eval", *_POINT_SETS, "--set", "t_comms=[0.5,0.6]"],
+        ["reproduce", "--run", "{point_run}"],
+        ["reproduce", "--run", "{heatmap_run}"],
     ],
 )
 def test_bad_configuration_exits_2(tmp_path, argv):
@@ -358,8 +363,23 @@ def test_bad_configuration_exits_2(tmp_path, argv):
     empty.write_text("")
     noheader = tmp_path / "noheader.csv"
     noheader.write_text("foo,bar\n")
+    scenario = {**scenario_preset("S1").to_json_dict(), "n_subcarriers": 16}
+    listed = [[0.5, 0.6], [0.5, 0.5], 0.5, 0.5, "MRT"]
+    point_run = tmp_path / "point_run.json"
+    point_run.write_text(json.dumps({
+        "command": "point-eval", "scenario": scenario,
+        "outputs": {"point.json": "0" * 64}, "point": listed,
+    }))
+    heatmap_run = tmp_path / "heatmap_run.json"
+    heatmap_run.write_text(json.dumps({
+        "command": "radar-heatmap", "scenario": scenario,
+        "outputs": {"heatmap.csv": "0" * 64},
+        "heatmap": {"params_rows": [[0, listed]], "n0_values": [1], "trials": 2,
+                    "beta0": 0.1, "beta_decay": 0.5, "family": "mrt"},
+    }))
     files = {"{params}": str(params), "{truncated}": str(truncated),
-             "{empty}": str(empty), "{noheader}": str(noheader)}
+             "{empty}": str(empty), "{noheader}": str(noheader),
+             "{point_run}": str(point_run), "{heatmap_run}": str(heatmap_run)}
     argv = [files.get(arg, arg) for arg in argv]
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2

@@ -61,6 +61,19 @@ def test_parameter_point_validation():
                   (0.5, math.nan, 0.5, 0.5), (0.5, 0.5, 0.5, "0.5")):
         with pytest.raises(ConfigError, match="finite number in"):
             ParameterPoint(*knobs, "MRT")
+    # (t_comms, t_p) pairs are two tuples of one length, each entry a knob
+    # value; a point takes numbers or tuples, never lists
+    for knobs in (((0.5, 0.6), (0.5,), 0.5, 0.5), ((0.5, 0.6), 0.5, 0.5, 0.5),
+                  (0.5, (0.5, 0.6), 0.5, 0.5), ((), (0.5,), 0.5, 0.5)):
+        with pytest.raises(ConfigError, match="tuples of one length"):
+            ParameterPoint(*knobs, "MRT")
+    for knobs in (((0.5, True), (0.5, 0.5), 0.5, 0.5), ((0.5, 0.5), (0.5, math.nan), 0.5, 0.5),
+                  ((0.5, 1.5), (0.5, 0.5), 0.5, 0.5), ((0.5, 0.5), (-0.1, 0.5), 0.5, 0.5),
+                  ((0.5, math.inf), (0.5, 0.5), 0.5, 0.5), ([0.5, 0.6], [0.5, 0.5], 0.5, 0.5)):
+        with pytest.raises(ConfigError, match="finite number in"):
+            ParameterPoint(*knobs, "MRT")
+    pairs = ParameterPoint((0.0, 1.0), (1.0, 0.0), (0.5,), 0.5, "MRT")
+    assert (pairs.t_comms, pairs.t_p) == ((0.0, 1.0), (1.0, 0.0))
     pp = ParameterPoint(0.5, 0.5, 0.5, 0.5, family="zf")
     assert pp.family == "ZF"
     assert dataclasses.astuple(pp) == (0.5, 0.5, 0.5, 0.5, "ZF")
@@ -193,6 +206,55 @@ def test_block_build_equals_point_build(t, tp, ac_axis, ap_axis, family, seed):
                 dirs = private_directions(channels, family)
                 assert (single.p_1 == _blend(p_private, ap, dirs[0], u0)).all()
                 assert (single.p_2 == _blend(p_private, ap, dirs[1], u0)).all()
+
+
+_PAIRS = st.lists(
+    st.tuples(st.sampled_from(_AXIS), st.sampled_from(_AXIS)), min_size=1, max_size=4
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    pairs=_PAIRS,
+    ac_axis=_SUB_AXES,
+    ap_axis=_SUB_AXES,
+    family=st.sampled_from(["MRT", "ZF"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_batch_equals_point_builds(pairs, ac_axis, ap_axis, family, seed):
+    # A leading axis of (t_comms, t_p) pairs gives, at every (pair,
+    # alpha_c, alpha_p), the point's own four precoders bit for bit, signed
+    # zeros included. A stream with no power in any pair is exact zeros and
+    # its direction stays uncomputed in the table.
+    cfg = dataclasses.replace(_CFG, seed=seed, csit_error_var=1e-2)
+    channels = generate_channels(cfg, _GEOM, RngStream(seed, 0))
+    t, tp = (tuple(column) for column in zip(*pairs))
+    table = BlendTable(channels, family, _AXIS)
+    batch = build_precoders(ParameterPoint(t, tp, ac_axis, ap_axis, family), channels, cfg, table)
+    n = len(pairs)
+    assert batch.p_c.shape[:3] == (n, len(ac_axis), 1)
+    assert batch.p_1.shape[:3] == batch.p_2.shape[:3] == (n, 1, len(ap_axis))
+    assert batch.p_r.shape[:3] == (n, 1, 1)
+    for k, (tk, tpk) in enumerate(pairs):
+        for i, ac in enumerate(ac_axis):
+            for j, ap in enumerate(ap_axis):
+                single = build_precoders(ParameterPoint(tk, tpk, ac, ap, family), channels, cfg)
+                for got, want in (
+                    (batch.p_c[k, i, 0], single.p_c), (batch.p_1[k, 0, j], single.p_1),
+                    (batch.p_2[k, 0, j], single.p_2), (batch.p_r[k, 0, 0], single.p_r),
+                ):
+                    assert got.tobytes() == want.tobytes()
+    powered = {
+        "common": any(tk > 0.0 and tpk < 1.0 for tk, tpk in pairs),
+        "private": any(tk > 0.0 and tpk > 0.0 for tk, tpk in pairs),
+    }
+    grids = {"common": (batch.p_c,), "private": (batch.p_1, batch.p_2)}
+    for stream, on in powered.items():
+        assert (stream in table.__dict__) == on
+        if not on:
+            assert all(p.tobytes() == bytes(p.nbytes) for p in grids[stream])
+    if all(tk == 1.0 for tk, _ in pairs):
+        assert batch.p_r.tobytes() == bytes(batch.p_r.nbytes)
 
 
 @pytest.mark.parametrize("family", ["MRT", "ZF"])

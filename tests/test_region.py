@@ -427,6 +427,53 @@ def test_zf_sweep_computes_private_directions_once(make_channels, monkeypatch):
     assert len(result.points) == len(enumerate_grid(0.25, "ZF")) and not result.skipped
 
 
+@pytest.mark.parametrize(
+    "overrides,sweep_fields",
+    [
+        ({}, {}),
+        ({}, dict(metric="SNR_RAD", monte_carlo_trials=2)),
+        ({}, dict(include_cases=frozenset({"General", "SDMA_Sense_Hard"}))),
+        ({"ue_angles_deg": (30.0, 30.0)}, {}),
+        ({"ue_angles_deg": (30.0, 30.0)}, dict(metric="SNR_RAD", monte_carlo_trials=2)),
+    ],
+)
+def test_sweep_results_do_not_depend_on_the_chunk_budget(
+    make_channels, monkeypatch, overrides, sweep_fields
+):
+    # One block per call (a budget of 1) and one call per mix plane (a
+    # budget past any chunk) give equal results: the same rows in the same
+    # order, the same SNR streams, and on rank-deficient channels the same
+    # skipped knobs and reasons.
+    import rsma_isac.region as region_mod
+
+    cfg, channels = make_channels(n_subcarriers=16, **overrides)
+    spec = dataclasses.replace(
+        _SPEC, grid_step=0.25, families=("MRT", "ZF"), **sweep_fields
+    )
+    built = []
+    original = region_mod.build_precoders
+
+    def counting(pp, *args):
+        built.append(pp)
+        return original(pp, *args)
+
+    monkeypatch.setattr(region_mod, "build_precoders", counting)
+    results, chunks = [], []
+    for budget in (1, 2**40):
+        monkeypatch.setattr(region_mod, "_CHUNK_ELEMENTS", budget)
+        built.clear()
+        results.append(sweep(spec, channels, cfg))
+        chunks.append(set(built))
+    # a budget of 1 builds every kept block alone; 2**40 builds one chunk
+    # per family and mix plane (SNR_RAD builds each scored chunk twice)
+    assert {len(pp.t_comms) for pp in chunks[0]} == {1}
+    assert len(chunks[1]) == 2 * 4 < len(chunks[0])
+    assert results[0] == results[1]
+    if overrides:
+        assert len(results[0].skipped) > 0
+        assert set(results[0].skipped.family.tolist()) == {FAMILIES.index("ZF")}
+
+
 def test_frontier_idempotent(smoke_sweep):
     *_, spec, result = smoke_sweep
     again = frontier_points(result.boundary, spec.metric)
