@@ -483,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="both", help="mrt, zf or both")
     p.add_argument("--metric", choices=["g0", "snr"], default="g0")
     p.add_argument("--trials", type=int, default=25, help="Monte Carlo trials (snr metric)")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("radar-heatmap", help="measured radar SNR per boundary point and delay")
     _add_common(p)
@@ -496,30 +495,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--beta-decay", type=float, default=0.5,
         help="multiplicative echo decay per n0 step",
     )
-    p.set_defaults(func=cmd_radar_heatmap)
 
     p = sub.add_parser("point-eval", help="evaluate one parameter point in depth")
     _add_common(p)
     p.add_argument("--family", default="mrt", help="mrt or zf")
-    p.set_defaults(func=cmd_point_eval)
 
     p = sub.add_parser("calibrate-demo", help="two-chain phase calibration round trip")
     _add_common(p)
-    p.set_defaults(func=cmd_calibrate_demo)
 
     p = sub.add_parser("reproduce", help="re-run a manifest and verify output digests")
     p.add_argument("--run", required=True, help="path to a run.json")
     p.add_argument("--out", default="out-reproduce", help="directory for the re-run")
-    p.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up when called, so a rebinding of a cmd_* function is seen.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except _NUMERIC_ERRORS as exc:
         return _fail(3, exc)
     except (ValueError, OSError, KeyError, TypeError) as exc:

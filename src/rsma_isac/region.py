@@ -330,14 +330,17 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
     significant digits so points that are equal on paper tie exactly.
     No object is built per point.
 
-    SNR_RAD mode then builds each scored chunk again and runs the radar
-    chain's ``monte_carlo`` on each kept point's precoders, with random
-    streams that follow from its position among the measured rows, as if
-    the rows were measured in grid order. A chunk whose
+    SNR_RAD mode runs the radar chain's ``monte_carlo`` on each kept
+    point's precoders in the same pass, from the chunk already built, with
+    random streams that follow from the point's row in the columns (grid
+    order, families in spec order). A point's values therefore depend on
+    nothing but its row: a sweep filtered by ``include_cases`` returns
+    exactly the unfiltered sweep's points of those cases. A chunk whose
     precoders cannot be built for want of ZF directions is skipped, with
     the ``RankDeficientChannelError`` message as its points' reason,
-    instead of aborting the sweep; groups that allocate no private power
-    never need those directions and are scored.
+    instead of aborting the sweep, and so are the later chunks of its mix
+    plane, which carry power on the same streams; groups that allocate no
+    private power never need those directions and are scored.
     """
     blocks, bounds, grid = _grid_columns(spec.grid_step)
     tables = [BlendTable(channels, fam, grid_axis(spec.grid_step)) for fam in spec.families]
@@ -347,9 +350,8 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
     family = np.repeat([FAMILIES.index(table.family) for table in tables], n)
     case = case_codes(*knobs)
     keep = np.isin(case, [CASE_TAGS.index(tag) for tag in spec.include_cases or CASE_TAGS])
-    scored = np.ones(len(case), dtype=bool)
     reason = np.full(len(case), "", dtype=object)
-    t_sum, g0, crb = (np.empty(len(case)) for _ in range(3))
+    t_sum, g0, crb, snr = (np.empty(len(case)) for _ in range(4))
     collapsed = np.empty(len(case), dtype=bool)
     mcs = np.empty((len(case), 3), dtype=int)
 
@@ -361,7 +363,13 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
         lo, hi = f * n + lo, f * n + hi
         if keep[lo:hi].any():
             groups.setdefault((f, ac_axis, ap_axis), []).append((t, tp, lo, hi))
-    measured = []  # the scored chunks the SNR_RAD metric revisits
+
+    def capture(c, noise):
+        return radar_return(
+            c, cfg.target_delay_bins, cfg.target_attenuation, cfg.noise_power_radar, noise
+        )
+
+    trials = spec.monte_carlo_trials
     for (f, ac_axis, ap_axis), members in groups.items():
         block_size = len(ac_axis) * len(ap_axis) * channels.n_subcarriers
         per_chunk = max(1, _CHUNK_ELEMENTS // block_size)
@@ -372,11 +380,11 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
             try:
                 pset = build_precoders(pp, channels, cfg, tables[f])
             except RankDeficientChannelError as exc:
-                scored[rows] = False
-                reason[rows] = str(exc)
-                continue
-            if spec.metric == "SNR_RAD":
-                measured.append((pp, tables[f], rows))
+                # The mix plane fixes which streams carry power, so every
+                # later chunk of the group would fail alike.
+                for _, _, a, b in members[c:]:
+                    reason[a:b] = str(exc)
+                break
             report = throughput(channels, pset, cfg)
             chunk_g0, chunk_crb = expected_sensing(channels, pset, cfg)
             t_sum[rows] = report.t_sum.ravel()
@@ -385,37 +393,27 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
             collapsed[rows] = report.collapsed.ravel()
             for m, index in enumerate(report.mcs_chosen):
                 mcs[rows, m] = index.ravel()
-
-    def capture(c, noise):
-        return radar_return(
-            c, cfg.target_delay_bins, cfg.target_attenuation, cfg.noise_power_radar, noise
-        )
-
-    trials = spec.monte_carlo_trials
-    snr = np.empty(len(case))
-    # A point's streams follow from its position among the measured rows,
-    # known once every chunk is scored; each chunk is built again here so
-    # that only one is held at a time.
-    position = np.cumsum(keep & scored) - 1
-    for pp, table, rows in measured:
-        pset = build_precoders(pp, channels, cfg, table)
-        shape = (len(pp.t_comms), len(pp.alpha_c), len(pp.alpha_p))
-        for row, (k, i, j) in zip(rows.tolist(), np.ndindex(shape)):
-            if not keep[row]:
+            if spec.metric != "SNR_RAD":
                 continue
-            # Trial t draws its waveform from stream base + 2t and its
-            # noise from the next one.
-            base = _SNR_STREAM_BASE + 2 * trials * int(position[row])
-            _, total = monte_carlo(
-                channels,
-                PrecoderSet(pset.p_c[k, i, 0], pset.p_1[k, 0, j], pset.p_2[k, 0, j],
-                            pset.p_r[k, 0, 0]),
-                cfg,
-                [(base + 2 * t, base + 2 * t + 1) for t in range(trials)],
-                capture,
-            )
-            snr[row] = 10.0 * math.log10(total / trials)
+            shape = (len(pp.t_comms), len(ac_axis), len(ap_axis))
+            for row, (k, i, j) in zip(rows.tolist(), np.ndindex(shape)):
+                if not keep[row]:
+                    continue
+                # A point's streams follow from its row alone: trial t draws
+                # its waveform from stream base + 2t and its noise from the
+                # next one.
+                base = _SNR_STREAM_BASE + 2 * trials * row
+                _, total = monte_carlo(
+                    channels,
+                    PrecoderSet(pset.p_c[k, i, 0], pset.p_1[k, 0, j], pset.p_2[k, 0, j],
+                                pset.p_r[k, 0, 0]),
+                    cfg,
+                    [(base + 2 * t, base + 2 * t + 1) for t in range(trials)],
+                    capture,
+                )
+                snr[row] = 10.0 * math.log10(total / trials)
 
+    scored = reason == ""
     ok, lost = keep & scored, keep & ~scored
     points = IsacPoints(
         *(column[ok] for column in (*knobs, family, case, t_sum)),

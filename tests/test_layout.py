@@ -203,3 +203,30 @@ def test_unused_private_name_finder(tmp_path):
     )
     (tmp_path / "b.py").write_text("import a\nprint(a._Kept, a._helper())\n")
     assert _unused_private_names(sorted(tmp_path.glob("*.py"))) == ["a._DOC", "a._LIMIT"]
+
+
+def _build_sites(path: Path) -> list[int]:
+    """Line of every call to build_precoders, by name or as an attribute, in the file."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "build_precoders"
+    ]
+
+
+def test_sweep_builds_each_chunk_at_one_site():
+    # Scoring and SNR_RAD measurement share one build per chunk.
+    assert len(_build_sites(_PACKAGE / "region.py")) == 1
+
+
+def test_build_site_finder(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from .precoders import build_precoders\n"
+        "import rsma_isac.precoders as pre\n"
+        "a = build_precoders(pp, ch, cfg)\n"
+        "b = pre.build_precoders(pp, ch, cfg, table)\n"
+        "f = build_precoders\n"
+        "c = build_precoder(pp, ch, cfg)\n"
+    )
+    assert _build_sites(path) == [3, 4]

@@ -1,6 +1,7 @@
 """Grid sweeps, Pareto machinery, and region boundary reporting."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -425,6 +426,18 @@ def test_zf_sweep_computes_private_directions_once(make_channels, monkeypatch):
     result = sweep(zf, channels, cfg)
     assert calls == ["ZF"]
     assert len(result.points) == len(enumerate_grid(0.25, "ZF")) and not result.skipped
+    # Without ZF directions the first failed chunk of a mix plane skips the
+    # rest of it: at most one attempt per group with private power (the
+    # interior and t_p = 1 planes), even with one block per chunk.
+    import rsma_isac.region as region_mod
+
+    monkeypatch.setattr(region_mod, "_CHUNK_ELEMENTS", 1)
+    cfg, channels = make_channels(n_subcarriers=16, ue_angles_deg=(30.0, 30.0))
+    calls.clear()
+    result = sweep(zf, channels, cfg)
+    assert calls and set(calls) == {"ZF"} and len(calls) <= 2
+    assert set(result.points.t_p[result.points.t_comms > 0.0].tolist()) == {0.0}
+    assert len(result.points) + len(result.skipped) == len(enumerate_grid(0.25, "ZF"))
 
 
 @pytest.mark.parametrize(
@@ -463,15 +476,49 @@ def test_sweep_results_do_not_depend_on_the_chunk_budget(
         monkeypatch.setattr(region_mod, "_CHUNK_ELEMENTS", budget)
         built.clear()
         results.append(sweep(spec, channels, cfg))
-        chunks.append(set(built))
+        chunks.append(list(built))
+        # Measuring SNR_RAD reuses the precoders each chunk was scored with.
+        built.clear()
+        sweep(dataclasses.replace(spec, metric="G0"), channels, cfg)
+        assert built == chunks[-1]
     # a budget of 1 builds every kept block alone; 2**40 builds one chunk
-    # per family and mix plane (SNR_RAD builds each scored chunk twice)
+    # per family and mix plane
     assert {len(pp.t_comms) for pp in chunks[0]} == {1}
     assert len(chunks[1]) == 2 * 4 < len(chunks[0])
     assert results[0] == results[1]
     if overrides:
         assert len(results[0].skipped) > 0
         assert set(results[0].skipped.family.tolist()) == {FAMILIES.index("ZF")}
+
+
+@functools.cache
+def _unfiltered_sweep(metric, families, ue_angles_deg):
+    """S2 at 16 subcarriers and perfect CSIT, swept on the step-0.5 grid with no filter."""
+    cfg = dataclasses.replace(scenario_preset("S2"), n_subcarriers=16, csit_error_var=0.0)
+    if ue_angles_deg is not None:
+        cfg = dataclasses.replace(cfg, ue_angles_deg=ue_angles_deg)
+    channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
+    spec = dataclasses.replace(
+        _SPEC, grid_step=0.5, families=families, metric=metric, monte_carlo_trials=2
+    )
+    return cfg, channels, spec, sweep(spec, channels, cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cases=st.frozensets(st.sampled_from(CASE_TAGS), min_size=1),
+    metric=st.sampled_from(["G0", "SNR_RAD"]),
+    families=st.sampled_from([("MRT",), ("ZF",), ("MRT", "ZF")]),
+    ue_angles_deg=st.sampled_from([None, (30.0, 30.0)]),
+)
+def test_case_filter_keeps_the_unfiltered_points(cases, metric, families, ue_angles_deg):
+    # A point's values, SNR_RAD included, depend on its grid row alone, so
+    # filtering by case only drops rows; on rank-deficient channels the
+    # kept ZF points are still the unfiltered sweep's.
+    cfg, channels, spec, full = _unfiltered_sweep(metric, families, ue_angles_deg)
+    filtered = sweep(dataclasses.replace(spec, include_cases=cases), channels, cfg)
+    in_filter = np.isin(full.points.case, [CASE_TAGS.index(tag) for tag in cases])
+    assert filtered.points == full.points.take(in_filter)
 
 
 def test_frontier_idempotent(smoke_sweep):
