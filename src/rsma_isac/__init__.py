@@ -44,6 +44,7 @@ from .radar import (
     monte_carlo,
     radar_return,
     range_profile,
+    round_sig,
     sensing_symbols,
     snr_rad_closed_form,
     steered_projection,
@@ -62,7 +63,6 @@ from .region import (
     frontier_points,
     grid_axis,
     pareto_indices,
-    round_sig,
     scheme_frontier,
     scheme_points,
     sweep,

@@ -48,7 +48,6 @@ from .region import (
     CASE_TAGS,
     SweepSpec,
     case_codes,
-    round_sig,
     sweep,
     write_boundary_params_csv,
     write_points_csv,
@@ -215,10 +214,11 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
     lines = ["index,n0,bin,snr_db,peak_correct\n"]
     stream = 1
     for row_index, pp in rows:
+        # Built even with no trials to run, so a row that cannot be built fails alike.
         pset = build_precoders(pp, channels, cfg)
-        for n0, beta in zip(n0_values, betas):
+        for n0, beta in (zip(n0_values, betas) if trials else ()):
             # Trial t draws from streams s, s + 1 and s + 2 with s = stream + 3t.
-            peaks, snr_sum = monte_carlo(
+            peaks, snr_db = monte_carlo(
                 channels, pset, cfg,
                 [(s, s + 1, s + 2) for s in range(stream, stream + 3 * trials, 3)],
                 lambda c, with_target, without: two_stage_capture(
@@ -226,12 +226,9 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
                 ),
             )
             stream += 3 * trials
-            if trials == 0:
-                continue
             counts = np.bincount(peaks)
             modal = int(np.argmax(counts))
             correct = sum(1 for p in peaks if p == n0) / trials
-            snr_db = 10.0 * math.log10(snr_sum / trials)
             lines.append(f"{row_index},{n0},{modal},{snr_db:.6f},{correct:.6f}\n")
     # Written once, after every row is measured: a run that fails leaves no file.
     with open(os.path.join(out_dir, "heatmap.csv"), "w", encoding="utf-8") as fh:
@@ -271,7 +268,7 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
         "spectral_efficiency_common": [
             spectral_efficiency(sinr, cfg.shannon_gap_db) for sinr in common
         ],
-        "g0": round_sig(float(g0)),
+        "g0": float(g0),
         "crb_bins2": float(crb) if math.isfinite(crb) else "inf",
     }
     return _write_json(os.path.join(out_dir, "point.json"), payload)

@@ -137,6 +137,8 @@ class ScenarioConfig:
             raise ConfigError("csit_error_var must be nonnegative")
         if self.shannon_gap_db < 0:
             raise ConfigError("shannon_gap_db must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         lo, hi = sorted(self.ue_gains)
         if hi > 2.0 * lo:
             warnings.warn(

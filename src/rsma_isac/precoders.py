@@ -160,7 +160,7 @@ def private_directions(channels: ChannelSet, family: str) -> np.ndarray:
 
 
 class BlendTable:
-    """Unscaled blended beams of one family over an axis of mixes.
+    """Unscaled blended beams of one family: common over alpha_c, private over alpha_p.
 
     Row i of a stream's table holds v(α_i) = √α_i·d + √(1−α_i)·u0, where
     d is the stream's steered direction grid and u0 the sensing direction,
@@ -168,10 +168,10 @@ class BlendTable:
     of power P at mix α_i is then √(P/T(α_i))·v(α_i), so a sweep blends
     each (stream, α) once and every power split only rescales rows.
 
-    ``common`` is (v, T) with v of shape (1, n_α, N_c, N_T) and T of shape
-    (1, n_α); ``private`` holds the two private streams, (2, n_α, N_c, N_T)
-    and (2, n_α). Each is computed on first use, so a point that gives a
-    stream no power never computes (or fails on) its direction.
+    ``common`` is (v, T), v (1, n_αc, N_c, N_T) and T (1, n_αc); ``private``
+    holds the private streams, (2, n_αp, N_c, N_T) and (2, n_αp). Each is
+    computed on first use, so a point that gives a stream no power never
+    computes (or fails on) its direction.
 
     v is stored with subcarriers innermost (``_grid``), so the precoders
     scaled from its rows are too, and every gain projection of a sweep
@@ -180,53 +180,43 @@ class BlendTable:
     depend on the table's memory order.
     """
 
-    def __init__(self, channels: ChannelSet, family: str, alphas) -> None:
+    def __init__(self, channels: ChannelSet, family: str, alpha_c, alpha_p) -> None:
         self.channels = channels
         self.family = family
-        self.alphas = np.asarray(alphas, dtype=float)
+        self.alpha_c = np.asarray(alpha_c, dtype=float)
+        self.alpha_p = np.asarray(alpha_p, dtype=float)
 
     @cached_property
     def common(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._blend(common_direction(self.channels)[None])
+        return self._blend(common_direction(self.channels)[None], self.alpha_c)
 
     @cached_property
     def private(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._blend(private_directions(self.channels, self.family))
+        return self._blend(private_directions(self.channels, self.family), self.alpha_p)
 
-    def _blend(self, steered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _blend(self, steered: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u0 = self.channels.broadside_unit
-        v = _grid(np.empty, (len(steered), len(self.alphas)) + steered.shape[1:])
+        v = _grid(np.empty, (len(steered), len(alphas)) + steered.shape[1:])
         total = np.empty(v.shape[:2])
         for s, d in enumerate(steered):
-            for i, alpha in enumerate(self.alphas.tolist()):
+            for i, alpha in enumerate(alphas.tolist()):
                 row = np.sqrt(alpha) * d + np.sqrt(1.0 - alpha) * u0[None, :]
                 v[s, i] = row
                 total[s, i] = _total_power(row)
         return v, total
 
-    def rows(self, alphas: np.ndarray) -> np.ndarray | slice:
-        """The table row of each mix in ``alphas``, in the shape of ``alphas``.
 
-        The whole axis is a slice, so its rows are used without a copy.
-        """
-        if alphas.shape == self.alphas.shape and np.array_equal(alphas, self.alphas):
-            return slice(None)
-        index = np.searchsorted(self.alphas, alphas)
-        if not np.array_equal(self.alphas[np.minimum(index, len(self.alphas) - 1)], alphas):
-            raise ValueError(f"mixes {alphas} are not all rows of the table {self.alphas}")
-        return index
-
-
-def _scaled_rows(power: np.ndarray, table: tuple[np.ndarray, np.ndarray], rows) -> np.ndarray:
+def _scaled_rows(power: np.ndarray, table, mixes: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """√(power/T)·v, (streams, pairs, rows, N_c, N_T): zeros where power is 0."""
+    if mixes.ravel().tolist() != axis.tolist():
+        raise ValueError(f"mixes {mixes.tolist()} are not the table's axis {axis.tolist()}")
     v, total = table
-    total = total[:, rows].reshape(len(total), 1, -1)
     if np.any(total < 1e-24):
         raise DegenerateDirectionError(
             "blended beam direction vanished on every subcarrier"
         )
-    scale = np.sqrt(power[:, None] / total)
-    out = scale[..., None, None] * v[:, rows].reshape(len(v), 1, -1, *v.shape[-2:])
+    scale = np.sqrt(power[:, None] / total[:, None])
+    out = scale[..., None, None] * v[:, None]
     if not power.all():
         out[:, power == 0.0] = 0.0
     return out
@@ -247,9 +237,10 @@ def build_precoders(
     t_comms and t_p put a leading axis of pairs in front: p_c is then
     (n_pairs, n_αc, 1), p_1 and p_2 (n_pairs, 1, n_αp) and p_r
     (n_pairs, 1, 1), with each pair's stream powers computed elementwise.
-    Each stream is a row of ``table`` scaled to the stream's power;
-    without a table, one over the point's own mixes is built. Sweeps pass
-    one table per family so the blends are computed once.
+    Each stream is its whole ``table`` scaled to its power: a table of
+    another family or channel draw, or a powered stream whose mixes are
+    not the table's axis, raises ``ValueError``. Without a table the
+    point's own is built; sweeps pass one per family, over the grid axis.
 
     Every entry of a batch equals its own point's build bit for bit. A
     stream with zero power comes back as exact zeros, and one with zero
@@ -260,8 +251,10 @@ def build_precoders(
     t, tp = np.asarray(pp.t_comms), np.asarray(pp.t_p)
     ac, ap = np.asarray(pp.alpha_c), np.asarray(pp.alpha_p)
     if table is None:
-        mixes = {*ac.ravel().tolist(), *ap.ravel().tolist()}
-        table = BlendTable(channels, pp.family, sorted(mixes))
+        table = BlendTable(channels, pp.family, ac.ravel(), ap.ravel())
+    elif table.family != pp.family or table.channels is not channels:
+        draw = "its" if table.channels is channels else "another"
+        raise ValueError(f"a {pp.family} build got a {table.family} table of {draw} channel draw")
     nc, nt = channels.n_subcarriers, channels.n_tx
     common_shape = t.shape + ac.shape + (1,) * ap.ndim + (nc, nt)
     private_shape = t.shape + (1,) * ac.ndim + ap.shape + (nc, nt)
@@ -272,12 +265,12 @@ def build_precoders(
     p_sense = np.ravel(pt * (1.0 - t))
 
     if p_common.any():
-        p_c = _scaled_rows(p_common, table.common, table.rows(ac)).reshape(common_shape)
+        p_c = _scaled_rows(p_common, table.common, ac, table.alpha_c).reshape(common_shape)
     else:
         p_c = _grid(np.zeros, common_shape)
 
     if p_private.any():
-        p_1, p_2 = _scaled_rows(p_private, table.private, table.rows(ap))
+        p_1, p_2 = _scaled_rows(p_private, table.private, ap, table.alpha_p)
         p_1, p_2 = p_1.reshape(private_shape), p_2.reshape(private_shape)
     else:
         p_1 = p_2 = _grid(np.zeros, private_shape)

@@ -43,6 +43,21 @@ _SENSING_SYMBOL_SEED = 0x5EED
 _TRIAL_CHUNK = 8
 
 
+def round_sig(value: float) -> float:
+    """Round to 12 significant decimal digits.
+
+    Sweep sensing energies are sums whose addends regroup as the power
+    split moves around the grid, so operating points that are equal on
+    paper can differ in the last couple of ulps. Rounding to 12 digits
+    absorbs that noise while keeping every distinction the grid can
+    actually produce, which lets the frontier dedup rule treat equal
+    points as the duplicates they are.
+    """
+    if not math.isfinite(value):
+        return value
+    return float(f"{value:.11e}")
+
+
 def sensing_symbols(n_subcarriers: int) -> np.ndarray:
     """The fixed unit-energy BPSK pattern carried by the sensing stream."""
     gen = np.random.default_rng(_SENSING_SYMBOL_SEED)
@@ -212,14 +227,17 @@ def expected_sensing(
 
     g0 is the symbol-averaged energy radiated toward the target, the sum
     over subcarriers of :func:`expected_steered_power` along
-    ``channels.target_steering``; the CRB comes from its k²-weighted sum.
-    Both keep the precoders' batch shape, and every entry of a batch
-    equals what its own point gives, bit for bit.
+    ``channels.target_steering``, rounded to 12 significant digits
+    (:func:`round_sig`) so that points equal on paper tie exactly; the CRB
+    comes from its k²-weighted sum. Both keep the precoders' batch shape,
+    and every entry of a batch equals what its own point gives, bit for bit.
     """
     power = expected_steered_power(pset, channels.target_steering)
     nc = power.shape[-1]
     crb = _delay_crb(_k2_sum(power), nc, cfg.target_attenuation, cfg.noise_power_radar)
-    return np.sum(power, axis=-1), crb
+    g0 = np.sum(power, axis=-1)
+    rounded = np.fromiter(map(round_sig, g0.ravel().tolist()), float, g0.size)
+    return rounded.reshape(g0.shape), crb
 
 
 def snr_rad_closed_form(c: np.ndarray, beta: float, sigma_r2: float) -> float:
@@ -265,19 +283,22 @@ def monte_carlo(
     streams: Sequence[Sequence[int]],
     capture: Callable[..., np.ndarray],
 ) -> tuple[list[int], float]:
-    """Peak bins and summed linear SNR of seeded end-to-end radar trials.
+    """Peak bins and mean SNR in dB of seeded end-to-end radar trials.
 
     Every stream is keyed by ``cfg.seed``, and the waveforms are steered
     along ``channels.target_steering``. Trial t draws its waveform from
     stream ``streams[t][0]``. Its other ids are for the capture:
     ``capture(c, *rngs)`` gets the steered waveforms c and one list of
     keys per further id (``rngs[0][t]`` keys ``streams[t][1]``), and
-    returns the captures y. The trials run ``_TRIAL_CHUNK`` at a time,
-    and their SNRs are added one at a time as scalar math, in trial
-    order. The precoders are copied to C order once per call:
-    ``synthesize_tx`` reshapes each chunk's symbol table in that order,
-    which a subcarrier-innermost grid would make copy per chunk.
+    returns the captures y. The trials run ``_TRIAL_CHUNK`` at a time;
+    their linear SNRs are added one at a time as scalar math, in trial
+    order, and the dB of the sum over the trial count is returned. No
+    trials raise ``ValueError``. The precoders are copied to C order once
+    per call, as ``synthesize_tx`` reshapes each chunk's symbol table in
+    that order, which a subcarrier-innermost grid would copy per chunk.
     """
+    if not streams:
+        raise ValueError("monte_carlo needs at least one trial")
     pset = PrecoderSet(
         *(np.ascontiguousarray(p) for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r))
     )
@@ -296,4 +317,4 @@ def monte_carlo(
         peaks += peak_bin.tolist()
         for snr_db in snr_rad_db.tolist():
             total += 10.0 ** (snr_db / 10.0)
-    return peaks, total
+    return peaks, 10.0 * math.log10(total / len(streams))

@@ -66,21 +66,6 @@ _SCHEME_PREDICATES = {
 SCHEMES = tuple(_SCHEME_PREDICATES)
 
 
-def round_sig(value: float) -> float:
-    """Round to 12 significant decimal digits.
-
-    Sweep sensing energies are sums whose addends regroup as the power
-    split moves around the grid, so operating points that are equal on
-    paper can differ in the last couple of ulps. Rounding to 12 digits
-    absorbs that noise while keeping every distinction the grid can
-    actually produce, which lets the frontier dedup rule treat equal
-    points as the duplicates they are.
-    """
-    if not math.isfinite(value):
-        return value
-    return float(f"{value:.11e}")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep and how to score the sensing axis."""
@@ -213,43 +198,38 @@ def grid_axis(grid_step: float) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(0.0, 1.0, n + 1))
 
 
-def _grid_blocks(grid_step: float):
-    """The grid as (t_comms, t_p, alpha_c axis, alpha_p axis) blocks, in order.
+def _grid(grid_step: float):
+    """One family's four knob columns, and the grid's blocks by mix plane.
 
-    Parameters that cannot matter are pinned instead of swept: with no
-    communications power everything but t_comms is fixed; with t_p = 1 the
-    common mix alpha_c is fixed; with t_p = 0 the private mix alpha_p is.
+    The grid is a run of (t_comms, t_p) blocks, each the product of an
+    alpha_c and an alpha_p axis, alpha_p fastest. Knobs that cannot matter
+    are pinned: all but t_comms with no communications power, alpha_c at
+    t_p = 1 and alpha_p at t_p = 0. ``planes`` maps each (alpha_c axis,
+    alpha_p axis) to its blocks in grid order, (t_comms, t_p, lo, hi) for
+    the block at rows lo:hi.
     """
-    axis = grid_axis(grid_step)
-    for t in axis:
-        if t == 0.0:
-            yield 0.0, 1.0, (1.0,), (1.0,)
-            continue
-        for tp in axis:
-            yield t, tp, (1.0,) if tp == 1.0 else axis, (1.0,) if tp == 0.0 else axis
+    axis, pin = grid_axis(grid_step), (1.0,)
+    blocks = [(0.0, 1.0, pin, pin)] + [
+        (t, tp, pin if tp == 1.0 else axis, pin if tp == 0.0 else axis)
+        for t in axis[1:] for tp in axis
+    ]
+    sizes = [len(ac) * len(ap) for _, _, ac, ap in blocks]
+    bounds = np.cumsum([0] + sizes).tolist()
+    planes: dict[tuple, list] = {}
+    for (t, tp, ac, ap), lo, hi in zip(blocks, bounds, bounds[1:]):
+        planes.setdefault((ac, ap), []).append((t, tp, lo, hi))
+    t, tp, ac_axes, ap_axes = zip(*blocks)
+    return (
+        np.repeat(t, sizes), np.repeat(tp, sizes),
+        np.concatenate([np.repeat(ac, len(ap)) for ac, ap in zip(ac_axes, ap_axes)]),
+        np.concatenate([np.tile(ap, len(ac)) for ac, ap in zip(ac_axes, ap_axes)]),
+    ), planes
 
 
 def enumerate_grid(grid_step: float, family: str) -> list[ParameterPoint]:
     """All distinct operating points of one family on the grid."""
-    _, _, columns = _grid_columns(grid_step)
+    columns, _ = _grid(grid_step)
     return [ParameterPoint(*knobs, family) for knobs in zip(*(c.tolist() for c in columns))]
-
-
-def _grid_columns(grid_step: float):
-    """The grid's blocks, their row bounds, and its four knob columns.
-
-    The columns list one family's points block after block, alpha_p
-    fastest within a block; block k holds rows bounds[k]:bounds[k + 1].
-    """
-    blocks = list(_grid_blocks(grid_step))
-    bounds = np.cumsum([0] + [len(ac) * len(ap) for _, _, ac, ap in blocks]).tolist()
-    columns = (
-        np.repeat([t for t, _, _, _ in blocks], np.diff(bounds)),
-        np.repeat([tp for _, tp, _, _ in blocks], np.diff(bounds)),
-        np.concatenate([np.repeat(ac, len(ap)) for _, _, ac, ap in blocks]),
-        np.concatenate([np.tile(ap, len(ac)) for _, _, ac, ap in blocks]),
-    )
-    return blocks, bounds, columns
 
 
 def case_codes(t, tp, ac, ap) -> np.ndarray:
@@ -317,18 +297,17 @@ def scheme_frontier(points: IsacPoints, scheme: str, metric: str) -> IsacPoints:
 def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionResult:
     """Evaluate every grid point and extract the Pareto boundary.
 
-    Each family blends its beams once over the grid axis (a
-    ``BlendTable``) and groups its (t_comms, t_p) blocks by mix plane,
-    the (alpha_c axis, alpha_p axis) pair, which also fixes which streams
-    carry power. A group is scored in chunks of blocks, as many as keep
-    pairs × n_αc × n_αp × N_c within ``_CHUNK_ELEMENTS`` (at least one):
-    one ``build_precoders`` call scales the table rows into the chunk's
-    precoders, and one ``throughput`` and one ``expected_sensing`` call
-    score all of them, exactly as point-eval scores one point. A chunk's
-    rows are its blocks' row ranges in turn, so the columns, which hold
-    the grid once per family, fill in grid order. g0 is rounded to 12
-    significant digits so points that are equal on paper tie exactly.
-    No object is built per point.
+    Each family blends its beams once over the grid axis, for the common
+    and the private streams alike (a ``BlendTable``), and scores the grid
+    mix plane by mix plane: the (alpha_c axis, alpha_p axis) pair, which
+    also fixes which streams carry power. A plane's kept (t_comms, t_p)
+    blocks are scored in chunks, as many as keep pairs × n_αc × n_αp × N_c
+    within ``_CHUNK_ELEMENTS`` (at least one): one ``build_precoders``
+    call scales the table into the chunk's precoders, and one
+    ``throughput`` and one ``expected_sensing`` call score all of them,
+    exactly as point-eval scores one point. A chunk's rows are its
+    blocks' row ranges in turn, so the columns, which hold the grid once
+    per family, fill in grid order. No object is built per point.
 
     SNR_RAD mode runs the radar chain's ``monte_carlo`` on each kept
     point's precoders in the same pass, from the chunk already built, with
@@ -339,13 +318,13 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
     precoders cannot be built for want of ZF directions is skipped, with
     the ``RankDeficientChannelError`` message as its points' reason,
     instead of aborting the sweep, and so are the later chunks of its mix
-    plane, which carry power on the same streams; groups that allocate no
+    plane, which carry power on the same streams; planes that allocate no
     private power never need those directions and are scored.
     """
-    blocks, bounds, grid = _grid_columns(spec.grid_step)
-    tables = [BlendTable(channels, fam, grid_axis(spec.grid_step)) for fam in spec.families]
-    # Family f fills rows f·n to (f + 1)·n, its blocks in grid order.
-    n = bounds[-1]
+    grid, planes = _grid(spec.grid_step)
+    axis = grid_axis(spec.grid_step)
+    tables = [BlendTable(channels, fam, axis, axis) for fam in spec.families]
+    n = len(grid[0])
     knobs = tuple(np.tile(column, len(tables)) for column in grid)
     family = np.repeat([FAMILIES.index(table.family) for table in tables], n)
     case = case_codes(*knobs)
@@ -355,33 +334,29 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
     collapsed = np.empty(len(case), dtype=bool)
     mcs = np.empty((len(case), 3), dtype=int)
 
-    # Each family's kept blocks, grouped by mix plane, in grid order.
-    groups: dict[tuple, list] = {}
-    for f, ((t, tp, ac_axis, ap_axis), lo, hi) in itertools.product(
-        range(len(tables)), zip(blocks, bounds, bounds[1:])
-    ):
-        lo, hi = f * n + lo, f * n + hi
-        if keep[lo:hi].any():
-            groups.setdefault((f, ac_axis, ap_axis), []).append((t, tp, lo, hi))
-
     def capture(c, noise):
         return radar_return(
             c, cfg.target_delay_bins, cfg.target_attenuation, cfg.noise_power_radar, noise
         )
 
     trials = spec.monte_carlo_trials
-    for (f, ac_axis, ap_axis), members in groups.items():
+    for (f, table), ((ac_axis, ap_axis), blocks) in itertools.product(
+        enumerate(tables), planes.items()
+    ):
+        offset = f * n  # family f fills rows f·n to (f + 1)·n
+        members = [(t, tp, offset + lo, offset + hi) for t, tp, lo, hi in blocks
+                   if keep[offset + lo:offset + hi].any()]
         block_size = len(ac_axis) * len(ap_axis) * channels.n_subcarriers
         per_chunk = max(1, _CHUNK_ELEMENTS // block_size)
         for c in range(0, len(members), per_chunk):
             t, tp, lo, hi = zip(*members[c:c + per_chunk])
             rows = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
-            pp = ParameterPoint(t, tp, ac_axis, ap_axis, tables[f].family)
+            pp = ParameterPoint(t, tp, ac_axis, ap_axis, table.family)
             try:
-                pset = build_precoders(pp, channels, cfg, tables[f])
+                pset = build_precoders(pp, channels, cfg, table)
             except RankDeficientChannelError as exc:
                 # The mix plane fixes which streams carry power, so every
-                # later chunk of the group would fail alike.
+                # later chunk of the plane would fail alike.
                 for _, _, a, b in members[c:]:
                     reason[a:b] = str(exc)
                 break
@@ -403,7 +378,7 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
                 # its waveform from stream base + 2t and its noise from the
                 # next one.
                 base = _SNR_STREAM_BASE + 2 * trials * row
-                _, total = monte_carlo(
+                _, snr[row] = monte_carlo(
                     channels,
                     PrecoderSet(pset.p_c[k, i, 0], pset.p_1[k, 0, j], pset.p_2[k, 0, j],
                                 pset.p_r[k, 0, 0]),
@@ -411,13 +386,11 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
                     [(base + 2 * t, base + 2 * t + 1) for t in range(trials)],
                     capture,
                 )
-                snr[row] = 10.0 * math.log10(total / trials)
 
     scored = reason == ""
     ok, lost = keep & scored, keep & ~scored
     points = IsacPoints(
-        *(column[ok] for column in (*knobs, family, case, t_sum)),
-        np.fromiter(map(round_sig, g0[ok].tolist()), float, np.count_nonzero(ok)),
+        *(column[ok] for column in (*knobs, family, case, t_sum, g0)),
         snr[ok] if spec.metric == "SNR_RAD" else None,
         crb[ok], collapsed[ok], mcs[ok],
     )

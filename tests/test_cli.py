@@ -534,6 +534,20 @@ def test_heatmap_zero_trials(heatmap_flow, tmp_path):
     assert (out / "heatmap.csv").read_text() == "index,n0,bin,snr_db,peak_correct\n"
 
 
+def test_heatmap_zero_trials_still_builds_each_row(heatmap_flow, tmp_path):
+    # With no trials there is nothing to measure, but every row is still
+    # built: ZF rows with private power on parallel users cannot be.
+    sw, _ = heatmap_flow
+    out = tmp_path / "hm0"
+    rc = main(
+        ["radar-heatmap", "--preset", "S1", "--set", "n_subcarriers=64",
+         "--set", "ue_angles_deg=[30,30]", "--family", "zf",
+         "--params", str(sw / "boundary_params.csv"), "--trials", "0", "--out", str(out)]
+    )
+    assert rc == 3
+    assert not (out / "heatmap.csv").exists()
+
+
 def test_reproduce_rejects_negative_heatmap_trials(heatmap_flow, tmp_path):
     _, hm = heatmap_flow
     manifest = json.loads((hm / "run.json").read_text())

@@ -113,6 +113,7 @@ def test_small_csit_error_gives_small_relative_error(geom, make_cfg):
         {"target_delay_bins": -1},
         {"csit_error_var": -1e-9},
         {"shannon_gap_db": -0.1},
+        {"seed": -1},
     ],
 )
 def test_scenario_validation_errors(make_cfg, overrides):

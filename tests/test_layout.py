@@ -230,3 +230,44 @@ def test_build_site_finder(tmp_path):
         "c = build_precoder(pp, ch, cfg)\n"
     )
     assert _build_sites(path) == [3, 4]
+
+
+# g0 is rounded where it is computed: radar.py defines round_sig and
+# applies it in expected_sensing, and the package namespace re-exports it.
+def _round_sig_uses(path: Path) -> list[int]:
+    """Line of every reference to round_sig in the file: import, name or attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            found += [node.lineno for a in node.names if a.name == "round_sig"]
+        elif getattr(node, "id", getattr(node, "attr", None)) == "round_sig":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_radar_rounds_g0():
+    offenders = {
+        path.stem: lines for path in sorted(_PACKAGE.glob("*.py"))
+        if path.stem not in {"radar", "__init__"} and (lines := _round_sig_uses(path))
+    }
+    assert offenders == {}
+    init = ast.parse((_PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
+               and any(a.name == "round_sig" for a in node.names)]
+    assert [node.module for node in imports] == ["radar"]
+    assert len(_round_sig_uses(_PACKAGE / "__init__.py")) == 1
+    assert _round_sig_uses(_PACKAGE / "radar.py")
+
+
+def test_round_sig_use_finder(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from .radar import round_sig, range_profile\n"
+        "import rsma_isac.radar as radar\n"
+        "def round_sig(v):\n"
+        "    return v\n"
+        "g0 = list(map(round_sig, values))\n"
+        "y = radar.round_sig(1.0)\n"
+        "round_sigma = round_sig_2 = 1\n"
+    )
+    assert _round_sig_uses(path) == [1, 5, 6]

@@ -106,7 +106,7 @@ def test_vanished_private_blend_raises():
     u0 = _CHANNELS.broadside_unit
     est = np.stack([np.tile(-u0, (_CFG.n_subcarriers, 1)), _CHANNELS.unit_est[1]])
     channels = ChannelSet(est.copy(), est.copy(), est.copy(), _CHANNELS.target_steering)
-    v, total = BlendTable(channels, "MRT", [0.5]).private
+    v, total = BlendTable(channels, "MRT", [1.0], [0.5]).private
     assert np.all(v[0] == 0.0) and total[0, 0] == 0.0 and total[1, 0] > 0.0
     with pytest.raises(DegenerateDirectionError, match="vanished"):
         build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5, "MRT"), channels, _CFG)
@@ -185,7 +185,7 @@ def test_block_build_equals_point_build(t, tp, ac_axis, ap_axis, family, seed):
     channels = generate_channels(cfg, _GEOM, RngStream(seed, 0))
     block = build_precoders(
         ParameterPoint(t, tp, ac_axis, ap_axis, family), channels, cfg,
-        BlendTable(channels, family, _AXIS),
+        BlendTable(channels, family, ac_axis, ap_axis),
     )
     assert block.p_c.shape[:2] == (len(ac_axis), 1)
     assert block.p_1.shape[:2] == block.p_2.shape[:2] == (1, len(ap_axis))
@@ -229,7 +229,7 @@ def test_pair_batch_equals_point_builds(pairs, ac_axis, ap_axis, family, seed):
     cfg = dataclasses.replace(_CFG, seed=seed, csit_error_var=1e-2)
     channels = generate_channels(cfg, _GEOM, RngStream(seed, 0))
     t, tp = (tuple(column) for column in zip(*pairs))
-    table = BlendTable(channels, family, _AXIS)
+    table = BlendTable(channels, family, ac_axis, ap_axis)
     batch = build_precoders(ParameterPoint(t, tp, ac_axis, ap_axis, family), channels, cfg, table)
     n = len(pairs)
     assert batch.p_c.shape[:3] == (n, len(ac_axis), 1)
@@ -263,13 +263,14 @@ def test_grids_keep_subcarriers_innermost(family):
     # whole axis, a point) or built as zeros keep subcarriers innermost in
     # memory, so the gain projections sum over contiguous subcarriers. Each
     # T(alpha) is still summed in C order.
-    table = BlendTable(_CHANNELS, family, _AXIS)
+    table = BlendTable(_CHANNELS, family, _AXIS, _AXIS)
     for v, total in (table.common, table.private):
         assert v.strides[-2] == v.itemsize
         for s, i in np.ndindex(total.shape):
             assert total[s, i] == np.sum(np.abs(np.ascontiguousarray(v[s, i])) ** 2)
     for pp, tbl in (
-        (ParameterPoint(0.5, 0.5, (0.0, 0.5), (0.25, 1.0), family), table),
+        (ParameterPoint(0.5, 0.5, (0.0, 0.5), (0.25, 1.0), family),
+         BlendTable(_CHANNELS, family, (0.0, 0.5), (0.25, 1.0))),
         (ParameterPoint(0.5, 0.5, _AXIS, _AXIS, family), table),
         (ParameterPoint(0.7, 0.4, 0.3, 0.6, family), None),
         (ParameterPoint(1.0, 1.0, 0.3, 0.6, family), None),
@@ -295,10 +296,57 @@ def test_stream_powers_keep_their_summation_order():
         assert tuple(pset.stream_powers().values()) == powers
 
 
-def test_block_mixes_must_be_table_rows():
-    table = BlendTable(_CHANNELS, "MRT", _AXIS)
-    with pytest.raises(ValueError, match="not all rows"):
-        build_precoders(ParameterPoint(0.5, 0.5, (0.3,), (0.5,), "MRT"), _CHANNELS, _CFG, table)
+def test_block_mixes_must_be_the_table_axis():
+    # A powered stream scales the whole table, so its mixes must be the
+    # table's axis: a mix off it, a sub-axis or the axis reordered raises.
+    table = BlendTable(_CHANNELS, "MRT", _AXIS, _AXIS)
+    for ac, ap in (((0.3,), (0.5,)), (_AXIS, (0.5,)), (_AXIS[1:], _AXIS), (_AXIS[::-1], _AXIS)):
+        with pytest.raises(ValueError, match="not the table's axis"):
+            build_precoders(ParameterPoint(0.5, 0.5, ac, ap, "MRT"), _CHANNELS, _CFG, table)
+    # An unpowered stream's mixes are never read: t_p = 1 gives the common
+    # stream no power, so its off-axis mix passes.
+    pset = build_precoders(ParameterPoint(0.5, 1.0, (0.3,), _AXIS, "MRT"), _CHANNELS, _CFG, table)
+    assert not np.any(pset.p_c)
+
+
+def test_build_rejects_a_table_of_another_family_or_draw():
+    # A ZF point built on an MRT table would get MRT beams, and a table of
+    # another channel draw another draw's beams, however alike the draws.
+    pp = ParameterPoint(0.5, 0.5, _AXIS, _AXIS, "ZF")
+    with pytest.raises(ValueError, match="ZF build got a MRT table of its channel draw"):
+        build_precoders(pp, _CHANNELS, _CFG, BlendTable(_CHANNELS, "MRT", _AXIS, _AXIS))
+    for seed in (_CFG.seed, _CFG.seed + 1):
+        other = generate_channels(_CFG, _GEOM, RngStream(seed, 0))
+        with pytest.raises(ValueError, match="ZF table of another channel draw"):
+            build_precoders(pp, _CHANNELS, _CFG, BlendTable(other, "ZF", _AXIS, _AXIS))
+    build_precoders(pp, _CHANNELS, _CFG, BlendTable(_CHANNELS, "ZF", _AXIS, _AXIS))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    t=st.sampled_from(_AXIS),
+    tp=st.sampled_from(_AXIS),
+    ac_axis=st.just(_AXIS) | _SUB_AXES,
+    ap_axis=st.just(_AXIS) | _SUB_AXES,
+    family=st.sampled_from(["MRT", "ZF"]),
+)
+def test_a_table_serves_exactly_the_points_on_its_axes(t, tp, ac_axis, ap_axis, family):
+    # On a grid-axis table, a build raises if and only if a stream that
+    # carries power has other mixes than the axis; otherwise it equals the
+    # build on the point's own table byte for byte.
+    table = BlendTable(_CHANNELS, family, _AXIS, _AXIS)
+    pp = ParameterPoint(t, tp, ac_axis, ap_axis, family)
+    common_off = t > 0.0 and tp < 1.0 and ac_axis != _AXIS
+    private_off = t > 0.0 and tp > 0.0 and ap_axis != _AXIS
+    if common_off or private_off:
+        with pytest.raises(ValueError, match="not the table's axis"):
+            build_precoders(pp, _CHANNELS, _CFG, table)
+        return
+    got = build_precoders(pp, _CHANNELS, _CFG, table)
+    want = build_precoders(pp, _CHANNELS, _CFG, BlendTable(_CHANNELS, family, ac_axis, ap_axis))
+    for name in ("p_c", "p_1", "p_2", "p_r"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_stream_powers_closed_form():

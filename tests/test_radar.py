@@ -618,8 +618,8 @@ def test_stacked_chain_equals_per_trial_reference(
     trials, nc, n0_frac, beta, sigma_r2, angle, seed, point
 ):
     # Any trial count, chunk boundaries included, gives every row's peak and
-    # SNR, and monte_carlo each summed SNR, exactly as the per-trial chain
-    # did, under both callers' stream layouts and captures.
+    # SNR, and monte_carlo each mean SNR in dB, exactly as the per-trial
+    # chain did, under both callers' stream layouts and captures.
     cfg = dataclasses.replace(
         scenario_preset("S1"), n_subcarriers=nc, target_delay_bins=int(n0_frac * nc),
         target_attenuation=beta, noise_power_radar=sigma_r2, target_angle_deg=angle, seed=seed,
@@ -643,9 +643,9 @@ def test_stacked_chain_equals_per_trial_reference(
         peak_bin, snr_rad_db = range_profile(y, c)
         assert peak_bin.tolist() == [p for p, _ in want]
         assert snr_rad_db.tolist() == [s for _, s in want]
-        peaks, snr_sum = _sweep_chain(channels, pset, cfg, trials)
+        peaks, snr_db = _sweep_chain(channels, pset, cfg, trials)
         assert peaks == [p for p, _ in want]
-        assert snr_sum == _linear_mean_sum(want)
+        assert snr_db == 10.0 * math.log10(_linear_mean_sum(want) / trials)
 
     # the heatmap chain: two-stage captures, streams 1 + 3t, +1 and +2
     want = [_reference_trial(pset, cfg, 1 + 3 * t, two_stage=True) for t in range(trials)]
@@ -653,6 +653,15 @@ def test_stacked_chain_equals_per_trial_reference(
         with pytest.raises(UndefinedProfileError):
             _heatmap_chain(channels, pset, cfg, n0, beta, trials)
     else:
-        peaks, snr_sum = _heatmap_chain(channels, pset, cfg, n0, beta, trials)
+        peaks, snr_db = _heatmap_chain(channels, pset, cfg, n0, beta, trials)
         assert peaks == [p for p, _ in want]
-        assert snr_sum == _linear_mean_sum(want)
+        assert snr_db == 10.0 * math.log10(_linear_mean_sum(want) / trials)
+
+
+def test_monte_carlo_needs_a_trial():
+    # The mean SNR of no trials is undefined, so no trials is an error.
+    cfg = scenario_preset("S1")
+    channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
+    pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
+    with pytest.raises(ValueError, match="at least one trial"):
+        _sweep_chain(channels, pset, cfg, 0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -31,15 +32,14 @@ from rsma_isac import (
 )
 from rsma_isac.core import ConfigError
 from rsma_isac.precoders import FAMILIES
-from rsma_isac.radar import _delay_crb, _k2_sum, expected_steered_power
+from rsma_isac.radar import _delay_crb, _k2_sum, expected_steered_power, round_sig
 from rsma_isac.region import (
     _SOFT_ATOL,
     CASE_TAGS,
-    _grid_blocks,
+    _grid,
     case_codes,
     frontier_points,
     grid_axis,
-    round_sig,
 )
 from rsma_isac.throughput import sinr_common, sinr_private, spectral_efficiency, stream_gains
 
@@ -61,6 +61,34 @@ def test_grid_axis():
     assert len(b) == 11
     assert b[0] == 0.0 and b[-1] == 1.0
     assert len(grid_axis(0.25)) == 5
+
+
+@pytest.mark.parametrize("step", [0.5, 0.25, 0.2, 0.1])
+def test_grid_planes_partition_the_columns(step):
+    # The blocks of all planes tile the rows exactly once; each block's
+    # rows are its (t_comms, t_p) times its plane's alpha_c x alpha_p
+    # product, alpha_p fastest; and each plane key pins what cannot matter.
+    axis = grid_axis(step)
+    (t, tp, ac, ap), planes = _grid(step)
+    assert len({len(t), len(tp), len(ac), len(ap)}) == 1
+    covered = np.zeros(len(t), dtype=int)
+    for (ac_axis, ap_axis), blocks in planes.items():
+        assert [lo for _, _, lo, _ in blocks] == sorted(lo for _, _, lo, _ in blocks)
+        for t_b, tp_b, lo, hi in blocks:
+            covered[lo:hi] += 1
+            assert hi - lo == len(ac_axis) * len(ap_axis)
+            assert np.all(t[lo:hi] == t_b) and np.all(tp[lo:hi] == tp_b)
+            pairs = [(a, b) for a in ac_axis for b in ap_axis]
+            assert list(zip(ac[lo:hi].tolist(), ap[lo:hi].tolist())) == pairs
+            if t_b == 0.0:
+                assert (tp_b, ac_axis, ap_axis) == (1.0, (1.0,), (1.0,))
+            else:
+                assert ac_axis == ((1.0,) if tp_b == 1.0 else axis)
+                assert ap_axis == ((1.0,) if tp_b == 0.0 else axis)
+    assert np.all(covered == 1)
+    # by row, the blocks are every (t_comms, t_p) of the grid once, t_p fastest
+    order = sorted((lo, t_b, tp_b) for blocks in planes.values() for t_b, tp_b, lo, _ in blocks)
+    assert [k[1:] for k in order] == [(0.0, 1.0)] + [(a, b) for a in axis[1:] for b in axis]
 
 
 def test_enumerate_grid_counts_and_pinning():
@@ -307,9 +335,11 @@ def test_block_sinr_is_bit_identical_to_per_point():
     # the per-point values bit for bit, which keeps the CSVs byte-identical.
     for cfg, channels in _grid_scenarios():
         noise, gap = cfg.noise_power_comms, cfg.shannon_gap_db
-        for family in ("MRT", "ZF"):
-            table = BlendTable(channels, family, grid_axis(0.25))
-            for t, tp, ac_axis, ap_axis in _grid_blocks(0.25):
+        for family, ((ac_axis, ap_axis), blocks) in itertools.product(
+            ("MRT", "ZF"), _grid(0.25)[1].items()
+        ):
+            table = BlendTable(channels, family, grid_axis(0.25), grid_axis(0.25))
+            for t, tp, _, _ in blocks:
                 block = build_precoders(
                     ParameterPoint(t, tp, ac_axis, ap_axis, family), channels, cfg, table
                 )
