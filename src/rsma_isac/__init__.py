@@ -10,7 +10,6 @@ Pareto boundaries.
 import types
 
 from .calibration import (
-    RfImpairment,
     anchor_channels,
     apply_phase_correction,
     estimate_phase_correction,

@@ -1,7 +1,7 @@
 """Pairwise RF-chain phase calibration against a broadside anchor.
 
 Each transmit chain adds its own hardware phase to every subcarrier. An
-anchor receiver at a known direction observes all chains, and the average
+anchor receiver at broadside observes all chains, and the average
 phase difference between chains gives a single correction that realigns
 the array for beamforming. Only the two-element case is supported; the
 hardware this models calibrates element 1 against element 0.
@@ -9,47 +9,24 @@ hardware this models calibrates element 1 against element 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import ArrayGeometry, ConfigError, steering_vector
+from .core import ConfigError
 
 
-@dataclass(frozen=True)
-class RfImpairment:
-    """Per-chain, per-subcarrier hardware phases plus anchor placement."""
-
-    phase_offsets: np.ndarray
-    anchor_delay_bins: int
-    anchor_angle_deg: float
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.phase_offsets, dtype=float)
-        if p.ndim != 2:
-            raise ConfigError("phase_offsets must be an (n_tx, n_subcarriers) grid")
-        if np.any(p <= -np.pi) or np.any(p > np.pi):
-            raise ConfigError("phase offsets must lie in (-pi, pi]")
-        object.__setattr__(self, "phase_offsets", p)
-        if self.anchor_delay_bins < 0 or self.anchor_delay_bins >= p.shape[1]:
-            raise ConfigError("anchor_delay_bins must lie in [0, n_subcarriers)")
-
-
-def anchor_channels(
-    imp: RfImpairment, geom: ArrayGeometry, beta: float
-) -> np.ndarray:
+def anchor_channels(phase_offsets: np.ndarray) -> np.ndarray:
     """Channel from each chain to the anchor, shape (n_tx, n_subcarriers).
 
-    Chain g on subcarrier k sees the anchor delay ramp, its own hardware
-    phase, and the geometric steering phase toward the anchor.
+    The anchor sits at broadside and delay 0: there the array response is
+    1 on every element and the delay ramp is 1 on every subcarrier, so
+    chain g on subcarrier k sees only its own hardware phase.
     """
-    n_tx, nc = imp.phase_offsets.shape
-    if n_tx != geom.n_tx:
-        raise ConfigError("impairment grid and array geometry disagree on n_tx")
-    k = np.arange(nc)
-    delay = np.exp(2j * np.pi * imp.anchor_delay_bins * k / nc)
-    steer = steering_vector(geom, imp.anchor_angle_deg)
-    return beta * delay[None, :] * np.exp(1j * imp.phase_offsets) * steer[:, None]
+    p = np.asarray(phase_offsets, dtype=float)
+    if p.ndim != 2:
+        raise ConfigError("phase_offsets must be an (n_tx, n_subcarriers) grid")
+    if np.any(p <= -np.pi) or np.any(p > np.pi):
+        raise ConfigError("phase offsets must lie in (-pi, pi]")
+    return np.exp(1j * p)
 
 
 def estimate_phase_correction(anchor: np.ndarray) -> float:

@@ -21,12 +21,7 @@ import sys
 
 import numpy as np
 
-from .calibration import (
-    RfImpairment,
-    anchor_channels,
-    apply_phase_correction,
-    estimate_phase_correction,
-)
+from .calibration import anchor_channels, apply_phase_correction, estimate_phase_correction
 from .core import (
     ArrayGeometry,
     ConfigError,
@@ -281,8 +276,7 @@ def _run_calibrate(cfg: ScenarioConfig, section: None, out_dir: str) -> str:
     base = gen.uniform(-np.pi / 2, np.pi / 2, size=(2, 1))
     ripple = gen.normal(scale=0.02, size=(2, cfg.n_subcarriers))
     offsets = np.clip(base + ripple, -np.pi + 1e-9, np.pi)
-    imp = RfImpairment(offsets, anchor_delay_bins=0, anchor_angle_deg=0.0)
-    anchor = anchor_channels(imp, _GEOM, beta=1.0)
+    anchor = anchor_channels(offsets)
     delta = estimate_phase_correction(anchor)
     aligned = apply_phase_correction(anchor, delta)
 
@@ -361,8 +355,9 @@ def _parse_params_csv(path: str, family: str) -> list:
     Dashed entries are the pinned values the sweep collapsed away:
     no communications power pins everything downstream, t_p = 1 pins
     alpha_c, t_p = 0 pins alpha_p. Blank lines are skipped; a row with
-    fewer cells than the header is a ``ConfigError`` naming its line, and
-    so are a header without the knob columns and a file without rows.
+    fewer or more cells than the header is a ``ConfigError`` naming its
+    line, and so are a header without the knob columns and a file without
+    rows.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -375,7 +370,7 @@ def _parse_params_csv(path: str, family: str) -> list:
             if not line.strip():
                 continue
             cells = line.strip().split(",")
-            if len(cells) < len(header):
+            if len(cells) != len(header):
                 raise ConfigError(
                     f"{path}, line {lineno}: {len(cells)} cells where the header "
                     f"has {len(header)}"

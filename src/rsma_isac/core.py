@@ -191,7 +191,7 @@ class ChannelSet:
     target_steering: np.ndarray
 
     @property
-    def broadside_unit(self) -> np.ndarray:
+    def target_unit(self) -> np.ndarray:
         """The unit-norm sensing beam, along ``target_steering``."""
         return self.target_steering / np.sqrt(self.n_tx)
 

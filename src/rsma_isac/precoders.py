@@ -195,7 +195,7 @@ class BlendTable:
         return self._blend(private_directions(self.channels, self.family), self.alpha_p)
 
     def _blend(self, steered: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u0 = self.channels.broadside_unit
+        u0 = self.channels.target_unit
         v = _grid(np.empty, (len(steered), len(alphas)) + steered.shape[1:])
         total = np.empty(v.shape[:2])
         for s, d in enumerate(steered):
@@ -278,6 +278,6 @@ def build_precoders(
     p_r = _grid(np.zeros, sense_shape)
     on = (p_sense > 0.0).reshape(sense_shape[:-2] + (1, 1))
     scale = np.sqrt(p_sense / nc).reshape(on.shape)
-    np.multiply(scale, channels.broadside_unit, out=p_r, where=on)
+    np.multiply(scale, channels.target_unit, out=p_r, where=on)
 
     return PrecoderSet(p_c=p_c, p_1=p_1, p_2=p_2, p_r=p_r)

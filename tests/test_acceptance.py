@@ -322,7 +322,7 @@ def _closed_form_failures(channels, cfg):
     failures = []
     nc = cfg.n_subcarriers
     pt = cfg.total_power
-    u0 = channels.broadside_unit
+    u0 = channels.target_unit
     uc = common_direction(channels)
     u1, u2 = channels.unit_est
     zeros = np.zeros((nc, 2), dtype=complex)

@@ -1,86 +1,32 @@
-"""Pairwise RF phase calibration against a known anchor."""
-
-import math
+"""Pairwise RF phase calibration against the broadside anchor."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rsma_isac import (
-    ArrayGeometry,
-    RfImpairment,
-    anchor_channels,
-    apply_phase_correction,
-    estimate_phase_correction,
-)
+from rsma_isac import anchor_channels, apply_phase_correction, estimate_phase_correction
 from rsma_isac.core import ConfigError
-
-_GEOM = ArrayGeometry(2, 0.5)
 
 
 def test_impairment_validation():
     with pytest.raises(ConfigError, match="grid"):
-        RfImpairment(np.zeros(8), 0, 0.0)
+        anchor_channels(np.zeros(8))
     with pytest.raises(ConfigError, match="pi"):
-        RfImpairment(np.full((2, 4), -np.pi), 0, 0.0)
+        anchor_channels(np.full((2, 4), -np.pi))
     with pytest.raises(ConfigError, match="pi"):
-        RfImpairment(np.full((2, 4), 3.5), 0, 0.0)
-    with pytest.raises(ConfigError, match="anchor_delay_bins"):
-        RfImpairment(np.zeros((2, 4)), 4, 0.0)
-    with pytest.raises(ConfigError, match="anchor_delay_bins"):
-        RfImpairment(np.zeros((2, 4)), -1, 0.0)
-
-
-def test_anchor_channels_trivial_case():
-    h = anchor_channels(RfImpairment(np.zeros((2, 8)), 0, 0.0), _GEOM, beta=0.25)
-    assert np.array_equal(h, np.full((2, 8), 0.25 + 0j))
-
-
-def test_anchor_channels_steering_phase():
-    imp = RfImpairment(np.zeros((2, 8)), 0, 90.0)
-    h = anchor_channels(imp, _GEOM, beta=1.0)
-    # chain 1 sits half a wavelength closer to an endfire anchor
-    assert np.allclose(h[1] / h[0], -1.0, atol=1e-12)
-
-
-def test_anchor_channels_delay_ramp():
-    imp = RfImpairment(np.zeros((2, 8)), 2, 0.0)
-    h = anchor_channels(imp, _GEOM, beta=1.0)
-    k = np.arange(8)
-    assert np.allclose(h[0], np.exp(2j * np.pi * 2 * k / 8), atol=1e-12)
-    assert np.allclose(h[0], h[1], atol=1e-12)
-
-
-def test_anchor_channels_scalar_recompute():
-    gen = np.random.default_rng(5)
-    phases = gen.uniform(-3.0, 3.0, size=(2, 6))
-    imp = RfImpairment(phases, 3, 25.0)
-    beta = 0.7
-    h = anchor_channels(imp, _GEOM, beta)
-    for g in range(2):
-        for k in range(6):
-            expect = (
-                beta
-                * np.exp(2j * np.pi * 3 * k / 6)
-                * np.exp(1j * phases[g, k])
-                * np.exp(2j * np.pi * 0.5 * g * math.sin(math.radians(25.0)))
-            )
-            assert abs(h[g, k] - expect) < 1e-12
-
-
-def test_anchor_channels_geometry_mismatch():
-    with pytest.raises(ConfigError, match="n_tx"):
-        anchor_channels(RfImpairment(np.zeros((2, 8)), 0, 0.0), ArrayGeometry(3, 0.5), 1.0)
+        anchor_channels(np.full((2, 4), 3.5))
 
 
 def test_estimate_constant_offset():
     offsets = np.zeros((2, 16))
     offsets[1, :] = 0.3
-    h = anchor_channels(RfImpairment(offsets, 0, 0.0), _GEOM, 1.0)
+    h = anchor_channels(offsets)
     assert estimate_phase_correction(h) == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_estimate_no_offset_is_exactly_zero():
-    h = anchor_channels(RfImpairment(np.zeros((2, 16)), 0, 0.0), _GEOM, 0.8)
+    h = anchor_channels(np.zeros((2, 16)))
     assert estimate_phase_correction(h) == 0.0
 
 
@@ -88,7 +34,7 @@ def test_estimate_zero_mean_offset():
     offsets = np.zeros((2, 16))
     offsets[1, ::2] = 0.2
     offsets[1, 1::2] = -0.2
-    h = anchor_channels(RfImpairment(offsets, 0, 0.0), _GEOM, 1.0)
+    h = anchor_channels(offsets)
     assert estimate_phase_correction(h) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -105,7 +51,7 @@ def test_round_trip_restores_alignment():
     offsets = np.zeros((2, 32))
     offsets[0, :] = 0.4
     offsets[1, :] = -0.9
-    h = anchor_channels(RfImpairment(offsets, 2, 10.0), _GEOM, 0.5)
+    h = anchor_channels(offsets)
     delta = estimate_phase_correction(h)
     fixed = apply_phase_correction(h, delta)
     assert abs(estimate_phase_correction(fixed)) < 1e-9
@@ -119,8 +65,32 @@ def test_estimate_survives_branch_cut():
     offsets = np.zeros((2, 16))
     offsets[1, ::2] = np.pi - 1e-3
     offsets[1, 1::2] = -np.pi + 1e-3
-    h = anchor_channels(RfImpairment(offsets, 0, 0.0), _GEOM, 1.0)
+    h = anchor_channels(offsets)
     delta = estimate_phase_correction(h)
     assert abs(delta) == pytest.approx(np.pi, abs=1e-12)
     fixed = apply_phase_correction(h, delta)
     assert abs(estimate_phase_correction(fixed)) < 1e-9
+
+
+@st.composite
+def _demo_offsets(draw):
+    """Phase grids like calibrate-demo's: a constant per chain plus small ripple."""
+    nc = draw(st.integers(1, 64))
+    base = draw(hnp.arrays(float, (2, 1), elements=st.floats(
+        -np.pi / 2, np.pi / 2, exclude_min=True, exclude_max=True)))
+    ripple = draw(hnp.arrays(float, (2, nc), elements=st.floats(-0.05, 0.05)))
+    return base + ripple
+
+
+@given(
+    offsets=_demo_offsets(),
+    beta=st.floats(1e-3, 1e3),
+    theta=hnp.arrays(float, 64, elements=st.floats(-np.pi, np.pi)),
+)
+def test_estimate_ignores_a_shared_factor(offsets, beta, theta):
+    # An anchor gain and a delay ramp multiply both chains alike: the
+    # pairwise estimate cannot see them, so the anchor model needs neither.
+    h = anchor_channels(offsets)
+    shared = beta * np.exp(1j * theta[: h.shape[1]])
+    moved = estimate_phase_correction(h * shared) - estimate_phase_correction(h)
+    assert abs(np.angle(np.exp(1j * moved))) <= 1e-9

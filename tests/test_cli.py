@@ -313,6 +313,8 @@ def test_missing_scenario_file(tmp_path):
         [*_HEATMAP_ON_PARAMS, "--beta", "1", "--beta-decay", "1e200", "--n0", "1,2,3"],
         # a truncated row of the params file is an error, not a skipped row
         ["radar-heatmap", "--params", "{truncated}", "--set", "n_subcarriers=16"],
+        # so is a row with more cells than the header
+        ["radar-heatmap", "--params", "{overlong}", "--set", "n_subcarriers=16"],
         # the Monte Carlo trial count is an integer under either metric
         [*_SMALL_SNR_SWEEP, "--set", "monte_carlo_trials=true"],
         [*_SMALL_SNR_SWEEP, "--set", "monte_carlo_trials=2.5"],
@@ -359,6 +361,8 @@ def test_bad_configuration_exits_2(tmp_path, argv):
     params.write_text(_PARAMS_HEADER + "0,1,1,-,0.5,-,9,9\n")
     truncated = tmp_path / "truncated.csv"
     truncated.write_text(_PARAMS_HEADER + "0,1,1,-,0.5,-,9,9\n1,0.5\n2,1,1,-,0.5,-,9,9\n")
+    overlong = tmp_path / "overlong.csv"
+    overlong.write_text(_PARAMS_HEADER + "0,1,1,-,0.5,-,9,9,99\n")
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     noheader = tmp_path / "noheader.csv"
@@ -378,7 +382,7 @@ def test_bad_configuration_exits_2(tmp_path, argv):
                     "beta0": 0.1, "beta_decay": 0.5, "family": "mrt"},
     }))
     files = {"{params}": str(params), "{truncated}": str(truncated),
-             "{empty}": str(empty), "{noheader}": str(noheader),
+             "{overlong}": str(overlong), "{empty}": str(empty), "{noheader}": str(noheader),
              "{point_run}": str(point_run), "{heatmap_run}": str(heatmap_run)}
     argv = [files.get(arg, arg) for arg in argv]
     out = tmp_path / "o"
@@ -404,6 +408,9 @@ def test_params_csv_skips_blank_lines_only(tmp_path):
         [1, [1.0, 1.0, 1.0, 0.5, "ZF"]],
     ]
     path.write_text(_PARAMS_HEADER + "0,0,-,-,-,-,-,-\n1,1,1,-,0.5\n")
+    with pytest.raises(ConfigError, match="line 3"):
+        _parse_params_csv(str(path), "ZF")
+    path.write_text(_PARAMS_HEADER + "0,0,-,-,-,-,-,-\n1,1,1,-,0.5,-,9,9,99\n")
     with pytest.raises(ConfigError, match="line 3"):
         _parse_params_csv(str(path), "ZF")
 

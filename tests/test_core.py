@@ -64,7 +64,7 @@ def test_channels_deterministic(geom, make_cfg):
     assert np.array_equal(ch1.true_channels, ch2.true_channels)
     assert np.array_equal(ch1.est_channels, ch2.est_channels)
     assert np.array_equal(ch1.unit_est, ch2.unit_est)
-    assert np.array_equal(ch1.broadside_unit, ch2.broadside_unit)
+    assert np.array_equal(ch1.target_unit, ch2.target_unit)
 
 
 def test_channels_zero_csit_estimates_exact(make_channels):
@@ -76,7 +76,7 @@ def test_channels_unit_norms(make_channels):
     _, ch = make_channels(csit_error_var=0.3)
     norms = np.linalg.norm(ch.unit_est, axis=2)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    assert abs(np.linalg.norm(ch.broadside_unit) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(ch.target_unit) - 1.0) < 1e-12
     assert ch.n_subcarriers == 64
     assert ch.n_tx == 2
 

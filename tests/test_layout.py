@@ -2,16 +2,22 @@
 
 Every module of the package keeps its helpers private; a quantity
 another module needs gets one public function instead. ``core._finite``,
-the shared input validator, is outside this rule. Library functions and
-dataclasses take every argument explicitly, so each default lives once,
-in the CLI; and every private module-level name is used somewhere.
+the shared input validator, is outside this rule. Only the channel draw
+and its callers read the array geometry, and every imported package is
+stdlib or declared. Library functions and dataclasses take every
+argument explicitly, so each default lives once, in the CLI; and every
+private module-level name is used somewhere.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rsma_isac"
 _GUARDED = {path.stem for path in _PACKAGE.glob("*.py")}
@@ -59,11 +65,11 @@ def test_private_import_finder(tmp_path):
     assert {"core", "region", "cli", "calibration"} <= _GUARDED
 
 
-# The array geometry enters once: the CLI fixes it, generate_channels
-# stores the target's response in the ChannelSet, and calibration builds
-# its anchor grid through it. The package namespace re-exports both names.
+# The array geometry enters once: the CLI fixes it and generate_channels
+# stores the target's response in the ChannelSet. The package namespace
+# re-exports both names.
 _GEOMETRY = {"ArrayGeometry", "steering_vector"}
-_GEOMETRY_READERS = {"__init__", "core", "calibration", "cli"}
+_GEOMETRY_READERS = {"__init__", "core", "cli"}
 
 
 def _geometry_uses(path: Path) -> list[str]:
@@ -99,6 +105,59 @@ def test_geometry_use_finder(tmp_path):
     assert sorted(_geometry_uses(path)) == [
         "ArrayGeometry", "ArrayGeometry", "steering_vector", "steering_vector",
     ]
+
+
+# A module imports only the standard library, the package itself and the
+# packages pyproject.toml declares: one installed on the side is not enough.
+def _undeclared_imports(path: Path, declared: set[str]) -> list[str]:
+    """Top-level name of every absolute import in the file that is neither stdlib nor declared."""
+    allowed = set(sys.stdlib_module_names) | declared | {"rsma_isac"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [top for name in names if (top := name.split(".")[0]) not in allowed]
+    return found
+
+
+def _declared_dependencies() -> set[str]:
+    """Import names of the ``[project] dependencies`` in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    text = (_PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    requirements = tomllib.loads(text)["project"].get("dependencies", [])
+    return {re.match(r"[A-Za-z0-9._-]+", req).group().lower().replace("-", "_")
+            for req in requirements}
+
+
+def test_every_import_is_stdlib_or_declared():
+    declared = _declared_dependencies()
+    assert "numpy" in declared
+    offenders = {
+        path.stem: names for path in sorted(_PACKAGE.glob("*.py"))
+        if (names := _undeclared_imports(path, declared))
+    }
+    assert offenders == {}
+
+
+def test_undeclared_import_finder(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from scipy.linalg import eigh\n"
+        "from .core import ConfigError\n"
+        "from . import radar\n"
+        "import rsma_isac.core\n"
+        "def f():\n"
+        "    import pandas\n"
+        "    from numba import njit\n"
+    )
+    assert _undeclared_imports(path, {"numpy"}) == ["scipy", "pandas", "numba"]
+    assert _undeclared_imports(path, {"numpy", "scipy", "pandas", "numba"}) == []
 
 
 # build_precoders builds its own blend table for a single point; main

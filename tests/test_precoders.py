@@ -103,7 +103,7 @@ def test_vanished_private_blend_raises():
     # User 1's estimate is -u0 on every subcarrier, so at alpha_p = 0.5 its
     # private blend sqrt(0.5)*(-u0) + sqrt(0.5)*u0 is exactly zero. t_p = 1
     # gives the common stream no power, so its direction is never formed.
-    u0 = _CHANNELS.broadside_unit
+    u0 = _CHANNELS.target_unit
     est = np.stack([np.tile(-u0, (_CFG.n_subcarriers, 1)), _CHANNELS.unit_est[1]])
     channels = ChannelSet(est.copy(), est.copy(), est.copy(), _CHANNELS.target_steering)
     v, total = BlendTable(channels, "MRT", [1.0], [0.5]).private
@@ -189,7 +189,7 @@ def test_block_build_equals_point_build(t, tp, ac_axis, ap_axis, family, seed):
     )
     assert block.p_c.shape[:2] == (len(ac_axis), 1)
     assert block.p_1.shape[:2] == block.p_2.shape[:2] == (1, len(ap_axis))
-    u0 = channels.broadside_unit
+    u0 = channels.target_unit
     p_common = cfg.total_power * t * (1.0 - tp)
     p_private = cfg.total_power * t * tp / 2.0
     for i, ac in enumerate(ac_axis):
@@ -369,7 +369,7 @@ def test_zero_power_streams_are_exact_zeros():
     assert not np.any(sensing.p_2)
     nc = _CFG.n_subcarriers
     expect = math.sqrt(_CFG.total_power / nc) * np.tile(
-        _CHANNELS.broadside_unit, (nc, 1)
+        _CHANNELS.target_unit, (nc, 1)
     )
     assert np.array_equal(sensing.p_r, expect)
 
@@ -461,7 +461,7 @@ def test_special_case_closed_forms():
     """Each named regime's precoders match an independent closed-form build."""
     nc = _CFG.n_subcarriers
     pt = _CFG.total_power
-    u0 = _CHANNELS.broadside_unit
+    u0 = _CHANNELS.target_unit
     uc = common_direction(_CHANNELS)
     u1, u2 = _CHANNELS.unit_est
 
