@@ -109,9 +109,9 @@ def _settings(args, own=()) -> tuple[ScenarioConfig, dict]:
             cfg = ScenarioConfig.from_json(fh.read())
     else:
         cfg = scenario_preset(args.preset or "S1")
-    updates = {k: v for k, v in overrides.items() if k in _SCENARIO_FIELDS}
-    if args.seed is not None:
-        updates["seed"] = args.seed
+    # --seed first, so a --set key beats the flag for the same field.
+    updates = {} if args.seed is None else {"seed": args.seed}
+    updates.update((k, v) for k, v in overrides.items() if k in _SCENARIO_FIELDS)
     if updates:
         cfg = ScenarioConfig.from_json_dict({**cfg.to_json_dict(), **updates})
     return cfg, {k: v for k, v in overrides.items() if k in own}
@@ -241,9 +241,8 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
         mean = float(np.mean(values))
         return 10.0 * math.log10(mean) if mean > 0 else "-inf"
 
-    sigma2 = cfg.noise_power_comms
     gains = stream_gains(channels, pset)
-    common = [sinr_common(gains, ue, sigma2) for ue in (1, 2)]
+    common = sinr_common(gains, cfg.noise_power_comms)
     payload = {
         "params": {
             "t_comms": pp.t_comms, "t_p": pp.t_p,
@@ -258,7 +257,7 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
         "mcs_indices": [int(m) if m >= 0 else None for m in report.mcs_chosen],
         "sinr_common_mean_db": [mean_db(sinr) for sinr in common],
         "sinr_private_mean_db": [
-            mean_db(sinr_private(gains, ue, sigma2)) for ue in (1, 2)
+            mean_db(sinr) for sinr in sinr_private(gains, cfg.noise_power_comms)
         ],
         "spectral_efficiency_common": [
             spectral_efficiency(sinr, cfg.shannon_gap_db) for sinr in common
@@ -394,7 +393,6 @@ def cmd_radar_heatmap(args) -> int:
         "trials": args.trials,
         "beta0": args.beta if args.beta is not None else cfg.target_attenuation,
         "beta_decay": args.beta_decay,
-        "family": args.family,
     }
     return _record(args, cfg, section)
 

@@ -144,7 +144,7 @@ class ScenarioConfig:
             warnings.warn(
                 "ue_gains differ by more than a factor of 2; the throughput "
                 "model assumes users of comparable strength",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def to_json_dict(self) -> dict:

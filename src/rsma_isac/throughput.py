@@ -105,29 +105,24 @@ def stream_gains(
     )
 
 
-def _check_ue(ue: int) -> int:
-    if ue not in (1, 2):
-        raise ValueError(f"ue must be 1 or 2, got {ue}")
-    return ue - 1
-
-
-def sinr_common(gains: tuple, ue: int, noise_power: float) -> np.ndarray:
-    """Common-stream SINR at one user, per subcarrier, from ``stream_gains``.
+def sinr_common(gains: tuple, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Common-stream SINR at (user 1, user 2), per subcarrier, from ``stream_gains``.
 
     Both private streams interfere (SIC has not run yet); the sensing
     stream does not, because its symbols are known at the users and
     subtracted before decoding. Leading batch axes of the gains
     broadcast against each other.
     """
-    common, private_1, private_2 = gains[_check_ue(ue)]
-    return common / (private_1 + private_2 + noise_power)
+    return tuple(
+        common / (private_1 + private_2 + noise_power)
+        for common, private_1, private_2 in gains
+    )
 
 
-def sinr_private(gains: tuple, ue: int, noise_power: float) -> np.ndarray:
-    """Private-stream SINR at one user after the common stream is removed."""
-    i = _check_ue(ue)
-    own, other = gains[i][1 + i], gains[i][2 - i]
-    return own / (other + noise_power)
+def sinr_private(gains: tuple, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Private-stream SINR at (user 1, user 2) after the common stream is removed."""
+    (_, own_1, other_1), (_, other_2, own_2) = gains
+    return own_1 / (other_1 + noise_power), own_2 / (other_2 + noise_power)
 
 
 class CollapseMask(np.ndarray):
@@ -178,17 +173,14 @@ def throughput(
     gains = stream_gains(channels, pset)
 
     mcs_c = max_mcs(
-        np.minimum(
-            spectral_efficiency(sinr_common(gains, 1, sigma2), gap),
-            spectral_efficiency(sinr_common(gains, 2, sigma2), gap),
-        )
+        np.minimum(*(spectral_efficiency(sinr, gap) for sinr in sinr_common(gains, sigma2)))
     )
     t_c = _MCS_RATES[mcs_c]
     collapsed = has_common & (t_c == 0.0)
     indices = [np.asarray(mcs_c)]
     rates = []
-    for ue in (1, 2):
-        index = max_mcs(spectral_efficiency(sinr_private(gains, ue, sigma2), gap))
+    for sinr in sinr_private(gains, sigma2):
+        index = max_mcs(spectral_efficiency(sinr, gap))
         indices.append(np.where(collapsed, -1, index))
         rates.append(np.where(collapsed, 0.0, _MCS_RATES[index]))
     return ThroughputReport(

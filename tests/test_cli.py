@@ -1,6 +1,7 @@
 """End-to-end command-line flows, exercised in process through main()."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import rsma_isac
-from rsma_isac import ConfigError, ScenarioConfig, scenario_preset
-from rsma_isac.cli import _parse_params_csv, main
+from rsma_isac import ConfigError, ScenarioConfig, SweepSpec, scenario_preset
+from rsma_isac.cli import _COMMANDS, _KNOBS, _parse_params_csv, main
 
 _S2_SMALL = ["--preset", "S2", "--set", "n_subcarriers=32"]
 
@@ -258,6 +259,16 @@ def test_seed_and_overrides_land_in_manifest(tmp_path):
     scenario = json.loads((out / "run.json").read_text())["scenario"]
     assert scenario["seed"] == 123
     assert scenario["total_power"] == 2.0
+
+
+def test_set_beats_the_flag_for_the_same_field(tmp_path):
+    out = tmp_path / "sw"
+    # _run_sweep passes --step 0.5
+    rc = _run_sweep(out, extra=("--seed", "5", "--set", "seed=7", "--set", "grid_step=0.25"))
+    assert rc == 0
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["scenario"]["seed"] == 7
+    assert manifest["sweep"]["grid_step"] == 0.25
 
 
 def test_scenario_file_input(tmp_path):
@@ -527,6 +538,14 @@ def test_heatmap_reproduces(heatmap_flow, tmp_path, capsys):
     rc = main(["reproduce", "--run", str(hm / "run.json"), "--out", str(redo)])
     assert rc == 0
     assert (redo / "heatmap.csv").read_bytes() == (hm / "heatmap.csv").read_bytes()
+    # Manifests written while the section still carried the unread
+    # "family" key reproduce too.
+    manifest = json.loads((hm / "run.json").read_text())
+    assert "family" not in manifest["heatmap"]
+    manifest["heatmap"]["family"] = "mrt"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest))
+    assert main(["reproduce", "--run", str(old), "--out", str(tmp_path / "old")]) == 0
 
 
 def test_heatmap_zero_trials(heatmap_flow, tmp_path):
@@ -715,7 +734,7 @@ def test_heatmap_bad_inputs(heatmap_flow, tmp_path):
 # change here has to be deliberate.
 _RUN_JSON_SHA256 = {
     "sweep": "0ee4d7b104156a1bf4cde94f5cca18618a88784b8e1edbc162e18d787d0b0236",
-    "radar-heatmap": "68527fd2221f2a582855f80cf04be3ac47115696dd9905ad557477d6b43fdd12",
+    "radar-heatmap": "5e7b7674d4d4fd7a29f499e2d16f098be8deff479defdffe6a236b32fc83a650",
     "point-eval": "0ab9e9e2f28c4ebed7365b222d1d5262ecfef9f96198e03e7bbbc50c35070647",
     "calibrate-demo": "3ab390882321f4938bc05c0c8c4a6c05292ceaeb49799231fe871c1948aeb139",
 }
@@ -753,6 +772,35 @@ def test_calibrate_demo(tmp_path, capsys):
 _SCRIPT = "rsma-isac"
 _TARGET = "rsma_isac.cli:main"
 _PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+_README = _PYPROJECT.with_name("README.md")
+
+
+def _readme_set_keys(text: str) -> dict:
+    """Each command's --set keys as the README's CLI section names them.
+
+    The keys are the backquoted names outside parentheses: those of the
+    paragraph listing the scenario fields, plus those of the command's row
+    of the table under it.
+    """
+    common, table = re.search(
+        r"`--set` takes the scenario fields on every command:(.*?)\.\s.*?\n(\|.*?)\n\n", text, re.S
+    ).groups()
+
+    def keys(cell):
+        return set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell)))
+
+    return {
+        command: keys(common) | keys(row_keys)
+        for commands, row_keys in re.findall(r"^\| (`.*?) \| (.*?) \|$", table, re.M)
+        for command in re.findall(r"`([\w-]+)`", commands)
+    }
+
+
+def test_readme_names_every_set_key():
+    scenario = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    own = {"sweep": {f.name for f in dataclasses.fields(SweepSpec)}, "point-eval": set(_KNOBS)}
+    expected = {command: scenario | own.get(command, set()) for command in _COMMANDS}
+    assert _readme_set_keys(_README.read_text(encoding="utf-8")) == expected
 
 
 @pytest.mark.parametrize("launcher", ["console-script", "python-m"])

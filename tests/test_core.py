@@ -150,6 +150,12 @@ def test_dissimilar_gains_warn(make_cfg, recwarn):
         make_cfg(ue_gains=(1.0, 2.5))
     make_cfg(ue_gains=(1.0, 2.0))
     assert not recwarn.list
+    # The warning names the line that built the config, not the
+    # dataclass-generated __init__.
+    fields = {**make_cfg().to_json_dict(), "ue_gains": (1.0, 2.5)}
+    with pytest.warns(UserWarning, match="factor of 2") as caught:
+        ScenarioConfig(**fields)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_json_round_trip(make_cfg):

@@ -346,15 +346,14 @@ def test_block_sinr_is_bit_identical_to_per_point():
                 gains = stream_gains(channels, block)
                 batched = {}
                 for fn in (sinr_common, sinr_private):
-                    for ue in (1, 2):
-                        values = fn(gains, ue, noise)
+                    for ue, values in zip((1, 2), fn(gains, noise)):
                         batched[fn, ue] = values, spectral_efficiency(values, gap)
                 for i, ac in enumerate(ac_axis):
                     for j, ap in enumerate(ap_axis):
                         pp = ParameterPoint(t, tp, ac, ap, family)
                         single_gains = stream_gains(channels, build_precoders(pp, channels, cfg))
                         for (fn, ue), (values, eff) in batched.items():
-                            single = fn(single_gains, ue, noise)
+                            single = fn(single_gains, noise)[ue - 1]
                             # p_c batches over rows, p_1 and p_2 over columns
                             row = min(i, values.shape[0] - 1)
                             assert np.array_equal(values[row, j], single), (pp, ue)
