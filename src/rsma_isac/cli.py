@@ -33,6 +33,8 @@ from .core import (
     scenario_preset,
 )
 from .precoders import (
+    FAMILIES,
+    BlendTable,
     DegenerateDirectionError,
     ParameterPoint,
     RankDeficientChannelError,
@@ -208,9 +210,12 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
     _check_indices("params row indices", [i for i, _ in rows], math.inf)
     lines = ["index,n0,bin,snr_db,peak_correct\n"]
     stream = 1
+    # The rows of a family share its beam directions, each computed once.
+    tables = {fam: BlendTable(channels, fam, (), ()) for fam in FAMILIES}
     for row_index, pp in rows:
         # Built even with no trials to run, so a row that cannot be built fails alike.
-        pset = build_precoders(pp, channels, cfg)
+        table = tables[pp.family].over((pp.alpha_c,), (pp.alpha_p,))
+        pset = build_precoders(pp, channels, cfg, table)
         for n0, beta in (zip(n0_values, betas) if trials else ()):
             # Trial t draws from streams s, s + 1 and s + 2 with s = stream + 3t.
             peaks, snr_db = monte_carlo(

@@ -12,6 +12,7 @@ import math
 import numbers
 import sys
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,98 @@ class RngStream:
         return np.random.default_rng((self.seed, self.stream_id))
 
 
+# numpy's SeedSequence hash constants: (INIT_A, MULT_A) hash the key into
+# the pool, (INIT_B, MULT_B) hash the pool out, MIX_L and MIX_R mix pool
+# words; then the 128-bit LCG multiplier that PCG64 seeds with.
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The (xor, multiply) pairs of ``count`` successive SeedSequence hashes, (count, 2, 1)."""
+    pairs = []
+    for _ in range(count):
+        pairs.append(init)
+        init = init * mult & _MASK32
+        pairs.append(init)
+    return np.array(pairs, dtype=np.uint32).reshape(count, 2, 1)
+
+
+def _hash(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of each row of uint32 ``words`` with its own constants.
+
+    The arithmetic wraps modulo 2**32, as it does in numpy's C code; array
+    arithmetic wraps without a warning.
+    """
+    out = words ^ constants[:, 0]
+    out *= constants[:, 1]
+    out ^= out >> 16
+    return out
+
+
+def stream_states(seed: int, stream_ids: Sequence[int]) -> list[tuple[int, int]]:
+    """The PCG64 starting ``(state, inc)`` of ``RngStream(seed, i)`` for each i.
+
+    ``RngStream.generator`` is numpy's ``default_rng((seed, i))``: a
+    SeedSequence hashes the key's 32-bit words into a pool of four, hashes
+    the pool out into four 64-bit words, and PCG64 takes two 128-bit LCG
+    steps from them. This runs the same arithmetic for many keys at once:
+    the hashing on uint32 arrays over the keys, the LCG steps on Python
+    ints. A key of at most four words hashes as its zero-padded form does,
+    so the seed and ids must lie in [0, 2**64). A Generator whose
+    ``bit_generator.state`` is set to an entry, with no buffered 32-bit
+    half (``has_uint32 = 0``), draws what that stream's generator draws.
+    """
+    if not (0 <= seed < 1 << 64 and all(0 <= i < 1 << 64 for i in stream_ids)):
+        raise ValueError(f"seed {seed} or one of its stream ids lies outside [0, 2**64)")
+    ids = np.array(stream_ids, dtype=np.uint64)
+    # An integer's words run least significant first; below 2**32 it is one word.
+    seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    pool = np.zeros((4, len(ids)), dtype=np.uint32)
+    pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = ids & _MASK32
+    pool[len(seed_words) + 1] = ids >> 32
+    constants = _hash_constants(*_POOL_HASH, 16)
+    pool = _hash(pool, constants[:4])
+    # Every word then mixes the hash of every other into itself; for one
+    # source word the three targets take successive constants.
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = pool[dst] * _MIX_L
+        mixed -= _hash(pool[src], constants[4 + 3 * src:7 + 3 * src]) * _MIX_R
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    words = _hash(np.concatenate([pool, pool]), _hash_constants(*_STATE_HASH, 8)).astype(np.uint64)
+    # Little-endian word pairs make the 64-bit words, and pairs of those,
+    # high first, the 128-bit seed and sequence of each key.
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(words[0::2] | words[1::2] << 32).tolist()):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
 def _finite(value) -> bool:
     # NaN, the infinities and integers beyond the float range all fail.
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` that names the line that built a config.
+
+    Counted from ``__post_init__``, which calls this: past the generated
+    ``__init__`` (level 2), the first frame outside this module and
+    ``dataclasses``, so a config built through ``from_json_dict`` or
+    ``dataclasses.replace`` names its caller's line too.
+    """
+    level, frame = 3, sys._getframe(3)
+    while frame is not None and frame.f_code.co_filename in (__file__, dataclasses.__file__):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)
@@ -137,14 +226,15 @@ class ScenarioConfig:
             raise ConfigError("csit_error_var must be nonnegative")
         if self.shannon_gap_db < 0:
             raise ConfigError("shannon_gap_db must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        # Random streams are keyed by (seed, stream id), each at most 64 bits.
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         lo, hi = sorted(self.ue_gains)
         if hi > 2.0 * lo:
             warnings.warn(
                 "ue_gains differ by more than a factor of 2; the throughput "
                 "model assumes users of comparable strength",
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
     def to_json_dict(self) -> dict:

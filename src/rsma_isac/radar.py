@@ -17,11 +17,11 @@ consistent with every other.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .core import ChannelSet, RngStream, ScenarioConfig
+from .core import ChannelSet, RngStream, ScenarioConfig, stream_states
 from .precoders import PrecoderSet
 
 
@@ -69,30 +69,87 @@ def sensing_symbols(n_subcarriers: int) -> np.ndarray:
 _QPSK = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * np.arange(4)))
 
 
+class _CallStream:
+    """The stream (seed, stream_id) of a ``monte_carlo`` call, seeded ahead.
+
+    ``generator()`` moves the Generator that every stream of the call
+    shares to this stream's start and returns it, so it draws what
+    ``RngStream(seed, stream_id).generator()`` draws until the next stream
+    of the call asks for it. Each chain stage takes all of one trial's
+    draws from its stream before it turns to the next trial, so the
+    stages never need two streams at once. ``shared`` is the call's store
+    of what the stages compute from its fixed inputs (see ``_per_call``).
+    """
+
+    __slots__ = ("seed", "stream_id", "_state", "_gen", "shared")
+
+    def __init__(self, seed: int, stream_id: int, start: tuple[int, int],
+                 gen: np.random.Generator, shared: dict) -> None:
+        self.seed, self.stream_id = seed, stream_id
+        state, inc = start
+        self._state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0}
+        self._gen = gen
+        self.shared = shared
+
+    def generator(self) -> np.random.Generator:
+        self._gen.bit_generator.state = self._state
+        return self._gen
+
+
+def _per_call(rngs: Sequence, key: Hashable, compute: Callable[[], object]):
+    """``compute()``, computed once per ``monte_carlo`` call.
+
+    ``rngs`` are a stage's stream keys. Those of a ``monte_carlo`` call
+    share one store, and within a call the precoders, the seed and the
+    capture are fixed, so the value the first chunk computes under ``key``
+    serves every later chunk. Other keys (``RngStream``) compute it anew.
+    """
+    shared = getattr(rngs[0], "shared", None) if len(rngs) else None
+    if shared is None:
+        return compute()
+    if key not in shared:
+        shared[key] = compute()
+    return shared[key]
+
+
+def _tx_terms(pset: PrecoderSet) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The powered data streams' symbol tables and the sensing stream's grid.
+
+    Row q*N_c + k of a stream's table is p[k]·QPSK[q]: the symbol the
+    quadrant q drawn for subcarrier k picks, times its precoder. The
+    sensing grid is None when that stream carries no power.
+    """
+    nc = pset.p_c.shape[0]
+    tables = [(p * _QPSK[:, None, None]).reshape(4 * nc, -1)
+              for p in (pset.p_c, pset.p_1, pset.p_2) if np.any(p)]
+    sensing = pset.p_r * sensing_symbols(nc)[:, None] if np.any(pset.p_r) else None
+    return tables, sensing
+
+
 def synthesize_tx(pset: PrecoderSet, rngs: Sequence[RngStream]) -> np.ndarray:
     """Draw one OFDM symbol's worth of data per trial and superpose the streams.
 
-    Trial t draws from ``rngs[t]``. Returns the transmit grids x, shape
-    (trials, n_subcarriers, n_tx). Data streams carry random QPSK symbols
-    (exactly unit energy). The sensing stream always carries the fixed
-    BPSK pattern from :func:`sensing_symbols`. Streams whose precoders are
-    zero contribute nothing, symbols included.
+    Trial t draws from ``rngs[t]``: the QPSK quadrants of its powered data
+    streams, common, 1 and 2 in that order. Returns the transmit grids x,
+    shape (trials, n_subcarriers, n_tx). Data symbols are exactly unit
+    energy. The sensing stream always carries the fixed BPSK pattern from
+    :func:`sensing_symbols`. Streams whose precoders are zero contribute
+    nothing, symbols included.
     """
     nc = pset.p_c.shape[0]
-    gens = [rng.generator() for rng in rngs]
+    tables, sensing = _per_call(rngs, "tx", lambda: _tx_terms(pset))
     x = np.zeros((len(rngs), *pset.p_c.shape), dtype=pset.p_c.dtype)
-    rows = np.empty((len(rngs), nc), dtype=np.intp)
-    for p in (pset.p_c, pset.p_1, pset.p_2):
-        if np.any(p):
-            # Row q*N_c + k of the table is p[k]·QPSK[q]: the symbol the
-            # quadrant q drawn for subcarrier k picks, times its precoder.
-            for t, gen in enumerate(gens):
-                rows[t] = gen.integers(0, 4, size=nc)
-            rows *= nc
-            rows += np.arange(nc)
-            x += (p * _QPSK[:, None, None]).reshape(4 * nc, -1).take(rows, axis=0)
-    if np.any(pset.p_r):
-        x += pset.p_r * sensing_symbols(nc)[:, None]
+    if tables:
+        rows = np.empty((len(tables), len(rngs), nc), dtype=np.intp)
+        for t, rng in enumerate(rngs):
+            rows[:, t] = rng.generator().integers(0, 4, size=(len(tables), nc))
+        rows *= nc
+        rows += np.arange(nc)
+        for table, stream_rows in zip(tables, rows):
+            x += table.take(stream_rows, axis=0)
+    if sensing is not None:
+        x += sensing
     return x
 
 
@@ -140,7 +197,7 @@ def radar_return(
     if c.shape != (len(rngs), nc):
         raise ValueError(f"need one stream key per row of c, got {len(rngs)} for {c.shape}")
     y = beta * c
-    y *= np.exp(2j * np.pi * n0 * np.arange(nc) / nc)
+    y *= _per_call(rngs, ("ramp", n0), lambda: np.exp(2j * np.pi * n0 * np.arange(nc) / nc))
     scale = math.sqrt(sigma_r2 / (2.0 * nc)) if sigma_r2 > 0 else 0.0
     noise = np.zeros((len(rngs), nc, 2))
     if scale:
@@ -164,8 +221,9 @@ def two_stage_capture(
     Trial t captures with ``rngs_with[t]`` and ``rngs_without[t]``. All
     captures share a root seed and use distinct stream ids (independent
     noise). Both captures of a trial see clutter of 10x its echo energy
-    on one unit grid, drawn once per call from the root seed alone. Clutter
-    cancels exactly; the difference carries noise of energy 2·sigma_r2.
+    on one unit grid, drawn from the root seed alone, once per call (once
+    per ``monte_carlo`` call for its keys). Clutter cancels exactly; the
+    difference carries noise of energy 2·sigma_r2.
     """
     keys = [*rngs_with, *rngs_without]
     if any(rng.seed != keys[0].seed for rng in keys):
@@ -173,9 +231,9 @@ def two_stage_capture(
     if len({rng.stream_id for rng in keys}) != len(keys):
         raise ValueError("captures need distinct stream ids for independent noise")
     nc = c.shape[-1]
-    z = np.random.default_rng((keys[0].seed, _CLUTTER_STREAM_ID)).normal(
-        scale=math.sqrt(0.5), size=(nc, 2)
-    )
+    z = _per_call(keys, "clutter", lambda: np.random.default_rng(
+        (keys[0].seed, _CLUTTER_STREAM_ID)
+    ).normal(scale=math.sqrt(0.5), size=(nc, 2)))
     energy = 10.0 * float(beta**2) * np.sum(np.abs(c) ** 2, axis=-1)
     clutter = np.sqrt(energy / nc)[:, None] * (z[:, 0] + 1j * z[:, 1])
     y = radar_return(c, n0, beta, sigma_r2, rngs_with)
@@ -293,21 +351,25 @@ def monte_carlo(
     returns the captures y. The trials run ``_TRIAL_CHUNK`` at a time;
     their linear SNRs are added one at a time as scalar math, in trial
     order, and the dB of the sum over the trial count is returned. No
-    trials raise ``ValueError``. The precoders are copied to C order once
-    per call, as ``synthesize_tx`` reshapes each chunk's symbol table in
-    that order, which a subcarrier-innermost grid would copy per chunk.
+    trials raise ``ValueError``.
+
+    Every stream's start is computed in one pass (``stream_states``) and
+    all of them draw through one Generator (``_CallStream``). What the
+    stages compute from the call's fixed inputs (the symbol tables, the
+    sensing grid, the delay ramp, the clutter grid) is computed by the
+    first chunk and kept for the rest.
     """
     if not streams:
         raise ValueError("monte_carlo needs at least one trial")
-    pset = PrecoderSet(
-        *(np.ascontiguousarray(p) for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r))
-    )
+    starts = iter(stream_states(cfg.seed, [s for trial in streams for s in trial]))
+    # The Generator's own seed is never drawn from: each stream sets its state.
+    gen, shared = np.random.default_rng(0), {}
+    trials = [[_CallStream(cfg.seed, s, next(starts), gen, shared) for s in trial]
+              for trial in streams]
     peaks: list[int] = []
     total = 0.0
-    for lo in range(0, len(streams), _TRIAL_CHUNK):
-        tx, *rngs = zip(*(
-            [RngStream(cfg.seed, s) for s in ids] for ids in streams[lo:lo + _TRIAL_CHUNK]
-        ))
+    for lo in range(0, len(trials), _TRIAL_CHUNK):
+        tx, *rngs = zip(*trials[lo:lo + _TRIAL_CHUNK])
         x = synthesize_tx(pset, tx)
         c = steered_projection(x, channels.target_steering)
         del x  # each stack goes once the next stage has consumed it

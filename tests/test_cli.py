@@ -308,6 +308,9 @@ def test_missing_scenario_file(tmp_path):
         # non-finite and non-numeric values stop at the boundary
         ["point-eval", "--set", "total_power=NaN", *_POINT_SETS],
         ["point-eval", "--set", "seed=true", *_POINT_SETS],
+        # random streams are keyed by 64-bit seeds
+        ["point-eval", "--seed", "-1", *_POINT_SETS],
+        ["point-eval", "--seed", str(2**64), *_POINT_SETS],
         ["point-eval", *_POINT_SETS, "--set", "t_comms=true"],
         # radar-heatmap checks its own knobs before it writes anything
         [*_HEATMAP_ON_PARAMS, "--beta", "nan"],
@@ -572,6 +575,31 @@ def test_heatmap_zero_trials_still_builds_each_row(heatmap_flow, tmp_path):
     )
     assert rc == 3
     assert not (out / "heatmap.csv").exists()
+
+
+def test_heatmap_computes_each_familys_directions_once(heatmap_flow, tmp_path, monkeypatch):
+    # The rows of a family share its beam directions: the boundary has
+    # several rows with private power, and ZF solves for them once.
+    import rsma_isac.precoders as precoders_mod
+
+    calls = []
+    original = precoders_mod.private_directions
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(precoders_mod, "private_directions", counting)
+    sw, _ = heatmap_flow
+    for trials in ("0", "2"):
+        calls.clear()
+        rc = main(
+            ["radar-heatmap", "--preset", "S1", "--set", "n_subcarriers=64", "--family", "zf",
+             "--params", str(sw / "boundary_params.csv"), "--trials", trials,
+             "--out", str(tmp_path / trials)]
+        )
+        assert rc == 0
+        assert calls == ["ZF"]
 
 
 def test_reproduce_rejects_negative_heatmap_trials(heatmap_flow, tmp_path):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rsma_isac import (
     ArrayGeometry,
@@ -17,6 +17,7 @@ from rsma_isac import (
     scenario_preset,
     steering_vector,
 )
+from rsma_isac.core import stream_states
 
 
 def test_steering_broadside_is_all_ones():
@@ -55,6 +56,32 @@ def test_rng_streams_repeat_and_differ():
     c = RngStream(5, 3).generator().normal(size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+_WORD_EDGES = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+_KEY_PARTS = _WORD_EDGES | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=60)
+@given(seed=_KEY_PARTS, ids=st.lists(_KEY_PARTS, min_size=1, max_size=6))
+def test_stream_states_are_the_streams_starts(seed, ids):
+    # Each key's batched start is the PCG64 state numpy's seeding reaches,
+    # and a Generator set to it draws what the key's own generator draws.
+    gen = np.random.default_rng(0)
+    for stream_id, (state, inc) in zip(ids, stream_states(seed, ids), strict=True):
+        own = RngStream(seed, stream_id).generator()
+        assert own.bit_generator.state["state"] == {"state": state, "inc": inc}
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        assert gen.integers(0, 4, size=5).tolist() == own.integers(0, 4, size=5).tolist()
+        assert gen.normal(size=3).tolist() == own.normal(size=3).tolist()
+
+
+def test_stream_states_take_64_bit_keys():
+    assert stream_states(3, []) == []
+    for seed, ids in ((2**64, [0]), (-1, [0]), (0, [2**64]), (0, [1, -1])):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            stream_states(seed, ids)
 
 
 def test_channels_deterministic(geom, make_cfg):
@@ -114,6 +141,8 @@ def test_small_csit_error_gives_small_relative_error(geom, make_cfg):
         {"csit_error_var": -1e-9},
         {"shannon_gap_db": -0.1},
         {"seed": -1},
+        # random streams are keyed by 64-bit words
+        {"seed": 2**64},
     ],
 )
 def test_scenario_validation_errors(make_cfg, overrides):
@@ -151,11 +180,14 @@ def test_dissimilar_gains_warn(make_cfg, recwarn):
     make_cfg(ue_gains=(1.0, 2.0))
     assert not recwarn.list
     # The warning names the line that built the config, not the
-    # dataclass-generated __init__.
-    fields = {**make_cfg().to_json_dict(), "ue_gains": (1.0, 2.5)}
+    # dataclass-generated __init__, the JSON loader or dataclasses.replace.
+    cfg = make_cfg()
+    fields = {**cfg.to_json_dict(), "ue_gains": (1.0, 2.5)}
     with pytest.warns(UserWarning, match="factor of 2") as caught:
         ScenarioConfig(**fields)
-    assert [w.filename for w in caught] == [__file__]
+        ScenarioConfig.from_json_dict(fields)
+        dataclasses.replace(cfg, ue_gains=(1.0, 2.5))
+    assert [w.filename for w in caught] == [__file__] * 3
 
 
 def test_json_round_trip(make_cfg):

@@ -236,8 +236,9 @@ def test_clutter_depends_only_on_root_seed(make_channels, monkeypatch):
 
 
 def test_clutter_drawn_once_per_capture_call(make_channels, monkeypatch):
-    # a heatmap cell of T trials makes one capture call, hence one clutter
-    # draw, per chunk of trials (it drew twice per trial before the stacking)
+    # a capture call draws the clutter once, and a heatmap cell of T trials,
+    # whose capture runs once per chunk of trials, draws it once in all
+    # (twice per trial before the stacking, once per chunk before that)
     cfg, channels = make_channels(n_subcarriers=16)
     pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
     c = np.repeat(_steered(pset, RngStream(0, 0)), 3, axis=0)
@@ -250,7 +251,31 @@ def test_clutter_drawn_once_per_capture_call(make_channels, monkeypatch):
         keys.clear()
         peaks, _ = _heatmap_chain(channels, pset, cfg, 3, 0.2, trials)
         assert len(peaks) == trials
-        assert keys == [(cfg.seed, _CLUTTER_STREAM_ID)] * math.ceil(trials / _TRIAL_CHUNK)
+        assert keys == [(cfg.seed, _CLUTTER_STREAM_ID)]
+
+
+def test_monte_carlo_builds_no_generator_per_trial(make_channels, monkeypatch):
+    # A call seeds its trials' streams in one pass, so the generators it
+    # builds (the sensing pattern's and the clutter grid's among them) are
+    # as many for one trial as for many chunks of them.
+    cfg, channels = make_channels(n_subcarriers=16)
+    pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"), channels, cfg)
+    calls = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    for chain in (lambda t: _sweep_chain(channels, pset, cfg, t),
+                  lambda t: _heatmap_chain(channels, pset, cfg, 3, 0.2, t)):
+        counts = []
+        for trials in (1, _TRIAL_CHUNK, 2 * _TRIAL_CHUNK + 1, 5 * _TRIAL_CHUNK):
+            calls.clear()
+            chain(trials)
+            counts.append(len(calls))
+        assert len(set(counts)) == 1 and counts[0] <= 3, counts
 
 
 def test_background_subtract_noiseless_recovers_echo(make_channels):
