@@ -33,8 +33,6 @@ from .core import (
     scenario_preset,
 )
 from .precoders import (
-    FAMILIES,
-    BlendTable,
     DegenerateDirectionError,
     ParameterPoint,
     RankDeficientChannelError,
@@ -210,12 +208,9 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
     _check_indices("params row indices", [i for i, _ in rows], math.inf)
     lines = ["index,n0,bin,snr_db,peak_correct\n"]
     stream = 1
-    # The rows of a family share its beam directions, each computed once.
-    tables = {fam: BlendTable(channels, fam, (), ()) for fam in FAMILIES}
     for row_index, pp in rows:
         # Built even with no trials to run, so a row that cannot be built fails alike.
-        table = tables[pp.family].over((pp.alpha_c,), (pp.alpha_p,))
-        pset = build_precoders(pp, channels, cfg, table)
+        pset = build_precoders(pp, channels, cfg)
         for n0, beta in (zip(n0_values, betas) if trials else ()):
             # Trial t draws from streams s, s + 1 and s + 2 with s = stream + 3t.
             peaks, snr_db = monte_carlo(
@@ -392,9 +387,13 @@ def cmd_radar_heatmap(args) -> int:
     cfg, _ = _settings(args)
     if not os.path.exists(args.params):
         raise ConfigError(f"params file not found: {args.params}")
+    try:
+        n0_values = [int(v) for v in args.n0.split(",")]
+    except ValueError:
+        raise ConfigError(f"--n0 must be comma-separated integers, got {args.n0!r}") from None
     section = {
         "params_rows": _parse_params_csv(args.params, _single_family(args)),
-        "n0_values": [int(v) for v in args.n0.split(",") if v.strip() != ""],
+        "n0_values": n0_values,
         "trials": args.trials,
         "beta0": args.beta if args.beta is not None else cfg.target_attenuation,
         "beta_decay": args.beta_decay,

@@ -159,26 +159,6 @@ def private_directions(channels: ChannelSet, family: str) -> np.ndarray:
     return w / np.linalg.norm(w, axis=2)[..., None]
 
 
-class _Directions:
-    """A family's steered beam directions on one channel draw, each computed on first use.
-
-    ``common`` is the common stream's grid with a leading stream axis,
-    (1, N_c, N_T); ``private`` the private streams', (2, N_c, N_T).
-    """
-
-    def __init__(self, channels: ChannelSet, family: str) -> None:
-        self.channels = channels
-        self.family = family
-
-    @cached_property
-    def common(self) -> np.ndarray:
-        return common_direction(self.channels)[None]
-
-    @cached_property
-    def private(self) -> np.ndarray:
-        return private_directions(self.channels, self.family)
-
-
 class BlendTable:
     """Unscaled blended beams of one family: common over alpha_c, private over alpha_p.
 
@@ -191,9 +171,8 @@ class BlendTable:
     ``common`` is (v, T), v (1, n_αc, N_c, N_T) and T (1, n_αc); ``private``
     holds the private streams, (2, n_αp, N_c, N_T) and (2, n_αp). Each is
     computed on first use, so a point that gives a stream no power never
-    computes (or fails on) its direction. ``over`` gives the table of
-    other mix axes that shares these directions, so a direction is
-    computed once however many tables use it.
+    computes (or fails on) its direction. Only a sweep passes a table to
+    ``build_precoders``; a point, a ``radar-heatmap`` row too, builds its own.
 
     v is stored with subcarriers innermost (``_grid``), so the precoders
     scaled from its rows are too, and every gain projection of a sweep
@@ -207,21 +186,14 @@ class BlendTable:
         self.family = family
         self.alpha_c = np.asarray(alpha_c, dtype=float)
         self.alpha_p = np.asarray(alpha_p, dtype=float)
-        self._directions = _Directions(channels, family)
-
-    def over(self, alpha_c, alpha_p) -> BlendTable:
-        """The table of this family and channel draw over other mix axes, sharing its directions."""
-        table = BlendTable(self.channels, self.family, alpha_c, alpha_p)
-        table._directions = self._directions
-        return table
 
     @cached_property
     def common(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._blend(self._directions.common, self.alpha_c)
+        return self._blend(common_direction(self.channels)[None], self.alpha_c)
 
     @cached_property
     def private(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._blend(self._directions.private, self.alpha_p)
+        return self._blend(private_directions(self.channels, self.family), self.alpha_p)
 
     def _blend(self, steered: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u0 = self.channels.target_unit

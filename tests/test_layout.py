@@ -291,6 +291,59 @@ def test_build_site_finder(tmp_path):
     assert _build_sites(path) == [3, 4]
 
 
+# A blend table is a sweep's: a single point, a radar-heatmap row too,
+# builds its own. So only region passes build_precoders a table, and only
+# precoders, region and the package namespace name BlendTable.
+_TABLE_USERS = {"table": {"region"}, "BlendTable": {"precoders", "region", "__init__"}}
+
+
+def _table_uses(path: Path) -> list[tuple[str, int]]:
+    """(kind, line) of each use of a blend table in the file.
+
+    "table" marks a build_precoders call given a fourth argument or
+    ``table=``; "BlendTable" an import, name or attribute of that name.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)
+        ) == "build_precoders":
+            if len(node.args) > 3 or any(k.arg == "table" for k in node.keywords):
+                found.append(("table", node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found += [("BlendTable", node.lineno) for a in node.names if a.name == "BlendTable"]
+        elif getattr(node, "id", getattr(node, "attr", None)) == "BlendTable":
+            found.append(("BlendTable", node.lineno))
+    return found
+
+
+def test_only_sweeps_pass_a_blend_table():
+    offenders = {
+        path.stem: uses for path in sorted(_PACKAGE.glob("*.py"))
+        if (uses := [(kind, line) for kind, line in _table_uses(path)
+                     if path.stem not in _TABLE_USERS[kind]])
+    }
+    assert offenders == {}
+    assert any(kind == "table" for kind, _ in _table_uses(_PACKAGE / "region.py"))
+
+
+def test_table_use_finder(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from .precoders import BlendTable, build_precoders\n"
+        "import rsma_isac.precoders as pre\n"
+        "a = build_precoders(pp, ch, cfg)\n"
+        "b = pre.build_precoders(pp, ch, cfg, t)\n"
+        "c = build_precoders(pp, ch, cfg, table=t)\n"
+        "d = pre.BlendTable(ch, 'ZF', (), ())\n"
+        "e = build_table(pp, ch, cfg, t)\n"
+        "BlendTables = 1\n"
+    )
+    assert sorted(_table_uses(path)) == [
+        ("BlendTable", 1), ("BlendTable", 6), ("table", 4), ("table", 5),
+    ]
+
+
 # g0 is rounded where it is computed: radar.py defines round_sig and
 # applies it in expected_sensing, and the package namespace re-exports it.
 def _round_sig_uses(path: Path) -> list[int]:

@@ -322,29 +322,6 @@ def test_build_rejects_a_table_of_another_family_or_draw():
     build_precoders(pp, _CHANNELS, _CFG, BlendTable(_CHANNELS, "ZF", _AXIS, _AXIS))
 
 
-def test_a_table_over_other_axes_shares_its_directions(monkeypatch):
-    # A derived table builds what a table of its own would, byte for byte,
-    # and every table derived from one computes the directions once.
-    import rsma_isac.precoders as precoders_mod
-
-    calls = []
-    original = precoders_mod.private_directions
-
-    def counting(*args):
-        calls.append(args[1])
-        return original(*args)
-
-    monkeypatch.setattr(precoders_mod, "private_directions", counting)
-    base = BlendTable(_CHANNELS, "ZF", (), ())
-    for pp in (ParameterPoint(0.5, 0.5, 0.25, 0.75, "ZF"), ParameterPoint(0.9, 0.2, 1.0, 0.0, "ZF")):
-        got = build_precoders(pp, _CHANNELS, _CFG, base.over((pp.alpha_c,), (pp.alpha_p,)))
-        want = build_precoders(pp, _CHANNELS, _CFG)
-        for name in ("p_c", "p_1", "p_2", "p_r"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    # once for the derived tables, once for each of the two own tables
-    assert calls == ["ZF"] * 3
-
-
 @settings(deadline=None, max_examples=60)
 @given(
     t=st.sampled_from(_AXIS),
