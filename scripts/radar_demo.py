@@ -20,7 +20,8 @@ def main() -> int:
     ap.add_argument("--preset", default="S1", choices=["S1", "S2", "S3"])
     ap.add_argument("--subcarriers", type=int, default=64)
     ap.add_argument("--trials", type=int, default=50)
-    ap.add_argument("--beta", type=float, default=0.5)
+    ap.add_argument("--beta", type=float, default=0.5,
+                    help="echo amplitude at the first delay (the scenario's target_attenuation)")
     ap.add_argument("--n0", default="1,2,3")
     ap.add_argument("--out", default="out/radar")
     args = ap.parse_args()
@@ -39,7 +40,7 @@ def main() -> int:
         ["radar-heatmap", "--preset", args.preset, "--set", nc,
          "--params", os.path.join(sweep_dir, "boundary_params.csv"),
          "--n0", args.n0, "--trials", str(args.trials),
-         "--beta", str(args.beta), "--out", heatmap_dir]
+         "--set", f"target_attenuation={args.beta}", "--out", heatmap_dir]
     )
     if rc != 0:
         return rc

@@ -28,7 +28,6 @@ from .core import (
     DegenerateChannelError,
     RngStream,
     ScenarioConfig,
-    _finite,
     generate_channels,
     scenario_preset,
 )
@@ -56,6 +55,8 @@ from .throughput import (
 )
 
 _GEOM = ArrayGeometry(n_tx=2, spacing_wavelengths=0.5)
+# A heatmap's echo at the j-th listed delay is target_attenuation * _ECHO_DECAY**j.
+_ECHO_DECAY = 0.5
 
 
 class ReproduceMismatchError(ArithmeticError):
@@ -178,31 +179,19 @@ def _check_indices(name: str, values, stop: float) -> None:
 
 def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
     n0_values, trials = section["n0_values"], section["trials"]
-    beta0, beta_decay = section["beta0"], section["beta_decay"]
-    if not (_finite(beta0) and _finite(beta_decay)):
-        raise ConfigError(
-            f"beta and beta_decay must be finite numbers, got {beta0!r} and {beta_decay!r}"
-        )
     _check_indices("trials", [trials], math.inf)
     _check_indices("n0 values", n0_values, cfg.n_subcarriers)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     # Captures add clutter of energy 10·β²·G and the matched filter peaks at
     # a power up to (β·G)², G = Σ|c|²; both must stay finite. Four
     # unit-modulus streams share total_power, so G ≤ 4·n_tx·total_power.
-    gain_bound = 4.0 * channels.n_tx * cfg.total_power
-    try:
-        betas = [beta0 * beta_decay**j for j in range(len(n0_values))]
-        finite = all(
-            math.isfinite(10.0 * b**2 * gain_bound) and math.isfinite((b * gain_bound) ** 2)
-            for b in betas
-        )
-    except OverflowError:
-        finite = False
-    if not finite:
+    # The echo only decays, so the first, β = target_attenuation, is the largest.
+    beta, gain_bound = cfg.target_attenuation, 4.0 * channels.n_tx * cfg.total_power
+    peak = beta * gain_bound
+    if not (math.isfinite(10.0 * beta * peak) and math.isfinite(peak * peak)):
         raise ConfigError(
-            f"beta {beta0!r} decaying by {beta_decay!r} over {len(n0_values)} n0 values "
-            f"can reach a clutter energy 10*beta**2*G or a peak power (beta*G)**2, "
-            f"G = {gain_bound:g}, that is not finite"
+            f"target_attenuation {beta!r} gives a clutter energy 10*beta**2*G or a peak "
+            f"power (beta*G)**2, G = {gain_bound:g}, that is not finite"
         )
     rows = [(i, ParameterPoint(*key)) for i, key in section["params_rows"]]
     _check_indices("params row indices", [i for i, _ in rows], math.inf)
@@ -211,7 +200,8 @@ def _run_heatmap(cfg: ScenarioConfig, section: dict, out_dir: str) -> None:
     for row_index, pp in rows:
         # Built even with no trials to run, so a row that cannot be built fails alike.
         pset = build_precoders(pp, channels, cfg)
-        for n0, beta in (zip(n0_values, betas) if trials else ()):
+        for j, n0 in enumerate(n0_values if trials else ()):
+            beta = cfg.target_attenuation * _ECHO_DECAY**j
             # Trial t draws from streams s, s + 1 and s + 2 with s = stream + 3t.
             peaks, snr_db = monte_carlo(
                 channels, pset, cfg,
@@ -395,8 +385,6 @@ def cmd_radar_heatmap(args) -> int:
         "params_rows": _parse_params_csv(args.params, _single_family(args)),
         "n0_values": n0_values,
         "trials": args.trials,
-        "beta0": args.beta if args.beta is not None else cfg.target_attenuation,
-        "beta_decay": args.beta_decay,
     }
     return _record(args, cfg, section)
 
@@ -453,8 +441,9 @@ def cmd_reproduce(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", help="path to a scenario JSON file")
-    p.add_argument("--preset", choices=["S1", "S2", "S3"], help="built-in scenario")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--scenario", help="path to a scenario JSON file")
+    source.add_argument("--preset", choices=["S1", "S2", "S3"], help="built-in scenario")
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument(
@@ -484,11 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="mrt", help="family the params file belongs to")
     p.add_argument("--n0", default="1,2,3", help="comma-separated delay bins")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--beta", type=float, help="echo amplitude at the first n0")
-    p.add_argument(
-        "--beta-decay", type=float, default=0.5,
-        help="multiplicative echo decay per n0 step",
-    )
 
     p = sub.add_parser("point-eval", help="evaluate one parameter point in depth")
     _add_common(p)

@@ -231,9 +231,9 @@ def two_stage_capture(
     if len({rng.stream_id for rng in keys}) != len(keys):
         raise ValueError("captures need distinct stream ids for independent noise")
     nc = c.shape[-1]
-    z = _per_call(keys, "clutter", lambda: np.random.default_rng(
-        (keys[0].seed, _CLUTTER_STREAM_ID)
-    ).normal(scale=math.sqrt(0.5), size=(nc, 2)))
+    z = _per_call(keys, "clutter", lambda: RngStream(
+        keys[0].seed, _CLUTTER_STREAM_ID
+    ).generator().normal(scale=math.sqrt(0.5), size=(nc, 2)))
     energy = 10.0 * float(beta**2) * np.sum(np.abs(c) ** 2, axis=-1)
     clutter = np.sqrt(energy / nc)[:, None] * (z[:, 0] + 1j * z[:, 1])
     y = radar_return(c, n0, beta, sigma_r2, rngs_with)

@@ -1,5 +1,6 @@
 """End-to-end command-line flows, exercised in process through main()."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -16,7 +17,7 @@ import pytest
 
 import rsma_isac
 from rsma_isac import ConfigError, ScenarioConfig, SweepSpec, scenario_preset
-from rsma_isac.cli import _COMMANDS, _KNOBS, _parse_params_csv, main
+from rsma_isac.cli import _COMMANDS, _KNOBS, _parse_params_csv, build_parser, main
 
 _S2_SMALL = ["--preset", "S2", "--set", "n_subcarriers=32"]
 
@@ -312,19 +313,21 @@ def test_missing_scenario_file(tmp_path):
         ["point-eval", "--seed", "-1", *_POINT_SETS],
         ["point-eval", "--seed", str(2**64), *_POINT_SETS],
         ["point-eval", *_POINT_SETS, "--set", "t_comms=true"],
-        # radar-heatmap checks its own knobs before it writes anything
-        [*_HEATMAP_ON_PARAMS, "--beta", "nan"],
-        [*_HEATMAP_ON_PARAMS, "--beta", "inf"],
-        [*_HEATMAP_ON_PARAMS, "--beta-decay", "nan"],
-        [*_HEATMAP_ON_PARAMS, "--beta-decay=-inf"],
+        # radar-heatmap checks its echo and its own knobs before it writes anything
+        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=NaN"],
+        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=Infinity"],
+        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=-Infinity"],
+        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=true"],
         [*_HEATMAP_ON_PARAMS, "--trials", "-3"],
-        # finite betas whose clutter energy 10*beta**2*sum|c|**2 can overflow,
-        # at any n0 step; more transmit power lowers the betas that overflow
-        [*_HEATMAP_ON_PARAMS, "--beta", "3e154"],
-        [*_HEATMAP_ON_PARAMS, "--beta", "1e154"],
-        [*_HEATMAP_ON_PARAMS, "--beta", "4e153"],
-        [*_HEATMAP_ON_PARAMS, "--beta", "1e105", "--set", "total_power=1e100"],
-        [*_HEATMAP_ON_PARAMS, "--beta", "1", "--beta-decay", "1e200", "--n0", "1,2,3"],
+        # finite first echoes whose clutter energy 10*beta**2*sum|c|**2 can
+        # overflow; more transmit power lowers the echoes that overflow
+        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=3e154"],
+        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=1e154"],
+        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=4e153"],
+        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=1e105",
+         "--set", "total_power=1e100"],
+        # the bound is on the first listed delay's echo, whichever delay it is
+        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=4e153", "--n0", "3"],
         # a truncated row of the params file is an error, not a skipped row
         ["radar-heatmap", "--params", "{truncated}", "--set", "n_subcarriers=16"],
         # so is a row with more cells than the header
@@ -341,8 +344,8 @@ def test_missing_scenario_file(tmp_path):
         [*_HEATMAP_ON_PARAMS, "--n0", "1,1"],
         # a finite clutter energy but a matched-filter peak power (beta*G)**2
         # past the float range
-        [*_HEATMAP_ON_PARAMS, "--set", "total_power=1e100", "--beta", "1e60",
-         "--n0", "1,2", "--trials", "5"],
+        [*_HEATMAP_ON_PARAMS, "--set", "total_power=1e100",
+         "--set", "target_attenuation=1e60", "--n0", "1,2", "--trials", "5"],
         # a finite echo amplitude whose square, which the delay CRB and the
         # radar chain take, is past the float range
         ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
@@ -478,6 +481,27 @@ def test_bad_preset_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the echo comes from the scenario's target_attenuation alone
+        ["radar-heatmap", "--params", os.devnull, "--beta", "0.5"],
+        ["radar-heatmap", "--params", os.devnull, "--beta-decay", "0.5"],
+        # a run takes its scenario from one source, never dropping the other
+        ["sweep", "--scenario", os.devnull, "--preset", "S1"],
+        ["point-eval", "--preset", "S2", "--scenario", os.devnull, *_POINT_SETS],
+        ["radar-heatmap", "--params", os.devnull, "--scenario", os.devnull, "--preset", "S1"],
+        ["calibrate-demo", "--scenario", os.devnull, "--preset", "S3"],
+    ],
+)
+def test_gone_or_conflicting_options_are_usage_errors(tmp_path, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def heatmap_flow(tmp_path_factory):
     root = tmp_path_factory.mktemp("heatmap")
@@ -491,7 +515,7 @@ def heatmap_flow(tmp_path_factory):
     rc = main(
         ["radar-heatmap", "--preset", "S1", "--set", "n_subcarriers=64",
          "--params", str(sw / "boundary_params.csv"), "--n0", "1,2,3",
-         "--trials", "20", "--beta", "0.5", "--out", str(hm)]
+         "--trials", "20", "--set", "target_attenuation=0.5", "--out", str(hm)]
     )
     assert rc == 0
     return sw, hm
@@ -591,9 +615,11 @@ def test_reproduce_rejects_negative_heatmap_trials(heatmap_flow, tmp_path):
 def test_reproduce_rejects_overflowing_heatmap_beta(heatmap_flow, tmp_path):
     _, hm = heatmap_flow
     manifest = json.loads((hm / "run.json").read_text())
-    # an integer beyond the float range is as unusable as an overflowing float
-    for i, (beta0, decay) in enumerate(((3e154, 0.5), (4e153, 1.0), (1.0, 1e200), (10**400, 0.5))):
-        manifest["heatmap"].update(beta0=beta0, beta_decay=decay)
+    # The echo is the scenario's: ScenarioConfig turns away 3e154, whose
+    # square overflows, and an integer beyond the float range; the heatmap's
+    # bound turns away 4e153, whose clutter energy overflows.
+    for i, beta in enumerate((3e154, 4e153, 10**400)):
+        manifest["scenario"]["target_attenuation"] = beta
         run = tmp_path / "run.json"
         run.write_text(json.dumps(manifest))
         out = tmp_path / f"redo{i}"
@@ -615,19 +641,21 @@ def test_reproduce_rejects_empty_or_repeated_heatmap_n0(heatmap_flow, tmp_path):
 
 
 def test_failed_heatmap_rerun_leaves_no_files(heatmap_flow, tmp_path, capsys):
-    # The second delay's echo decays to zero with no radar noise, so its
-    # matched-filter output is identically zero. The rerun fails after the
-    # first delay's rows: neither a partial heatmap.csv nor the earlier
+    # On parallel users ZF can build the sensing-only row 0 but not row 1,
+    # which gives the private streams power. The rerun fails after row 0's
+    # cells are measured: neither a partial heatmap.csv nor the earlier
     # run's run.json, which describes another file, may stay behind.
-    sw, hm = heatmap_flow
+    _, hm = heatmap_flow
+    params = tmp_path / "boundary_params.csv"
+    params.write_text(_PARAMS_HEADER + "0,0,-,-,-,-,-,-\n1,0.5,0.5,0.5,0.5,-,-,-\n")
     out = tmp_path / "hm"
     shutil.copytree(hm, out)
     capsys.readouterr()
     rc = main(["radar-heatmap", "--preset", "S1", "--set", "n_subcarriers=64",
-               "--params", str(sw / "boundary_params.csv"), "--set", "noise_power_radar=0",
-               "--beta", "0.1", "--beta-decay", "0", "--out", str(out)])
+               "--params", str(params), "--family", "zf",
+               "--set", "ue_angles_deg=[30,30]", "--out", str(out)])
     assert rc == 3
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "UndefinedProfileError"
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "RankDeficientChannelError"
     assert not (out / "heatmap.csv").exists()
     assert not (out / "run.json").exists()
 
@@ -739,7 +767,7 @@ def test_heatmap_bad_inputs(heatmap_flow, tmp_path):
 # change here has to be deliberate.
 _RUN_JSON_SHA256 = {
     "sweep": "0ee4d7b104156a1bf4cde94f5cca18618a88784b8e1edbc162e18d787d0b0236",
-    "radar-heatmap": "5e7b7674d4d4fd7a29f499e2d16f098be8deff479defdffe6a236b32fc83a650",
+    "radar-heatmap": "967e9fecdcd973daa0cd45a6f2e558d4b7979943e93287471c27112b149bab35",
     "point-eval": "0ab9e9e2f28c4ebed7365b222d1d5262ecfef9f96198e03e7bbbc50c35070647",
     "calibrate-demo": "3ab390882321f4938bc05c0c8c4a6c05292ceaeb49799231fe871c1948aeb139",
 }
@@ -806,6 +834,24 @@ def test_readme_names_every_set_key():
     own = {"sweep": {f.name for f in dataclasses.fields(SweepSpec)}, "point-eval": set(_KNOBS)}
     expected = {command: scenario | own.get(command, set()) for command in _COMMANDS}
     assert _readme_set_keys(_README.read_text(encoding="utf-8")) == expected
+
+
+def _readme_cli_flags(text: str) -> set:
+    """The ``--flag`` tokens of the README's CLI section."""
+    section = re.search(r"^## CLI\n(.*?)^## ", text, re.S | re.M).group(1)
+    return set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+
+
+def test_readme_names_every_cli_flag():
+    parser = build_parser()
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        option
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+    }
+    assert _readme_cli_flags(_README.read_text(encoding="utf-8")) == flags - {"-h", "--help"}
 
 
 @pytest.mark.parametrize("launcher", ["console-script", "python-m"])
