@@ -72,7 +72,8 @@ _NUMERIC_ERRORS = (
     ReproduceMismatchError,
 )
 
-_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
+# --set's scenario keys; the seed comes from --seed or the scenario.
+_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"seed"}
 # point-eval's --set keys; its family comes from --family.
 _KNOBS = tuple(f.name for f in dataclasses.fields(ParameterPoint) if f.name != "family")
 
@@ -83,25 +84,23 @@ def _fail(code: int, exc: BaseException) -> int:
     return code
 
 
-def _parse_value(raw: str):
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-
-
 def _settings(args, own=()) -> tuple[ScenarioConfig, dict]:
-    """The scenario a command runs on, and the --set values of its ``own`` fields.
+    """The scenario a command runs on, and the --set values of its ``own`` keys.
 
-    --set accepts the scenario fields plus the command's own fields; any
-    other key is an error rather than silently ignored.
+    --set takes JSON values of the scenario fields but the seed, plus the
+    command's own keys; any other key is an error rather than ignored.
     """
     overrides = {}
     for pair in args.set or []:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        overrides[key.strip()] = _parse_value(raw.strip())
+        key, raw = (part.strip() for part in pair.split("=", 1))
+        if key in overrides:
+            raise ConfigError(f"--set {key} given twice")
+        try:
+            overrides[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            raise ConfigError(f"--set {key}: {raw!r} is not a JSON value") from None
     unknown = set(overrides) - _SCENARIO_FIELDS - set(own)
     if unknown:
         raise ConfigError(f"unknown override keys for {args.command}: {sorted(unknown)}")
@@ -110,7 +109,6 @@ def _settings(args, own=()) -> tuple[ScenarioConfig, dict]:
             cfg = ScenarioConfig.from_json(fh.read())
     else:
         cfg = scenario_preset(args.preset or "S1")
-    # --seed first, so a --set key beats the flag for the same field.
     updates = {} if args.seed is None else {"seed": args.seed}
     updates.update((k, v) for k, v in overrides.items() if k in _SCENARIO_FIELDS)
     if updates:
@@ -320,19 +318,16 @@ def _record(args, cfg: ScenarioConfig, section) -> int:
 
 
 def cmd_sweep(args) -> int:
+    cfg, own = _settings(args, ("include_cases",))
     section = {
         "grid_step": args.step,
         "families": list(_family_tuple(args.family)),
         "metric": {"g0": "G0", "snr": "SNR_RAD"}[args.metric],
-        "include_cases": None,
+        "include_cases": own.get("include_cases"),
         "monte_carlo_trials": args.trials,
     }
-    cfg, own = _settings(args, section)
-    section.update(own)
-    # The manifest records the spec in canonical form: upper-case families,
-    # sorted case tags.
+    # The manifest records the case filter in canonical form: sorted tags.
     spec = SweepSpec(**section)
-    section["families"] = list(spec.families)
     if spec.include_cases is not None:
         section["include_cases"] = sorted(spec.include_cases)
     return _record(args, cfg, section)
@@ -344,9 +339,9 @@ def _parse_params_csv(path: str, family: str) -> list:
     Dashed entries are the pinned values the sweep collapsed away:
     no communications power pins everything downstream, t_p = 1 pins
     alpha_c, t_p = 0 pins alpha_p. Blank lines are skipped; a row with
-    fewer or more cells than the header is a ``ConfigError`` naming its
-    line, and so are a header without the knob columns and a file without
-    rows.
+    fewer or more cells than the header, or a cell that is not a number,
+    is a ``ConfigError`` naming its line, and so are a header without the
+    knob columns and a file without rows.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -366,8 +361,12 @@ def _parse_params_csv(path: str, family: str) -> list:
                 )
 
             t_comms, *rest = (cells[idx[name]] for name in _KNOBS)
-            key = [float(t_comms), *(1.0 if raw == "-" else float(raw) for raw in rest), family]
-            rows.append([int(cells[idx["index"]]), key])
+            try:
+                index = int(cells[idx["index"]])
+                key = [float(t_comms), *(1.0 if raw == "-" else float(raw) for raw in rest)]
+            except ValueError as exc:
+                raise ConfigError(f"{path}, line {lineno}: {exc}") from None
+            rows.append([index, [*key, family]])
     if not rows:
         raise ConfigError(f"{path}: no operating points")
     return rows
@@ -448,7 +447,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
-        help="override a scenario/sweep/point field (repeatable)",
+        help="JSON value of a scenario field but seed, or of a command's own key (repeatable)",
     )
 
 

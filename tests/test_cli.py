@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import rsma_isac
-from rsma_isac import ConfigError, ScenarioConfig, SweepSpec, scenario_preset
+from rsma_isac import ConfigError, ScenarioConfig, scenario_preset
 from rsma_isac.cli import _COMMANDS, _KNOBS, _parse_params_csv, build_parser, main
 
 _S2_SMALL = ["--preset", "S2", "--set", "n_subcarriers=32"]
@@ -154,8 +155,12 @@ def test_reproduce_missing_manifest(tmp_path):
     assert rc == 2
 
 
-_POINT_SETS = ["--set", "t_comms=1", "--set", "t_p=0.5", "--set", "alpha_c=0.5",
-               "--set", "alpha_p=0.5"]
+def _point_sets(**knobs):
+    knobs = {"t_comms": 1, "t_p": 0.5, "alpha_c": 0.5, "alpha_p": 0.5, **knobs}
+    return [arg for key, value in knobs.items() for arg in ("--set", f"{key}={value}")]
+
+
+_POINT_SETS = _point_sets()
 _PARAMS_HEADER = "index,t_comms,t_p,alpha_c,alpha_p,mcs_c,mcs_1,mcs_2\n"
 # "{params}" stands for a one-row boundary_params.csv the test writes.
 _HEATMAP_ON_PARAMS = ["radar-heatmap", "--params", "{params}", "--set", "n_subcarriers=16"]
@@ -262,14 +267,43 @@ def test_seed_and_overrides_land_in_manifest(tmp_path):
     assert scenario["total_power"] == 2.0
 
 
-def test_set_beats_the_flag_for_the_same_field(tmp_path):
+def test_flags_are_the_only_route_for_their_settings(tmp_path, capsys):
+    # --seed, --step, --family, --metric and --trials set these fields, and
+    # --set does not take them, so no rule has to pick between two values
+    for pair in ("seed=7", "grid_step=0.25", 'families=["MRT"]', 'metric="SNR_RAD"',
+                 "monte_carlo_trials=3"):
+        key = pair.split("=")[0]
+        out = tmp_path / key
+        assert _run_sweep(out, extra=("--set", pair)) == 2
+        assert not out.exists()
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == f"unknown override keys for sweep: [{key!r}]"
     out = tmp_path / "sw"
-    # _run_sweep passes --step 0.5
-    rc = _run_sweep(out, extra=("--seed", "5", "--set", "seed=7", "--set", "grid_step=0.25"))
-    assert rc == 0
-    manifest = json.loads((out / "run.json").read_text())
-    assert manifest["scenario"]["seed"] == 7
-    assert manifest["sweep"]["grid_step"] == 0.25
+    assert _run_sweep(out, extra=("--seed", "5")) == 0
+    assert json.loads((out / "run.json").read_text())["scenario"]["seed"] == 5
+
+
+def test_set_takes_one_json_value_per_key(tmp_path, capsys):
+    cases = [
+        # the seed comes from --seed or the scenario, on every command
+        *((argv + ["--set", "seed=7"], f"unknown override keys for {argv[0]}: ['seed']")
+          for argv in (["sweep"], ["radar-heatmap", "--params", os.devnull],
+                       ["point-eval", *_POINT_SETS], ["calibrate-demo"])),
+        # a key given twice is an error, even with the same value
+        (["sweep", "--set", "total_power=2", "--set", "total_power=2"],
+         "--set total_power given twice"),
+        (["point-eval", *_POINT_SETS, "--set", "t_p=1"], "--set t_p given twice"),
+        # a value is JSON or an error, never a plain string
+        (["sweep", "--set", "total_power=abc"], "--set total_power: 'abc' is not a JSON value"),
+        (["sweep", "--set", "include_cases=General"],
+         "--set include_cases: 'General' is not a JSON value"),
+        (["point-eval", *_point_sets(alpha_c="")], "--set alpha_c: '' is not a JSON value"),
+    ]
+    for argv, message in cases:
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == message
 
 
 def test_scenario_file_input(tmp_path):
@@ -295,83 +329,86 @@ def test_missing_scenario_file(tmp_path):
     assert rc == 2
 
 
+# Each case keeps its id when another is added or deleted: a deleted
+# case's id is retired, and a new case takes the next unused number.
+# A dict argument stands for a hand-written sweep manifest, run through
+# reproduce, whose "sweep" section takes the dict's values.
+_BAD_CONFIGURATIONS = {
+    "argv0": ["sweep", "--set", "warp_factor=9"],
+    "argv1": ["sweep", "--set", "nodelimiter"],
+    "argv2": ["sweep", "--step", "0.3"],
+    "argv3": ["sweep", "--family", "qr"],
+    # keys another command owns are rejected, not silently ignored
+    "argv4": ["sweep", "--set", "t_comms=0.5"],
+    "argv5": ["calibrate-demo", "--set", 'include_cases=["General"]'],
+    "argv6": ["radar-heatmap", "--params", os.devnull, "--set", "t_p=0.5"],
+    # non-finite and non-numeric values stop at the boundary
+    "argv7": ["point-eval", "--set", "total_power=NaN", *_POINT_SETS],
+    "argv8": ["point-eval", "--scenario", "{seed_true}", *_POINT_SETS],
+    # random streams are keyed by 64-bit seeds
+    "argv9": ["point-eval", "--seed", "-1", *_POINT_SETS],
+    "argv10": ["point-eval", "--seed", str(2**64), *_POINT_SETS],
+    "argv11": ["point-eval", *_point_sets(t_comms="true")],
+    # radar-heatmap checks its echo and its own knobs before it writes anything
+    "argv12": [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=NaN"],
+    "argv13": [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=Infinity"],
+    "argv14": [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=-Infinity"],
+    "argv15": [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=true"],
+    "argv16": [*_HEATMAP_ON_PARAMS, "--trials", "-3"],
+    # finite first echoes whose clutter energy 10*beta**2*sum|c|**2 can
+    # overflow; more transmit power lowers the echoes that overflow
+    "argv17": [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=3e154"],
+    "argv18": [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=1e154"],
+    "argv19": [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=4e153"],
+    "argv20": [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=1e105",
+               "--set", "total_power=1e100"],
+    # the bound is on the first listed delay's echo, whichever delay it is
+    "argv21": [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=4e153", "--n0", "3"],
+    # a truncated row of the params file is an error, not a skipped row
+    "argv22": ["radar-heatmap", "--params", "{truncated}", "--set", "n_subcarriers=16"],
+    # so is a row with more cells than the header
+    "argv23": ["radar-heatmap", "--params", "{overlong}", "--set", "n_subcarriers=16"],
+    # the Monte Carlo trial count is an integer under either metric
+    "argv24": ["reproduce", "--run", {"metric": "SNR_RAD", "monte_carlo_trials": True}],
+    "argv25": ["reproduce", "--run", {"metric": "SNR_RAD", "monte_carlo_trials": 2.5}],
+    "argv26": ["reproduce", "--run", {"metric": "SNR_RAD", "monte_carlo_trials": math.nan}],
+    "argv27": ["reproduce", "--run", {"monte_carlo_trials": True}],
+    "argv28": ["sweep", "--step", "0.5", "--set", "n_subcarriers=16", "--trials", "-3"],
+    # every delay is measured once
+    "argv29": [*_HEATMAP_ON_PARAMS, "--n0", ""],
+    "argv30": [*_HEATMAP_ON_PARAMS, "--n0", "1,1"],
+    # a finite clutter energy but a matched-filter peak power (beta*G)**2
+    # past the float range
+    "argv31": [*_HEATMAP_ON_PARAMS, "--set", "total_power=1e100",
+               "--set", "target_attenuation=1e60", "--n0", "1,2", "--trials", "5"],
+    # a finite echo amplitude whose square, which the delay CRB and the
+    # radar chain take, is past the float range
+    "argv32": ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
+               "--family", "mrt", "--set", "target_attenuation=1e200"],
+    "argv33": ["point-eval", "--set", "target_attenuation=-1e160", *_POINT_SETS],
+    # a case filter that is empty, or a bare tag that would split into
+    # characters, is a configuration error, not a sweep with no points
+    "argv34": ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
+               "--family", "mrt", "--set", "include_cases=[]"],
+    "argv35": ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
+               "--family", "mrt", "--set", 'include_cases="General"'],
+    # a params file with no operating points, or without the knob columns
+    "argv36": ["radar-heatmap", "--params", "{empty}", "--set", "n_subcarriers=16"],
+    "argv37": ["radar-heatmap", "--params", "{noheader}", "--set", "n_subcarriers=16"],
+    # a repeated family would be swept, and written, twice
+    "argv38": ["reproduce", "--run", {"families": ["MRT", "MRT"]}],
+    # a family that is not a string
+    "argv39": ["reproduce", "--run", {"families": [5]}],
+    # a list-valued knob, typed or replayed: (t_comms, t_p) pairs are
+    # for sweeps, and a command evaluates one point
+    "argv40": ["point-eval", *_point_sets(t_comms="[0.5,0.6]")],
+    "argv41": ["reproduce", "--run", "{point_run}"],
+    "argv42": ["reproduce", "--run", "{heatmap_run}"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep", "--set", "warp_factor=9"],
-        ["sweep", "--set", "nodelimiter"],
-        ["sweep", "--step", "0.3"],
-        ["sweep", "--family", "qr"],
-        # keys another command owns are rejected, not silently ignored
-        ["sweep", "--set", "t_comms=0.5"],
-        ["calibrate-demo", "--set", "grid_step=0.25"],
-        ["radar-heatmap", "--params", os.devnull, "--set", 'metric="SNR_RAD"'],
-        # non-finite and non-numeric values stop at the boundary
-        ["point-eval", "--set", "total_power=NaN", *_POINT_SETS],
-        ["point-eval", "--set", "seed=true", *_POINT_SETS],
-        # random streams are keyed by 64-bit seeds
-        ["point-eval", "--seed", "-1", *_POINT_SETS],
-        ["point-eval", "--seed", str(2**64), *_POINT_SETS],
-        ["point-eval", *_POINT_SETS, "--set", "t_comms=true"],
-        # radar-heatmap checks its echo and its own knobs before it writes anything
-        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=NaN"],
-        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=Infinity"],
-        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=-Infinity"],
-        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=true"],
-        [*_HEATMAP_ON_PARAMS, "--trials", "-3"],
-        # finite first echoes whose clutter energy 10*beta**2*sum|c|**2 can
-        # overflow; more transmit power lowers the echoes that overflow
-        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=3e154"],
-        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=1e154"],
-        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=4e153"],
-        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=1e105",
-         "--set", "total_power=1e100"],
-        # the bound is on the first listed delay's echo, whichever delay it is
-        [*_HEATMAP_ON_PARAMS, "--set", "target_attenuation=4e153", "--n0", "3"],
-        # a truncated row of the params file is an error, not a skipped row
-        ["radar-heatmap", "--params", "{truncated}", "--set", "n_subcarriers=16"],
-        # so is a row with more cells than the header
-        ["radar-heatmap", "--params", "{overlong}", "--set", "n_subcarriers=16"],
-        # the Monte Carlo trial count is an integer under either metric
-        [*_SMALL_SNR_SWEEP, "--set", "monte_carlo_trials=true"],
-        [*_SMALL_SNR_SWEEP, "--set", "monte_carlo_trials=2.5"],
-        [*_SMALL_SNR_SWEEP, "--set", "monte_carlo_trials=NaN"],
-        ["sweep", "--step", "0.5", "--set", "n_subcarriers=16",
-         "--set", "monte_carlo_trials=true"],
-        ["sweep", "--step", "0.5", "--set", "n_subcarriers=16", "--trials", "-3"],
-        # every delay is measured once
-        [*_HEATMAP_ON_PARAMS, "--n0", ""],
-        [*_HEATMAP_ON_PARAMS, "--n0", "1,1"],
-        # a finite clutter energy but a matched-filter peak power (beta*G)**2
-        # past the float range
-        [*_HEATMAP_ON_PARAMS, "--set", "total_power=1e100",
-         "--set", "target_attenuation=1e60", "--n0", "1,2", "--trials", "5"],
-        # a finite echo amplitude whose square, which the delay CRB and the
-        # radar chain take, is past the float range
-        ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
-         "--family", "mrt", "--set", "target_attenuation=1e200"],
-        ["point-eval", "--set", "target_attenuation=-1e160", *_POINT_SETS],
-        # a case filter that is empty, or a bare tag that would split into
-        # characters, is a configuration error, not a sweep with no points
-        ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
-         "--family", "mrt", "--set", "include_cases=[]"],
-        ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
-         "--family", "mrt", "--set", 'include_cases="General"'],
-        # a params file with no operating points, or without the knob columns
-        ["radar-heatmap", "--params", "{empty}", "--set", "n_subcarriers=16"],
-        ["radar-heatmap", "--params", "{noheader}", "--set", "n_subcarriers=16"],
-        # a repeated family would be swept, and written, twice
-        ["sweep", "--preset", "S2", "--set", "n_subcarriers=16", "--step", "0.5",
-         "--set", 'families=["MRT","MRT"]'],
-        # a family that is not a string
-        ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5",
-         "--set", "families=[5]"],
-        # a list-valued knob, typed or replayed: (t_comms, t_p) pairs are
-        # for sweeps, and a command evaluates one point
-        ["point-eval", *_POINT_SETS, "--set", "t_comms=[0.5,0.6]"],
-        ["reproduce", "--run", "{point_run}"],
-        ["reproduce", "--run", "{heatmap_run}"],
-    ],
+    "argv", list(_BAD_CONFIGURATIONS.values()), ids=list(_BAD_CONFIGURATIONS)
 )
 def test_bad_configuration_exits_2(tmp_path, argv):
     params = tmp_path / "boundary_params.csv"
@@ -385,6 +422,8 @@ def test_bad_configuration_exits_2(tmp_path, argv):
     noheader = tmp_path / "noheader.csv"
     noheader.write_text("foo,bar\n")
     scenario = {**scenario_preset("S1").to_json_dict(), "n_subcarriers": 16}
+    seed_true = tmp_path / "seed_true.json"
+    seed_true.write_text(json.dumps({**scenario, "seed": True}))
     listed = [[0.5, 0.6], [0.5, 0.5], 0.5, 0.5, "MRT"]
     point_run = tmp_path / "point_run.json"
     point_run.write_text(json.dumps({
@@ -398,10 +437,22 @@ def test_bad_configuration_exits_2(tmp_path, argv):
         "heatmap": {"params_rows": [[0, listed]], "n0_values": [1], "trials": 2,
                     "beta0": 0.1, "beta_decay": 0.5, "family": "mrt"},
     }))
+
+    def sweep_run(changes):
+        path = tmp_path / "sweep_run.json"
+        path.write_text(json.dumps({
+            "command": "sweep", "scenario": scenario,
+            "outputs": {name: "0" * 64 for name in _COMMANDS["sweep"][2]},
+            "sweep": {"grid_step": 0.5, "families": ["MRT"], "metric": "G0",
+                      "include_cases": None, "monte_carlo_trials": 2, **changes},
+        }))
+        return str(path)
+
     files = {"{params}": str(params), "{truncated}": str(truncated),
              "{overlong}": str(overlong), "{empty}": str(empty), "{noheader}": str(noheader),
+             "{seed_true}": str(seed_true),
              "{point_run}": str(point_run), "{heatmap_run}": str(heatmap_run)}
-    argv = [files.get(arg, arg) for arg in argv]
+    argv = [sweep_run(arg) if isinstance(arg, dict) else files.get(arg, arg) for arg in argv]
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists() or not any(out.iterdir())
@@ -429,6 +480,13 @@ def test_params_csv_skips_blank_lines_only(tmp_path):
         _parse_params_csv(str(path), "ZF")
     path.write_text(_PARAMS_HEADER + "0,0,-,-,-,-,-,-\n1,1,1,-,0.5,-,9,9,99\n")
     with pytest.raises(ConfigError, match="line 3"):
+        _parse_params_csv(str(path), "ZF")
+    # a knob or index cell that is not a number names the file and its line
+    path.write_text(_PARAMS_HEADER + "0,0,-,-,-,-,-,-\n1,abc,1,-,0.5,-,9,9\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}, line 3: .*'abc'"):
+        _parse_params_csv(str(path), "ZF")
+    path.write_text(_PARAMS_HEADER + "0.5,1,1,-,0.5,-,9,9\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}, line 2: .*'0.5'"):
         _parse_params_csv(str(path), "ZF")
 
 
@@ -830,8 +888,8 @@ def _readme_set_keys(text: str) -> dict:
 
 
 def test_readme_names_every_set_key():
-    scenario = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    own = {"sweep": {f.name for f in dataclasses.fields(SweepSpec)}, "point-eval": set(_KNOBS)}
+    scenario = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"seed"}
+    own = {"sweep": {"include_cases"}, "point-eval": set(_KNOBS)}
     expected = {command: scenario | own.get(command, set()) for command in _COMMANDS}
     assert _readme_set_keys(_README.read_text(encoding="utf-8")) == expected
 
