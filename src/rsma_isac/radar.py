@@ -17,6 +17,7 @@ consistent with every other.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable, Hashable, Sequence
 
 import numpy as np
@@ -38,9 +39,57 @@ _CLUTTER_STREAM_ID = 0x7FFFFFFF
 _SENSING_SYMBOL_SEED = 0x5EED
 
 
-# monte_carlo stacks this many trials per call: enough to amortize numpy's
-# per-call cost, few enough to keep the stacked temporaries small.
-_TRIAL_CHUNK = 8
+# monte_carlo stacks as many trials as keep a transmit stack x (trials x
+# N_c x N_T) within this many entries: 32 trials at N_c = 512 and N_T = 2,
+# enough to amortize numpy's per-call cost, few enough to keep the
+# resident stacks (below) near 2 MB.
+_STACK_ENTRIES = 2**15
+
+
+class _Stacks(threading.local):
+    """The calling thread's resident stacks: one byte buffer per slot.
+
+    A ``monte_carlo`` call's stages write their stack-sized arrays into
+    these buffers, so stack after stack and call after call reuse the same
+    pages instead of freeing them and faulting them back in. Each thread
+    has its own. Arrays that are never live at once share a slot; within
+    a stack, from ``synthesize_tx`` through the capture to
+    ``range_profile``, the slots hold::
+
+        0      x, then the noise stack, then conj(c) and the DFT
+        1      the take() output, then |c|^2 and 1j·noise, then the product and |DFT|
+        2      the index rows, then the clutter grid, then the off-peak powers
+        3      c, from steered_projection on
+        3 + j  the capture y of stream column j (radar_return)
+
+    A buffer grows to the largest array it has held and then stays.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: dict[int, np.ndarray] = {}
+
+
+_STACKS = _Stacks()
+
+
+def _out(resident: bool, slot: int, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+    """An uninitialized array of ``shape`` for a stage to write with ``out=``:
+    this thread's stack ``slot`` when ``resident``, that is on
+    ``monte_carlo``'s path, else a fresh one."""
+    if not resident:
+        return np.empty(shape, dtype)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = _STACKS.buffers.get(slot)
+    if buf is None or buf.size < nbytes:
+        buf = _STACKS.buffers[slot] = np.empty(nbytes, np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def _in_stack(slot: int, a: np.ndarray) -> bool:
+    """Whether ``a`` is this thread's stack ``slot``, so its caller is on
+    ``monte_carlo``'s path. Every stage but ``synthesize_tx``, whose input
+    from that path is only its keys, asks this of its input."""
+    return a.base is not None and a.base is _STACKS.buffers.get(slot)
 
 
 def round_sig(value: float) -> float:
@@ -79,22 +128,30 @@ class _CallStream:
     draws from its stream before it turns to the next trial, so the
     stages never need two streams at once. ``shared`` is the call's store
     of what the stages compute from its fixed inputs (see ``_per_call``).
+    ``column`` is the stream's place in its trial's ids; a capture of
+    column j goes in stack slot 3 + j (see ``_Stacks``).
     """
 
-    __slots__ = ("seed", "stream_id", "_state", "_gen", "shared")
+    __slots__ = ("seed", "stream_id", "_state", "_gen", "shared", "column")
 
     def __init__(self, seed: int, stream_id: int, start: tuple[int, int],
-                 gen: np.random.Generator, shared: dict) -> None:
+                 gen: np.random.Generator, shared: dict, column: int) -> None:
         self.seed, self.stream_id = seed, stream_id
         state, inc = start
         self._state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                        "has_uint32": 0, "uinteger": 0}
         self._gen = gen
         self.shared = shared
+        self.column = column
 
     def generator(self) -> np.random.Generator:
         self._gen.bit_generator.state = self._state
         return self._gen
+
+
+def _call_store(rngs: Sequence) -> dict | None:
+    """The ``monte_carlo`` call's store that stream keys carry, or None."""
+    return getattr(rngs[0], "shared", None) if len(rngs) else None
 
 
 def _per_call(rngs: Sequence, key: Hashable, compute: Callable[[], object]):
@@ -105,7 +162,7 @@ def _per_call(rngs: Sequence, key: Hashable, compute: Callable[[], object]):
     capture are fixed, so the value the first chunk computes under ``key``
     serves every later chunk. Other keys (``RngStream``) compute it anew.
     """
-    shared = getattr(rngs[0], "shared", None) if len(rngs) else None
+    shared = _call_store(rngs)
     if shared is None:
         return compute()
     if key not in shared:
@@ -139,15 +196,21 @@ def synthesize_tx(pset: PrecoderSet, rngs: Sequence[RngStream]) -> np.ndarray:
     """
     nc = pset.p_c.shape[0]
     tables, sensing = _per_call(rngs, "tx", lambda: _tx_terms(pset))
-    x = np.zeros((len(rngs), *pset.p_c.shape), dtype=pset.p_c.dtype)
+    resident = _call_store(rngs) is not None
+    x = _out(resident, 0, (len(rngs), *pset.p_c.shape), pset.p_c.dtype)
+    x.fill(0)
     if tables:
-        rows = np.empty((len(tables), len(rngs), nc), dtype=np.intp)
+        rows = _out(resident, 2, (len(tables), len(rngs), nc), np.intp)
         for t, rng in enumerate(rngs):
             rows[:, t] = rng.generator().integers(0, 4, size=(len(tables), nc))
         rows *= nc
         rows += np.arange(nc)
+        symbols = _out(resident, 1, x.shape, x.dtype)
         for table, stream_rows in zip(tables, rows):
-            x += table.take(stream_rows, axis=0)
+            # The rows lie in range by construction; "clip" lets take()
+            # write straight into ``out``, where "raise" copies through a
+            # buffer of its own.
+            x += table.take(stream_rows, axis=0, out=symbols, mode="clip")
     if sensing is not None:
         x += sensing
     return x
@@ -155,7 +218,8 @@ def synthesize_tx(pset: PrecoderSet, rngs: Sequence[RngStream]) -> np.ndarray:
 
 def steered_projection(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Per-subcarrier complex amplitude c[k] = a^H x[k], leading trial axes kept."""
-    return np.einsum("t,...kt->...k", np.conj(a), x)
+    out = _out(_in_stack(0, x), 3, x.shape[:-1], np.result_type(a, x))
+    return np.einsum("t,...kt->...k", np.conj(a), x, out=out)
 
 
 def expected_steered_power(pset: PrecoderSet, a: np.ndarray) -> np.ndarray:
@@ -196,15 +260,20 @@ def radar_return(
         raise ValueError(f"n0 must lie in [0, {nc}), got {n0}")
     if c.shape != (len(rngs), nc):
         raise ValueError(f"need one stream key per row of c, got {len(rngs)} for {c.shape}")
-    y = beta * c
+    resident = _in_stack(3, c)
+    # Each key list of a stack captures into its own stack (see _Stacks).
+    slot = 3 + rngs[0].column if resident else 0
+    y = np.multiply(beta, c, out=_out(resident, slot, c.shape))
     y *= _per_call(rngs, ("ramp", n0), lambda: np.exp(2j * np.pi * n0 * np.arange(nc) / nc))
     scale = math.sqrt(sigma_r2 / (2.0 * nc)) if sigma_r2 > 0 else 0.0
-    noise = np.zeros((len(rngs), nc, 2))
+    noise = _out(resident, 0, (len(rngs), nc, 2), float)
     if scale:
         for t, rng in enumerate(rngs):
             noise[t] = rng.generator().normal(scale=scale, size=(nc, 2))
+    else:
+        noise.fill(0.0)
     y += noise[..., 0]
-    y += 1j * noise[..., 1]
+    y += np.multiply(1j, noise[..., 1], out=_out(resident, 1, c.shape))
     return y
 
 
@@ -234,8 +303,11 @@ def two_stage_capture(
     z = _per_call(keys, "clutter", lambda: RngStream(
         keys[0].seed, _CLUTTER_STREAM_ID
     ).generator().normal(scale=math.sqrt(0.5), size=(nc, 2)))
-    energy = 10.0 * float(beta**2) * np.sum(np.abs(c) ** 2, axis=-1)
-    clutter = np.sqrt(energy / nc)[:, None] * (z[:, 0] + 1j * z[:, 1])
+    resident = _in_stack(3, c)
+    power = np.abs(c, out=_out(resident, 1, c.shape, float))
+    energy = 10.0 * float(beta**2) * np.sum(np.square(power, out=power), axis=-1)
+    clutter = np.multiply(np.sqrt(energy / nc)[:, None], z[:, 0] + 1j * z[:, 1],
+                          out=_out(resident, 2, c.shape))
     y = radar_return(c, n0, beta, sigma_r2, rngs_with)
     y += clutter
     without = radar_return(c, n0, 0.0, sigma_r2, rngs_without)
@@ -316,15 +388,22 @@ def range_profile(y: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     average off-peak power. Returns ``(peak_bin, snr_rad_db)``, each of
     shape (trials,). Ties in the peak search resolve to the lowest bin.
     """
-    mags = np.abs(np.fft.fft(y * np.conj(c), axis=-1))
+    resident = _in_stack(3, c)
+    product = np.multiply(y, np.conj(c, out=_out(resident, 0, c.shape)),
+                          out=_out(resident, 1, c.shape))
+    spectrum = np.fft.fft(product, axis=-1, out=_out(resident, 0, c.shape))
+    mags = np.abs(spectrum, out=_out(resident, 1, c.shape, float))
     if not np.all(np.any(mags > 0.0, axis=-1)):
         raise UndefinedProfileError(
             "matched-filter output is identically zero; no energy toward the target"
         )
     peak = np.argmax(mags, axis=-1)
     trials, nc = mags.shape
-    off_peak = mags[np.arange(nc) != peak[:, None]].reshape(trials, nc - 1)
-    denom = np.mean(off_peak**2, axis=-1)
+    off_peak = _out(resident, 2, (trials, nc - 1), float)
+    # Each row without its peak bin: the bins below it, then those above it.
+    np.copyto(off_peak, mags[:, :-1])
+    np.copyto(off_peak, mags[:, 1:], where=np.arange(nc - 1) >= peak[:, None])
+    denom = np.mean(np.square(off_peak, out=off_peak), axis=-1)
     # The SNR stays scalar math per trial: a numpy scalar's ** and math.log10
     # round differently from their array forms on some inputs.
     snr_db = []
@@ -348,34 +427,45 @@ def monte_carlo(
     stream ``streams[t][0]``. Its other ids are for the capture:
     ``capture(c, *rngs)`` gets the steered waveforms c and one list of
     keys per further id (``rngs[0][t]`` keys ``streams[t][1]``), and
-    returns the captures y. The trials run ``_TRIAL_CHUNK`` at a time;
-    their linear SNRs are added one at a time as scalar math, in trial
-    order, and the dB of the sum over the trial count is returned. No
-    trials raise ``ValueError``.
+    returns the captures y. The trials run in stacks of as many as keep
+    the stack of transmit grids within ``_STACK_ENTRIES`` entries; their
+    linear SNRs are added one at a time as scalar math, in trial order,
+    and the dB of the sum over the trial count is returned. No trials,
+    trials with unequal numbers of ids, or an id used twice in the call
+    raise ``ValueError``.
 
     Every stream's start is computed in one pass (``stream_states``) and
     all of them draw through one Generator (``_CallStream``). What the
     stages compute from the call's fixed inputs (the symbol tables, the
     sensing grid, the delay ramp, the clutter grid) is computed by the
-    first chunk and kept for the rest.
+    first stack and kept for the rest. The stages write each stack into
+    the calling thread's resident buffers (``_Stacks``), which the next
+    stack overwrites: ``capture`` must not keep c or what the stages
+    return to it, and when it hands the stages c it must hand them its
+    own key lists, each once, since the captures of one list share a
+    buffer.
     """
     if not streams:
         raise ValueError("monte_carlo needs at least one trial")
-    starts = iter(stream_states(cfg.seed, [s for trial in streams for s in trial]))
+    if len({len(trial) for trial in streams}) != 1:
+        raise ValueError(
+            "every trial of a monte_carlo call needs the same number of stream ids"
+        )
+    ids = [s for trial in streams for s in trial]
+    if len(set(ids)) != len(ids):
+        raise ValueError("the stream ids of a monte_carlo call must be distinct")
+    starts = iter(stream_states(cfg.seed, ids))
     # The Generator's own seed is never drawn from: each stream sets its state.
     gen, shared = np.random.default_rng(0), {}
-    trials = [[_CallStream(cfg.seed, s, next(starts), gen, shared) for s in trial]
-              for trial in streams]
+    trials = [[_CallStream(cfg.seed, s, next(starts), gen, shared, column)
+               for column, s in enumerate(trial)] for trial in streams]
+    per_stack = max(1, _STACK_ENTRIES // pset.p_c.size)
     peaks: list[int] = []
     total = 0.0
-    for lo in range(0, len(trials), _TRIAL_CHUNK):
-        tx, *rngs = zip(*trials[lo:lo + _TRIAL_CHUNK])
-        x = synthesize_tx(pset, tx)
-        c = steered_projection(x, channels.target_steering)
-        del x  # each stack goes once the next stage has consumed it
-        y = capture(c, *rngs)
-        peak_bin, snr_rad_db = range_profile(y, c)
-        del c, y
+    for lo in range(0, len(trials), per_stack):
+        tx, *rngs = zip(*trials[lo:lo + per_stack])
+        c = steered_projection(synthesize_tx(pset, tx), channels.target_steering)
+        peak_bin, snr_rad_db = range_profile(capture(c, *rngs), c)
         peaks += peak_bin.tolist()
         for snr_db in snr_rad_db.tolist():
             total += 10.0 ** (snr_db / 10.0)

@@ -143,6 +143,16 @@ def test_every_import_is_stdlib_or_declared():
     assert offenders == {}
 
 
+def test_numpy_floor_takes_an_fft_out_array():
+    """``radar.range_profile`` DFTs into an ``out=`` array, which
+    ``np.fft.fft`` takes from numpy 2.0 on, so that is the declared floor."""
+    np = pytest.importorskip("numpy")
+    tomllib = pytest.importorskip("tomllib")
+    text = (_PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert "numpy>=2.0" in tomllib.loads(text)["project"]["dependencies"]
+    assert "out" in inspect.signature(np.fft.fft).parameters
+
+
 def test_undeclared_import_finder(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text(

@@ -6,6 +6,10 @@ a stack of shape (1, N_c).
 
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,11 +24,11 @@ from rsma_isac import (
     scenario_preset,
     synthesize_tx,
 )
+from rsma_isac import radar
 from rsma_isac.core import steering_vector
 from rsma_isac.precoders import DegenerateDirectionError, PrecoderSet, RankDeficientChannelError
 from rsma_isac.radar import (
     _CLUTTER_STREAM_ID,
-    _TRIAL_CHUNK,
     UndefinedProfileError,
     _delay_crb,
     _delay_fisher,
@@ -40,6 +44,15 @@ from rsma_isac.radar import (
 )
 
 _GEOM = ArrayGeometry(2, 0.5)
+
+# Trials per monte_carlo stack in the tests that shrink the stacks, so that
+# a few trials span several stacks.
+_PER_STACK = 8
+
+
+def _stack_entries(nc, per_stack=_PER_STACK):
+    """The ``_STACK_ENTRIES`` that stacks ``per_stack`` trials at N_c = nc on ``_GEOM``."""
+    return per_stack * nc * _GEOM.n_tx
 
 
 def _sensing_only(make_channels, nc=64):
@@ -237,8 +250,9 @@ def test_clutter_depends_only_on_root_seed(make_channels, monkeypatch):
 
 def test_clutter_drawn_once_per_capture_call(make_channels, monkeypatch):
     # a capture call draws the clutter once, and a heatmap cell of T trials,
-    # whose capture runs once per chunk of trials, draws it once in all
-    # (twice per trial before the stacking, once per chunk before that)
+    # whose capture runs once per stack of trials, draws it once in all
+    # (twice per trial before the stacking, once per stack before that)
+    monkeypatch.setattr(radar, "_STACK_ENTRIES", _stack_entries(16))
     cfg, channels = make_channels(n_subcarriers=16)
     pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
     c = np.repeat(_steered(pset, RngStream(0, 0)), 3, axis=0)
@@ -247,7 +261,7 @@ def test_clutter_drawn_once_per_capture_call(make_channels, monkeypatch):
         c, 3, 0.2, 0.01, [RngStream(4, t) for t in range(3)], [RngStream(4, 9 + t) for t in range(3)]
     )
     assert keys == [(4, _CLUTTER_STREAM_ID)]
-    for trials in (1, _TRIAL_CHUNK, 2 * _TRIAL_CHUNK + 1):
+    for trials in (1, _PER_STACK, 2 * _PER_STACK + 1):
         keys.clear()
         peaks, _ = _heatmap_chain(channels, pset, cfg, 3, 0.2, trials)
         assert len(peaks) == trials
@@ -257,7 +271,8 @@ def test_clutter_drawn_once_per_capture_call(make_channels, monkeypatch):
 def test_monte_carlo_builds_no_generator_per_trial(make_channels, monkeypatch):
     # A call seeds its trials' streams in one pass, so the generators it
     # builds (the sensing pattern's and the clutter grid's among them) are
-    # as many for one trial as for many chunks of them.
+    # as many for one trial as for many stacks of them.
+    monkeypatch.setattr(radar, "_STACK_ENTRIES", _stack_entries(16))
     cfg, channels = make_channels(n_subcarriers=16)
     pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"), channels, cfg)
     calls = []
@@ -271,7 +286,7 @@ def test_monte_carlo_builds_no_generator_per_trial(make_channels, monkeypatch):
     for chain in (lambda t: _sweep_chain(channels, pset, cfg, t),
                   lambda t: _heatmap_chain(channels, pset, cfg, 3, 0.2, t)):
         counts = []
-        for trials in (1, _TRIAL_CHUNK, 2 * _TRIAL_CHUNK + 1, 5 * _TRIAL_CHUNK):
+        for trials in (1, _PER_STACK, 2 * _PER_STACK + 1, 5 * _PER_STACK):
             calls.clear()
             chain(trials)
             counts.append(len(calls))
@@ -630,7 +645,7 @@ _REFERENCE_POINTS = [
 
 @settings(max_examples=60, deadline=None)
 @given(
-    trials=st.integers(1, 2 * _TRIAL_CHUNK + 1),
+    trials=st.integers(1, 2 * _PER_STACK + 1),
     nc=st.sampled_from([8, 16, 64]),
     n0_frac=st.floats(0.0, 1.0, exclude_max=True),
     beta=st.just(0.0) | st.floats(1e-3, 2.0),
@@ -642,9 +657,15 @@ _REFERENCE_POINTS = [
 def test_stacked_chain_equals_per_trial_reference(
     trials, nc, n0_frac, beta, sigma_r2, angle, seed, point
 ):
-    # Any trial count, chunk boundaries included, gives every row's peak and
-    # SNR, and monte_carlo each mean SNR in dB, exactly as the per-trial
-    # chain did, under both callers' stream layouts and captures.
+    # Any trial count, stack boundaries included (1 to 3 stacks of
+    # _PER_STACK trials at every N_c), gives every row's peak and SNR, and
+    # monte_carlo each mean SNR in dB, exactly as the per-trial chain did,
+    # under both callers' stream layouts and captures.
+    with mock.patch.object(radar, "_STACK_ENTRIES", _stack_entries(nc)):
+        _check_stacked_chain(trials, nc, n0_frac, beta, sigma_r2, angle, seed, point)
+
+
+def _check_stacked_chain(trials, nc, n0_frac, beta, sigma_r2, angle, seed, point):
     cfg = dataclasses.replace(
         scenario_preset("S1"), n_subcarriers=nc, target_delay_bins=int(n0_frac * nc),
         target_attenuation=beta, noise_power_radar=sigma_r2, target_angle_deg=angle, seed=seed,
@@ -690,3 +711,122 @@ def test_monte_carlo_needs_a_trial():
     pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
     with pytest.raises(ValueError, match="at least one trial"):
         _sweep_chain(channels, pset, cfg, 0)
+
+
+@pytest.mark.parametrize(
+    "streams, match",
+    [
+        # zip would drop id 5 and run the call on two ids a trial
+        ([(1, 2), (3, 4, 5)], "same number of stream ids"),
+        ([(1, 2, 3), (4, 5)], "same number of stream ids"),
+        # id 2 again 40 trials later: a stack boundary sits between them
+        ([(2 * t + 1, 2 * t + 2) for t in range(40)] + [(2, 999)], "distinct"),
+        # a trial's waveform and noise from one stream
+        ([(1, 2), (3, 3)], "distinct"),
+    ],
+)
+def test_monte_carlo_checks_the_whole_stream_layout(streams, match):
+    # The layout is checked for the whole call, so the outcome does not
+    # depend on how the trials are stacked.
+    cfg = scenario_preset("S1")
+    channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
+    pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"), channels, cfg)
+
+    def capture(c, *rngs):
+        return radar_return(c, 3, 0.1, 0.01, rngs[0])
+
+    with pytest.raises(ValueError, match=match):
+        monte_carlo(channels, pset, cfg, streams, capture)
+
+
+def _in_fresh_thread(fn):
+    """fn() run on a new thread, which starts with no resident stacks."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+def test_monte_carlo_stacks_stay_resident(monkeypatch):
+    # After a warm-up call, an identical call allocates no stack-sized
+    # array: every stage writes into the thread's resident stacks. Its
+    # traced peak stays under one (trials, N_c) complex stack, the size of
+    # the steered waveforms c, where a fresh x stack alone is twice that.
+    # The stacks are made large (128 trials at N_c = 512), so that what a
+    # call allocates whatever the stack size (its symbol tables, its
+    # stream keys, numpy's iterator buffers) stays small beside one.
+    monkeypatch.setattr(radar, "_STACK_ENTRIES", 2**17)
+    cfg = scenario_preset("S1")
+    channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
+    pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"), channels, cfg)
+    per_stack = 2**17 // (cfg.n_subcarriers * _GEOM.n_tx)
+    one_stack = per_stack * cfg.n_subcarriers * np.dtype(complex).itemsize
+
+    def peaks():
+        out = []
+        for trials in (per_stack, per_stack + 1):  # one stack, and a part of another
+            for chain in (lambda: _sweep_chain(channels, pset, cfg, trials),
+                          lambda: _heatmap_chain(channels, pset, cfg, 2, 0.05, trials)):
+                want = chain()
+                tracemalloc.start()
+                try:
+                    got = chain()
+                    out.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert got == want
+        return out
+
+    # on a thread of its own, so these large stacks go when it ends
+    for peak in _in_fresh_thread(peaks):
+        assert peak < one_stack, (peak, one_stack)
+
+
+def test_resident_stacks_keep_no_state_between_calls(make_channels, monkeypatch):
+    # Calls that alternate N_c, capture kind and trial count on one thread
+    # give the bytes each gives on a thread of its own.
+    monkeypatch.setattr(radar, "_STACK_ENTRIES", _stack_entries(16))
+    calls = []
+    for nc, trials in ((16, 19), (64, 5), (8, 30)):
+        cfg, channels = make_channels(n_subcarriers=nc)
+        pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"), channels, cfg)
+        calls += [lambda c=channels, p=pset, g=cfg, t=trials: _sweep_chain(c, p, g, t),
+                  lambda c=channels, p=pset, g=cfg, t=trials: _heatmap_chain(c, p, g, 3, 0.2, t)]
+    alone = [_in_fresh_thread(call) for call in calls]
+    for call, want in zip(calls * 2, alone * 2):
+        assert call() == want
+
+
+def test_threads_running_heatmap_cells_get_their_sequential_results(make_channels, monkeypatch):
+    # Each thread has its own stacks, so cells that run at once on two
+    # threads, switching as often as the interpreter allows, give what
+    # they give one after the other.
+    monkeypatch.setattr(radar, "_STACK_ENTRIES", _stack_entries(16, per_stack=4))
+    cells = []
+    for nc, n0, beta in ((16, 3, 0.2), (64, 9, 0.1)):
+        cfg, channels = make_channels(n_subcarriers=nc)
+        pset = build_precoders(ParameterPoint(0.6, 0.5, 0.5, 0.5, "ZF"), channels, cfg)
+        cells.append(
+            lambda c=channels, p=pset, g=cfg, n=n0, b=beta: _heatmap_chain(c, p, g, n, b, 21)
+        )
+    want = [cell() for cell in cells]
+    got = [[], []]
+
+    def run(i):
+        for _ in range(10):
+            got[i].append(cells[i]())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [[want[0]] * 10, [want[1]] * 10]
