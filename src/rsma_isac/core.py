@@ -86,6 +86,10 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(pairs, dtype=np.uint32).reshape(count, 2, 1)
 
 
+_POOL_CONSTANTS = _hash_constants(*_POOL_HASH, 16)
+_STATE_CONSTANTS = _hash_constants(*_STATE_HASH, 8)
+
+
 def _hash(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
     """SeedSequence's hash of each row of uint32 ``words`` with its own constants.
 
@@ -120,17 +124,16 @@ def stream_states(seed: int, stream_ids: Sequence[int]) -> list[tuple[int, int]]
     pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
     pool[len(seed_words)] = ids & _MASK32
     pool[len(seed_words) + 1] = ids >> 32
-    constants = _hash_constants(*_POOL_HASH, 16)
-    pool = _hash(pool, constants[:4])
+    pool = _hash(pool, _POOL_CONSTANTS[:4])
     # Every word then mixes the hash of every other into itself; for one
     # source word the three targets take successive constants.
     for src in range(4):
         dst = [d for d in range(4) if d != src]
         mixed = pool[dst] * _MIX_L
-        mixed -= _hash(pool[src], constants[4 + 3 * src:7 + 3 * src]) * _MIX_R
+        mixed -= _hash(pool[src], _POOL_CONSTANTS[4 + 3 * src:7 + 3 * src]) * _MIX_R
         mixed ^= mixed >> 16
         pool[dst] = mixed
-    words = _hash(np.concatenate([pool, pool]), _hash_constants(*_STATE_HASH, 8)).astype(np.uint64)
+    words = _hash(np.concatenate([pool, pool]), _STATE_CONSTANTS).astype(np.uint64)
     # Little-endian word pairs make the 64-bit words, and pairs of those,
     # high first, the 128-bit seed and sequence of each key.
     states = []

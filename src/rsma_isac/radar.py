@@ -57,9 +57,9 @@ class _Stacks(threading.local):
     ``range_profile``, the slots hold::
 
         0      x, then the noise stack, then conj(c) and the DFT
-        1      the take() output, then |c|^2 and 1j·noise, then the product and |DFT|
+        1      the take() output, then |c|^2, then the product and |DFT|
         2      the index rows, then the clutter grid, then the off-peak powers
-        3      c, from steered_projection on
+        3      the raw quadrant words, then c, from steered_projection on
         3 + j  the capture y of stream column j (radar_return)
 
     A buffer grows to the largest array it has held and then stays.
@@ -116,6 +116,43 @@ def sensing_symbols(n_subcarriers: int) -> np.ndarray:
 # The QPSK constellation exp(j(pi/4 + pi/2 q)) for quadrants q = 0..3;
 # indexing it gives the same symbols as evaluating the exponential per draw.
 _QPSK = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * np.arange(4)))
+
+
+def _quadrants(rngs: Sequence, out: np.ndarray, resident: bool) -> np.ndarray:
+    """Each key's QPSK quadrants into ``out``, (keys, ...): row t holds what
+    ``rngs[t].generator().integers(0, 4, size=out.shape[1:])`` draws.
+
+    For a range of 4, Lemire's method behind ``integers`` keeps the top two
+    bits of each 32-bit draw and rejects none, and PCG64 draws 32 bits as
+    the low half of a 64-bit word, then its high half. So each key takes
+    its words raw, and one shift over the stack splits them; an odd count
+    leaves a half word that its stream, drawn in this one stage, never
+    uses. The words sit in stack slot 3 until c takes it.
+    """
+    n = math.prod(out.shape[1:])
+    words = _out(resident, 3, (len(rngs), (n + 1) // 2), np.uint64)
+    for t, rng in enumerate(rngs):
+        words[t] = rng.generator().bit_generator.random_raw(words.shape[1])
+    # Little-endian words split into (low, high) halves on any host.
+    halves = words.astype("<u8", copy=False).view("<u4")[:, :n]
+    return np.right_shift(halves.reshape(out.shape), 30, out=out)
+
+
+def _noise(rngs: Sequence, scale: float, out: np.ndarray) -> np.ndarray:
+    """Each key's white noise into ``out``, (keys, N_c, 2): row t holds what
+    ``rngs[t].generator().normal(scale=scale, size=(N_c, 2))`` draws.
+
+    ``normal`` returns 0.0 + scale·z per standard normal z; scaling the
+    stack once gives scale·z, which differs from it only where it is an
+    exact zero, by the sign. A zero scale draws nothing.
+    """
+    if not scale:
+        out.fill(0.0)
+        return out
+    for t, rng in enumerate(rngs):
+        rng.generator().standard_normal(out=out[t])
+    out *= scale
+    return out
 
 
 class _CallStream:
@@ -198,19 +235,20 @@ def synthesize_tx(pset: PrecoderSet, rngs: Sequence[RngStream]) -> np.ndarray:
     tables, sensing = _per_call(rngs, "tx", lambda: _tx_terms(pset))
     resident = _call_store(rngs) is not None
     x = _out(resident, 0, (len(rngs), *pset.p_c.shape), pset.p_c.dtype)
-    x.fill(0)
     if tables:
         rows = _out(resident, 2, (len(tables), len(rngs), nc), np.intp)
-        for t, rng in enumerate(rngs):
-            rows[:, t] = rng.generator().integers(0, 4, size=(len(tables), nc))
+        _quadrants(rngs, rows.transpose(1, 0, 2), resident)
         rows *= nc
         rows += np.arange(nc)
+        # The rows lie in range by construction; "clip" lets take() write
+        # straight into ``out``, where "raise" copies through a buffer of
+        # its own. The first stream's symbols are x's start.
+        tables[0].take(rows[0], axis=0, out=x, mode="clip")
         symbols = _out(resident, 1, x.shape, x.dtype)
-        for table, stream_rows in zip(tables, rows):
-            # The rows lie in range by construction; "clip" lets take()
-            # write straight into ``out``, where "raise" copies through a
-            # buffer of its own.
+        for table, stream_rows in zip(tables[1:], rows[1:]):
             x += table.take(stream_rows, axis=0, out=symbols, mode="clip")
+    else:
+        x.fill(0)
     if sensing is not None:
         x += sensing
     return x
@@ -266,14 +304,9 @@ def radar_return(
     y = np.multiply(beta, c, out=_out(resident, slot, c.shape))
     y *= _per_call(rngs, ("ramp", n0), lambda: np.exp(2j * np.pi * n0 * np.arange(nc) / nc))
     scale = math.sqrt(sigma_r2 / (2.0 * nc)) if sigma_r2 > 0 else 0.0
-    noise = _out(resident, 0, (len(rngs), nc, 2), float)
-    if scale:
-        for t, rng in enumerate(rngs):
-            noise[t] = rng.generator().normal(scale=scale, size=(nc, 2))
-    else:
-        noise.fill(0.0)
-    y += noise[..., 0]
-    y += np.multiply(1j, noise[..., 1], out=_out(resident, 1, c.shape))
+    noise = _noise(rngs, scale, _out(resident, 0, (len(rngs), nc, 2), float))
+    # Each (real, imaginary) pair of draws is one complex noise sample.
+    y += noise.view(complex)[..., 0]
     return y
 
 
@@ -300,13 +333,16 @@ def two_stage_capture(
     if len({rng.stream_id for rng in keys}) != len(keys):
         raise ValueError("captures need distinct stream ids for independent noise")
     nc = c.shape[-1]
-    z = _per_call(keys, "clutter", lambda: RngStream(
-        keys[0].seed, _CLUTTER_STREAM_ID
-    ).generator().normal(scale=math.sqrt(0.5), size=(nc, 2)))
+
+    def unit_grid() -> np.ndarray:
+        z = RngStream(keys[0].seed, _CLUTTER_STREAM_ID).generator().normal(
+            scale=math.sqrt(0.5), size=(nc, 2))
+        return z[:, 0] + 1j * z[:, 1]
+
     resident = _in_stack(3, c)
     power = np.abs(c, out=_out(resident, 1, c.shape, float))
     energy = 10.0 * float(beta**2) * np.sum(np.square(power, out=power), axis=-1)
-    clutter = np.multiply(np.sqrt(energy / nc)[:, None], z[:, 0] + 1j * z[:, 1],
+    clutter = np.multiply(np.sqrt(energy / nc)[:, None], _per_call(keys, "clutter", unit_grid),
                           out=_out(resident, 2, c.shape))
     y = radar_return(c, n0, beta, sigma_r2, rngs_with)
     y += clutter

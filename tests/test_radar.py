@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rsma_isac import (
     ArrayGeometry,
@@ -25,7 +25,7 @@ from rsma_isac import (
     synthesize_tx,
 )
 from rsma_isac import radar
-from rsma_isac.core import steering_vector
+from rsma_isac.core import steering_vector, stream_states
 from rsma_isac.precoders import DegenerateDirectionError, PrecoderSet, RankDeficientChannelError
 from rsma_isac.radar import (
     _CLUTTER_STREAM_ID,
@@ -646,7 +646,7 @@ _REFERENCE_POINTS = [
 @settings(max_examples=60, deadline=None)
 @given(
     trials=st.integers(1, 2 * _PER_STACK + 1),
-    nc=st.sampled_from([8, 16, 64]),
+    nc=st.sampled_from([8, 9, 16, 64]),
     n0_frac=st.floats(0.0, 1.0, exclude_max=True),
     beta=st.just(0.0) | st.floats(1e-3, 2.0),
     sigma_r2=st.just(0.0) | st.floats(1e-4, 1.0),
@@ -660,7 +660,8 @@ def test_stacked_chain_equals_per_trial_reference(
     # Any trial count, stack boundaries included (1 to 3 stacks of
     # _PER_STACK trials at every N_c), gives every row's peak and SNR, and
     # monte_carlo each mean SNR in dB, exactly as the per-trial chain did,
-    # under both callers' stream layouts and captures.
+    # under both callers' stream layouts and captures. At N_c = 9 one or
+    # three powered streams end a trial's quadrants mid-word.
     with mock.patch.object(radar, "_STACK_ENTRIES", _stack_entries(nc)):
         _check_stacked_chain(trials, nc, n0_frac, beta, sigma_r2, angle, seed, point)
 
@@ -702,6 +703,36 @@ def _check_stacked_chain(trials, nc, n0_frac, beta, sigma_r2, angle, seed, point
         peaks, snr_db = _heatmap_chain(channels, pset, cfg, n0, beta, trials)
         assert peaks == [p for p, _ in want]
         assert snr_db == 10.0 * math.log10(_linear_mean_sum(want) / trials)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    ids=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2, unique=True),
+    n=st.integers(1, 1537),
+    scale=st.just(0.0) | st.floats(1e-160, 1e3),
+)
+@example(seed=0, ids=[0, 1], n=1, scale=0.0)
+@example(seed=2**64 - 1, ids=[2**32, 2**32 - 1], n=1537, scale=1.0)
+def test_draws_equal_the_generator_calls_they_replace(seed, ids, n, scale):
+    # The chain's quadrants come from raw PCG64 words and its noise from
+    # standard normals scaled once per stack. For a plain key and for a
+    # monte_carlo call's key, each row is bit for bit what the Generator
+    # call they replace draws, odd counts (a half word left over) included.
+    # The chain's noise scale sqrt(sigma_r2 / (2 N_c)) is at least about
+    # 1e-163, where scale·z cannot underflow to a zero that normal's
+    # 0.0 + scale·z would give another sign.
+    (start,) = stream_states(seed, ids[1:])
+    gen = np.random.default_rng(0)
+    keys = [RngStream(seed, ids[0]),
+            radar._CallStream(seed, ids[1], start, gen, {}, 0)]
+    quadrants = radar._quadrants(keys, np.empty((2, n), np.intp), resident=False)
+    noise = radar._noise(keys, scale, np.empty((2, n, 2)))
+    for i, q, z in zip(ids, quadrants, noise):
+        want = np.random.default_rng((seed, i)).integers(0, 4, size=n)
+        assert q.tolist() == want.tolist()
+        want = np.random.default_rng((seed, i)).normal(scale=scale, size=(n, 2))
+        assert z.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_monte_carlo_needs_a_trial():
