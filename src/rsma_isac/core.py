@@ -297,15 +297,46 @@ class ChannelSet:
         return self.true_channels.shape[2]
 
 
+def _check_link_budget(cfg: ScenarioConfig, nt: int) -> None:
+    """Turn away a scenario whose gains, SINRs or sensing energies on ``nt``
+    antennas could pass the float range, naming its fields.
+
+    A channel's energy is at most n_tx·max(g)²; a stream's gain |h^H p|²,
+    over all subcarriers too, at most that times total_power, an SINR that
+    over noise_power_comms; g0 is at most n_tx·total_power and its
+    delay-weighted sum (N_c − 1)² times that. Each bound multiplies in
+    that order, so an overflow on the way counts.
+    """
+    g2, pt = max(cfg.ue_gains) * max(cfg.ue_gains), cfg.total_power
+    try:
+        k = float(cfg.n_subcarriers - 1)
+    except OverflowError:  # a subcarrier count past the float range
+        k = math.inf
+    for names, bound, value in (
+        (("ue_gains",), "n_tx*max(ue_gains)**2", nt * g2),
+        (("n_subcarriers", "total_power"), "(n_subcarriers-1)**2*n_tx*total_power",
+         k * k * nt * pt),
+        (("total_power", "ue_gains", "noise_power_comms"),
+         "total_power*n_tx*max(ue_gains)**2/noise_power_comms",
+         pt * nt * g2 / cfg.noise_power_comms),
+    ):
+        if not math.isfinite(value):
+            given = ", ".join(f"{name} {getattr(cfg, name)!r}" for name in names)
+            raise ConfigError(f"{given}: {bound} is past the float range with n_tx = {nt}")
+
+
 def generate_channels(cfg: ScenarioConfig, geom: ArrayGeometry, rng: RngStream) -> ChannelSet:
     """Draw a flat-fading line-of-sight channel pair for the scenario.
 
     Each UE sees its steering direction scaled by its gain and an i.i.d.
     per-subcarrier phase. Estimates add circularly symmetric Gaussian noise
     of variance ``csit_error_var`` per component. Same (cfg, geom, rng) in,
-    bit-identical ChannelSet out.
+    bit-identical ChannelSet out. A link budget that could pass the float
+    range on this array, or estimates whose energy does, is a
+    ``ConfigError``.
     """
     nc, nt = cfg.n_subcarriers, geom.n_tx
+    _check_link_budget(cfg, nt)
     gen = rng.generator()
     true = np.empty((2, nc, nt), dtype=complex)
     for i in range(2):
@@ -318,7 +349,13 @@ def generate_channels(cfg: ScenarioConfig, geom: ArrayGeometry, rng: RngStream) 
         est = true + noise[..., 0] + 1j * noise[..., 1]
     else:
         est = true.copy()
-    norms = np.linalg.norm(est, axis=2)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(est, axis=2)
+    if not np.all(np.isfinite(norms)):
+        raise ConfigError(
+            f"csit_error_var {cfg.csit_error_var!r} draws channel estimates whose "
+            f"energy is past the float range"
+        )
     if np.any(norms < 1e-300):
         raise DegenerateChannelError(
             "an estimated channel has zero norm; check csit_error_var and ue_gains"

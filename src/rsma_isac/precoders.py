@@ -196,15 +196,14 @@ class BlendTable:
         return self._blend(private_directions(self.channels, self.family), self.alpha_p)
 
     def _blend(self, steered: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u0 = self.channels.target_unit
         v = _grid(np.empty, (len(steered), len(alphas)) + steered.shape[1:])
-        total = np.empty(v.shape[:2])
-        for s, d in enumerate(steered):
-            for i, alpha in enumerate(alphas.tolist()):
-                row = np.sqrt(alpha) * d + np.sqrt(1.0 - alpha) * u0[None, :]
-                v[s, i] = row
-                total[s, i] = _total_power(row)
-        return v, total
+        alphas = alphas[:, None, None]
+        np.multiply(np.sqrt(alphas), steered[:, None], out=v)
+        v += np.sqrt(1.0 - alphas) * self.channels.target_unit
+        # Each row's |v|² in C order, so its sum adds as _total_power's does.
+        power = np.abs(v, order="C")
+        np.square(power, out=power)
+        return v, power.reshape(v.shape[:2] + (-1,)).sum(axis=-1)
 
 
 def _scaled_rows(power: np.ndarray, table, mixes: np.ndarray, axis: np.ndarray) -> np.ndarray:

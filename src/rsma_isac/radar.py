@@ -107,6 +107,39 @@ def round_sig(value: float) -> float:
     return float(f"{value:.11e}")
 
 
+# 10**k for k = 0..22, each exact as a double.
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
+def _round_sig_column(values: np.ndarray) -> np.ndarray:
+    """:func:`round_sig` of every entry, bit for bit, by array arithmetic.
+
+    An entry v of magnitude in [1e-11, 1e11) is scaled by the exact power
+    10**k, k = 11 - floor(log10|v|), that puts its 12 significant digits
+    before the point: p = |v|·10**k in [1e11, 1e12). Then rint(p) / 10**k,
+    one correctly rounded division of exact operands, is the double
+    nearest the 12-digit decimal, which is what round_sig's format and
+    parse give. p is the exact product rounded, and rounding never
+    carries a value across a half-integer, which is a double there; so
+    rint(p) rounds the exact product unless p lands on one. Such an entry
+    goes through round_sig itself, and so does every entry outside the
+    range or whose p falls outside [1e11, 1e12) (log10 off by one next
+    to a power of ten): zeros, infinities and NaN among them.
+    """
+    v = np.ravel(values)
+    mag = np.abs(v)
+    inside = (1e-11 <= mag) & (mag < 1e11)
+    mag = np.where(inside, mag, 1.0)
+    power = _POW10[11 - np.floor(np.log10(mag)).astype(int)]
+    p = mag * power
+    exact = inside & (1e11 <= p) & (p < 1e12) & (p - np.floor(p) != 0.5)
+    rounded = np.copysign(np.rint(p) / power, v)
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        rounded[rest] = [round_sig(x) for x in v[rest].tolist()]
+    return rounded.reshape(np.shape(values))
+
+
 def sensing_symbols(n_subcarriers: int) -> np.ndarray:
     """The fixed unit-energy BPSK pattern carried by the sensing stream."""
     gen = np.random.default_rng(_SENSING_SYMBOL_SEED)
@@ -272,9 +305,11 @@ def expected_steered_power(pset: PrecoderSet, a: np.ndarray) -> np.ndarray:
     a batch equals what its own point gives, bit for bit.
     """
     c, p1, p2, r = (
-        np.abs(np.einsum("t,...kt->...k", np.conj(a), p)) ** 2
+        np.abs(np.einsum("t,...kt->...k", np.conj(a), p))
         for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r)
     )
+    for power in (c, p1, p2, r):
+        np.square(power, out=power)
     out = c + p1
     out += p2
     out += r
@@ -373,8 +408,9 @@ def _delay_fisher(weighted, nc: int, beta: float, sigma_r2: float) -> np.ndarray
 
 
 def _delay_crb(weighted, nc: int, beta: float, sigma_r2: float) -> np.ndarray:
-    """The inverse of :func:`_delay_fisher`: no information gives inf, infinite gives 0."""
-    with np.errstate(divide="ignore"):
+    """The inverse of :func:`_delay_fisher`: no information gives inf, infinite gives 0,
+    and so does information too small for its inverse to be a float."""
+    with np.errstate(divide="ignore", over="ignore"):
         return 1.0 / _delay_fisher(weighted, nc, beta, sigma_r2)
 
 
@@ -383,7 +419,7 @@ def _k2_sum(power_per_k: np.ndarray) -> np.ndarray:
 
     Subcarriers are the last axis; leading batch axes are kept.
     """
-    return np.sum(np.arange(power_per_k.shape[-1]) ** 2 * power_per_k, axis=-1)
+    return np.sum(np.arange(power_per_k.shape[-1], dtype=float) ** 2 * power_per_k, axis=-1)
 
 
 def expected_sensing(
@@ -394,16 +430,15 @@ def expected_sensing(
     g0 is the symbol-averaged energy radiated toward the target, the sum
     over subcarriers of :func:`expected_steered_power` along
     ``channels.target_steering``, rounded to 12 significant digits
-    (:func:`round_sig`) so that points equal on paper tie exactly; the CRB
-    comes from its k²-weighted sum. Both keep the precoders' batch shape,
-    and every entry of a batch equals what its own point gives, bit for bit.
+    (:func:`round_sig`, applied as a column) so that points equal on paper
+    tie exactly; the CRB comes from its k²-weighted sum. Both keep the
+    precoders' batch shape, and every entry of a batch equals what its own
+    point gives, bit for bit.
     """
     power = expected_steered_power(pset, channels.target_steering)
     nc = power.shape[-1]
     crb = _delay_crb(_k2_sum(power), nc, cfg.target_attenuation, cfg.noise_power_radar)
-    g0 = np.sum(power, axis=-1)
-    rounded = np.fromiter(map(round_sig, g0.ravel().tolist()), float, g0.size)
-    return rounded.reshape(g0.shape), crb
+    return _round_sig_column(np.sum(power, axis=-1)), crb
 
 
 def snr_rad_closed_form(c: np.ndarray, beta: float, sigma_r2: float) -> float:

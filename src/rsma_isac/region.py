@@ -11,9 +11,11 @@ operating point twice.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import numbers
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +200,7 @@ def grid_axis(grid_step: float) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(0.0, 1.0, n + 1))
 
 
+@functools.lru_cache(maxsize=1)
 def _grid(grid_step: float):
     """One family's four knob columns, and the grid's blocks by mix plane.
 
@@ -207,6 +210,10 @@ def _grid(grid_step: float):
     t_p = 1 and alpha_p at t_p = 0. ``planes`` maps each (alpha_c axis,
     alpha_p axis) to its blocks in grid order, (t_comms, t_p, lo, hi) for
     the block at rows lo:hi.
+
+    The plan depends on the step alone, so the last step's is kept and
+    shared: its columns are read-only and ``planes`` a read-only mapping
+    of tuples.
     """
     axis, pin = grid_axis(grid_step), (1.0,)
     blocks = [(0.0, 1.0, pin, pin)] + [
@@ -219,11 +226,14 @@ def _grid(grid_step: float):
     for (t, tp, ac, ap), lo, hi in zip(blocks, bounds, bounds[1:]):
         planes.setdefault((ac, ap), []).append((t, tp, lo, hi))
     t, tp, ac_axes, ap_axes = zip(*blocks)
-    return (
+    columns = (
         np.repeat(t, sizes), np.repeat(tp, sizes),
         np.concatenate([np.repeat(ac, len(ap)) for ac, ap in zip(ac_axes, ap_axes)]),
         np.concatenate([np.tile(ap, len(ac)) for ac, ap in zip(ac_axes, ap_axes)]),
-    ), planes
+    )
+    for column in columns:
+        column.flags.writeable = False
+    return columns, types.MappingProxyType({key: tuple(b) for key, b in planes.items()})
 
 
 def enumerate_grid(grid_step: float, family: str) -> list[ParameterPoint]:
@@ -403,8 +413,19 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
 
 
 def _fmt(values: np.ndarray) -> list[str]:
-    """A column formatted as .10g, which spells the infinities inf and -inf."""
-    return [format(v, ".10g") for v in values.tolist()]
+    """A float column's cells as .10g (which spells the infinities inf and
+    -inf), each distinct value formatted once.
+
+    Values are told apart by their bits, so -0.0 keeps a cell of its own
+    and every NaN finds one.
+    """
+    bits, rows = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    cells = np.array([format(v, ".10g") for v in bits.view(float).tolist()], dtype=object)
+    return cells[rows].tolist()
+
+
+def _labels(names: tuple[str, ...], codes: np.ndarray) -> list[str]:
+    return np.array(names, dtype=object)[codes].tolist()
 
 
 def _dashed(mask: np.ndarray, cells: list[str]) -> list[str]:
@@ -415,28 +436,33 @@ _POINTS_HEADER = (
     "t_comms,t_p,alpha_c,alpha_p,family,case,"
     "t_sum_mbps,g0,snr_rad_db,crb_bins2,collapsed\n"
 )
-# %-formatting spells .10g exactly as format() does, infinities included.
-_POINTS_ROW = "%.10g,%.10g,%.10g,%.10g,%s,%s,%.10g,%.10g,%s,%.10g,%d\n"
 
 
 def write_points_csv(points: IsacPoints, path: str) -> None:
+    """The points one row each, streamed to ``path``.
+
+    The knobs hold the grid axis, the rate sums a few dozen values and the
+    rest labels, so each of those columns (and the SNR) is formatted once
+    per distinct value; g0 and the CRB, distinct nearly everywhere, are
+    formatted per row.
+    """
     snr = points.snr_rad_db
-    rows = zip(
-        points.t_comms.tolist(),
-        points.t_p.tolist(),
-        points.alpha_c.tolist(),
-        points.alpha_p.tolist(),
-        [FAMILIES[f] for f in points.family.tolist()],
-        [CASE_TAGS[c] for c in points.case.tolist()],
-        (points.t_sum_bps / 1e6).tolist(),
+    columns = zip(
+        *map(_fmt, (points.t_comms, points.t_p, points.alpha_c, points.alpha_p)),
+        _labels(FAMILIES, points.family),
+        _labels(CASE_TAGS, points.case),
+        _fmt(points.t_sum_bps / 1e6),
         points.g0.tolist(),
         [""] * len(points) if snr is None else _fmt(snr),
         points.crb_bins2.tolist(),
-        points.collapsed.tolist(),
+        _labels(("0", "1"), points.collapsed.view(np.uint8)),
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_POINTS_HEADER)
-        fh.writelines(_POINTS_ROW % row for row in rows)
+        fh.writelines(
+            f"{t},{tp},{ac},{ap},{family},{case},{mbps},{g0:.10g},{snr},{crb:.10g},{collapsed}\n"
+            for t, tp, ac, ap, family, case, mbps, g0, snr, crb, collapsed in columns
+        )
 
 
 def write_boundary_params_csv(points: IsacPoints, path: str) -> None:

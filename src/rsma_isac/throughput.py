@@ -76,11 +76,14 @@ def spectral_efficiency(sinr: np.ndarray, gap_db: float) -> float | np.ndarray:
     scales every SINR down before averaging. Subcarriers are the last
     axis; any leading axes are a batch and come back as an array.
     """
-    gap = 10.0 ** (gap_db / 10.0)
     # One temporary, updated in place: a batch's SINR grid is the largest
     # array a sweep chunk makes.
-    x = np.divide(sinr, gap)
-    x += 1.0
+    if gap_db == 0.0:
+        # A 0 dB gap is a divide by 1.0, which changes nothing.
+        x = np.add(sinr, 1.0)
+    else:
+        x = np.divide(sinr, 10.0 ** (gap_db / 10.0))
+        x += 1.0
     return np.mean(np.log2(x, out=x), axis=-1)
 
 
@@ -96,13 +99,16 @@ def stream_gains(
     ``build_precoders`` stores the precoders, so each projection sums over
     contiguous subcarriers.
     """
-    return tuple(
+    gains = tuple(
         tuple(
-            np.abs(np.einsum("kt,...kt->...k", h_conj, p)) ** 2
+            np.abs(np.einsum("kt,...kt->...k", h_conj, p))
             for p in (pset.p_c, pset.p_1, pset.p_2)
         )
         for h_conj in (np.conj(h, order="F") for h in channels.true_channels)
     )
+    for gain in (*gains[0], *gains[1]):
+        np.square(gain, out=gain)
+    return gains
 
 
 def sinr_common(gains: tuple, noise_power: float) -> tuple[np.ndarray, np.ndarray]:

@@ -165,6 +165,7 @@ _PARAMS_HEADER = "index,t_comms,t_p,alpha_c,alpha_p,mcs_c,mcs_1,mcs_2\n"
 # "{params}" stands for a one-row boundary_params.csv the test writes.
 _HEATMAP_ON_PARAMS = ["radar-heatmap", "--params", "{params}", "--set", "n_subcarriers=16"]
 _SMALL_SNR_SWEEP = ["sweep", "--metric", "snr", "--step", "0.5", "--set", "n_subcarriers=16"]
+_SMALL_G0_SWEEP = ["sweep", "--preset", "S1", "--set", "n_subcarriers=16", "--step", "0.5"]
 
 
 def _point_eval(out_dir, params, extra=()):
@@ -404,6 +405,16 @@ _BAD_CONFIGURATIONS = {
     "argv40": ["point-eval", *_point_sets(t_comms="[0.5,0.6]")],
     "argv41": ["reproduce", "--run", "{point_run}"],
     "argv42": ["reproduce", "--run", "{heatmap_run}"],
+    # link budgets whose gains, SINRs or sensing energies pass the float
+    # range stop at the boundary, naming the field
+    "argv43": [*_SMALL_G0_SWEEP, "--set", "total_power=1e308"],
+    "argv44": [*_SMALL_G0_SWEEP, "--set", "noise_power_comms=1e-310"],
+    "argv45": [*_SMALL_G0_SWEEP, "--set", "ue_gains=[1e160,1e160]"],
+    "argv46": ["point-eval", "--preset", "S1", "--set", "total_power=1.5e308", *_POINT_SETS],
+    # so do channel estimates whose energy passes it
+    "argv47": [*_SMALL_G0_SWEEP, "--set", "csit_error_var=1e308"],
+    # and a subcarrier count that is itself past the float range
+    "argv48": ["sweep", "--preset", "S1", "--step", "0.5", "--set", f"n_subcarriers={10**400}"],
 }
 
 
@@ -456,6 +467,30 @@ def test_bad_configuration_exits_2(tmp_path, argv):
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_link_budget_past_the_float_range_names_its_field(tmp_path, capsys):
+    # Exit 2 before any file is written, with the field that breaks the bound.
+    for argv, field in (
+        ([*_SMALL_G0_SWEEP, "--set", "total_power=1e308"], "total_power 1e+308"),
+        ([*_SMALL_G0_SWEEP, "--set", "noise_power_comms=1e-310"], "noise_power_comms 1e-310"),
+        ([*_SMALL_G0_SWEEP, "--set", "ue_gains=[1e160,1e160]"], "ue_gains (1e+160, 1e+160)"),
+        ([*_SMALL_G0_SWEEP, "--set", "csit_error_var=1e308"], "csit_error_var 1e+308"),
+    ):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError" and field in error["message"]
+
+
+def test_underflowing_delay_information_gives_an_inf_crb(tmp_path):
+    # Information too small to invert is an infinite CRB, without a
+    # warning (RuntimeWarnings fail the tests).
+    out = tmp_path / "o"
+    assert main([*_SMALL_G0_SWEEP, "--set", "total_power=1e-320", "--out", str(out)]) == 0
+    header, *rows = (out / "points.csv").read_text().splitlines()
+    assert rows and {row.split(",")[9] for row in rows} == {"inf"}
 
 
 def test_radar_power_overflow_exits_3(tmp_path):

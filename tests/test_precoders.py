@@ -281,6 +281,28 @@ def test_grids_keep_subcarriers_innermost(family):
             assert p.strides[-2] == p.itemsize, (pp, p.strides)
 
 
+@pytest.mark.parametrize("family", ["MRT", "ZF"])
+@pytest.mark.parametrize("nc, csit", [(16, 0.0), (64, 1e-2), (512, 1e-2)])
+def test_blend_table_rows_are_the_per_row_blends(family, nc, csit):
+    # The table blends every alpha at once; each row, and its T summed
+    # from the C-ordered row, is what blending that one alpha gives, bit
+    # for bit. ZF's direction stack is not C-contiguous.
+    cfg = dataclasses.replace(scenario_preset("S2"), n_subcarriers=nc, csit_error_var=csit)
+    channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
+    alphas = (0.0, 0.1, 0.35, 0.5, 0.8, 1.0)
+    table = BlendTable(channels, family, alphas, alphas)
+    u0 = channels.target_unit
+    for (v, total), steered in (
+        (table.common, common_direction(channels)[None]),
+        (table.private, private_directions(channels, family)),
+    ):
+        for s, d in enumerate(steered):
+            for i, alpha in enumerate(alphas):
+                row = np.sqrt(alpha) * d + np.sqrt(1.0 - alpha) * u0[None, :]
+                assert v[s, i].tobytes() == row.tobytes()
+                assert total[s, i] == np.sum(np.abs(row) ** 2)
+
+
 def test_stream_powers_keep_their_summation_order():
     # Point-eval's stream powers for this S2 point at 512 subcarriers,
     # summed in C order. Summed in the memory order of the

@@ -33,10 +33,13 @@ from rsma_isac.radar import (
     _delay_crb,
     _delay_fisher,
     _k2_sum,
+    _round_sig_column,
+    expected_sensing,
     expected_steered_power,
     monte_carlo,
     radar_return,
     range_profile,
+    round_sig,
     sensing_symbols,
     snr_rad_closed_form,
     steered_projection,
@@ -861,3 +864,61 @@ def test_threads_running_heatmap_cells_get_their_sequential_results(make_channel
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert got == [[want[0]] * 10, [want[1]] * 10]
+
+
+def _round_sig_bits(values) -> bytes:
+    return np.array([round_sig(v) for v in np.ravel(values).tolist()]).tobytes()
+
+
+def _with_neighbours(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    # The largest double's upper neighbour is inf, which nextafter flags.
+    with np.errstate(over="ignore"):
+        return np.concatenate([values, np.nextafter(values, -np.inf),
+                               np.nextafter(values, np.inf)])
+
+
+# Any double, by its bits: every decade, subnormals, zeros, infinities, NaNs.
+_DOUBLES = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(float)))
+
+
+def _half_way(digits: int, exponent: int, offset: float) -> float:
+    """The double at ``offset`` from the 12-digit half-way point digits.5 x 10**(exponent - 11)."""
+    scale = 10.0 ** (11 - exponent)
+    return float(f"{digits}5e{exponent - 12}") + offset / scale
+
+
+@given(
+    singles=st.lists(_DOUBLES | st.floats(), min_size=1, max_size=12),
+    half_ways=st.lists(
+        st.tuples(st.integers(10**11, 10**12 - 1), st.integers(-13, 13),
+                  st.sampled_from([0.0, 2.0**-11, -(2.0**-11), 2.0**-10, -(2.0**-10),
+                                   1.5 * 2.0**-10, -1.5 * 2.0**-10, 2.0**-8, 0.25])),
+        max_size=8,
+    ),
+    shape=st.sampled_from([(-1,), (3, -1), (-1, 3, 1)]),
+)
+@example(singles=[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-11, 1e11,
+                  1e-308, 1.7976931348623157e308, 0.1 + 0.2, 1000.0, 999999999999.5],
+         half_ways=[(10**11, -11, 0.0), (10**12 - 1, 10, 0.0)], shape=(-1,))
+def test_column_rounding_is_round_sig_bit_for_bit(singles, half_ways, shape):
+    # expected_sensing rounds g0 as a column; round_sig stays the rule.
+    values = _with_neighbours(singles + [_half_way(*h) for h in half_ways])
+    batch = np.concatenate([values, -values]).reshape(shape)  # 6n entries
+    got = _round_sig_column(batch)
+    assert got.shape == batch.shape and got.dtype == float
+    assert got.tobytes() == _round_sig_bits(batch)
+    for v in values[:6].tolist():
+        point = _round_sig_column(np.float64(v))  # a point's g0 is 0-d
+        assert point.shape == () and point.tobytes() == _round_sig_bits(v)
+
+
+def test_expected_sensing_returns_round_sig_of_each_g0(make_channels):
+    cfg, channels = make_channels(n_subcarriers=16, csit_error_var=1e-3)
+    axis = (0.0, 0.3, 0.7, 1.0)
+    pp = ParameterPoint((0.2, 0.6, 1.0), (0.0, 0.5, 1.0), axis, axis, "MRT")
+    pset = build_precoders(pp, channels, cfg)
+    g0, _ = expected_sensing(channels, pset, cfg)
+    raw = np.sum(expected_steered_power(pset, channels.target_steering), axis=-1)
+    assert g0.shape == raw.shape == (3, 4, 4)
+    assert g0.tobytes() == _round_sig_bits(raw)

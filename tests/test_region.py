@@ -91,6 +91,20 @@ def test_grid_planes_partition_the_columns(step):
     assert [k[1:] for k in order] == [(0.0, 1.0)] + [(a, b) for a in axis[1:] for b in axis]
 
 
+def test_grid_plan_is_built_once_and_read_only():
+    # The plan of a step is shared by every sweep of that step, so no
+    # caller may change it.
+    columns, planes = _grid(0.25)
+    assert _grid(0.25)[0] is columns
+    for column in columns:
+        with pytest.raises(ValueError):
+            column[0] = 0.5
+    with pytest.raises(TypeError):
+        planes[(1.0,), (1.0,)] = ()
+    assert all(isinstance(blocks, tuple) for blocks in planes.values())
+    assert _grid(0.5)[0][0].tolist() != columns[0].tolist()
+
+
 def test_enumerate_grid_counts_and_pinning():
     fine = enumerate_grid(0.1, "MRT")
     assert len(fine) == 11111
@@ -679,6 +693,43 @@ def test_preset_regression_tight_angles():
     assert len(result.boundary) == 5
     tset = {round(t, 6) for t in result.boundary.t_comms.tolist()}
     assert tset == {0.5, 0.7, 0.9, 1.0}
+
+
+# How write_points_csv spelled each row when it %-formatted every field.
+_PER_ROW = "%.10g,%.10g,%.10g,%.10g,%s,%s,%.10g,%.10g,%s,%.10g,%d\n"
+# Few values, so columns repeat them, with both zeros, NaN, the
+# infinities and the extremes of the float range among them.
+_CELL_VALUES = st.sampled_from([
+    0.0, -0.0, 0.25, 1.0, 1e-7, 123456.789, 73125000.0, math.inf, -math.inf, math.nan,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e300,
+    1 / 3, 0.1 + 0.2, 12345678901234.0,
+]) | st.floats()
+
+
+@given(
+    rows=st.lists(st.tuples(*[_CELL_VALUES] * 7, st.integers(0, 1), st.integers(0, 5),
+                            st.booleans()), min_size=1, max_size=30),
+    measured=st.booleans(),
+)
+def test_points_csv_cells_are_the_per_row_spellings(tmp_path_factory, rows, measured):
+    # Each column but g0 and the CRB is spelled once per distinct value;
+    # the file is still what per-row formatting wrote, -0.0 and NaN too.
+    t, tp, ac, ap, t_sum, g0, crb, family, case, collapsed = map(np.array, zip(*rows))
+    snr = t_sum[::-1].copy() if measured else None
+    points = IsacPoints(t, tp, ac, ap, family, case, t_sum, g0, snr, crb, collapsed,
+                        np.zeros((len(t), 3), dtype=int))
+    path = tmp_path_factory.mktemp("csv") / "points.csv"
+    write_points_csv(points, str(path))
+    mbps = (t_sum / 1e6).tolist()
+    snr_cells = [""] * len(t) if snr is None else [format(v, ".10g") for v in snr.tolist()]
+    want = "".join(
+        _PER_ROW % (*knobs, FAMILIES[f], CASE_TAGS[c], m, g, s, b, flag)
+        for *knobs, f, c, m, g, s, b, flag in zip(
+            t.tolist(), tp.tolist(), ac.tolist(), ap.tolist(), family.tolist(), case.tolist(),
+            mbps, g0.tolist(), snr_cells, crb.tolist(), collapsed.tolist())
+    )
+    header, *lines = path.read_text(encoding="utf-8").splitlines(True)
+    assert "".join(lines) == want
 
 
 def test_write_points_csv(tmp_path, smoke_sweep):
