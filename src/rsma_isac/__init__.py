@@ -39,7 +39,6 @@ from .precoders import (
 from .radar import (
     UndefinedProfileError,
     expected_sensing,
-    expected_steered_power,
     monte_carlo,
     radar_return,
     range_profile,

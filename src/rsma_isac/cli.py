@@ -5,7 +5,8 @@ and sha256 digests of its outputs; the ``reproduce`` subcommand re-executes
 such a manifest and asserts the digests match. All internal math is linear;
 decibels appear only in serialized output.
 
-Exit codes: 0 success, 2 configuration or I/O error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration or I/O error (a run too large for
+memory among them), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -222,15 +223,15 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
     pp = ParameterPoint(*section)
     channels = generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
     pset = build_precoders(pp, channels, cfg)
-    report = throughput(channels, pset, cfg)
-    g0, crb = expected_sensing(channels, pset, cfg)
+    users, target = stream_gains(channels, pset)
+    report = throughput(users, pset, cfg)
+    g0, crb = expected_sensing(target, cfg)
 
     def mean_db(values: np.ndarray) -> float | str:
         mean = float(np.mean(values))
         return 10.0 * math.log10(mean) if mean > 0 else "-inf"
 
-    gains = stream_gains(channels, pset)
-    common = sinr_common(gains, cfg.noise_power_comms)
+    common = sinr_common(users, cfg.noise_power_comms)
     payload = {
         "params": {
             "t_comms": pp.t_comms, "t_p": pp.t_p,
@@ -245,7 +246,7 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
         "mcs_indices": [int(m) if m >= 0 else None for m in report.mcs_chosen],
         "sinr_common_mean_db": [mean_db(sinr) for sinr in common],
         "sinr_private_mean_db": [
-            mean_db(sinr) for sinr in sinr_private(gains, cfg.noise_power_comms)
+            mean_db(sinr) for sinr in sinr_private(users, cfg.noise_power_comms)
         ],
         "spectral_efficiency_common": [
             spectral_efficiency(sinr, cfg.shannon_gap_db) for sinr in common
@@ -495,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         return command(args)
     except _NUMERIC_ERRORS as exc:
         return _fail(3, exc)
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError, MemoryError) as exc:
         return _fail(2, exc)
 
 

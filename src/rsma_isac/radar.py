@@ -293,29 +293,6 @@ def steered_projection(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("t,...kt->...k", np.conj(a), x, out=out)
 
 
-def expected_steered_power(pset: PrecoderSet, a: np.ndarray) -> np.ndarray:
-    """Symbol-averaged |a^H x[k]|² per subcarrier, for the array response a.
-
-    Streams carry independent zero-mean unit-energy symbols, so the
-    expectation is the sum of the per-stream projected powers; no symbol
-    draw is needed, which keeps a sweep's sensing axis noise-free.
-    Precoders may carry leading batch axes, which broadcast; the result
-    keeps them, with subcarriers last.
-    The streams add in the order common, 1, 2, sensing, so every entry of
-    a batch equals what its own point gives, bit for bit.
-    """
-    c, p1, p2, r = (
-        np.abs(np.einsum("t,...kt->...k", np.conj(a), p))
-        for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r)
-    )
-    for power in (c, p1, p2, r):
-        np.square(power, out=power)
-    out = c + p1
-    out += p2
-    out += r
-    return out
-
-
 def radar_return(
     c: np.ndarray,
     n0: int,
@@ -423,19 +400,22 @@ def _k2_sum(power_per_k: np.ndarray) -> np.ndarray:
 
 
 def expected_sensing(
-    channels: ChannelSet, pset: PrecoderSet, cfg: ScenarioConfig
+    target: tuple[np.ndarray, ...], cfg: ScenarioConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The sensing numbers of precoders: g0 and the delay CRB in bins².
+    """g0 and the delay CRB in bins² from ``throughput.stream_gains``' target row.
 
-    g0 is the symbol-averaged energy radiated toward the target, the sum
-    over subcarriers of :func:`expected_steered_power` along
-    ``channels.target_steering``, rounded to 12 significant digits
-    (:func:`round_sig`, applied as a column) so that points equal on paper
-    tie exactly; the CRB comes from its k²-weighted sum. Both keep the
-    precoders' batch shape, and every entry of a batch equals what its own
-    point gives, bit for bit.
+    The streams carry independent zero-mean unit-energy symbols, so the
+    symbol-averaged power toward the target is the sum of the row, added
+    in the order common, 1, 2, sensing: every entry of a batch equals what
+    its own point gives, bit for bit. g0 is that power summed over
+    subcarriers and rounded to 12 significant digits (:func:`round_sig`,
+    applied as a column) so that points equal on paper tie exactly; the
+    CRB comes from its k²-weighted sum. Both keep the precoders' batch shape.
     """
-    power = expected_steered_power(pset, channels.target_steering)
+    common, private_1, private_2, sensing = target
+    power = common + private_1
+    power += private_2
+    power += sensing
     nc = power.shape[-1]
     crb = _delay_crb(_k2_sum(power), nc, cfg.target_attenuation, cfg.noise_power_radar)
     return _round_sig_column(np.sum(power, axis=-1)), crb

@@ -30,7 +30,7 @@ from .precoders import (
     build_precoders,
 )
 from .radar import expected_sensing, monte_carlo, radar_return
-from .throughput import throughput
+from .throughput import stream_gains, throughput
 
 # Stream ids below this are free for callers; sweep Monte Carlo draws live
 # above it so they can never collide with channel generation streams.
@@ -313,8 +313,9 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
     also fixes which streams carry power. A plane's kept (t_comms, t_p)
     blocks are scored in chunks, as many as keep pairs × n_αc × n_αp × N_c
     within ``_CHUNK_ELEMENTS`` (at least one): one ``build_precoders``
-    call scales the table into the chunk's precoders, and one
-    ``throughput`` and one ``expected_sensing`` call score all of them,
+    call scales the table into the chunk's precoders, one ``stream_gains``
+    call projects them onto the users and the target, and one
+    ``throughput`` and one ``expected_sensing`` call score the two rows,
     exactly as point-eval scores one point. A chunk's rows are its
     blocks' row ranges in turn, so the columns, which hold the grid once
     per family, fill in grid order. No object is built per point.
@@ -370,8 +371,13 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
                 for _, _, a, b in members[c:]:
                     reason[a:b] = str(exc)
                 break
-            report = throughput(channels, pset, cfg)
-            chunk_g0, chunk_crb = expected_sensing(channels, pset, cfg)
+            # Each row is freed once scored, so the next step's temporaries
+            # reuse its memory (measured faster on small chunks).
+            users, target = stream_gains(channels, pset)
+            chunk_g0, chunk_crb = expected_sensing(target, cfg)
+            del target
+            report = throughput(users, pset, cfg)
+            del users
             t_sum[rows] = report.t_sum.ravel()
             g0[rows] = chunk_g0.ravel()
             crb[rows] = chunk_crb.ravel()

@@ -89,30 +89,37 @@ def spectral_efficiency(sinr: np.ndarray, gap_db: float) -> float | np.ndarray:
 
 def stream_gains(
     channels: ChannelSet, pset: PrecoderSet
-) -> tuple[tuple[np.ndarray, ...], ...]:
-    """|h^H p|² per subcarrier of each comms stream at each user.
+) -> tuple[tuple[tuple[np.ndarray, ...], ...], tuple[np.ndarray, ...]]:
+    """|h^H p|² and |a^H p|² per subcarrier: precoders seen by the users and the target.
 
-    ``gains[u]`` holds user u+1's (common, private 1, private 2) gains on
-    the true channel, each with its precoder's batch shape and subcarriers
-    last: one projection per (user, stream). The conjugated channel rows
-    are stored with subcarriers innermost (Fortran order), as
-    ``build_precoders`` stores the precoders, so each projection sums over
-    contiguous subcarriers.
+    Returns ``(users, target)``. ``users[u]`` holds user u+1's (common,
+    private 1, private 2) gains on the true channel; the sensing stream,
+    which the users subtract, is not projected onto them. ``target`` holds
+    the (common, private 1, private 2, sensing) powers along
+    ``channels.target_steering``. Each keeps its precoder's batch shape,
+    subcarriers last. The conjugated channel rows are stored with
+    subcarriers innermost (Fortran order), as ``build_precoders`` stores
+    the precoders, so each user projection sums over contiguous subcarriers.
     """
-    gains = tuple(
+    users = tuple(
         tuple(
             np.abs(np.einsum("kt,...kt->...k", h_conj, p))
             for p in (pset.p_c, pset.p_1, pset.p_2)
         )
         for h_conj in (np.conj(h, order="F") for h in channels.true_channels)
     )
-    for gain in (*gains[0], *gains[1]):
+    a_conj = np.conj(channels.target_steering)
+    target = tuple(
+        np.abs(np.einsum("t,...kt->...k", a_conj, p))
+        for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r)
+    )
+    for gain in (*users[0], *users[1], *target):
         np.square(gain, out=gain)
-    return gains
+    return users, target
 
 
-def sinr_common(gains: tuple, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
-    """Common-stream SINR at (user 1, user 2), per subcarrier, from ``stream_gains``.
+def sinr_common(users: tuple, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Common-stream SINR at (user 1, user 2), per subcarrier, from ``stream_gains``' users.
 
     Both private streams interfere (SIC has not run yet); the sensing
     stream does not, because its symbols are known at the users and
@@ -121,13 +128,13 @@ def sinr_common(gains: tuple, noise_power: float) -> tuple[np.ndarray, np.ndarra
     """
     return tuple(
         common / (private_1 + private_2 + noise_power)
-        for common, private_1, private_2 in gains
+        for common, private_1, private_2 in users
     )
 
 
-def sinr_private(gains: tuple, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
+def sinr_private(users: tuple, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
     """Private-stream SINR at (user 1, user 2) after the common stream is removed."""
-    (_, own_1, other_1), (_, other_2, own_2) = gains
+    (_, own_1, other_1), (_, other_2, own_2) = users
     return own_1 / (other_1 + noise_power), own_2 / (other_2 + noise_power)
 
 
@@ -159,33 +166,34 @@ class ThroughputReport:
 
 
 def throughput(
-    channels: ChannelSet, pset: PrecoderSet, cfg: ScenarioConfig
+    users: tuple, pset: PrecoderSet, cfg: ScenarioConfig
 ) -> ThroughputReport:
-    """MCS-limited sum throughput of precoder sets on one channel draw.
+    """MCS-limited sum throughput of precoder sets from their gains at the users.
 
-    The common stream is decodable only if both users support at least
-    MCS 0 for it; otherwise the whole report collapses to zero. Points
-    with no common-stream power at all (pure SDMA, or sensing only) skip
-    the collapse rule and simply add the surviving private streams.
+    ``users`` is the first row of ``stream_gains(channels, pset)``; ``pset``
+    tells which points carry a common stream. The common stream is
+    decodable only if both users support at least MCS 0 for it; otherwise
+    the whole report collapses to zero. Points with no common-stream power
+    at all (pure SDMA, or sensing only) skip the collapse rule and simply
+    add the surviving private streams.
 
-    The precoder arrays may carry leading batch axes that broadcast
-    against each other; every report field then has the broadcast batch
-    shape. A plain PrecoderSet is a batch of shape () and gets 0-d
-    arrays. Rates use ``DEFAULT_BANDWIDTH``.
+    The gains may carry leading batch axes that broadcast against each
+    other; every report field then has the broadcast batch shape. A plain
+    PrecoderSet is a batch of shape () and gets 0-d arrays. Rates use
+    ``DEFAULT_BANDWIDTH``.
     """
     sigma2 = cfg.noise_power_comms
     gap = cfg.shannon_gap_db
     has_common = np.any(pset.p_c, axis=(-2, -1))
-    gains = stream_gains(channels, pset)
 
     mcs_c = max_mcs(
-        np.minimum(*(spectral_efficiency(sinr, gap) for sinr in sinr_common(gains, sigma2)))
+        np.minimum(*(spectral_efficiency(sinr, gap) for sinr in sinr_common(users, sigma2)))
     )
     t_c = _MCS_RATES[mcs_c]
     collapsed = has_common & (t_c == 0.0)
     indices = [np.asarray(mcs_c)]
     rates = []
-    for sinr in sinr_private(gains, sigma2):
+    for sinr in sinr_private(users, sigma2):
         index = max_mcs(spectral_efficiency(sinr, gap))
         indices.append(np.where(collapsed, -1, index))
         rates.append(np.where(collapsed, 0.0, _MCS_RATES[index]))

@@ -31,6 +31,7 @@ from rsma_isac import (
     scheme_frontier,
     scheme_points,
     steering_vector,
+    stream_gains,
     sweep,
     synthesize_tx,
     throughput,
@@ -295,7 +296,7 @@ def test_criterion_6_property_suites(region_data, verdict):
     # (e) collapse identity: a collapsed report carries zero throughput
     noisy = dataclasses.replace(cfg16, noise_power_comms=10.0)
     pset = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5, "MRT"), ch16, noisy)
-    rep = throughput(ch16, pset, noisy)
+    rep = throughput(stream_gains(ch16, pset)[0], pset, noisy)
     if not rep.collapsed or rep.t_sum != 0.0:
         failures.append("constructed collapse did not zero the sum rate")
     for (preset, family), (_, _, result, _) in region_data.items():

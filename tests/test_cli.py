@@ -415,6 +415,11 @@ _BAD_CONFIGURATIONS = {
     "argv47": [*_SMALL_G0_SWEEP, "--set", "csit_error_var=1e308"],
     # and a subcarrier count that is itself past the float range
     "argv48": ["sweep", "--preset", "S1", "--step", "0.5", "--set", f"n_subcarriers={10**400}"],
+    # a link too large for any address space (568 PiB of channel rows):
+    # the allocation fails at once, whatever the host's overcommit setting
+    "argv49": ["sweep", "--preset", "S1", "--step", "0.5", "--set", f"n_subcarriers={10**16}"],
+    "argv50": ["point-eval", "--set", f"n_subcarriers={10**16}", *_POINT_SETS],
+    "argv51": ["radar-heatmap", "--params", "{params}", "--set", f"n_subcarriers={10**16}"],
 }
 
 
@@ -833,6 +838,27 @@ def test_radar_chain_projects_once_per_trial(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "hm")]) == 0
     assert counts["synthesize_tx"] > 0
     assert counts["steered_projection"] == counts["synthesize_tx"]
+
+
+def test_point_eval_projects_once(tmp_path, monkeypatch):
+    # One stream_gains call gives point-eval its throughput, its SINR
+    # fields and its sensing numbers. Every module's binding of the
+    # function is counted, so a call by any route shows.
+    original = rsma_isac.stream_gains
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    modules = [module for name, module in sys.modules.items()
+               if name == "rsma_isac" or name.startswith("rsma_isac.")]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counting)
+    assert _point_eval(tmp_path / "pt", dict(t_comms=0.6, t_p=0.5, alpha_c=0.5, alpha_p=0.5)) == 0
+    assert len(calls) == 1
 
 
 def test_heatmap_missing_params_file(tmp_path):

@@ -393,3 +393,51 @@ def test_round_sig_use_finder(tmp_path):
         "round_sigma = round_sig_2 = 1\n"
     )
     assert _round_sig_uses(path) == [1, 5, 6]
+
+
+# The precoders are projected onto the users and the target in one place,
+# throughput.stream_gains; the radar chain's drawn waveform is projected
+# onto the target in radar.steered_projection. No other code calls einsum.
+_EINSUM_SITES = {("throughput", "stream_gains"), ("radar", "steered_projection")}
+
+
+def _einsum_uses(path: Path) -> list[tuple[str, int]]:
+    """(top-level definition, line) of every reference to einsum in the file.
+
+    An import, name or attribute counts, so an alias cannot hide a call;
+    references outside any function or class are listed under "".
+    """
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                found += [(owner, node.lineno) for a in node.names if a.name == "einsum"]
+            elif getattr(node, "id", getattr(node, "attr", None)) == "einsum":
+                found.append((owner, node.lineno))
+    return found
+
+
+def test_only_stream_gains_and_the_radar_chain_project():
+    sites = {
+        (path.stem, owner)
+        for path in sorted(_PACKAGE.glob("*.py")) for owner, _ in _einsum_uses(path)
+    }
+    assert sites == _EINSUM_SITES
+
+
+def test_einsum_use_finder(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from numpy import einsum, conj\n"
+        "import numpy as np\n"
+        "def project(a, p):\n"
+        "    return np.einsum('t,...kt->...k', np.conj(a), p)\n"
+        "class Beam:\n"
+        "    def gain(self, p):\n"
+        "        f = einsum\n"
+        "        return f('kt,kt->k', p, p)\n"
+        "g = np.einsum('i,i', x, x)\n"
+        "einsums = np.einsum_path\n"
+    )
+    assert _einsum_uses(path) == [("", 1), ("project", 4), ("Beam", 7), ("", 9)]

@@ -22,6 +22,7 @@ from rsma_isac import (
     build_precoders,
     generate_channels,
     scenario_preset,
+    stream_gains,
     synthesize_tx,
 )
 from rsma_isac import radar
@@ -35,7 +36,6 @@ from rsma_isac.radar import (
     _k2_sum,
     _round_sig_column,
     expected_sensing,
-    expected_steered_power,
     monte_carlo,
     radar_return,
     range_profile,
@@ -157,22 +157,25 @@ def test_broadside_gain_matches_loop(make_channels):
     assert _gain(steered_projection(x, steering_vector(_GEOM, 0.0))) == pytest.approx(total, rel=1e-12)
 
 
-def test_expected_steered_power_sums_streams(make_channels):
+def test_target_row_sums_streams(make_channels):
     cfg, channels = make_channels(n_subcarriers=8)
     pset = build_precoders(ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"), channels, cfg)
-    a = np.ones(2, dtype=complex)
+    a = np.ones(2, dtype=complex)  # broadside, where the default target sits
+    assert np.array_equal(channels.target_steering, steering_vector(_GEOM, 0.0))
+    _, target = stream_gains(channels, pset)
     manual = np.zeros(8)
-    for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r):
-        manual += np.array([abs(np.vdot(a, p[k])) ** 2 for k in range(8)])
-    got = expected_steered_power(pset, steering_vector(_GEOM, 0.0))
-    assert np.allclose(got, manual, rtol=1e-12)
-    assert np.sum(got) == pytest.approx(manual.sum())
+    for row, p in zip(target, (pset.p_c, pset.p_1, pset.p_2, pset.p_r)):
+        per_stream = np.array([abs(np.vdot(a, p[k])) ** 2 for k in range(8)])
+        assert np.allclose(row, per_stream, rtol=1e-12)
+        manual += per_stream
+    g0, _ = expected_sensing(target, cfg)
+    assert g0 == pytest.approx(manual.sum(), rel=1e-11)
 
 
 def test_sensing_helpers_on_a_stacked_batch_equal_per_point(make_channels):
     # Leading batch axes change nothing: each entry of a stacked batch is
     # bit for bit what its own point gives, zero streams included.
-    cfg, channels = make_channels(n_subcarriers=16, csit_error_var=1e-3)
+    cfg, channels = make_channels(n_subcarriers=16, csit_error_var=1e-3, target_angle_deg=10.0)
     points = [
         ParameterPoint(0.7, 0.5, 0.4, 0.6, "MRT"),
         ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"),
@@ -183,23 +186,23 @@ def test_sensing_helpers_on_a_stacked_batch_equal_per_point(make_channels):
     batch = PrecoderSet(
         *(np.stack([getattr(ps, name) for ps in psets]) for name in ("p_c", "p_1", "p_2", "p_r"))
     )
-    power = expected_steered_power(batch, steering_vector(_GEOM, 10.0))
-    weighted = _k2_sum(power)
-    assert power.shape == (4, 16) and weighted.shape == (4,)
+    _, target = stream_gains(channels, batch)
+    g0, crb = expected_sensing(target, cfg)
+    assert all(row.shape == (4, 16) for row in target) and g0.shape == crb.shape == (4,)
     for n, pset in enumerate(psets):
-        single = expected_steered_power(pset, steering_vector(_GEOM, 10.0))
-        assert np.array_equal(power[n], single)
-        assert weighted[n] == _k2_sum(single)
+        _, single = stream_gains(channels, pset)
+        assert all(np.array_equal(row[n], own) for row, own in zip(target, single))
+        assert (g0[n], crb[n]) == expected_sensing(single, cfg)
 
 
 def test_expected_equals_realized_for_sensing_only(make_channels):
     # the sensing stream carries fixed unit-modulus symbols, so the realized
     # steered energy equals its expectation exactly
-    cfg, pset = _sensing_only(make_channels, nc=16)
+    cfg, channels = make_channels(n_subcarriers=16)
+    pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
     c = _steered(pset, RngStream(2, 2))
-    assert _gain(c) == pytest.approx(
-        np.sum(expected_steered_power(pset, steering_vector(_GEOM, 0.0))), rel=1e-12
-    )
+    _, target = stream_gains(channels, pset)
+    assert _gain(c) == pytest.approx(np.sum(sum(target)), rel=1e-12)
 
 
 def test_radar_return_noiseless_zero_delay(make_channels):
@@ -917,8 +920,9 @@ def test_expected_sensing_returns_round_sig_of_each_g0(make_channels):
     cfg, channels = make_channels(n_subcarriers=16, csit_error_var=1e-3)
     axis = (0.0, 0.3, 0.7, 1.0)
     pp = ParameterPoint((0.2, 0.6, 1.0), (0.0, 0.5, 1.0), axis, axis, "MRT")
-    pset = build_precoders(pp, channels, cfg)
-    g0, _ = expected_sensing(channels, pset, cfg)
-    raw = np.sum(expected_steered_power(pset, channels.target_steering), axis=-1)
+    _, target = stream_gains(channels, build_precoders(pp, channels, cfg))
+    g0, _ = expected_sensing(target, cfg)
+    common, private_1, private_2, sensing = target
+    raw = np.sum(common + private_1 + private_2 + sensing, axis=-1)
     assert g0.shape == raw.shape == (3, 4, 4)
     assert g0.tobytes() == _round_sig_bits(raw)

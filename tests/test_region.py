@@ -32,7 +32,7 @@ from rsma_isac import (
 )
 from rsma_isac.core import ConfigError
 from rsma_isac.precoders import FAMILIES
-from rsma_isac.radar import _delay_crb, _k2_sum, expected_steered_power, round_sig
+from rsma_isac.radar import _delay_crb, _k2_sum, round_sig
 from rsma_isac.region import (
     _SOFT_ATOL,
     CASE_TAGS,
@@ -336,7 +336,8 @@ def test_sweep_matches_standalone_throughput():
         assert not result.skipped
         assert len(pts) == 2 * len(enumerate_grid(0.25, "MRT"))
         for i in range(len(pts)):
-            rep = throughput(channels, build_precoders(_params(pts, i), channels, cfg), cfg)
+            pset = build_precoders(_params(pts, i), channels, cfg)
+            rep = throughput(stream_gains(channels, pset)[0], pset, cfg)
             assert pts.t_sum_bps[i] == rep.t_sum
             assert pts.collapsed[i] == rep.collapsed
             assert tuple(pts.mcs[i].tolist()) == tuple(int(index) for index in rep.mcs_chosen)
@@ -357,17 +358,19 @@ def test_block_sinr_is_bit_identical_to_per_point():
                 block = build_precoders(
                     ParameterPoint(t, tp, ac_axis, ap_axis, family), channels, cfg, table
                 )
-                gains = stream_gains(channels, block)
+                users, _ = stream_gains(channels, block)
                 batched = {}
                 for fn in (sinr_common, sinr_private):
-                    for ue, values in zip((1, 2), fn(gains, noise)):
+                    for ue, values in zip((1, 2), fn(users, noise)):
                         batched[fn, ue] = values, spectral_efficiency(values, gap)
                 for i, ac in enumerate(ac_axis):
                     for j, ap in enumerate(ap_axis):
                         pp = ParameterPoint(t, tp, ac, ap, family)
-                        single_gains = stream_gains(channels, build_precoders(pp, channels, cfg))
+                        single_users, _ = stream_gains(
+                            channels, build_precoders(pp, channels, cfg)
+                        )
                         for (fn, ue), (values, eff) in batched.items():
-                            single = fn(single_gains, noise)[ue - 1]
+                            single = fn(single_users, noise)[ue - 1]
                             # p_c batches over rows, p_1 and p_2 over columns
                             row = min(i, values.shape[0] - 1)
                             assert np.array_equal(values[row, j], single), (pp, ue)
@@ -376,7 +379,10 @@ def test_block_sinr_is_bit_identical_to_per_point():
 
 def _point_eval_sensing(pp, channels, cfg):
     """g0 and CRB of one operating point, computed the way point-eval does."""
-    power = expected_steered_power(build_precoders(pp, channels, cfg), channels.target_steering)
+    _, (common, private_1, private_2, sensing) = stream_gains(
+        channels, build_precoders(pp, channels, cfg)
+    )
+    power = common + private_1 + private_2 + sensing
     bound = _delay_crb(
         _k2_sum(power), power.shape[0], cfg.target_attenuation, cfg.noise_power_radar
     )

@@ -1,5 +1,6 @@
 """MCS table, SINR evaluation, and sum-throughput accounting."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,10 +11,14 @@ from hypothesis import given, settings, strategies as st
 from rsma_isac import (
     DEFAULT_BANDWIDTH,
     MCS_TABLE,
+    ArrayGeometry,
     ParameterPoint,
     PrecoderSet,
+    RngStream,
     build_precoders,
+    generate_channels,
     max_mcs,
+    scenario_preset,
     sinr_common,
     sinr_private,
     spectral_efficiency,
@@ -25,6 +30,12 @@ from rsma_isac.throughput import _MCS_RATES, _MCS_THRESHOLDS
 
 def _indices(report):
     return tuple(int(index) for index in report.mcs_chosen)
+
+
+def _score(channels, pset, cfg):
+    """throughput() of precoders on a channel draw, from their gains at the users."""
+    users, _ = stream_gains(channels, pset)
+    return throughput(users, pset, cfg)
 
 
 def test_default_bandwidth():
@@ -185,8 +196,8 @@ def test_sinr_matches_bruteforce(make_channels):
     cfg, channels = make_channels(n_subcarriers=5, ue_angles_deg=(-37.0, 12.0))
     pset = build_precoders(ParameterPoint(0.7, 0.6, 0.4, 0.55, "MRT"), channels, cfg)
     noise = cfg.noise_power_comms
-    gains = stream_gains(channels, pset)
-    common, private = sinr_common(gains, noise), sinr_private(gains, noise)
+    users, _ = stream_gains(channels, pset)
+    common, private = sinr_common(users, noise), sinr_private(users, noise)
     for ue, got_c, got_p in zip((1, 2), common, private):
         assert np.allclose(got_c, _brute_sinr(channels, pset, ue, noise, "common"))
         assert np.allclose(got_p, _brute_sinr(channels, pset, ue, noise, "private"))
@@ -195,7 +206,7 @@ def test_sinr_matches_bruteforce(make_channels):
 def test_sinr_zero_common_power(make_channels):
     cfg, channels = make_channels(n_subcarriers=4)
     pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5, "MRT"), channels, cfg)
-    common_1, _ = sinr_common(stream_gains(channels, pset), cfg.noise_power_comms)
+    common_1, _ = sinr_common(stream_gains(channels, pset)[0], cfg.noise_power_comms)
     assert np.all(common_1 == 0.0)
 
 
@@ -206,7 +217,7 @@ def test_sinr_interference_free(flat_channels, make_cfg):
     pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 1.0, "MRT"), ch, cfg)
     # each user sees only its own beam: SINR = (P/2/nc) / noise on every tone
     expect = (0.5 / 4) / noise
-    for got in sinr_private(stream_gains(ch, pset), noise):
+    for got in sinr_private(stream_gains(ch, pset)[0], noise):
         assert np.allclose(got, expect, rtol=1e-12)
 
 
@@ -224,7 +235,7 @@ def test_zf_private_sinr_has_no_cross_interference(make_channels):
 def test_throughput_sdma_top_mcs(make_channels):
     cfg, channels = make_channels(noise_power_comms=1e-5)
     pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
-    rep = throughput(channels, pset, cfg)
+    rep = _score(channels, pset, cfg)
     assert _indices(rep) == (-1, 9, 9)
     assert rep.t_sum == pytest.approx(2 * 487500000.0, rel=1e-12)
     assert not rep.collapsed
@@ -233,7 +244,7 @@ def test_throughput_sdma_top_mcs(make_channels):
 def test_throughput_common_collapse(make_channels):
     cfg, channels = make_channels(noise_power_comms=10.0)
     pset = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5, "MRT"), channels, cfg)
-    rep = throughput(channels, pset, cfg)
+    rep = _score(channels, pset, cfg)
     assert rep.collapsed
     assert rep.t_sum == 0.0
     assert rep.t_private == (0.0, 0.0)
@@ -243,7 +254,7 @@ def test_throughput_common_collapse(make_channels):
 def test_throughput_sdma_never_collapses(make_channels):
     cfg, channels = make_channels(noise_power_comms=10.0)
     pset = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5, "MRT"), channels, cfg)
-    rep = throughput(channels, pset, cfg)
+    rep = _score(channels, pset, cfg)
     assert not rep.collapsed
     assert rep.t_sum == 0.0
     assert _indices(rep) == (-1, -1, -1)
@@ -252,7 +263,7 @@ def test_throughput_sdma_never_collapses(make_channels):
 def test_throughput_sensing_only(make_channels):
     cfg, channels = make_channels()
     pset = build_precoders(ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"), channels, cfg)
-    rep = throughput(channels, pset, cfg)
+    rep = _score(channels, pset, cfg)
     assert rep.t_sum == 0.0
     assert not rep.collapsed
     assert _indices(rep) == (-1, -1, -1)
@@ -261,12 +272,12 @@ def test_throughput_sensing_only(make_channels):
 def test_throughput_sum_identity(make_channels):
     cfg, channels = make_channels()
     with_common = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5, "MRT"), channels, cfg)
-    rep = throughput(channels, with_common, cfg)
+    rep = _score(channels, with_common, cfg)
     assert rep.t_sum == rep.t_common + rep.t_private[0] + rep.t_private[1]
     assert rep.t_common > 0
 
     sdma = build_precoders(ParameterPoint(1.0, 1.0, 1.0, 0.5, "MRT"), channels, cfg)
-    rep2 = throughput(channels, sdma, cfg)
+    rep2 = _score(channels, sdma, cfg)
     assert rep2.t_common == 0.0
     assert rep2.t_sum == rep2.t_private[0] + rep2.t_private[1]
 
@@ -277,7 +288,7 @@ def test_throughput_gap_monotone(make_channels):
     for gap in (0.0, 1.0, 2.0, 4.0):
         cfg, channels = make_channels(shannon_gap_db=gap)
         pset = build_precoders(ParameterPoint(1.0, 0.5, 0.5, 0.5, "MRT"), channels, cfg)
-        rep = throughput(channels, pset, cfg)
+        rep = _score(channels, pset, cfg)
         rank = _indices(rep)
         if prev_sum is not None:
             assert rep.t_sum <= prev_sum
@@ -299,8 +310,8 @@ def test_throughput_batch_matches_points(make_channels):
     batch = PrecoderSet(
         *(np.stack([getattr(ps, name) for ps in psets]) for name in ("p_c", "p_1", "p_2", "p_r"))
     )
-    rep = throughput(channels, batch, cfg)
-    singles = [throughput(channels, ps, cfg) for ps in psets]
+    rep = _score(channels, batch, cfg)
+    singles = [_score(channels, ps, cfg) for ps in psets]
 
     def fields(report):
         return (report.t_common, *report.t_private, report.t_sum, *report.mcs_chosen,
@@ -347,3 +358,53 @@ def test_projection_bits_do_not_depend_on_memory_order(seed, n_tx, nc, batch):
         np.ascontiguousarray(c_ordered).view(np.uint64),
         np.ascontiguousarray(innermost).view(np.uint64),
     )
+
+
+_KNOB = st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0])
+# A mix is a number or an axis; (t_comms, t_p) is one pair or a list of them.
+_MIX = st.one_of(_KNOB, st.lists(_KNOB, min_size=1, max_size=3).map(tuple))
+_PAIRS = st.one_of(st.tuples(_KNOB, _KNOB), st.lists(st.tuples(_KNOB, _KNOB), min_size=1,
+                                                     max_size=3))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n_tx=st.integers(1, 4),
+    zf=st.booleans(),
+    csit_error_var=st.sampled_from([0.0, 1e-3]),
+    angle=st.floats(-60.0, 60.0),
+    pairs=_PAIRS,
+    alpha_c=_MIX,
+    alpha_p=_MIX,
+)
+def test_target_row_is_the_per_stream_steered_power(
+    n_tx, zf, csit_error_var, angle, pairs, alpha_c, alpha_p
+):
+    # stream_gains' target row is, bit for bit, each stream's |a^H p|²
+    # along the target's steering, whatever the batch shape; and a batch's
+    # entries equal each point's own.
+    cfg = dataclasses.replace(scenario_preset("S2"), n_subcarriers=16,
+                              csit_error_var=csit_error_var, target_angle_deg=angle)
+    channels = generate_channels(cfg, ArrayGeometry(n_tx, 0.5), RngStream(cfg.seed, 0))
+    family = "ZF" if zf and n_tx >= 2 else "MRT"
+    t, tp = (tuple(knobs) for knobs in zip(*pairs)) if isinstance(pairs, list) else pairs
+    pset = build_precoders(ParameterPoint(t, tp, alpha_c, alpha_p, family), channels, cfg)
+    streams = (pset.p_c, pset.p_1, pset.p_2, pset.p_r)
+    _, target = stream_gains(channels, pset)
+    assert len(target) == 4
+    for row, p in zip(target, streams):
+        oracle = np.abs(np.einsum("t,...kt->...k", np.conj(channels.target_steering), p))
+        np.square(oracle, out=oracle)
+        assert row.shape == p.shape[:-1]
+        assert row.tobytes() == oracle.tobytes()
+    knobs = [np.asarray(knob) for knob in (t, tp, alpha_c, alpha_p)]
+    batch = knobs[0].shape + knobs[2].shape + knobs[3].shape
+    rows = [np.broadcast_to(row, batch + row.shape[-1:]) for row in target]
+    for index in np.ndindex(batch):
+        pair, rest = index[:knobs[0].ndim], index[knobs[0].ndim:]
+        point = ParameterPoint(float(knobs[0][pair]), float(knobs[1][pair]),
+                               float(knobs[2][rest[:knobs[2].ndim]]),
+                               float(knobs[3][rest[knobs[2].ndim:]]), family)
+        _, own = stream_gains(channels, build_precoders(point, channels, cfg))
+        for row, single in zip(rows, own):
+            assert row[index].tobytes() == single.tobytes(), (point, index)
