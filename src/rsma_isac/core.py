@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 import sys
+import threading
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -48,6 +49,53 @@ def steering_vector(geom: ArrayGeometry, angle_deg: float) -> np.ndarray:
     """
     phase = 2.0 * np.pi * geom.spacing_wavelengths * np.sin(np.deg2rad(angle_deg))
     return np.exp(1j * phase * np.arange(geom.n_tx))
+
+
+class Workspace(threading.local):
+    """The calling thread's resident buffers: one byte buffer per slot.
+
+    Code that makes the same large temporaries call after call writes
+    them with ``out=`` into these buffers, so the same pages serve every
+    call instead of going back to the allocator and faulting in again.
+    Each thread has its own (``WORKSPACE``); a buffer grows to the largest
+    array it has held and then stays. A slot's next use overwrites what it
+    held, so an array taken from it must be dead by then, and a function
+    returns none unless it documents that lifetime, as the radar chain's
+    stages do under ``radar.monte_carlo``. Arrays that are never live at
+    once share a slot::
+
+        0      a sweep chunk's SINR-sized float grid (the log argument of
+               ``spectral_efficiency``, the power of ``expected_sensing``);
+               the radar chain's x, noise stack, conj(c) and DFT
+        1      the complex projections in ``stream_gains`` and the SINR
+               denominators; the radar chain's take() output, |c|^2,
+               matched-filter product and |DFT|
+        2      the radar chain's index rows, clutter grid, off-peak powers
+        3      its raw quadrant words, then c
+        3 + j  its capture y of stream column j
+    """
+
+    def __init__(self) -> None:
+        self.buffers: dict[int, np.ndarray] = {}
+
+    def array(self, resident: bool, slot: int, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialized array of ``shape`` for a caller to write with
+        ``out=``: buffer ``slot`` when ``resident``, else a fresh one."""
+        if not resident:
+            return np.empty(shape, dtype)
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self.buffers.get(slot)
+        if buf is None or buf.size < nbytes:
+            buf = self.buffers[slot] = np.empty(nbytes, np.uint8)
+        return np.ndarray(shape, dtype, buf)
+
+    def holds(self, slot: int, a: np.ndarray) -> bool:
+        """Whether ``a`` is a view of this thread's buffer ``slot``."""
+        return a.base is not None and a.base is self.buffers.get(slot)
+
+
+WORKSPACE = Workspace()
 
 
 @dataclass(frozen=True)

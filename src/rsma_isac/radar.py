@@ -17,12 +17,11 @@ consistent with every other.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .core import ChannelSet, RngStream, ScenarioConfig, stream_states
+from .core import WORKSPACE, ChannelSet, RngStream, ScenarioConfig, stream_states
 from .precoders import PrecoderSet
 
 
@@ -42,54 +41,8 @@ _SENSING_SYMBOL_SEED = 0x5EED
 # monte_carlo stacks as many trials as keep a transmit stack x (trials x
 # N_c x N_T) within this many entries: 32 trials at N_c = 512 and N_T = 2,
 # enough to amortize numpy's per-call cost, few enough to keep the
-# resident stacks (below) near 2 MB.
+# resident stacks (``core.Workspace``) near 2 MB.
 _STACK_ENTRIES = 2**15
-
-
-class _Stacks(threading.local):
-    """The calling thread's resident stacks: one byte buffer per slot.
-
-    A ``monte_carlo`` call's stages write their stack-sized arrays into
-    these buffers, so stack after stack and call after call reuse the same
-    pages instead of freeing them and faulting them back in. Each thread
-    has its own. Arrays that are never live at once share a slot; within
-    a stack, from ``synthesize_tx`` through the capture to
-    ``range_profile``, the slots hold::
-
-        0      x, then the noise stack, then conj(c) and the DFT
-        1      the take() output, then |c|^2, then the product and |DFT|
-        2      the index rows, then the clutter grid, then the off-peak powers
-        3      the raw quadrant words, then c, from steered_projection on
-        3 + j  the capture y of stream column j (radar_return)
-
-    A buffer grows to the largest array it has held and then stays.
-    """
-
-    def __init__(self) -> None:
-        self.buffers: dict[int, np.ndarray] = {}
-
-
-_STACKS = _Stacks()
-
-
-def _out(resident: bool, slot: int, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
-    """An uninitialized array of ``shape`` for a stage to write with ``out=``:
-    this thread's stack ``slot`` when ``resident``, that is on
-    ``monte_carlo``'s path, else a fresh one."""
-    if not resident:
-        return np.empty(shape, dtype)
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    buf = _STACKS.buffers.get(slot)
-    if buf is None or buf.size < nbytes:
-        buf = _STACKS.buffers[slot] = np.empty(nbytes, np.uint8)
-    return buf[:nbytes].view(dtype).reshape(shape)
-
-
-def _in_stack(slot: int, a: np.ndarray) -> bool:
-    """Whether ``a`` is this thread's stack ``slot``, so its caller is on
-    ``monte_carlo``'s path. Every stage but ``synthesize_tx``, whose input
-    from that path is only its keys, asks this of its input."""
-    return a.base is not None and a.base is _STACKS.buffers.get(slot)
 
 
 def round_sig(value: float) -> float:
@@ -163,7 +116,7 @@ def _quadrants(rngs: Sequence, out: np.ndarray, resident: bool) -> np.ndarray:
     uses. The words sit in stack slot 3 until c takes it.
     """
     n = math.prod(out.shape[1:])
-    words = _out(resident, 3, (len(rngs), (n + 1) // 2), np.uint64)
+    words = WORKSPACE.array(resident, 3, (len(rngs), (n + 1) // 2), np.uint64)
     for t, rng in enumerate(rngs):
         words[t] = rng.generator().bit_generator.random_raw(words.shape[1])
     # Little-endian words split into (low, high) halves on any host.
@@ -199,7 +152,7 @@ class _CallStream:
     stages never need two streams at once. ``shared`` is the call's store
     of what the stages compute from its fixed inputs (see ``_per_call``).
     ``column`` is the stream's place in its trial's ids; a capture of
-    column j goes in stack slot 3 + j (see ``_Stacks``).
+    column j goes in stack slot 3 + j (see ``core.Workspace``).
     """
 
     __slots__ = ("seed", "stream_id", "_state", "_gen", "shared", "column")
@@ -267,9 +220,9 @@ def synthesize_tx(pset: PrecoderSet, rngs: Sequence[RngStream]) -> np.ndarray:
     nc = pset.p_c.shape[0]
     tables, sensing = _per_call(rngs, "tx", lambda: _tx_terms(pset))
     resident = _call_store(rngs) is not None
-    x = _out(resident, 0, (len(rngs), *pset.p_c.shape), pset.p_c.dtype)
+    x = WORKSPACE.array(resident, 0, (len(rngs), *pset.p_c.shape), pset.p_c.dtype)
     if tables:
-        rows = _out(resident, 2, (len(tables), len(rngs), nc), np.intp)
+        rows = WORKSPACE.array(resident, 2, (len(tables), len(rngs), nc), np.intp)
         _quadrants(rngs, rows.transpose(1, 0, 2), resident)
         rows *= nc
         rows += np.arange(nc)
@@ -277,7 +230,7 @@ def synthesize_tx(pset: PrecoderSet, rngs: Sequence[RngStream]) -> np.ndarray:
         # straight into ``out``, where "raise" copies through a buffer of
         # its own. The first stream's symbols are x's start.
         tables[0].take(rows[0], axis=0, out=x, mode="clip")
-        symbols = _out(resident, 1, x.shape, x.dtype)
+        symbols = WORKSPACE.array(resident, 1, x.shape, x.dtype)
         for table, stream_rows in zip(tables[1:], rows[1:]):
             x += table.take(stream_rows, axis=0, out=symbols, mode="clip")
     else:
@@ -289,7 +242,7 @@ def synthesize_tx(pset: PrecoderSet, rngs: Sequence[RngStream]) -> np.ndarray:
 
 def steered_projection(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Per-subcarrier complex amplitude c[k] = a^H x[k], leading trial axes kept."""
-    out = _out(_in_stack(0, x), 3, x.shape[:-1], np.result_type(a, x))
+    out = WORKSPACE.array(WORKSPACE.holds(0, x), 3, x.shape[:-1], np.result_type(a, x))
     return np.einsum("t,...kt->...k", np.conj(a), x, out=out)
 
 
@@ -310,13 +263,13 @@ def radar_return(
         raise ValueError(f"n0 must lie in [0, {nc}), got {n0}")
     if c.shape != (len(rngs), nc):
         raise ValueError(f"need one stream key per row of c, got {len(rngs)} for {c.shape}")
-    resident = _in_stack(3, c)
-    # Each key list of a stack captures into its own stack (see _Stacks).
+    resident = WORKSPACE.holds(3, c)
+    # Each key list of a stack captures into its own stack (see core.Workspace).
     slot = 3 + rngs[0].column if resident else 0
-    y = np.multiply(beta, c, out=_out(resident, slot, c.shape))
+    y = np.multiply(beta, c, out=WORKSPACE.array(resident, slot, c.shape, complex))
     y *= _per_call(rngs, ("ramp", n0), lambda: np.exp(2j * np.pi * n0 * np.arange(nc) / nc))
     scale = math.sqrt(sigma_r2 / (2.0 * nc)) if sigma_r2 > 0 else 0.0
-    noise = _noise(rngs, scale, _out(resident, 0, (len(rngs), nc, 2), float))
+    noise = _noise(rngs, scale, WORKSPACE.array(resident, 0, (len(rngs), nc, 2), float))
     # Each (real, imaginary) pair of draws is one complex noise sample.
     y += noise.view(complex)[..., 0]
     return y
@@ -351,11 +304,11 @@ def two_stage_capture(
             scale=math.sqrt(0.5), size=(nc, 2))
         return z[:, 0] + 1j * z[:, 1]
 
-    resident = _in_stack(3, c)
-    power = np.abs(c, out=_out(resident, 1, c.shape, float))
+    resident = WORKSPACE.holds(3, c)
+    power = np.abs(c, out=WORKSPACE.array(resident, 1, c.shape, float))
     energy = 10.0 * float(beta**2) * np.sum(np.square(power, out=power), axis=-1)
     clutter = np.multiply(np.sqrt(energy / nc)[:, None], _per_call(keys, "clutter", unit_grid),
-                          out=_out(resident, 2, c.shape))
+                          out=WORKSPACE.array(resident, 2, c.shape, complex))
     y = radar_return(c, n0, beta, sigma_r2, rngs_with)
     y += clutter
     without = radar_return(c, n0, 0.0, sigma_r2, rngs_without)
@@ -391,14 +344,6 @@ def _delay_crb(weighted, nc: int, beta: float, sigma_r2: float) -> np.ndarray:
         return 1.0 / _delay_fisher(weighted, nc, beta, sigma_r2)
 
 
-def _k2_sum(power_per_k: np.ndarray) -> np.ndarray:
-    """The delay-weighted energy sum_k k^2 |c_k|^2 of a per-subcarrier power.
-
-    Subcarriers are the last axis; leading batch axes are kept.
-    """
-    return np.sum(np.arange(power_per_k.shape[-1], dtype=float) ** 2 * power_per_k, axis=-1)
-
-
 def expected_sensing(
     target: tuple[np.ndarray, ...], cfg: ScenarioConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -413,12 +358,17 @@ def expected_sensing(
     CRB comes from its k²-weighted sum. Both keep the precoders' batch shape.
     """
     common, private_1, private_2, sensing = target
-    power = common + private_1
+    # The power is one grid in resident buffer 0 (core.Workspace): summed
+    # for g0 first, then weighted by k² in place for sum_k k² |c_k|².
+    shape = np.broadcast(common, private_1).shape
+    power = np.add(common, private_1, out=WORKSPACE.array(True, 0, shape, float))
     power += private_2
     power += sensing
+    g0 = np.sum(power, axis=-1)
     nc = power.shape[-1]
-    crb = _delay_crb(_k2_sum(power), nc, cfg.target_attenuation, cfg.noise_power_radar)
-    return _round_sig_column(np.sum(power, axis=-1)), crb
+    power *= np.arange(nc, dtype=float) ** 2
+    crb = _delay_crb(np.sum(power, axis=-1), nc, cfg.target_attenuation, cfg.noise_power_radar)
+    return _round_sig_column(g0), crb
 
 
 def snr_rad_closed_form(c: np.ndarray, beta: float, sigma_r2: float) -> float:
@@ -439,18 +389,18 @@ def range_profile(y: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     average off-peak power. Returns ``(peak_bin, snr_rad_db)``, each of
     shape (trials,). Ties in the peak search resolve to the lowest bin.
     """
-    resident = _in_stack(3, c)
-    product = np.multiply(y, np.conj(c, out=_out(resident, 0, c.shape)),
-                          out=_out(resident, 1, c.shape))
-    spectrum = np.fft.fft(product, axis=-1, out=_out(resident, 0, c.shape))
-    mags = np.abs(spectrum, out=_out(resident, 1, c.shape, float))
+    resident = WORKSPACE.holds(3, c)
+    product = np.multiply(y, np.conj(c, out=WORKSPACE.array(resident, 0, c.shape, complex)),
+                          out=WORKSPACE.array(resident, 1, c.shape, complex))
+    spectrum = np.fft.fft(product, axis=-1, out=WORKSPACE.array(resident, 0, c.shape, complex))
+    mags = np.abs(spectrum, out=WORKSPACE.array(resident, 1, c.shape, float))
     if not np.all(np.any(mags > 0.0, axis=-1)):
         raise UndefinedProfileError(
             "matched-filter output is identically zero; no energy toward the target"
         )
     peak = np.argmax(mags, axis=-1)
     trials, nc = mags.shape
-    off_peak = _out(resident, 2, (trials, nc - 1), float)
+    off_peak = WORKSPACE.array(resident, 2, (trials, nc - 1), float)
     # Each row without its peak bin: the bins below it, then those above it.
     np.copyto(off_peak, mags[:, :-1])
     np.copyto(off_peak, mags[:, 1:], where=np.arange(nc - 1) >= peak[:, None])
@@ -490,8 +440,8 @@ def monte_carlo(
     stages compute from the call's fixed inputs (the symbol tables, the
     sensing grid, the delay ramp, the clutter grid) is computed by the
     first stack and kept for the rest. The stages write each stack into
-    the calling thread's resident buffers (``_Stacks``), which the next
-    stack overwrites: ``capture`` must not keep c or what the stages
+    the calling thread's resident buffers (``core.Workspace``), which the
+    next stack overwrites: ``capture`` must not keep c or what the stages
     return to it, and when it hands the stages c it must hand them its
     own key lists, each once, since the captures of one list share a
     buffer.

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ChannelSet, ScenarioConfig
+from .core import WORKSPACE, ChannelSet, ScenarioConfig
 from .precoders import PrecoderSet
 
 
@@ -76,13 +76,15 @@ def spectral_efficiency(sinr: np.ndarray, gap_db: float) -> float | np.ndarray:
     scales every SINR down before averaging. Subcarriers are the last
     axis; any leading axes are a batch and come back as an array.
     """
-    # One temporary, updated in place: a batch's SINR grid is the largest
-    # array a sweep chunk makes.
+    # One temporary, updated in place in resident buffer 0 (core.Workspace):
+    # a batch's SINR grid is the largest array a sweep chunk makes.
+    sinr = np.asarray(sinr)
+    x = WORKSPACE.array(True, 0, sinr.shape, float)
     if gap_db == 0.0:
         # A 0 dB gap is a divide by 1.0, which changes nothing.
-        x = np.add(sinr, 1.0)
+        np.add(sinr, 1.0, out=x)
     else:
-        x = np.divide(sinr, 10.0 ** (gap_db / 10.0))
+        np.divide(sinr, 10.0 ** (gap_db / 10.0), out=x)
         x += 1.0
     return np.mean(np.log2(x, out=x), axis=-1)
 
@@ -101,21 +103,35 @@ def stream_gains(
     subcarriers innermost (Fortran order), as ``build_precoders`` stores
     the precoders, so each user projection sums over contiguous subcarriers.
     """
+
+    def power(subscripts: str, row: np.ndarray, p: np.ndarray) -> np.ndarray:
+        # The complex projection is a temporary, so it goes in resident
+        # buffer 1 (core.Workspace); |·|² comes back in an array of its own.
+        projection = WORKSPACE.array(True, 1, p.shape[:-1], complex)
+        gain = np.abs(np.einsum(subscripts, row, p, out=projection))
+        return np.square(gain, out=gain)
+
     users = tuple(
-        tuple(
-            np.abs(np.einsum("kt,...kt->...k", h_conj, p))
-            for p in (pset.p_c, pset.p_1, pset.p_2)
-        )
+        tuple(power("kt,...kt->...k", h_conj, p) for p in (pset.p_c, pset.p_1, pset.p_2))
         for h_conj in (np.conj(h, order="F") for h in channels.true_channels)
     )
     a_conj = np.conj(channels.target_steering)
     target = tuple(
-        np.abs(np.einsum("t,...kt->...k", a_conj, p))
-        for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r)
+        power("t,...kt->...k", a_conj, p) for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r)
     )
-    for gain in (*users[0], *users[1], *target):
-        np.square(gain, out=gain)
     return users, target
+
+
+def _plus_noise(noise_power: float, first, second=None) -> np.ndarray:
+    """An SINR's denominator in resident buffer 1 (``core.Workspace``): the
+    interfering gains, ``first`` then ``second`` if given, plus the noise."""
+    shape = np.shape(first) if second is None else np.broadcast(first, second).shape
+    out = WORKSPACE.array(True, 1, shape, float)
+    if second is None:
+        return np.add(first, noise_power, out=out)
+    np.add(first, second, out=out)
+    out += noise_power
+    return out
 
 
 def sinr_common(users: tuple, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +143,7 @@ def sinr_common(users: tuple, noise_power: float) -> tuple[np.ndarray, np.ndarra
     broadcast against each other.
     """
     return tuple(
-        common / (private_1 + private_2 + noise_power)
+        common / _plus_noise(noise_power, private_1, private_2)
         for common, private_1, private_2 in users
     )
 
@@ -135,7 +151,7 @@ def sinr_common(users: tuple, noise_power: float) -> tuple[np.ndarray, np.ndarra
 def sinr_private(users: tuple, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
     """Private-stream SINR at (user 1, user 2) after the common stream is removed."""
     (_, own_1, other_1), (_, other_2, own_2) = users
-    return own_1 / (other_1 + noise_power), own_2 / (other_2 + noise_power)
+    return own_1 / _plus_noise(noise_power, other_1), own_2 / _plus_noise(noise_power, other_2)
 
 
 class CollapseMask(np.ndarray):

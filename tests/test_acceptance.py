@@ -40,7 +40,6 @@ from rsma_isac.cli import main
 from rsma_isac.radar import (
     _delay_crb,
     _delay_fisher,
-    _k2_sum,
     radar_return,
     range_profile,
     snr_rad_closed_form,
@@ -218,7 +217,7 @@ def test_criterion_5_crb_validation(verdict):
         pset = build_precoders(pp, channels, cfg)
         x = synthesize_tx(pset, [RngStream(cfg.seed, 200 + inst)])
         c = steered_projection(x, steering_vector(_GEOM, 0.0))[0]
-        weighted = _k2_sum(np.abs(c) ** 2)
+        weighted = np.sum(k.astype(float) ** 2 * np.abs(c) ** 2)
 
         def nll_shift(n):
             mu0 = beta * c * np.exp(2j * np.pi * n0 * k / 64)

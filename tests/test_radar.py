@@ -33,7 +33,6 @@ from rsma_isac.radar import (
     UndefinedProfileError,
     _delay_crb,
     _delay_fisher,
-    _k2_sum,
     _round_sig_column,
     expected_sensing,
     monte_carlo,
@@ -47,6 +46,14 @@ from rsma_isac.radar import (
 )
 
 _GEOM = ArrayGeometry(2, 0.5)
+
+
+def _k2_sum(power_per_k):
+    """The delay-weighted energy sum_k k^2 |c_k|^2 of a per-subcarrier power,
+    subcarriers last, as radar computed it before ``expected_sensing``
+    weighted its power grid in place."""
+    return np.sum(np.arange(power_per_k.shape[-1], dtype=float) ** 2 * power_per_k, axis=-1)
+
 
 # Trials per monte_carlo stack in the tests that shrink the stacks, so that
 # a few trials span several stacks.
@@ -193,6 +200,56 @@ def test_sensing_helpers_on_a_stacked_batch_equal_per_point(make_channels):
         _, single = stream_gains(channels, pset)
         assert all(np.array_equal(row[n], own) for row, own in zip(target, single))
         assert (g0[n], crb[n]) == expected_sensing(single, cfg)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pairs=st.sampled_from([(), (1,), (3,)]),
+    n_ac=st.integers(1, 4),
+    n_ap=st.integers(1, 4),
+    nc=st.integers(1, 70),
+    point=st.booleans(),
+    idle=st.sets(st.integers(0, 3), max_size=3),
+)
+def test_expected_sensing_weights_its_power_grid_in_place(
+    seed, pairs, n_ac, n_ap, nc, point, idle
+):
+    # expected_sensing sums its power grid for g0, then weights the same
+    # grid by k² in place: both sums are, bit for bit, the row's power
+    # summed as the radar layer always did, and its k²-weighted sum as the
+    # former _k2_sum gave it, over batch shapes of pairs × mixes and points.
+    rng = np.random.default_rng(seed)
+    shapes = [(nc,)] * 4 if point else [
+        (*pairs, n_ac, 1, nc), (*pairs, 1, n_ap, nc), (*pairs, 1, n_ap, nc), (*pairs, 1, 1, nc)
+    ]
+    target = tuple(
+        np.zeros(shape) if stream in idle
+        else rng.random(shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+        for stream, shape in enumerate(shapes)
+    )
+    power = target[0] + target[1]
+    power += target[2]
+    power += target[3]
+    cfg = scenario_preset("S1")
+    seen = {}
+
+    def record(name, fn):
+        def wrapper(values, *args):
+            seen[name] = np.array(values, copy=True)
+            return fn(values, *args)
+        return wrapper
+
+    with mock.patch.object(radar, "_round_sig_column",
+                           record("g0", radar._round_sig_column)), \
+         mock.patch.object(radar, "_delay_crb", record("k2", radar._delay_crb)):
+        g0, crb = expected_sensing(target, cfg)
+    want_g0, want_k2 = np.sum(power, axis=-1), _k2_sum(power)
+    assert seen["g0"].tobytes() == want_g0.tobytes()
+    assert seen["k2"].tobytes() == want_k2.tobytes()
+    assert g0.tobytes() == _round_sig_column(want_g0).tobytes()
+    want_crb = _delay_crb(want_k2, nc, cfg.target_attenuation, cfg.noise_power_radar)
+    assert crb.tobytes() == want_crb.tobytes()
 
 
 def test_expected_equals_realized_for_sensing_only(make_channels):

@@ -32,7 +32,7 @@ from rsma_isac import (
 )
 from rsma_isac.core import ConfigError
 from rsma_isac.precoders import FAMILIES
-from rsma_isac.radar import _delay_crb, _k2_sum, round_sig
+from rsma_isac.radar import _delay_crb, round_sig
 from rsma_isac.region import (
     _SOFT_ATOL,
     CASE_TAGS,
@@ -384,7 +384,8 @@ def _point_eval_sensing(pp, channels, cfg):
     )
     power = common + private_1 + private_2 + sensing
     bound = _delay_crb(
-        _k2_sum(power), power.shape[0], cfg.target_attenuation, cfg.noise_power_radar
+        np.sum(np.arange(power.shape[0], dtype=float) ** 2 * power), power.shape[0],
+        cfg.target_attenuation, cfg.noise_power_radar,
     )
     return round_sig(float(np.sum(power))), float(bound)
 
@@ -502,9 +503,10 @@ def test_zf_sweep_computes_private_directions_once(make_channels, monkeypatch):
 def test_sweep_results_do_not_depend_on_the_chunk_budget(
     make_channels, monkeypatch, overrides, sweep_fields
 ):
-    # One block per call (a budget of 1) and one call per mix plane (a
-    # budget past any chunk) give equal results: the same rows in the same
-    # order, the same SNR streams, and on rank-deficient channels the same
+    # One block per call (a budget of 1), several blocks per call (five
+    # 5 x 5 x 16 interior blocks) and one call per mix plane (a budget
+    # past any chunk) give equal results: the same rows in the same order,
+    # the same SNR streams, and on rank-deficient channels the same
     # skipped knobs and reasons.
     import rsma_isac.region as region_mod
 
@@ -521,7 +523,7 @@ def test_sweep_results_do_not_depend_on_the_chunk_budget(
 
     monkeypatch.setattr(region_mod, "build_precoders", counting)
     results, chunks = [], []
-    for budget in (1, 2**40):
+    for budget in (1, 5 * 25 * 16, 2**40):
         monkeypatch.setattr(region_mod, "_CHUNK_ELEMENTS", budget)
         built.clear()
         results.append(sweep(spec, channels, cfg))
@@ -530,11 +532,17 @@ def test_sweep_results_do_not_depend_on_the_chunk_budget(
         built.clear()
         sweep(dataclasses.replace(spec, metric="G0"), channels, cfg)
         assert built == chunks[-1]
-    # a budget of 1 builds every kept block alone; 2**40 builds one chunk
-    # per family and mix plane
+    # a budget of 1 builds every kept block alone; the middle budget
+    # splits the kept interior blocks (12 of them unfiltered) into chunks
+    # of 5 and a shorter last one; 2**40 builds one chunk per family and
+    # mix plane
     assert {len(pp.t_comms) for pp in chunks[0]} == {1}
-    assert len(chunks[1]) == 2 * 4 < len(chunks[0])
-    assert results[0] == results[1]
+    interior = [len(pp.t_comms) for pp in chunks[1]
+                if pp.family == "MRT" and len(pp.alpha_c) == len(pp.alpha_p) == 5]
+    assert interior[:-1] == [5] * (len(interior) - 1) and 1 < interior[-1] < 5
+    assert len(interior) >= 2 and (interior == [5, 5, 2] or "include_cases" in sweep_fields)
+    assert len(chunks[2]) == 2 * 4 < len(chunks[1]) < len(chunks[0])
+    assert results[0] == results[1] == results[2]
     if overrides:
         assert len(results[0].skipped) > 0
         assert set(results[0].skipped.family.tolist()) == {FAMILIES.index("ZF")}

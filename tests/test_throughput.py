@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from rsma_isac import (
     PrecoderSet,
     RngStream,
     build_precoders,
+    expected_sensing,
     generate_channels,
     max_mcs,
     scenario_preset,
@@ -25,6 +28,7 @@ from rsma_isac import (
     stream_gains,
     throughput,
 )
+from rsma_isac.core import WORKSPACE
 from rsma_isac.throughput import _MCS_RATES, _MCS_THRESHOLDS
 
 
@@ -408,3 +412,80 @@ def test_target_row_is_the_per_stream_steered_power(
         _, own = stream_gains(channels, build_precoders(point, channels, cfg))
         for row, single in zip(rows, own):
             assert row[index].tobytes() == single.tobytes(), (point, index)
+
+
+def _arrays(value) -> list[np.ndarray]:
+    """Every array in a nest of tuples, lists and dataclasses; numpy scalars
+    and Python numbers own no memory a later call could write."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [array for item in value for array in _arrays(item)]
+    return []
+
+
+def _score_chunk(channels, pset, cfg) -> list[np.ndarray]:
+    """Every array a sweep chunk's scoring returns: the gains, the SINRs and
+    their efficiencies, the throughput report, g0 and the CRB."""
+    users, target = stream_gains(channels, pset)
+    noise = cfg.noise_power_comms
+    sinrs = (*sinr_common(users, noise), *sinr_private(users, noise))
+    efficiencies = [spectral_efficiency(sinr, cfg.shannon_gap_db) for sinr in sinrs]
+    return _arrays((users, target, sinrs, efficiencies, throughput(users, pset, cfg),
+                    expected_sensing(target, cfg)))
+
+
+def _chunks(make_channels) -> list[tuple]:
+    """Two chunks of different sizes, families and gaps, to score in turn."""
+    chunks = []
+    for nc, family, gap, axis in ((16, "MRT", 0.0, (0.0, 0.4, 1.0)),
+                                  (64, "ZF", 3.0, (0.0, 0.25, 0.5, 0.75, 1.0))):
+        cfg, channels = make_channels(n_subcarriers=nc, csit_error_var=1e-3,
+                                      ue_angles_deg=(-20.0, 35.0), shannon_gap_db=gap)
+        pp = ParameterPoint((0.3, 0.8, 1.0), (0.5, 0.25, 0.75), axis, axis, family)
+        chunks.append((channels, build_precoders(pp, channels, cfg), cfg))
+    return chunks
+
+
+def test_scoring_returns_no_view_of_the_workspace(make_channels):
+    # The scoring path writes its chunk-sized temporaries into the calling
+    # thread's resident buffers, but what it returns is its own: no array
+    # shares memory with a buffer, and a chunk's results stay as they were
+    # while a larger chunk of another family and gap is scored after it.
+    first, second = _chunks(make_channels)
+    got = _score_chunk(*first)
+    kept = [array.copy() for array in got]
+    assert {0, 1} <= set(WORKSPACE.buffers)
+    got_second = _score_chunk(*second)
+    for array in got + got_second:
+        assert array.size and not any(np.shares_memory(array, buffer)
+                                      for buffer in WORKSPACE.buffers.values())
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, kept))
+
+
+def test_threads_scoring_chunks_get_their_sequential_results(make_channels):
+    # Each thread has its own workspace, so two threads scoring different
+    # chunks at once, switching as often as the interpreter allows, get
+    # what each chunk gives on one thread.
+    chunks = _chunks(make_channels)
+    want = [[a.tobytes() for a in _score_chunk(*chunk)] for chunk in chunks]
+    got = [[], []]
+
+    def run(i):
+        for _ in range(10):
+            got[i].append([a.tobytes() for a in _score_chunk(*chunks[i])])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [[want[0]] * 10, [want[1]] * 10]
