@@ -47,13 +47,7 @@ from .region import (
     write_boundary_params_csv,
     write_points_csv,
 )
-from .throughput import (
-    sinr_common,
-    sinr_private,
-    spectral_efficiency,
-    stream_gains,
-    throughput,
-)
+from .throughput import stream_gains, throughput
 
 _GEOM = ArrayGeometry(n_tx=2, spacing_wavelengths=0.5)
 # A heatmap's echo at the j-th listed delay is target_attenuation * _ECHO_DECAY**j.
@@ -231,7 +225,6 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
         mean = float(np.mean(values))
         return 10.0 * math.log10(mean) if mean > 0 else "-inf"
 
-    common = sinr_common(users, cfg.noise_power_comms)
     payload = {
         "params": {
             "t_comms": pp.t_comms, "t_p": pp.t_p,
@@ -244,13 +237,9 @@ def _run_point(cfg: ScenarioConfig, section: list, out_dir: str) -> str:
         "t_sum_bps": report.t_sum.tolist(),
         "collapsed": bool(report.collapsed),
         "mcs_indices": [int(m) if m >= 0 else None for m in report.mcs_chosen],
-        "sinr_common_mean_db": [mean_db(sinr) for sinr in common],
-        "sinr_private_mean_db": [
-            mean_db(sinr) for sinr in sinr_private(users, cfg.noise_power_comms)
-        ],
-        "spectral_efficiency_common": [
-            spectral_efficiency(sinr, cfg.shannon_gap_db) for sinr in common
-        ],
+        "sinr_common_mean_db": [mean_db(sinr) for sinr in report.sinr[0]],
+        "sinr_private_mean_db": [mean_db(sinr) for sinr in report.sinr[1]],
+        "spectral_efficiency_common": [eff.tolist() for eff in report.efficiency[0]],
         "g0": float(g0),
         "crb_bins2": float(crb) if math.isfinite(crb) else "inf",
     }

@@ -373,7 +373,8 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
                     reason[a:b] = str(exc)
                 break
             # Each row is freed once scored, so the next step's temporaries
-            # reuse its memory (measured faster on small chunks).
+            # reuse its memory (measured faster on small chunks), and the
+            # report once its columns are copied.
             users, target = stream_gains(channels, pset)
             chunk_g0, chunk_crb = expected_sensing(target, cfg)
             del target
@@ -385,6 +386,7 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
             collapsed[rows] = report.collapsed.ravel()
             for m, index in enumerate(report.mcs_chosen):
                 mcs[rows, m] = index.ravel()
+            del report
             if spec.metric != "SNR_RAD":
                 continue
             shape = (len(pp.t_comms), len(ac_axis), len(ap_axis))

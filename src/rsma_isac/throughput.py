@@ -168,12 +168,15 @@ class CollapseMask(np.ndarray):
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    """Stream and sum throughputs with the MCS indices that produced them.
-
-    Every field holds arrays of the batch shape: float rates, integer
-    MCS indices (-1 where no level is carried), and a CollapseMask.
+    """One scoring pass: the SINRs and efficiencies it scored, the MCS
+    indices they chose (-1 where no level is carried), the rates and a
+    CollapseMask. ``sinr`` (subcarriers last) and ``efficiency`` hold
+    ``((common at user 1, at user 2), (private 1, private 2))`` in the
+    shapes the gains broadcast to; every other field has the batch shape.
     """
 
+    sinr: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    efficiency: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     t_common: np.ndarray
     t_private: tuple[np.ndarray, np.ndarray]
     t_sum: np.ndarray
@@ -191,32 +194,32 @@ def throughput(
     decodable only if both users support at least MCS 0 for it; otherwise
     the whole report collapses to zero. Points with no common-stream power
     at all (pure SDMA, or sensing only) skip the collapse rule and simply
-    add the surviving private streams.
+    add the surviving private streams. The report keeps the SINRs and
+    efficiencies it scored, so no caller scores the gains again.
 
     The gains may carry leading batch axes that broadcast against each
-    other; every report field then has the broadcast batch shape. A plain
-    PrecoderSet is a batch of shape () and gets 0-d arrays. Rates use
-    ``DEFAULT_BANDWIDTH``.
+    other. A plain PrecoderSet is a batch of shape () and gets 0-d rates,
+    indices and efficiencies. Rates use ``DEFAULT_BANDWIDTH``.
     """
     sigma2 = cfg.noise_power_comms
     gap = cfg.shannon_gap_db
     has_common = np.any(pset.p_c, axis=(-2, -1))
 
-    mcs_c = max_mcs(
-        np.minimum(*(spectral_efficiency(sinr, gap) for sinr in sinr_common(users, sigma2)))
-    )
+    sinr_c = sinr_common(users, sigma2)
+    eff_c = tuple(np.asarray(spectral_efficiency(sinr, gap)) for sinr in sinr_c)
+    mcs_c = max_mcs(np.minimum(*eff_c))
     t_c = _MCS_RATES[mcs_c]
     collapsed = has_common & (t_c == 0.0)
-    indices = [np.asarray(mcs_c)]
-    rates = []
-    for sinr in sinr_private(users, sigma2):
-        index = max_mcs(spectral_efficiency(sinr, gap))
-        indices.append(np.where(collapsed, -1, index))
-        rates.append(np.where(collapsed, 0.0, _MCS_RATES[index]))
+    sinr_p = sinr_private(users, sigma2)
+    eff_p = tuple(np.asarray(spectral_efficiency(sinr, gap)) for sinr in sinr_p)
+    mcs_p = [max_mcs(eff) for eff in eff_p]
+    t_private = tuple(np.where(collapsed, 0.0, _MCS_RATES[index]) for index in mcs_p)
     return ThroughputReport(
+        sinr=(sinr_c, sinr_p),
+        efficiency=(eff_c, eff_p),
         t_common=np.asarray(t_c),
-        t_private=(rates[0], rates[1]),
-        t_sum=np.asarray(t_c + rates[0] + rates[1]),
-        mcs_chosen=tuple(indices),
+        t_private=t_private,
+        t_sum=np.asarray(t_c + t_private[0] + t_private[1]),
+        mcs_chosen=(np.asarray(mcs_c), *(np.where(collapsed, -1, index) for index in mcs_p)),
         collapsed=np.asarray(collapsed).view(CollapseMask),
     )

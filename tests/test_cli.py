@@ -840,25 +840,31 @@ def test_radar_chain_projects_once_per_trial(tmp_path, monkeypatch):
     assert counts["steered_projection"] == counts["synthesize_tx"]
 
 
-def test_point_eval_projects_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, calls", [
+    ("stream_gains", 1), ("sinr_common", 1), ("sinr_private", 1), ("spectral_efficiency", 4),
+])
+def test_point_eval_scores_once(tmp_path, monkeypatch, name, calls):
     # One stream_gains call gives point-eval its throughput, its SINR
-    # fields and its sensing numbers. Every module's binding of the
-    # function is counted, so a call by any route shows.
-    original = rsma_isac.stream_gains
-    calls = []
+    # fields and its sensing numbers, and one throughput() call scores the
+    # gains: its report carries the SINRs and the four efficiencies (two
+    # per user for the common stream, one per private stream) that
+    # point.json reads. Every module's binding of the function is counted,
+    # so a call by any route shows.
+    original = getattr(rsma_isac, name)
+    seen = []
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        seen.append(args)
         return original(*args, **kwargs)
 
-    modules = [module for name, module in sys.modules.items()
-               if name == "rsma_isac" or name.startswith("rsma_isac.")]
+    modules = [module for key, module in sys.modules.items()
+               if key == "rsma_isac" or key.startswith("rsma_isac.")]
     for module in modules:
-        for name, value in list(vars(module).items()):
+        for key, value in list(vars(module).items()):
             if value is original:
-                monkeypatch.setattr(module, name, counting)
+                monkeypatch.setattr(module, key, counting)
     assert _point_eval(tmp_path / "pt", dict(t_comms=0.6, t_p=0.5, alpha_c=0.5, alpha_p=0.5)) == 0
-    assert len(calls) == 1
+    assert len(seen) == calls
 
 
 def test_heatmap_missing_params_file(tmp_path):

@@ -441,3 +441,62 @@ def test_einsum_use_finder(tmp_path):
         "einsums = np.einsum_path\n"
     )
     assert _einsum_uses(path) == [("", 1), ("project", 4), ("Beam", 7), ("", 9)]
+
+
+# A point is scored once, by throughput.throughput: its report keeps the
+# SINRs and efficiencies, so no other code calls the scoring functions
+# (point-eval reads them off the report); the package namespace only
+# re-exports them.
+_SCORERS = ("sinr_common", "sinr_private", "spectral_efficiency")
+
+
+def _scorer_uses(path: Path) -> list[tuple[str, str, int]]:
+    """(top-level definition, scorer, line) of every reference to a scorer in the file.
+
+    An import, name or attribute counts, so an alias cannot hide a call;
+    references outside any function or class are listed under "".
+    """
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                found += [(owner, a.name, node.lineno) for a in node.names if a.name in _SCORERS]
+            elif (name := getattr(node, "id", getattr(node, "attr", None))) in _SCORERS:
+                found.append((owner, name, node.lineno))
+    return found
+
+
+def test_only_throughput_scores():
+    sites = {
+        (path.stem, owner, name)
+        for path in sorted(_PACKAGE.glob("*.py")) if path.stem != "__init__"
+        for owner, name, _ in _scorer_uses(path)
+    }
+    assert sites == {("throughput", "throughput", name) for name in _SCORERS}
+    init = ast.parse((_PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = {node.lineno: node.module for node in ast.walk(init)
+               if isinstance(node, ast.ImportFrom)}
+    uses = _scorer_uses(_PACKAGE / "__init__.py")
+    assert sorted(name for _, name, _ in uses) == sorted(_SCORERS)
+    assert {imports.get(line) for _, _, line in uses} == {"throughput"}
+
+
+def test_scorer_use_finder(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from .throughput import sinr_common as sc, stream_gains\n"
+        "import rsma_isac.throughput as tp\n"
+        "def point(users, gap):\n"
+        "    return [tp.spectral_efficiency(s, gap) for s in sc(users, 1.0)]\n"
+        "class Chunk:\n"
+        "    def score(self, users):\n"
+        "        f = sinr_private\n"
+        "        return f(users, 1.0)\n"
+        "g = {'spectral_efficiency_common': sinr_commons}\n"
+        "def spectral_efficiency(sinr, gap):\n"
+        "    return sinr\n"
+    )
+    assert _scorer_uses(path) == [
+        ("", "sinr_common", 1), ("point", "spectral_efficiency", 4), ("Chunk", "sinr_private", 7),
+    ]

@@ -302,33 +302,49 @@ def test_throughput_gap_monotone(make_channels):
 
 def test_throughput_batch_matches_points(make_channels):
     # Precoders stacked on a leading axis give, per batch entry, exactly
-    # the single-point report: sum rate, stream rates, levels, collapse.
-    cfg, channels = make_channels(noise_power_comms=0.01)
-    points = [
-        ParameterPoint(1.0, 0.5, 0.5, 0.5, "MRT"),  # common stream fails: collapse
-        ParameterPoint(1.0, 1.0, 1.0, 0.5, "MRT"),  # SDMA, no common stream
-        ParameterPoint(0.6, 0.2, 0.9, 0.3, "MRT"),  # common stream carried
-        ParameterPoint(0.0, 1.0, 1.0, 1.0, "MRT"),  # sensing only
+    # the single-point report: sum rate, stream rates, levels, collapse,
+    # efficiencies and SINR grids. Each report's SINRs and efficiencies are
+    # bit for bit those the public functions give on the same users row.
+    knobs = [
+        (1.0, 0.5, 0.5, 0.5),  # MRT at 0 dB: common stream fails, collapse
+        (1.0, 1.0, 1.0, 0.5),  # SDMA, no common stream
+        (0.6, 0.2, 0.9, 0.3),  # common stream carried
+        (0.0, 1.0, 1.0, 1.0),  # sensing only
     ]
-    psets = [build_precoders(pp, channels, cfg) for pp in points]
-    batch = PrecoderSet(
-        *(np.stack([getattr(ps, name) for ps in psets]) for name in ("p_c", "p_1", "p_2", "p_r"))
-    )
-    rep = _score(channels, batch, cfg)
-    singles = [_score(channels, ps, cfg) for ps in psets]
+    for family, gap in (("MRT", 0.0), ("MRT", 3.0), ("ZF", 0.0), ("ZF", 3.0)):
+        cfg, channels = make_channels(noise_power_comms=0.01, shannon_gap_db=gap)
+        psets = [build_precoders(ParameterPoint(*k, family), channels, cfg) for k in knobs]
+        batch = PrecoderSet(*(np.stack([getattr(ps, name) for ps in psets])
+                              for name in ("p_c", "p_1", "p_2", "p_r")))
+        reports = [_score(channels, ps, cfg) for ps in (batch, *psets)]
+        for ps, report in zip((batch, *psets), reports):
+            users, _ = stream_gains(channels, ps)
+            noise = cfg.noise_power_comms
+            sinr = (sinr_common(users, noise), sinr_private(users, noise))
+            assert [[a.tobytes() for a in pair] for pair in report.sinr] == \
+                [[a.tobytes() for a in pair] for pair in sinr]
+            assert [[np.asarray(e).tobytes() for e in pair] for pair in report.efficiency] == \
+                [[np.asarray(spectral_efficiency(a, gap)).tobytes() for a in pair]
+                 for pair in sinr]
+        rep, singles = reports[0], reports[1:]
 
-    def fields(report):
-        return (report.t_common, *report.t_private, report.t_sum, *report.mcs_chosen,
-                report.collapsed)
+        def fields(report):
+            return (report.t_common, *report.t_private, report.t_sum, *report.mcs_chosen,
+                    report.collapsed, *report.efficiency[0], *report.efficiency[1])
 
-    assert rep.t_sum.shape == rep.collapsed.shape == (len(points),)
-    for k, one in enumerate(singles):
-        # a single point's report is the 0-d slice of the batch, dtype included
-        for whole, single in zip(fields(rep), fields(one)):
-            assert isinstance(single, np.ndarray) and single.shape == ()
-            assert single.dtype == whole.dtype
-            assert single == whole[k]
-    assert int(rep.collapsed) == sum(int(one.collapsed) for one in singles) == 1
+        assert rep.t_sum.shape == rep.collapsed.shape == (len(knobs),)
+        for k, one in enumerate(singles):
+            # a single point's report is the 0-d slice of the batch, dtype
+            # included, and its SINR grids the batch's k-th rows
+            for whole, single in zip(fields(rep), fields(one)):
+                assert isinstance(single, np.ndarray) and single.shape == ()
+                assert single.dtype == whole.dtype
+                assert single == whole[k]
+            for whole, single in zip((*rep.sinr[0], *rep.sinr[1]), (*one.sinr[0], *one.sinr[1])):
+                assert single.tobytes() == whole[k].tobytes()
+        assert int(rep.collapsed) == sum(int(one.collapsed) for one in singles)
+        if (family, gap) == ("MRT", 0.0):
+            assert int(rep.collapsed) == 1
 
 
 def _subcarriers_innermost(grid):
@@ -427,13 +443,10 @@ def _arrays(value) -> list[np.ndarray]:
 
 
 def _score_chunk(channels, pset, cfg) -> list[np.ndarray]:
-    """Every array a sweep chunk's scoring returns: the gains, the SINRs and
-    their efficiencies, the throughput report, g0 and the CRB."""
+    """Every array a sweep chunk's scoring returns: the gains, the throughput
+    report with its SINRs and efficiencies, g0 and the CRB."""
     users, target = stream_gains(channels, pset)
-    noise = cfg.noise_power_comms
-    sinrs = (*sinr_common(users, noise), *sinr_private(users, noise))
-    efficiencies = [spectral_efficiency(sinr, cfg.shannon_gap_db) for sinr in sinrs]
-    return _arrays((users, target, sinrs, efficiencies, throughput(users, pset, cfg),
+    return _arrays((users, target, throughput(users, pset, cfg),
                     expected_sensing(target, cfg)))
 
 
@@ -463,6 +476,13 @@ def test_scoring_returns_no_view_of_the_workspace(make_channels):
         assert array.size and not any(np.shares_memory(array, buffer)
                                       for buffer in WORKSPACE.buffers.values())
     assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, kept))
+    # Those include the report's SINR grids and efficiencies: an efficiency
+    # is the mean of the log grid in slot 0, never a view of it.
+    report = _score(*second)
+    scored = _arrays((report.sinr, report.efficiency))
+    assert len(scored) == 8 and not any(
+        np.shares_memory(array, WORKSPACE.buffers[0]) for array in scored
+    )
 
 
 def test_threads_scoring_chunks_get_their_sequential_results(make_channels):
