@@ -429,6 +429,24 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+class _Once(argparse.Action):
+    """Stores a flag's value; a second occurrence is a usage error, not last-wins."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            parser.error(f"argument {'/'.join(self.option_strings)}: given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
+    # Every flag without an action of its own (all but --set) is _Once.
+    p.register("action", None, _Once)
+    return p
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--scenario", help="path to a scenario JSON file")
@@ -449,28 +467,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep", help="sweep the parameter grid and export the region")
+    p = _add_command(sub, "sweep", "sweep the parameter grid and export the region")
     _add_common(p)
     p.add_argument("--step", type=float, default=0.1, help="grid step (1/step integer)")
     p.add_argument("--family", default="both", help="mrt, zf or both")
     p.add_argument("--metric", choices=["g0", "snr"], default="g0")
     p.add_argument("--trials", type=int, default=25, help="Monte Carlo trials (snr metric)")
 
-    p = sub.add_parser("radar-heatmap", help="measured radar SNR per boundary point and delay")
+    p = _add_command(sub, "radar-heatmap", "measured radar SNR per boundary point and delay")
     _add_common(p)
     p.add_argument("--params", required=True, help="boundary_params.csv from a sweep")
     p.add_argument("--family", default="mrt", help="family the params file belongs to")
     p.add_argument("--n0", default="1,2,3", help="comma-separated delay bins")
     p.add_argument("--trials", type=int, default=50)
 
-    p = sub.add_parser("point-eval", help="evaluate one parameter point in depth")
+    p = _add_command(sub, "point-eval", "evaluate one parameter point in depth")
     _add_common(p)
     p.add_argument("--family", default="mrt", help="mrt or zf")
 
-    p = sub.add_parser("calibrate-demo", help="two-chain phase calibration round trip")
+    p = _add_command(sub, "calibrate-demo", "two-chain phase calibration round trip")
     _add_common(p)
 
-    p = sub.add_parser("reproduce", help="re-run a manifest and verify output digests")
+    p = _add_command(sub, "reproduce", "re-run a manifest and verify output digests")
     p.add_argument("--run", required=True, help="path to a run.json")
     p.add_argument("--out", default="out-reproduce", help="directory for the re-run")
 

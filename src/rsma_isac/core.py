@@ -65,7 +65,7 @@ class Workspace(threading.local):
     once share a slot::
 
         0      a sweep chunk's SINR-sized float grid (the log argument of
-               ``spectral_efficiency``, the power of ``expected_sensing``);
+               ``spectral_efficiency``, the power of ``sensing_sums``);
                the radar chain's x, noise stack, conj(c) and DFT
         1      the complex projections in ``stream_gains`` and the SINR
                denominators; the radar chain's take() output, |c|^2,

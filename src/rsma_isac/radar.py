@@ -344,31 +344,44 @@ def _delay_crb(weighted, nc: int, beta: float, sigma_r2: float) -> np.ndarray:
         return 1.0 / _delay_fisher(weighted, nc, beta, sigma_r2)
 
 
-def expected_sensing(
-    target: tuple[np.ndarray, ...], cfg: ScenarioConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """g0 and the delay CRB in bins² from ``throughput.stream_gains``' target row.
+def sensing_sums(target: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Σ_k P_k and Σ_k k²·P_k, unrounded, of the power toward the target.
 
-    The streams carry independent zero-mean unit-energy symbols, so the
-    symbol-averaged power toward the target is the sum of the row, added
-    in the order common, 1, 2, sensing: every entry of a batch equals what
-    its own point gives, bit for bit. g0 is that power summed over
-    subcarriers and rounded to 12 significant digits (:func:`round_sig`,
-    applied as a column) so that points equal on paper tie exactly; the
-    CRB comes from its k²-weighted sum. Both keep the precoders' batch shape.
+    ``target`` is ``throughput.stream_gains``' target row. The streams
+    carry independent zero-mean unit-energy symbols, so the
+    symbol-averaged power P is the sum of the row, added in the order
+    common, 1, 2, sensing: every entry of a batch equals what its own
+    point gives, bit for bit. Both sums keep the precoders' batch shape.
     """
     common, private_1, private_2, sensing = target
     # The power is one grid in resident buffer 0 (core.Workspace): summed
-    # for g0 first, then weighted by k² in place for sum_k k² |c_k|².
+    # first, then weighted by k² in place for sum_k k² |c_k|².
     shape = np.broadcast(common, private_1).shape
     power = np.add(common, private_1, out=WORKSPACE.array(True, 0, shape, float))
     power += private_2
     power += sensing
-    g0 = np.sum(power, axis=-1)
-    nc = power.shape[-1]
-    power *= np.arange(nc, dtype=float) ** 2
-    crb = _delay_crb(np.sum(power, axis=-1), nc, cfg.target_attenuation, cfg.noise_power_radar)
-    return _round_sig_column(g0), crb
+    total = np.sum(power, axis=-1)
+    power *= np.arange(power.shape[-1], dtype=float) ** 2
+    return total, np.sum(power, axis=-1)
+
+
+def sensing_from_sums(
+    total: np.ndarray, weighted: np.ndarray, nc: int, cfg: ScenarioConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """g0 and the delay CRB in bins² from :func:`sensing_sums`' two sums over
+    ``nc`` subcarriers: g0 is ``total`` rounded to 12 significant digits
+    (:func:`round_sig`, as a column) so that points equal on paper tie
+    exactly, and the CRB inverts the delay information of ``weighted``."""
+    crb = _delay_crb(weighted, nc, cfg.target_attenuation, cfg.noise_power_radar)
+    return _round_sig_column(total), crb
+
+
+def expected_sensing(
+    target: tuple[np.ndarray, ...], cfg: ScenarioConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """g0 and the delay CRB of ``throughput.stream_gains``' target row:
+    :func:`sensing_sums` finished by :func:`sensing_from_sums`."""
+    return sensing_from_sums(*sensing_sums(target), target[0].shape[-1], cfg)
 
 
 def snr_rad_closed_form(c: np.ndarray, beta: float, sigma_r2: float) -> float:

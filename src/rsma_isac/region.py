@@ -29,7 +29,7 @@ from .precoders import (
     RankDeficientChannelError,
     build_precoders,
 )
-from .radar import expected_sensing, monte_carlo, radar_return
+from .radar import expected_sensing, monte_carlo, radar_return, sensing_from_sums, sensing_sums
 from .throughput import stream_gains, throughput
 
 # Stream ids below this are free for callers; sweep Monte Carlo draws live
@@ -308,30 +308,38 @@ def scheme_frontier(points: IsacPoints, scheme: str, metric: str) -> IsacPoints:
 def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionResult:
     """Evaluate every grid point and extract the Pareto boundary.
 
-    Each family blends its beams once over the grid axis, for the common
-    and the private streams alike (a ``BlendTable``), and scores the grid
-    mix plane by mix plane: the (alpha_c axis, alpha_p axis) pair, which
-    also fixes which streams carry power. A plane's kept (t_comms, t_p)
-    blocks are scored in chunks, as many as keep pairs × n_αc × n_αp × N_c
-    within ``_CHUNK_ELEMENTS`` (at least one): one ``build_precoders``
-    call scales the table into the chunk's precoders, one ``stream_gains``
-    call projects them onto the users and the target, and one
-    ``throughput`` and one ``expected_sensing`` call score the two rows,
-    exactly as point-eval scores one point. A chunk's rows are its
-    blocks' row ranges in turn, so the columns, which hold the grid once
-    per family, fill in grid order. No object is built per point.
+    Each family blends its beams once over the grid axis (a
+    ``BlendTable``) and scores the grid mix plane by mix plane: the
+    (alpha_c axis, alpha_p axis) pair, which also fixes which streams
+    carry power. A plane's kept (t_comms, t_p) blocks are scored in chunks
+    of consecutive blocks, as many as keep blocks × n_αc × n_αp × N_c
+    within ``_CHUNK_ELEMENTS`` (at least one), each chunk one
+    ``throughput`` call; its rows are its blocks' row ranges in turn, so
+    the columns, which hold the grid once per family, fill in grid order.
 
-    SNR_RAD mode runs the radar chain's ``monte_carlo`` on each kept
-    point's precoders in the same pass, from the chunk already built, with
-    random streams that follow from the point's row in the columns (grid
-    order, families in spec order). A point's values therefore depend on
-    nothing but its row: a sweep filtered by ``include_cases`` returns
-    exactly the unfiltered sweep's points of those cases. A chunk whose
-    precoders cannot be built for want of ZF directions is skipped, with
-    the ``RankDeficientChannelError`` message as its points' reason,
-    instead of aborting the sweep, and so are the later chunks of its mix
-    plane, which carry power on the same streams; planes that allocate no
-    private power never need those directions and are scored.
+    At fixed (t_p, alpha_c, alpha_p) each comms stream is √t times its
+    t_comms = 1 precoder and the sensing stream √(1 − t) times its
+    t_comms = 0 one. So under G0 one ``build_precoders`` and one
+    ``stream_gains`` call serve a whole plane, built at t_comms = 1 over
+    its kept t_p values (the sensing-only block, alone in its plane, at
+    0); the first build that needs it also carries the sensing stream
+    alone, the same in every plane and family. A chunk scores the users'
+    gains times t, and blends the unrounded target sums as
+    t·S(1) + (1 − t)·S(0) before ``radar.sensing_from_sums`` rounds g0
+    and inverts the CRB as point-eval's ``expected_sensing`` does. t_sum,
+    MCS, collapse flags and g0 come out as point-eval's; the CRB equals
+    it at t_comms = 0 and 1 and lies within a few ulps elsewhere.
+
+    SNR_RAD builds, projects and scores each chunk at its own pairs, as
+    point-eval does a point, and runs ``monte_carlo`` on each kept point's
+    precoders in the same pass, with random streams that follow from the
+    point's row in the columns (grid order, families in spec order). A
+    point's values therefore depend on nothing but its row: a sweep
+    filtered by ``include_cases`` returns exactly the unfiltered sweep's
+    points of those cases. A plane whose precoders cannot be built for
+    want of ZF directions is skipped, with the
+    ``RankDeficientChannelError`` message as its points' reason; planes
+    that allocate no private power never need those directions.
     """
     grid, planes = _grid(spec.grid_step)
     axis = grid_axis(spec.grid_step)
@@ -352,44 +360,77 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
         )
 
     trials = spec.monte_carlo_trials
-    for (f, table), ((ac_axis, ap_axis), blocks) in itertools.product(
-        enumerate(tables), planes.items()
-    ):
-        offset = f * n  # family f fills rows f·n to (f + 1)·n
-        members = [(t, tp, offset + lo, offset + hi) for t, tp, lo, hi in blocks
-                   if keep[offset + lo:offset + hi].any()]
-        block_size = len(ac_axis) * len(ap_axis) * channels.n_subcarriers
-        per_chunk = max(1, _CHUNK_ELEMENTS // block_size)
+    nc = channels.n_subcarriers
+
+    def store(rows, report, sensing):
+        t_sum[rows] = report.t_sum.ravel()
+        g0[rows], crb[rows] = (values.ravel() for values in sensing)
+        collapsed[rows] = report.collapsed.ravel()
+        for m, index in enumerate(report.mcs_chosen):
+            mcs[rows, m] = index.ravel()
+
+    def build(table, t, tp, ac_axis, ap_axis):
+        """The precoders of (t_comms, t_p) pairs over a mix plane, from the family's table."""
+        return build_precoders(ParameterPoint(t, tp, ac_axis, ap_axis, table.family),
+                               channels, cfg, table)
+
+    # The sensing stream alone (t_comms = 0) gives the same target sums in
+    # every plane and family, so the first build that needs them carries it.
+    sense = None
+
+    def scale(table, ac_axis, ap_axis, members, per_chunk):
+        """Score a plane's kept blocks from one build at t_comms = 1."""
+        nonlocal sense
+        t, tp, lo, hi = zip(*members)
+        tps = sorted(set(tp))
+        pair = np.array([tps.index(v) for v in tp])
+        t = np.array(t)
+        # The sensing-only block (t = 0) is alone in its plane and built as it is.
+        top = 1.0 if t[-1] > 0.0 else 0.0
+        pairs = [(top, v) for v in tps] + ([(0.0, tps[0])] if top and sense is None else [])
+        pset = build(table, *zip(*pairs), ac_axis, ap_axis)
+        users, target = stream_gains(channels, pset)
+        # Of the precoders throughput() reads only where p_c is nonzero, and
+        # at t_comms > 0 a stream carries power where its t = 1 one does.
+        support = tuple(np.any(p, axis=(-2, -1), keepdims=True)
+                        for p in (pset.p_c, pset.p_1, pset.p_2, pset.p_r))
+        del pset
+        # Summed a budget of pairs at a time; then the row is freed.
+        total, weighted = (np.concatenate(sums) for sums in zip(*(
+            sensing_sums(tuple(row[b:b + per_chunk] for row in target))
+            for b in range(0, len(pairs), per_chunk)
+        )))
+        del target
+        if sense is None:
+            sense = total[-1, 0, 0], weighted[-1, 0, 0]
+        for c in range(0, len(members), per_chunk):
+            chunk = slice(c, c + per_chunk)
+            rows = np.concatenate([np.arange(a, b) for a, b in zip(lo[chunk], hi[chunk])])
+            # At t_comms = t each comms stream is √t times its t = 1 precoder
+            # and the sensing stream √(1 − t) times its t = 0 one, so the
+            # users' gains scale by t and the target sums blend.
+            at, on = t[chunk, None, None], pair[chunk]
+            blend = (at * sums[on] + (1.0 - at) * alone
+                     for sums, alone in zip((total, weighted), sense))
+            sensing = sensing_from_sums(*blend, nc, cfg)
+            gains = tuple(tuple(np.take(gain, on, axis=0) for gain in row) for row in users)
+            for row in gains:
+                for gain in row:
+                    gain *= at[..., None]
+            store(rows, throughput(gains, PrecoderSet(*(p[on] for p in support)), cfg), sensing)
+
+    def measure(table, ac_axis, ap_axis, members, per_chunk):
+        """Score and measure a plane's kept blocks, one build a chunk."""
         for c in range(0, len(members), per_chunk):
             t, tp, lo, hi = zip(*members[c:c + per_chunk])
             rows = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
-            pp = ParameterPoint(t, tp, ac_axis, ap_axis, table.family)
-            try:
-                pset = build_precoders(pp, channels, cfg, table)
-            except RankDeficientChannelError as exc:
-                # The mix plane fixes which streams carry power, so every
-                # later chunk of the plane would fail alike.
-                for _, _, a, b in members[c:]:
-                    reason[a:b] = str(exc)
-                break
-            # Each row is freed once scored, so the next step's temporaries
-            # reuse its memory (measured faster on small chunks), and the
-            # report once its columns are copied.
+            pset = build(table, t, tp, ac_axis, ap_axis)
             users, target = stream_gains(channels, pset)
-            chunk_g0, chunk_crb = expected_sensing(target, cfg)
+            sensing = expected_sensing(target, cfg)
             del target
-            report = throughput(users, pset, cfg)
+            store(rows, throughput(users, pset, cfg), sensing)
             del users
-            t_sum[rows] = report.t_sum.ravel()
-            g0[rows] = chunk_g0.ravel()
-            crb[rows] = chunk_crb.ravel()
-            collapsed[rows] = report.collapsed.ravel()
-            for m, index in enumerate(report.mcs_chosen):
-                mcs[rows, m] = index.ravel()
-            del report
-            if spec.metric != "SNR_RAD":
-                continue
-            shape = (len(pp.t_comms), len(ac_axis), len(ap_axis))
+            shape = (len(t), len(ac_axis), len(ap_axis))
             for row, (k, i, j) in zip(rows.tolist(), np.ndindex(shape)):
                 if not keep[row]:
                     continue
@@ -405,6 +446,26 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
                     [(base + 2 * t, base + 2 * t + 1) for t in range(trials)],
                     capture,
                 )
+
+    for (f, table), ((ac_axis, ap_axis), blocks) in itertools.product(
+        enumerate(tables), planes.items()
+    ):
+        offset = f * n  # family f fills rows f·n to (f + 1)·n
+        members = [(t, tp, offset + lo, offset + hi) for t, tp, lo, hi in blocks
+                   if keep[offset + lo:offset + hi].any()]
+        if not members:
+            continue
+        per_chunk = max(1, _CHUNK_ELEMENTS // (len(ac_axis) * len(ap_axis) * nc))
+        try:
+            if spec.metric == "SNR_RAD":
+                measure(table, ac_axis, ap_axis, members, per_chunk)
+            else:
+                scale(table, ac_axis, ap_axis, members, per_chunk)
+        except RankDeficientChannelError as exc:
+            # The mix plane fixes which streams carry power, so its first
+            # build fails where any would.
+            for _, _, a, b in members:
+                reason[a:b] = str(exc)
 
     scored = reason == ""
     ok, lost = keep & scored, keep & ~scored

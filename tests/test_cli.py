@@ -27,9 +27,9 @@ def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _run_sweep(out_dir, extra=()):
+def _run_sweep(out_dir, extra=(), step="0.5"):
     return main(
-        ["sweep", *_S2_SMALL, "--step", "0.5", "--family", "both",
+        ["sweep", *_S2_SMALL, "--step", step, "--family", "both",
          "--out", str(out_dir), *extra]
     )
 
@@ -64,8 +64,8 @@ def test_sweep_rerun_replaces_its_files(tmp_path):
     assert _run_sweep(out) == 0
     old_bytes = (out / "points.csv").read_bytes()
     os.link(out / "points.csv", old)
-    assert _run_sweep(out, extra=("--step", "0.25")) == 0
-    assert _run_sweep(fresh, extra=("--step", "0.25")) == 0
+    assert _run_sweep(out, step="0.25") == 0
+    assert _run_sweep(fresh, step="0.25") == 0
     assert old.read_bytes() == old_bytes
     assert (out / "points.csv").stat().st_ino != old.stat().st_ino
     for name in ("points.csv", "boundary.csv", "boundary_params.csv", "run.json"):
@@ -89,7 +89,7 @@ def test_reproduce_refuses_a_directory_holding_another_run(tmp_path, capsys):
     # beside a's manifest; it stops before any file is touched.
     a, b = tmp_path / "a", tmp_path / "b"
     assert _run_sweep(a) == 0
-    assert _run_sweep(b, extra=("--step", "0.25")) == 0
+    assert _run_sweep(b, step="0.25") == 0
     before = {path.name: path.read_bytes() for path in a.iterdir()}
     capsys.readouterr()
     assert main(["reproduce", "--run", str(b / "run.json"), "--out", str(a)]) == 2
@@ -598,6 +598,50 @@ def test_gone_or_conflicting_options_are_usage_errors(tmp_path, argv):
         main([*argv, "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def _command_flags():
+    """(subcommand, flag) for every flag but --set and --help, from the parser."""
+    parser = build_parser()
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, option)
+        for command, sub in subcommands.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help", "--set")
+    ]
+
+
+# A value each flag accepts; a flag missing here fails the test below.
+_FLAG_VALUES = {
+    "--scenario": os.devnull, "--preset": "S1", "--seed": "3", "--out": "o",
+    "--step": "0.5", "--family": "mrt", "--metric": "g0", "--trials": "2",
+    "--params": os.devnull, "--n0": "1", "--run": os.devnull,
+}
+_REQUIRED = {"radar-heatmap": ["--params", os.devnull], "reproduce": ["--run", os.devnull]}
+
+
+@pytest.mark.parametrize("command,flag", _command_flags())
+def test_single_valued_flag_given_twice_is_usage_error(tmp_path, capsys, command, flag):
+    # A second occurrence used to win silently (sweep --family zf --family
+    # mrt swept MRT); now it exits 2 naming the flag, before anything runs.
+    value = _FLAG_VALUES[flag]
+    if flag == "--out":
+        value = str(tmp_path / "o")
+    required = [] if flag in _REQUIRED.get(command, []) else _REQUIRED.get(command, [])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, value, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_set_stays_repeatable():
+    args = build_parser().parse_args(
+        ["sweep", "--set", "n_subcarriers=16", "--set", "csit_error_var=0.001"]
+    )
+    assert args.set == ["n_subcarriers=16", "csit_error_var=0.001"]
 
 
 @pytest.fixture(scope="module")

@@ -32,7 +32,13 @@ from rsma_isac import (
 )
 from rsma_isac.core import ConfigError
 from rsma_isac.precoders import FAMILIES
-from rsma_isac.radar import _delay_crb, round_sig
+from rsma_isac.radar import (
+    _delay_crb,
+    expected_sensing,
+    round_sig,
+    sensing_from_sums,
+    sensing_sums,
+)
 from rsma_isac.region import (
     _SOFT_ATOL,
     CASE_TAGS,
@@ -377,23 +383,71 @@ def test_block_sinr_is_bit_identical_to_per_point():
                             assert eff[row, j] == spectral_efficiency(single, gap)
 
 
-def _point_eval_sensing(pp, channels, cfg):
-    """g0 and CRB of one operating point, computed the way point-eval does."""
+def _sums(pp, channels, cfg):
+    """Σ_k P_k and Σ_k k²·P_k of one point's power toward the target, from its own build."""
     _, (common, private_1, private_2, sensing) = stream_gains(
         channels, build_precoders(pp, channels, cfg)
     )
     power = common + private_1 + private_2 + sensing
-    bound = _delay_crb(
-        np.sum(np.arange(power.shape[0], dtype=float) ** 2 * power), power.shape[0],
-        cfg.target_attenuation, cfg.noise_power_radar,
-    )
-    return round_sig(float(np.sum(power))), float(bound)
+    return np.sum(power), np.sum(np.arange(power.shape[0], dtype=float) ** 2 * power)
+
+
+def _finish(total, weighted, channels, cfg):
+    bound = _delay_crb(weighted, channels.n_subcarriers, cfg.target_attenuation,
+                       cfg.noise_power_radar)
+    return round_sig(float(total)), float(bound)
+
+
+def _point_eval_sensing(pp, channels, cfg):
+    """g0 and CRB of one operating point, computed the way point-eval does."""
+    return _finish(*_sums(pp, channels, cfg), channels, cfg)
+
+
+def _blended_sensing(pp, channels, cfg):
+    """g0 and CRB of one point as a G0 sweep computes them: the point's own
+    sums at t_comms = 1 and 0, blended as t·S₁ + (1 − t)·S₀, rounded and
+    inverted. A sensing-only point (t = 0) blends its own sums with themselves."""
+    t = pp.t_comms
+    one, zero = (_sums(dataclasses.replace(pp, t_comms=v), channels, cfg)
+                 for v in (1.0 if t > 0.0 else 0.0, 0.0))
+    return _finish(*(t * a + (1.0 - t) * b for a, b in zip(one, zero)), channels, cfg)
+
+
+# A G0 sweep's CRB blends its point's sums before it inverts them, so it
+# differs from point-eval's in the last ulps: by at most 4 over the 8,184
+# step-0.25 points of S1-S3 at N_c = 32 and 512, both CSIT levels and both
+# families, and by at most 6 over 20,000 random points. At t_comms = 0 and
+# 1 the blend is one of the sums, exactly.
+_CRB_ULPS = 8
+
+
+def _assert_scored_as_point_eval(pts, i, channels, cfg):
+    """Row i of a G0 sweep against point-eval at its knobs: t_sum, MCS
+    indices, collapse flag and g0 exactly; the CRB exactly against the
+    blended oracle, and against point-eval exactly at t_comms = 0 and 1
+    and within _CRB_ULPS elsewhere."""
+    pp = _params(pts, i)
+    pset = build_precoders(pp, channels, cfg)
+    report = throughput(stream_gains(channels, pset)[0], pset, cfg)
+    assert pts.t_sum_bps[i] == report.t_sum, pp
+    assert pts.collapsed[i] == report.collapsed, pp
+    assert tuple(pts.mcs[i].tolist()) == tuple(int(m) for m in report.mcs_chosen), pp
+    g0, bound = _point_eval_sensing(pp, channels, cfg)
+    assert pts.g0[i] == g0, pp
+    crb = pts.crb_bins2[i]
+    assert crb == _blended_sensing(pp, channels, cfg)[1], pp
+    if pp.t_comms in (0.0, 1.0):
+        assert crb == bound, pp
+    else:
+        assert abs(crb - bound) <= _CRB_ULPS * math.ulp(bound), (pp, crb, bound)
 
 
 def test_sweep_sensing_numbers_cross_check():
-    # Every point's g0 and CRB come from the same batched arithmetic as a
-    # single point's, so they are equal, not merely close.
+    # Every point's t_sum, MCS, collapse flag and g0 equal point-eval's; its
+    # CRB is the blended oracle's, bit for bit, and point-eval's up to the
+    # last ulps (exactly at t_comms = 0 and 1).
     spec = dataclasses.replace(_SPEC, grid_step=0.25, families=("MRT", "ZF"))
+    blended = 0
     for preset in ("S1", "S2"):
         for csit_error_var in (0.0, 1e-3):
             cfg = dataclasses.replace(
@@ -404,9 +458,68 @@ def test_sweep_sensing_numbers_cross_check():
             pts = result.points
             assert not result.skipped
             for i in range(len(pts)):
-                g0, bound = _point_eval_sensing(_params(pts, i), channels, cfg)
-                assert pts.g0[i] == g0, _params(pts, i)
-                assert pts.crb_bins2[i] == bound, _params(pts, i)
+                _assert_scored_as_point_eval(pts, i, channels, cfg)
+            blended += np.count_nonzero((0.0 < pts.t_comms) & (pts.t_comms < 1.0))
+    assert blended > 0
+
+
+def _scaled_point(pp, channels, cfg):
+    """One point scored through the sweep's G0 path: a one-block plane built
+    at t_comms = 1 (0 for a sensing-only point), its users' gains times t,
+    and its target sums at t_comms = 1 and 0 blended and finished."""
+    t = pp.t_comms
+    top = dataclasses.replace(pp, t_comms=1.0 if t > 0.0 else 0.0)
+    pset = build_precoders(top, channels, cfg)
+    users, target = stream_gains(channels, pset)
+    report = throughput(tuple(tuple(t * gain for gain in row) for row in users), pset, cfg)
+    _, zero = stream_gains(channels, build_precoders(dataclasses.replace(pp, t_comms=0.0),
+                                                     channels, cfg))
+    blend = (t * a + (1.0 - t) * b for a, b in zip(sensing_sums(target), sensing_sums(zero)))
+    return report, sensing_from_sums(*blend, channels.n_subcarriers, cfg)
+
+
+@functools.cache
+def _seam_channels(preset, csit_error_var):
+    cfg = dataclasses.replace(
+        scenario_preset(preset), n_subcarriers=32, csit_error_var=csit_error_var
+    )
+    return cfg, generate_channels(cfg, _GEOM, RngStream(cfg.seed, 0))
+
+
+_KNOB = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # t_comms off the grid, but not so small that a stream's power underflows.
+    t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 1.0)),
+    tp=st.one_of(st.sampled_from([0.0, 1.0]), _KNOB),
+    ac=_KNOB,
+    ap=_KNOB,
+    family=st.sampled_from(FAMILIES),
+    preset=st.sampled_from(["S1", "S2", "S3"]),
+    csit_error_var=st.sampled_from([0.0, 1e-3]),
+)
+def test_scaled_point_scores_as_its_own_build(t, tp, ac, ap, family, preset, csit_error_var):
+    # Every comms stream at t_comms = t is √t times its t = 1 precoder and
+    # the sensing stream √(1 − t) times its t = 0 one: scoring the scaled
+    # gains and blended sums gives the point's own t_sum, MCS, collapse
+    # flag and g0, and its CRB within the stated ulps (exactly at 0 and 1).
+    cfg, channels = _seam_channels(preset, csit_error_var)
+    pp = ParameterPoint(t, tp, ac, ap, family)
+    pset = build_precoders(pp, channels, cfg)
+    users, target = stream_gains(channels, pset)
+    own = throughput(users, pset, cfg)
+    own_g0, own_crb = expected_sensing(target, cfg)
+    report, (g0, crb) = _scaled_point(pp, channels, cfg)
+    assert report.t_sum == own.t_sum
+    assert tuple(map(int, report.mcs_chosen)) == tuple(map(int, own.mcs_chosen))
+    assert bool(report.collapsed) == bool(own.collapsed)
+    assert g0 == own_g0
+    if t in (0.0, 1.0):
+        assert crb == own_crb
+    else:
+        assert abs(crb - own_crb) <= _CRB_ULPS * math.ulp(float(own_crb))
 
 
 @settings(max_examples=40, deadline=None)
@@ -435,7 +548,7 @@ def test_g0_ceiling_is_reached_by_sensing_only(angle, spacing, n_tx):
 def test_rank_deficient_zf_sweep_scores_common_only_blocks(make_channels):
     # Users at the same angle make every subcarrier's channel matrix rank 1,
     # so ZF has no private directions; the blocks without private power are
-    # still scored, and their sensing numbers equal point-eval's.
+    # still scored, as point-eval scores them.
     cfg, channels = make_channels(n_subcarriers=16, ue_angles_deg=(30.0, 30.0))
     zf = dataclasses.replace(_SPEC, grid_step=0.5, families=("ZF",))
     result = sweep(zf, channels, cfg)
@@ -445,8 +558,7 @@ def test_rank_deficient_zf_sweep_scores_common_only_blocks(make_channels):
     assert len(pts) == 7
     assert set(pts.t_p[pts.t_comms > 0.0].tolist()) == {0.0}
     for i in range(len(pts)):
-        sensing = (pts.g0[i], pts.crb_bins2[i])
-        assert sensing == _point_eval_sensing(_params(pts, i), channels, cfg)
+        _assert_scored_as_point_eval(pts, i, channels, cfg)
     # Swept together, MRT is scored everywhere and ZF loses the same points
     # for the same reason as when it is swept alone.
     both_spec = dataclasses.replace(_SPEC, grid_step=0.5, families=("MRT", "ZF"))
@@ -503,8 +615,8 @@ def test_zf_sweep_computes_private_directions_once(make_channels, monkeypatch):
 def test_sweep_results_do_not_depend_on_the_chunk_budget(
     make_channels, monkeypatch, overrides, sweep_fields
 ):
-    # One block per call (a budget of 1), several blocks per call (five
-    # 5 x 5 x 16 interior blocks) and one call per mix plane (a budget
+    # One block per chunk (a budget of 1), several blocks per chunk (five
+    # 5 x 5 x 16 interior blocks) and one chunk per mix plane (a budget
     # past any chunk) give equal results: the same rows in the same order,
     # the same SNR streams, and on rank-deficient channels the same
     # skipped knobs and reasons.
@@ -522,30 +634,64 @@ def test_sweep_results_do_not_depend_on_the_chunk_budget(
         return original(pp, *args)
 
     monkeypatch.setattr(region_mod, "build_precoders", counting)
-    results, chunks = [], []
+    results, builds = [], {"G0": [], "SNR_RAD": []}
     for budget in (1, 5 * 25 * 16, 2**40):
         monkeypatch.setattr(region_mod, "_CHUNK_ELEMENTS", budget)
         built.clear()
         results.append(sweep(spec, channels, cfg))
-        chunks.append(list(built))
-        # Measuring SNR_RAD reuses the precoders each chunk was scored with.
+        builds[spec.metric].append(list(built))
+        other = "G0" if spec.metric == "SNR_RAD" else "SNR_RAD"
         built.clear()
-        sweep(dataclasses.replace(spec, metric="G0"), channels, cfg)
-        assert built == chunks[-1]
-    # a budget of 1 builds every kept block alone; the middle budget
-    # splits the kept interior blocks (12 of them unfiltered) into chunks
-    # of 5 and a shorter last one; 2**40 builds one chunk per family and
-    # mix plane
-    assert {len(pp.t_comms) for pp in chunks[0]} == {1}
-    interior = [len(pp.t_comms) for pp in chunks[1]
+        sweep(dataclasses.replace(spec, metric=other, monte_carlo_trials=2), channels, cfg)
+        builds[other].append(list(built))
+    # G0 builds each family's kept mix planes once, at t_comms = 1 (the
+    # sensing-only block at 0), whatever the budget
+    g0 = builds["G0"]
+    assert g0[0] == g0[1] == g0[2]
+    planes = _grid(0.25)[1]
+    assert [(pp.family, (pp.alpha_c, pp.alpha_p)) for pp in g0[0]] == list(
+        itertools.product(FAMILIES, planes)
+    )
+    assert all(set(pp.t_comms) <= {0.0, 1.0} for pp in g0[0])
+    # SNR_RAD builds each chunk: a budget of 1 builds every kept block
+    # alone; the middle budget splits the kept interior blocks (12 of them
+    # unfiltered) into chunks of 5 and a shorter last one; 2**40 builds one
+    # chunk per family and mix plane
+    snr = builds["SNR_RAD"]
+    assert {len(pp.t_comms) for pp in snr[0]} == {1}
+    interior = [len(pp.t_comms) for pp in snr[1]
                 if pp.family == "MRT" and len(pp.alpha_c) == len(pp.alpha_p) == 5]
     assert interior[:-1] == [5] * (len(interior) - 1) and 1 < interior[-1] < 5
     assert len(interior) >= 2 and (interior == [5, 5, 2] or "include_cases" in sweep_fields)
-    assert len(chunks[2]) == 2 * 4 < len(chunks[1]) < len(chunks[0])
+    assert len(snr[2]) == 2 * 4 < len(snr[1]) < len(snr[0])
     assert results[0] == results[1] == results[2]
     if overrides:
         assert len(results[0].skipped) > 0
         assert set(results[0].skipped.family.tolist()) == {FAMILIES.index("ZF")}
+
+
+@pytest.mark.parametrize("budget", [1, None, 2**40])
+def test_g0_sweep_builds_once_per_mix_plane(make_channels, monkeypatch, budget):
+    # One build_precoders call per family and mix plane, whatever the
+    # budget: on the step-0.2 grid at N_c = 512, 4 per family, where a
+    # build per chunk made 10.
+    import rsma_isac.region as region_mod
+
+    if budget is not None:
+        monkeypatch.setattr(region_mod, "_CHUNK_ELEMENTS", budget)
+    built = []
+    original = region_mod.build_precoders
+
+    def counting(pp, *args):
+        built.append(pp.family)
+        return original(pp, *args)
+
+    monkeypatch.setattr(region_mod, "build_precoders", counting)
+    cfg, channels = make_channels(n_subcarriers=512)
+    result = sweep(dataclasses.replace(_SPEC, grid_step=0.2, families=("MRT", "ZF")),
+                   channels, cfg)
+    assert len(result.points) == 2 * len(enumerate_grid(0.2, "MRT"))
+    assert built == ["MRT"] * 4 + ["ZF"] * 4
 
 
 @functools.cache
