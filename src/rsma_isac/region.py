@@ -29,7 +29,7 @@ from .precoders import (
     RankDeficientChannelError,
     build_precoders,
 )
-from .radar import expected_sensing, monte_carlo, radar_return, sensing_from_sums, sensing_sums
+from .radar import monte_carlo, radar_return, sensing_from_sums, sensing_sums
 from .throughput import stream_gains, throughput
 
 # Stream ids below this are free for callers; sweep Monte Carlo draws live
@@ -319,25 +319,27 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
 
     At fixed (t_p, alpha_c, alpha_p) each comms stream is √t times its
     t_comms = 1 precoder and the sensing stream √(1 − t) times its
-    t_comms = 0 one. So under G0 one ``build_precoders`` and one
-    ``stream_gains`` call serve a whole plane, built at t_comms = 1 over
-    its kept t_p values (the sensing-only block, alone in its plane, at
-    0); the first build that needs it also carries the sensing stream
+    t_comms = 0 one. So whatever the metric, one ``build_precoders`` and
+    one ``stream_gains`` call serve a whole plane, built at t_comms = 1
+    over its kept t_p values (the sensing-only block, alone in its plane,
+    at 0); the first build that needs it also carries the sensing stream
     alone, the same in every plane and family. A chunk scores the users'
     gains times t, and blends the unrounded target sums as
     t·S(1) + (1 − t)·S(0) before ``radar.sensing_from_sums`` rounds g0
     and inverts the CRB as point-eval's ``expected_sensing`` does. t_sum,
-    MCS, collapse flags and g0 come out as point-eval's; the CRB equals
-    it at t_comms = 0 and 1 and lies within a few ulps elsewhere.
+    MCS and collapse flags come out as point-eval's. The blended total is
+    point-eval's within a few ulps, so g0 is point-eval's unless a 12-digit
+    rounding boundary falls between the two, where it is the adjacent
+    12-digit value; the CRB equals point-eval's at t_comms = 0 and 1 and
+    lies within a few ulps elsewhere.
 
-    SNR_RAD builds, projects and scores each chunk at its own pairs, as
-    point-eval does a point, and runs ``monte_carlo`` on each kept point's
-    precoders in the same pass, with random streams that follow from the
-    point's row in the columns (grid order, families in spec order). A
-    point's values therefore depend on nothing but its row: a sweep
-    filtered by ``include_cases`` returns exactly the unfiltered sweep's
-    points of those cases. A plane whose precoders cannot be built for
-    want of ZF directions is skipped, with the
+    SNR_RAD then builds each chunk at its own pairs for the radar chain and
+    runs ``monte_carlo`` on each kept point's precoders, with random
+    streams that follow from the point's row in the columns (grid order,
+    families in spec order). A point's values therefore depend on nothing
+    but its row: a sweep filtered by ``include_cases`` returns exactly the
+    unfiltered sweep's points of those cases. A plane whose precoders
+    cannot be built for want of ZF directions is skipped, with the
     ``RankDeficientChannelError`` message as its points' reason; planes
     that allocate no private power never need those directions.
     """
@@ -361,13 +363,6 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
 
     trials = spec.monte_carlo_trials
     nc = channels.n_subcarriers
-
-    def store(rows, report, sensing):
-        t_sum[rows] = report.t_sum.ravel()
-        g0[rows], crb[rows] = (values.ravel() for values in sensing)
-        collapsed[rows] = report.collapsed.ravel()
-        for m, index in enumerate(report.mcs_chosen):
-            mcs[rows, m] = index.ravel()
 
     def build(table, t, tp, ac_axis, ap_axis):
         """The precoders of (t_comms, t_p) pairs over a mix plane, from the family's table."""
@@ -412,24 +407,22 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
             at, on = t[chunk, None, None], pair[chunk]
             blend = (at * sums[on] + (1.0 - at) * alone
                      for sums, alone in zip((total, weighted), sense))
-            sensing = sensing_from_sums(*blend, nc, cfg)
+            g0[rows], crb[rows] = (v.ravel() for v in sensing_from_sums(*blend, nc, cfg))
             gains = tuple(tuple(np.take(gain, on, axis=0) for gain in row) for row in users)
             for row in gains:
                 for gain in row:
                     gain *= at[..., None]
-            store(rows, throughput(gains, PrecoderSet(*(p[on] for p in support)), cfg), sensing)
+            report = throughput(gains, PrecoderSet(*(p[on] for p in support)), cfg)
+            t_sum[rows], collapsed[rows] = report.t_sum.ravel(), report.collapsed.ravel()
+            for m, index in enumerate(report.mcs_chosen):
+                mcs[rows, m] = index.ravel()
 
     def measure(table, ac_axis, ap_axis, members, per_chunk):
-        """Score and measure a plane's kept blocks, one build a chunk."""
+        """Measure a plane's kept points' radar SNR, one build a chunk."""
         for c in range(0, len(members), per_chunk):
             t, tp, lo, hi = zip(*members[c:c + per_chunk])
             rows = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
             pset = build(table, t, tp, ac_axis, ap_axis)
-            users, target = stream_gains(channels, pset)
-            sensing = expected_sensing(target, cfg)
-            del target
-            store(rows, throughput(users, pset, cfg), sensing)
-            del users
             shape = (len(t), len(ac_axis), len(ap_axis))
             for row, (k, i, j) in zip(rows.tolist(), np.ndindex(shape)):
                 if not keep[row]:
@@ -457,10 +450,9 @@ def sweep(spec: SweepSpec, channels: ChannelSet, cfg: ScenarioConfig) -> RegionR
             continue
         per_chunk = max(1, _CHUNK_ELEMENTS // (len(ac_axis) * len(ap_axis) * nc))
         try:
+            scale(table, ac_axis, ap_axis, members, per_chunk)
             if spec.metric == "SNR_RAD":
                 measure(table, ac_axis, ap_axis, members, per_chunk)
-            else:
-                scale(table, ac_axis, ap_axis, members, per_chunk)
         except RankDeficientChannelError as exc:
             # The mix plane fixes which streams carry power, so its first
             # build fails where any would.

@@ -274,18 +274,18 @@ def test_unused_private_name_finder(tmp_path):
     assert _unused_private_names(sorted(tmp_path.glob("*.py"))) == ["a._DOC", "a._LIMIT"]
 
 
-def _build_sites(path: Path) -> list[int]:
-    """Line of every call to build_precoders, by name or as an attribute, in the file."""
+def _call_sites(path: Path, name: str) -> list[int]:
+    """Line of every call to ``name``, by name or as an attribute, in the file."""
     return [
         node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "build_precoders"
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
     ]
 
 
 def test_sweep_builds_each_chunk_at_one_site():
-    # Scoring and SNR_RAD measurement share one build per chunk.
-    assert len(_build_sites(_PACKAGE / "region.py")) == 1
+    # The G0 scoring and the SNR_RAD measurement build through one helper.
+    assert len(_call_sites(_PACKAGE / "region.py", "build_precoders")) == 1
 
 
 def test_build_site_finder(tmp_path):
@@ -298,7 +298,7 @@ def test_build_site_finder(tmp_path):
         "f = build_precoders\n"
         "c = build_precoder(pp, ch, cfg)\n"
     )
-    assert _build_sites(path) == [3, 4]
+    assert _call_sites(path, "build_precoders") == [3, 4]
 
 
 # A blend table is a sweep's: a single point, a radar-heatmap row too,
@@ -354,31 +354,45 @@ def test_table_use_finder(tmp_path):
     ]
 
 
-# g0 is rounded where it is computed: radar.py defines round_sig and
-# applies it in expected_sensing, and the package namespace re-exports it.
-def _round_sig_uses(path: Path) -> list[int]:
-    """Line of every reference to round_sig in the file: import, name or attribute."""
+def _references(path: Path, name: str) -> list[int]:
+    """Line of every reference to ``name`` in the file: import, name or attribute."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
-            found += [node.lineno for a in node.names if a.name == "round_sig"]
-        elif getattr(node, "id", getattr(node, "attr", None)) == "round_sig":
+            found += [node.lineno for a in node.names if a.name == name]
+        elif getattr(node, "id", getattr(node, "attr", None)) == name:
             found.append(node.lineno)
     return sorted(found)
 
 
+# A sweep scores its points along one path whatever its metric: region.py
+# projects, scores and finishes the sensing numbers at one site each, and
+# never calls point-eval's expected_sensing.
+_SWEEP_SCORING = ("stream_gains", "throughput", "sensing_from_sums")
+
+
+def test_sweep_scores_along_one_path():
+    region = _PACKAGE / "region.py"
+    assert {name: len(_call_sites(region, name)) for name in _SWEEP_SCORING} == {
+        name: 1 for name in _SWEEP_SCORING
+    }
+    assert _references(region, "expected_sensing") == []
+
+
+# g0 is rounded where it is computed: radar.py defines round_sig and
+# applies it in expected_sensing, and the package namespace re-exports it.
 def test_only_radar_rounds_g0():
     offenders = {
         path.stem: lines for path in sorted(_PACKAGE.glob("*.py"))
-        if path.stem not in {"radar", "__init__"} and (lines := _round_sig_uses(path))
+        if path.stem not in {"radar", "__init__"} and (lines := _references(path, "round_sig"))
     }
     assert offenders == {}
     init = ast.parse((_PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     imports = [node for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
                and any(a.name == "round_sig" for a in node.names)]
     assert [node.module for node in imports] == ["radar"]
-    assert len(_round_sig_uses(_PACKAGE / "__init__.py")) == 1
-    assert _round_sig_uses(_PACKAGE / "radar.py")
+    assert len(_references(_PACKAGE / "__init__.py", "round_sig")) == 1
+    assert _references(_PACKAGE / "radar.py", "round_sig")
 
 
 def test_round_sig_use_finder(tmp_path):
@@ -392,7 +406,7 @@ def test_round_sig_use_finder(tmp_path):
         "y = radar.round_sig(1.0)\n"
         "round_sigma = round_sig_2 = 1\n"
     )
-    assert _round_sig_uses(path) == [1, 5, 6]
+    assert _references(path, "round_sig") == [1, 5, 6]
 
 
 # The precoders are projected onto the users and the target in one place,
